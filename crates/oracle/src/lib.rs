@@ -6,7 +6,8 @@
 //! `σ`. This crate serves that query interface from three construction routes:
 //!
 //! * [`ReplacementPathOracle`] — per-source rows indexed by the canonical-path position of the
-//!   avoided edge (compact, cache friendly);
+//!   avoided edge, all rows of a source in one flat buffer, found through a dense
+//!   [`SourceSlots`] table (an `O(1)` lookup, whatever σ is);
 //! * [`build_bk`](ReplacementPathOracle::build_bk) — the **real Bernstein–Karger
 //!   preprocessing** (heavy-path cover decomposition plus one multi-seed subtree search per
 //!   tree-edge cut, see the [`bk`] module);
@@ -41,6 +42,46 @@ use msrp_rpath::{
     WeightedReplacementDistances,
 };
 
+/// A dense `vertex → slot` table: one `u32` per vertex of the graph, `u32::MAX` for a vertex
+/// that is not a source. A lookup is one bounds check and one load, whatever σ is — the
+/// source half of Lemma 5's `O(1)` `QUERY`. The oracles map each source to the slot of its
+/// tree and rows; `msrp-serve`'s sharded oracles map each source to its shard.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SourceSlots {
+    slots: Vec<u32>,
+}
+
+impl SourceSlots {
+    const NONE: u32 = u32::MAX;
+
+    /// Builds the table over `n` vertices from `(source, slot)` pairs, or `None` when a
+    /// source appears twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is not below `n` or a slot does not fit below `u32::MAX`.
+    pub fn new(n: usize, pairs: impl IntoIterator<Item = (Vertex, usize)>) -> Option<Self> {
+        let mut slots = vec![Self::NONE; n];
+        for (s, slot) in pairs {
+            let cell = &mut slots[s];
+            if *cell != Self::NONE {
+                return None;
+            }
+            *cell = u32::try_from(slot).ok().filter(|&x| x != Self::NONE).expect("slot fits u32");
+        }
+        Some(SourceSlots { slots })
+    }
+
+    /// The slot of `v`, or `None` when `v` is not a source (any id, including ones past
+    /// the graph, is a safe argument).
+    pub fn get(&self, v: Vertex) -> Option<usize> {
+        match self.slots.get(v) {
+            Some(&slot) if slot != Self::NONE => Some(slot as usize),
+            _ => None,
+        }
+    }
+}
+
 /// A single-edge-fault distance oracle for a fixed set of sources.
 ///
 /// ```
@@ -58,6 +99,7 @@ use msrp_rpath::{
 #[derive(Clone, Debug)]
 pub struct ReplacementPathOracle {
     sources: Vec<Vertex>,
+    slots: SourceSlots,
     trees: Vec<ShortestPathTree>,
     distances: Vec<SourceReplacementDistances>,
 }
@@ -132,16 +174,26 @@ impl ReplacementPathOracle {
             trees.extend(shard.trees);
             distances.extend(shard.distances);
         }
-        let mut dedup = sources.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), sources.len(), "shards must cover disjoint sources");
-        ReplacementPathOracle { sources, trees, distances }
+        Self::assemble(sources, trees, distances, "shards must cover disjoint sources")
     }
 
     /// Wraps an existing solver output.
     pub fn from_msrp_output(out: MsrpOutput) -> Self {
-        ReplacementPathOracle { sources: out.sources, trees: out.trees, distances: out.per_source }
+        Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
+    }
+
+    /// The constructor every route ends in: indexes the sources densely ([`SourceSlots`]).
+    /// Panics with `duplicate` if two entries cover the same source.
+    fn assemble(
+        sources: Vec<Vertex>,
+        trees: Vec<ShortestPathTree>,
+        distances: Vec<SourceReplacementDistances>,
+        duplicate: &str,
+    ) -> Self {
+        let n = trees.first().map_or(0, |t| t.vertex_count());
+        let slots =
+            SourceSlots::new(n, sources.iter().enumerate().map(|(i, &s)| (s, i))).expect(duplicate);
+        ReplacementPathOracle { sources, slots, trees, distances }
     }
 
     /// Assembles an oracle from its parts: one canonical tree and one replacement table per
@@ -166,14 +218,10 @@ impl ReplacementPathOracle {
         assert!(!sources.is_empty(), "at least one source is required");
         assert_eq!(sources.len(), trees.len(), "one tree per source");
         assert_eq!(sources.len(), distances.len(), "one replacement table per source");
-        let mut dedup = sources.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), sources.len(), "sources must be distinct");
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(trees[i].source(), s, "tree {i} is not rooted at its source");
         }
-        ReplacementPathOracle { sources, trees, distances }
+        Self::assemble(sources, trees, distances, "sources must be distinct")
     }
 
     /// The canonical shortest-path trees, in source order (one per source).
@@ -211,7 +259,7 @@ impl ReplacementPathOracle {
         let trees = bfs_trees_wave(g, sources, &mut wave);
         let distances =
             trees.iter().map(|t| single_source_brute_force_wave(g, t, &mut wave)).collect();
-        ReplacementPathOracle { sources: sources.to_vec(), trees, distances }
+        Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
     }
 
     /// The sources the oracle was built for.
@@ -230,9 +278,9 @@ impl ReplacementPathOracle {
         self.trees.first().map_or(0, |t| t.vertex_count())
     }
 
-    /// Index of `s` among the sources.
+    /// Slot of `s` among the sources: one dense-table load, whatever σ is.
     fn source_index(&self, s: Vertex) -> Option<usize> {
-        self.sources.iter().position(|&x| x == s)
+        self.slots.get(s)
     }
 
     /// Fault-free distance from source `s` to `t` (`None` if `s` is not a source or `t` is
@@ -462,6 +510,7 @@ pub fn build_shards_csr(
 #[derive(Clone, Debug)]
 pub struct WeightedReplacementOracle {
     sources: Vec<Vertex>,
+    slots: SourceSlots,
     trees: Vec<WeightedTree>,
     distances: Vec<WeightedReplacementDistances>,
 }
@@ -480,11 +529,21 @@ impl WeightedReplacementOracle {
 
     /// Wraps an existing weighted solver output.
     pub fn from_output(out: WeightedMsrpOutput) -> Self {
-        WeightedReplacementOracle {
-            sources: out.sources,
-            trees: out.trees,
-            distances: out.per_source,
-        }
+        Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
+    }
+
+    /// The constructor every route ends in — the weighted mirror of
+    /// [`ReplacementPathOracle`]'s. Panics with `duplicate` if two entries share a source.
+    fn assemble(
+        sources: Vec<Vertex>,
+        trees: Vec<WeightedTree>,
+        distances: Vec<WeightedReplacementDistances>,
+        duplicate: &str,
+    ) -> Self {
+        let n = trees.first().map_or(0, |t| t.vertex_count());
+        let slots =
+            SourceSlots::new(n, sources.iter().enumerate().map(|(i, &s)| (s, i))).expect(duplicate);
+        WeightedReplacementOracle { sources, slots, trees, distances }
     }
 
     /// Assembles a weighted oracle from its parts — the weighted mirror of
@@ -505,14 +564,10 @@ impl WeightedReplacementOracle {
         assert!(!sources.is_empty(), "at least one source is required");
         assert_eq!(sources.len(), trees.len(), "one tree per source");
         assert_eq!(sources.len(), distances.len(), "one replacement table per source");
-        let mut dedup = sources.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), sources.len(), "sources must be distinct");
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(trees[i].source(), s, "tree {i} is not rooted at its source");
         }
-        WeightedReplacementOracle { sources, trees, distances }
+        Self::assemble(sources, trees, distances, "sources must be distinct")
     }
 
     /// The canonical Dijkstra trees, in source order (one per source); with
@@ -536,7 +591,7 @@ impl WeightedReplacementOracle {
             sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
         let distances =
             trees.iter().map(|t| single_source_brute_force_weighted(g, t, &mut scratch)).collect();
-        WeightedReplacementOracle { sources: sources.to_vec(), trees, distances }
+        Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
     }
 
     /// Merges per-shard weighted oracles (disjoint source slices) into one, concatenating
@@ -556,11 +611,7 @@ impl WeightedReplacementOracle {
             trees.extend(shard.trees);
             distances.extend(shard.distances);
         }
-        let mut dedup = sources.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), sources.len(), "shards must cover disjoint sources");
-        WeightedReplacementOracle { sources, trees, distances }
+        Self::assemble(sources, trees, distances, "shards must cover disjoint sources")
     }
 
     /// The sources the oracle was built for.
@@ -575,7 +626,7 @@ impl WeightedReplacementOracle {
     }
 
     fn source_index(&self, s: Vertex) -> Option<usize> {
-        self.sources.iter().position(|&x| x == s)
+        self.slots.get(s)
     }
 
     /// Fault-free weighted distance from source `s` to `t` (`None` if `s` is not a source
@@ -862,6 +913,61 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Ids the dense source index must turn away without indexing past its table.
+    fn hostile_sources(n: usize) -> [usize; 4] {
+        [n, u32::MAX as usize, usize::MAX, 1] // 1 is in range but never a source below
+    }
+
+    #[test]
+    fn hostile_sources_answer_none_on_both_oracles() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let g = connected_gnm(40, 100, &mut rng).unwrap();
+        let wg =
+            msrp_graph::generators::weighted_connected_gnm(40, 100, 50, &mut rng).unwrap().freeze();
+        let sources = [31usize, 2, 17, 39, 8, 25, 0, 12];
+        let hop = ReplacementPathOracle::build_bk(&g, &sources);
+        let weighted = WeightedReplacementOracle::build(&wg, &sources);
+        let e = Edge::new(0, 2);
+        for s in hostile_sources(40) {
+            assert_eq!(hop.replacement_distance(s, 5, e), None, "s={s}");
+            assert_eq!(hop.distance(s, 5), None, "s={s}");
+            assert_eq!(hop.canonical_path(s, 5), None, "s={s}");
+            assert_eq!(hop.detour_costs(s, 5), None, "s={s}");
+            assert_eq!(weighted.replacement_distance(s, 5, e), None, "s={s}");
+            assert_eq!(weighted.distance(s, 5), None, "s={s}");
+            assert_eq!(weighted.canonical_path(s, 5), None, "s={s}");
+        }
+        // Every real source still finds its own slot, whatever its position.
+        for &s in &sources {
+            assert_eq!(hop.canonical_path(s, s), Some(vec![s]));
+            assert_eq!(weighted.canonical_path(s, s), Some(vec![s]));
+        }
+    }
+
+    #[test]
+    fn source_slots_map_each_source_once() {
+        let slots = SourceSlots::new(10, [(7, 0), (3, 1), (9, 2)]).unwrap();
+        assert_eq!([7, 3, 9].map(|s| slots.get(s)), [Some(0), Some(1), Some(2)]);
+        for v in [0, 8, 10, u32::MAX as usize, usize::MAX] {
+            assert_eq!(slots.get(v), None, "v={v}");
+        }
+        assert_eq!(SourceSlots::new(10, [(7, 0), (7, 1)]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "distinct")]
+    fn duplicate_parts_panic() {
+        let g = cycle_graph(6);
+        let oracle = ReplacementPathOracle::build_exact(&g, &[0, 2]);
+        let tree = oracle.trees()[0].clone();
+        let rows = oracle.per_source()[0].clone();
+        let _ = ReplacementPathOracle::from_parts(
+            vec![0, 0],
+            vec![tree.clone(), tree],
+            vec![rows.clone(), rows],
+        );
     }
 
     #[test]

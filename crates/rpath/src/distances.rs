@@ -2,6 +2,8 @@
 
 use msrp_graph::{Distance, Edge, ShortestPathTree, Vertex, INFINITE_DISTANCE};
 
+use crate::rows::FlatRows;
+
 /// Replacement distances from a single source to every target, indexed by the position of the
 /// avoided edge on the canonical (BFS-tree) shortest path.
 ///
@@ -12,57 +14,47 @@ use msrp_graph::{Distance, Edge, ShortestPathTree, Vertex, INFINITE_DISTANCE};
 ///
 /// This matches the problem statement in the paper: replacement paths are only asked for edges
 /// *on* the `st` path, and the total output size is `Θ(Σ_t depth(t))`, which is the source of
-/// the `σ n²` term in the paper's running time.
+/// the `σ n²` term in the paper's running time. All rows are stored back to back in one
+/// buffer, cut by the prefix sum of the row lengths, so reading an entry touches no per-row
+/// allocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SourceReplacementDistances {
     source: Vertex,
     base: Vec<Distance>,
-    per_target: Vec<Vec<Distance>>,
+    rows: FlatRows<Distance>,
+}
+
+/// Row length of `t`: its hop distance from the source (0 when unreachable).
+fn row_len(tree: &ShortestPathTree, t: Vertex) -> usize {
+    tree.distance(t).map_or(0, |d| d as usize)
 }
 
 impl SourceReplacementDistances {
     /// Creates a table with every entry initialised to `INFINITE_DISTANCE`, sized according to
     /// the canonical tree `tree` (which must be rooted at the source).
     pub fn new(tree: &ShortestPathTree) -> Self {
-        let n = tree.vertex_count();
-        let mut per_target = Vec::with_capacity(n);
-        for t in 0..n {
-            let len = match tree.distance(t) {
-                Some(d) => d as usize,
-                None => 0,
-            };
-            per_target.push(vec![INFINITE_DISTANCE; len]);
-        }
         SourceReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
-            per_target,
+            rows: FlatRows::filled(tree.vertex_count(), |t| row_len(tree, t), INFINITE_DISTANCE),
         }
     }
 
     /// Builds the table directly from a flat row stream: row `t` takes the next
     /// `tree.distance(t)` entries (empty for unreachable targets), in vertex order.
     /// The snapshot boot path uses this instead of [`new`](Self::new) followed by
-    /// per-entry [`set`](Self::set), which initialised and then overwrote every entry.
+    /// per-entry [`set`](Self::set), which initialised and then overwrote every entry;
+    /// the stream is the table's own buffer layout, so this is one copy.
     ///
     /// # Panics
     ///
     /// Panics if `flat` does not hold exactly the entries the tree's row shapes
     /// require — callers (the snapshot decoder) prove the total first.
     pub fn from_flat_rows(tree: &ShortestPathTree, flat: &[Distance]) -> Self {
-        let n = tree.vertex_count();
-        let mut per_target = Vec::with_capacity(n);
-        let mut cursor = 0usize;
-        for t in 0..n {
-            let len = tree.distance(t).map_or(0, |d| d as usize);
-            per_target.push(flat[cursor..cursor + len].to_vec());
-            cursor += len;
-        }
-        assert_eq!(cursor, flat.len(), "flat row stream does not match the tree's row shapes");
         SourceReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
-            per_target,
+            rows: FlatRows::from_flat(tree.vertex_count(), |t| row_len(tree, t), flat),
         }
     }
 
@@ -73,7 +65,7 @@ impl SourceReplacementDistances {
 
     /// Number of vertices in the underlying graph.
     pub fn vertex_count(&self) -> usize {
-        self.per_target.len()
+        self.rows.row_count()
     }
 
     /// The ordinary (no-failure) distance from the source to `t`, if `t` is reachable.
@@ -88,15 +80,15 @@ impl SourceReplacementDistances {
 
     /// The replacement distance avoiding the `i`-th edge of the canonical path to `t`.
     ///
-    /// Returns `None` when `i` is out of range for `t` (including unreachable targets); returns
+    /// Returns `None` when `t` or `i` is out of range (including unreachable targets); returns
     /// `Some(INFINITE_DISTANCE)` when the entry exists but no replacement path does.
     pub fn get(&self, t: Vertex, i: usize) -> Option<Distance> {
-        self.per_target.get(t)?.get(i).copied()
+        self.rows.get(t, i)
     }
 
     /// The row of replacement distances for target `t` (may be empty).
     pub fn row(&self, t: Vertex) -> &[Distance] {
-        &self.per_target[t]
+        self.rows.row(t)
     }
 
     /// Sets the entry for `(t, i)` unconditionally.
@@ -105,7 +97,7 @@ impl SourceReplacementDistances {
     ///
     /// Panics if `i` is out of range for `t`.
     pub fn set(&mut self, t: Vertex, i: usize, d: Distance) {
-        self.per_target[t][i] = d;
+        self.rows.row_mut(t)[i] = d;
     }
 
     /// Lowers the entry for `(t, i)` to `d` if `d` is smaller; returns whether it changed.
@@ -114,8 +106,9 @@ impl SourceReplacementDistances {
     ///
     /// Panics if `i` is out of range for `t`.
     pub fn relax(&mut self, t: Vertex, i: usize, d: Distance) -> bool {
-        if d < self.per_target[t][i] {
-            self.per_target[t][i] = d;
+        let entry = &mut self.rows.row_mut(t)[i];
+        if d < *entry {
+            *entry = d;
             true
         } else {
             false
@@ -127,27 +120,25 @@ impl SourceReplacementDistances {
     /// the ordinary distance is returned. This is the query the fault-tolerant oracles expose.
     pub fn distance_avoiding(&self, tree: &ShortestPathTree, t: Vertex, e: Edge) -> Distance {
         match tree.edge_position_on_path(t, e) {
-            Some(i) => self.per_target[t][i],
+            Some(i) => self.rows.row(t)[i],
             None => self.base[t],
         }
     }
 
     /// Total number of `(target, edge)` entries stored.
     pub fn entry_count(&self) -> usize {
-        self.per_target.iter().map(|r| r.len()).sum()
+        self.rows.values().len()
     }
 
     /// Number of entries that are still `INFINITE_DISTANCE`.
     pub fn infinite_entry_count(&self) -> usize {
-        self.per_target.iter().map(|r| r.iter().filter(|&&d| d == INFINITE_DISTANCE).count()).sum()
+        self.rows.values().iter().filter(|&&d| d == INFINITE_DISTANCE).count()
     }
 
-    /// Iterates over `(target, edge_index, distance)` for every stored entry.
+    /// Iterates over `(target, edge_index, distance)` for every stored entry, in vertex
+    /// order and then edge order (the snapshot's row-stream order).
     pub fn iter(&self) -> impl Iterator<Item = (Vertex, usize, Distance)> + '_ {
-        self.per_target
-            .iter()
-            .enumerate()
-            .flat_map(|(t, row)| row.iter().enumerate().map(move |(i, &d)| (t, i, d)))
+        self.rows.iter()
     }
 }
 
@@ -210,6 +201,65 @@ mod tests {
         // Edge (3, 4) is not on the canonical path 0-1-2.
         assert_eq!(d.distance_avoiding(&tree, 2, Edge::new(3, 4)), 2);
         assert_eq!(d.distance_avoiding(&tree, 2, Edge::new(0, 1)), 4);
+    }
+
+    /// A 20-vertex random component plus 4 isolated vertices (empty rows), and its
+    /// brute-force table from source 3.
+    fn filled_table() -> (ShortestPathTree, SourceReplacementDistances) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let core = msrp_graph::generators::connected_gnm(20, 40, &mut rng).unwrap();
+        let mut g = Graph::new(24);
+        for e in core.edges() {
+            let (u, v) = e.endpoints();
+            g.add_edge(u, v).unwrap();
+        }
+        let tree = tree_of(&g, 3);
+        let table = crate::single_source_brute_force(&g, &tree);
+        (tree, table)
+    }
+
+    #[test]
+    fn get_is_none_past_the_rows_and_past_each_row() {
+        let (tree, d) = filled_table();
+        let n = d.vertex_count();
+        for t in [n, n + 1, u32::MAX as usize, usize::MAX] {
+            assert_eq!(d.get(t, 0), None, "t={t}");
+        }
+        for t in 0..n {
+            let len = d.row(t).len();
+            assert_eq!(len, tree.distance(t).map_or(0, |x| x as usize), "t={t}");
+            assert_eq!(d.get(t, len), None, "t={t}");
+            assert_eq!(d.get(t, usize::MAX), None, "t={t}");
+            if len > 0 {
+                assert_eq!(d.get(t, len - 1), Some(d.row(t)[len - 1]));
+            }
+        }
+    }
+
+    #[test]
+    fn flat_rows_round_trip_in_row_stream_order() {
+        let (tree, d) = filled_table();
+        // The snapshot encoder's row stream: row 0, row 1, … concatenated.
+        let stream: Vec<Distance> = (0..d.vertex_count()).flat_map(|t| d.row(t).to_vec()).collect();
+        let booted = SourceReplacementDistances::from_flat_rows(&tree, &stream);
+        let fresh = SourceReplacementDistances::new(&tree);
+        for t in 0..d.vertex_count() {
+            assert_eq!(booted.row(t).len(), fresh.row(t).len(), "t={t}");
+        }
+        assert_eq!(booted, d);
+        assert_eq!(booted.entry_count(), stream.len());
+        // `iter` walks the same stream: targets ascending, edge positions ascending.
+        let entries: Vec<_> = d.iter().collect();
+        assert_eq!(entries.iter().map(|&(_, _, x)| x).collect::<Vec<_>>(), stream);
+        assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "row shapes")]
+    fn short_row_streams_are_rejected() {
+        let (tree, d) = filled_table();
+        let _ = SourceReplacementDistances::from_flat_rows(&tree, &vec![0; d.entry_count() - 1]);
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod brute_force;
 mod compare;
 mod distances;
 mod most_vital;
+mod rows;
 mod single_pair;
 mod ssrp_baseline;
 mod weighted;

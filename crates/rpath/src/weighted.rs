@@ -11,6 +11,8 @@ use msrp_graph::{
     DijkstraScratch, Edge, Vertex, Weight, WeightedCsrGraph, WeightedTree, INFINITE_WEIGHT,
 };
 
+use crate::rows::FlatRows;
+
 /// Weighted replacement distances from a single source to every target, indexed by the
 /// position of the avoided edge on the canonical Dijkstra-tree path.
 ///
@@ -24,22 +26,17 @@ use msrp_graph::{
 pub struct WeightedReplacementDistances {
     source: Vertex,
     base: Vec<Weight>,
-    per_target: Vec<Vec<Weight>>,
+    rows: FlatRows<Weight>,
 }
 
 impl WeightedReplacementDistances {
     /// Creates a table with every entry initialised to `INFINITE_WEIGHT`, sized according to
     /// the canonical tree `tree` (which must be rooted at the source).
     pub fn new(tree: &WeightedTree) -> Self {
-        let n = tree.vertex_count();
-        let mut per_target = Vec::with_capacity(n);
-        for t in 0..n {
-            per_target.push(vec![INFINITE_WEIGHT; tree.depth(t)]);
-        }
         WeightedReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
-            per_target,
+            rows: FlatRows::filled(tree.vertex_count(), |t| tree.depth(t), INFINITE_WEIGHT),
         }
     }
 
@@ -52,19 +49,10 @@ impl WeightedReplacementDistances {
     /// Panics if `flat` does not hold exactly the entries the tree's row shapes
     /// require — callers (the snapshot decoder) prove the total first.
     pub fn from_flat_rows(tree: &WeightedTree, flat: &[Weight]) -> Self {
-        let n = tree.vertex_count();
-        let mut per_target = Vec::with_capacity(n);
-        let mut cursor = 0usize;
-        for t in 0..n {
-            let len = tree.depth(t);
-            per_target.push(flat[cursor..cursor + len].to_vec());
-            cursor += len;
-        }
-        assert_eq!(cursor, flat.len(), "flat row stream does not match the tree's row shapes");
         WeightedReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
-            per_target,
+            rows: FlatRows::from_flat(tree.vertex_count(), |t| tree.depth(t), flat),
         }
     }
 
@@ -75,7 +63,7 @@ impl WeightedReplacementDistances {
 
     /// Number of vertices in the underlying graph.
     pub fn vertex_count(&self) -> usize {
-        self.per_target.len()
+        self.rows.row_count()
     }
 
     /// The ordinary (no-failure) weighted distance to `t`, if `t` is reachable.
@@ -90,15 +78,15 @@ impl WeightedReplacementDistances {
 
     /// The replacement distance avoiding the `i`-th edge of the canonical path to `t`.
     ///
-    /// Returns `None` when `i` is out of range for `t` (including unreachable targets);
+    /// Returns `None` when `t` or `i` is out of range (including unreachable targets);
     /// returns `Some(INFINITE_WEIGHT)` when the entry exists but no replacement path does.
     pub fn get(&self, t: Vertex, i: usize) -> Option<Weight> {
-        self.per_target.get(t)?.get(i).copied()
+        self.rows.get(t, i)
     }
 
     /// The row of replacement distances for target `t` (may be empty).
     pub fn row(&self, t: Vertex) -> &[Weight] {
-        &self.per_target[t]
+        self.rows.row(t)
     }
 
     /// Sets the entry for `(t, i)` unconditionally.
@@ -107,7 +95,7 @@ impl WeightedReplacementDistances {
     ///
     /// Panics if `i` is out of range for `t`.
     pub fn set(&mut self, t: Vertex, i: usize, d: Weight) {
-        self.per_target[t][i] = d;
+        self.rows.row_mut(t)[i] = d;
     }
 
     /// Lowers the entry for `(t, i)` to `d` if `d` is smaller; returns whether it changed.
@@ -116,8 +104,9 @@ impl WeightedReplacementDistances {
     ///
     /// Panics if `i` is out of range for `t`.
     pub fn relax(&mut self, t: Vertex, i: usize, d: Weight) -> bool {
-        if d < self.per_target[t][i] {
-            self.per_target[t][i] = d;
+        let entry = &mut self.rows.row_mut(t)[i];
+        if d < *entry {
+            *entry = d;
             true
         } else {
             false
@@ -129,27 +118,25 @@ impl WeightedReplacementDistances {
     /// affect the canonical path). The query the weighted oracle exposes.
     pub fn distance_avoiding(&self, tree: &WeightedTree, t: Vertex, e: Edge) -> Weight {
         match tree.edge_position_on_path(t, e) {
-            Some(i) => self.per_target[t][i],
+            Some(i) => self.rows.row(t)[i],
             None => self.base[t],
         }
     }
 
     /// Total number of `(target, edge)` entries stored.
     pub fn entry_count(&self) -> usize {
-        self.per_target.iter().map(|r| r.len()).sum()
+        self.rows.values().len()
     }
 
     /// Number of entries that are still `INFINITE_WEIGHT`.
     pub fn infinite_entry_count(&self) -> usize {
-        self.per_target.iter().map(|r| r.iter().filter(|&&d| d == INFINITE_WEIGHT).count()).sum()
+        self.rows.values().iter().filter(|&&d| d == INFINITE_WEIGHT).count()
     }
 
-    /// Iterates over `(target, edge_index, distance)` for every stored entry.
+    /// Iterates over `(target, edge_index, distance)` for every stored entry, in vertex
+    /// order and then edge order (the snapshot's row-stream order).
     pub fn iter(&self) -> impl Iterator<Item = (Vertex, usize, Weight)> + '_ {
-        self.per_target
-            .iter()
-            .enumerate()
-            .flat_map(|(t, row)| row.iter().enumerate().map(move |(i, &d)| (t, i, d)))
+        self.rows.iter()
     }
 }
 
@@ -299,6 +286,53 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A weighted 20-vertex random component plus 4 isolated vertices (empty rows), and
+    /// its brute-force table from source 3.
+    fn filled_table() -> (WeightedTree, WeightedReplacementDistances) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let core = msrp_graph::generators::weighted_connected_gnm(20, 40, 30, &mut rng).unwrap();
+        let mut g = WeightedGraph::new(24);
+        for (e, w) in core.freeze().edge_vec() {
+            let (u, v) = e.endpoints();
+            g.add_edge(u, v, w).unwrap();
+        }
+        let csr = g.freeze();
+        let tree = WeightedTree::build(&csr, 3);
+        let table = single_source_brute_force_weighted_csr(&csr, &tree);
+        (tree, table)
+    }
+
+    #[test]
+    fn get_is_none_past_the_rows_and_past_each_row() {
+        let (tree, d) = filled_table();
+        let n = d.vertex_count();
+        for t in [n, n + 1, u32::MAX as usize, usize::MAX] {
+            assert_eq!(d.get(t, 0), None, "t={t}");
+        }
+        for t in 0..n {
+            let len = d.row(t).len();
+            assert_eq!(len, tree.depth(t), "t={t}");
+            assert_eq!(d.get(t, len), None, "t={t}");
+            assert_eq!(d.get(t, usize::MAX), None, "t={t}");
+        }
+    }
+
+    #[test]
+    fn flat_rows_round_trip_in_row_stream_order() {
+        let (tree, d) = filled_table();
+        let stream: Vec<Weight> = (0..d.vertex_count()).flat_map(|t| d.row(t).to_vec()).collect();
+        let booted = WeightedReplacementDistances::from_flat_rows(&tree, &stream);
+        let fresh = WeightedReplacementDistances::new(&tree);
+        for t in 0..d.vertex_count() {
+            assert_eq!(booted.row(t).len(), fresh.row(t).len(), "t={t}");
+        }
+        assert_eq!(booted, d);
+        let entries: Vec<_> = d.iter().collect();
+        assert_eq!(entries.iter().map(|&(_, _, x)| x).collect::<Vec<_>>(), stream);
+        assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
     }
 
     #[test]

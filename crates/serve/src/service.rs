@@ -25,7 +25,7 @@ use msrp_graph::{CsrGraph, Distance, Edge, Graph, Vertex, Weight, WeightedCsrGra
 use msrp_obs::{JournalSnapshot, SlowEntry, SlowLog, SpanJournal, TraceIdGen};
 use msrp_oracle::{
     build_shards, build_shards_csr, build_weighted_shards, RebuildStats, ReplacementPathOracle,
-    WeightedReplacementOracle,
+    SourceSlots, WeightedReplacementOracle,
 };
 
 use crate::exposition::{render_exposition, ObsReport};
@@ -84,23 +84,26 @@ pub trait RouteOracle: Send + Sync + 'static {
     }
 }
 
-/// `(source, shard index)` pairs sorted by source: the binary-search routing table shared
-/// by both sharded oracles.
-fn build_route<'a, S: Iterator<Item = &'a [Vertex]>>(shard_sources: S) -> Vec<(Vertex, usize)> {
-    let mut route = Vec::new();
-    for (i, sources) in shard_sources.enumerate() {
-        route.extend(sources.iter().map(|&s| (s, i)));
-    }
-    route.sort_unstable();
-    assert!(route.windows(2).all(|w| w[0].0 != w[1].0), "shards must cover disjoint sources");
-    route
+/// The dense `vertex → shard` routing table shared by both sharded oracles, over the `n`
+/// vertices of the graph.
+///
+/// # Panics
+///
+/// Panics if two shards share a source.
+fn build_route<'a, S: Iterator<Item = &'a [Vertex]>>(n: usize, shard_sources: S) -> SourceSlots {
+    let pairs =
+        shard_sources.enumerate().flat_map(|(i, sources)| sources.iter().map(move |&s| (s, i)));
+    SourceSlots::new(n, pairs).expect("shards must cover disjoint sources")
 }
 
-fn route_lookup(route: &[(Vertex, usize)], source: Vertex) -> Option<usize> {
-    route.binary_search_by_key(&source, |&(s, _)| s).ok().map(|i| route[i].1)
+/// Every source the shards cover, in ascending order.
+fn sorted_sources<'a, S: Iterator<Item = &'a [Vertex]>>(shard_sources: S) -> Vec<Vertex> {
+    let mut sources: Vec<Vertex> = shard_sources.flatten().copied().collect();
+    sources.sort_unstable();
+    sources
 }
 
-/// Immutable oracle shards plus a source → shard routing table.
+/// Immutable oracle shards plus a dense source → shard routing table.
 ///
 /// Each shard is a [`ReplacementPathOracle`] covering a contiguous slice of the sources (the
 /// same partition `msrp_oracle::shard_sources` and `build_parallel` use), so shards share
@@ -109,8 +112,8 @@ fn route_lookup(route: &[(Vertex, usize)], source: Vertex) -> Option<usize> {
 #[derive(Clone, Debug)]
 pub struct ShardedOracle {
     shards: Vec<ReplacementPathOracle>,
-    /// `(source, shard index)` pairs sorted by source, for binary-search routing.
-    route: Vec<(Vertex, usize)>,
+    /// Dense `vertex → shard` routing table.
+    route: SourceSlots,
 }
 
 impl ShardedOracle {
@@ -164,7 +167,7 @@ impl ShardedOracle {
     /// Panics if `shards` is empty or two shards share a source.
     pub fn from_shards(shards: Vec<ReplacementPathOracle>) -> Self {
         assert!(!shards.is_empty(), "at least one shard is required");
-        let route = build_route(shards.iter().map(|s| s.sources()));
+        let route = build_route(shards[0].vertex_count(), shards.iter().map(|s| s.sources()));
         ShardedOracle { shards, route }
     }
 
@@ -180,12 +183,12 @@ impl ShardedOracle {
 
     /// All sources, in ascending order.
     pub fn sources(&self) -> Vec<Vertex> {
-        self.route.iter().map(|&(s, _)| s).collect()
+        sorted_sources(self.shards.iter().map(|s| s.sources()))
     }
 
     /// Index of the shard owning `source`, or `None` when no shard covers it.
     pub fn shard_for(&self, source: Vertex) -> Option<usize> {
-        route_lookup(&self.route, source)
+        self.route.get(source)
     }
 
     /// Answers one query by routing it to its shard (`None` when the source is unroutable;
@@ -289,7 +292,7 @@ impl RouteOracle for ShardedOracle {
 #[derive(Clone, Debug)]
 pub struct WeightedShardedOracle {
     shards: Vec<WeightedReplacementOracle>,
-    route: Vec<(Vertex, usize)>,
+    route: SourceSlots,
 }
 
 impl WeightedShardedOracle {
@@ -312,7 +315,7 @@ impl WeightedShardedOracle {
     /// Panics if `shards` is empty or two shards share a source.
     pub fn from_shards(shards: Vec<WeightedReplacementOracle>) -> Self {
         assert!(!shards.is_empty(), "at least one shard is required");
-        let route = build_route(shards.iter().map(|s| s.sources()));
+        let route = build_route(shards[0].vertex_count(), shards.iter().map(|s| s.sources()));
         WeightedShardedOracle { shards, route }
     }
 
@@ -328,12 +331,12 @@ impl WeightedShardedOracle {
 
     /// All sources, in ascending order.
     pub fn sources(&self) -> Vec<Vertex> {
-        self.route.iter().map(|&(s, _)| s).collect()
+        sorted_sources(self.shards.iter().map(|s| s.sources()))
     }
 
     /// Index of the shard owning `source`, or `None` when no shard covers it.
     pub fn shard_for(&self, source: Vertex) -> Option<usize> {
-        route_lookup(&self.route, source)
+        self.route.get(source)
     }
 
     /// Answers one query by routing it to its shard (`None` when the source is unroutable;
@@ -953,6 +956,34 @@ mod tests {
         let (wg, sources) = weighted_demo();
         let weighted = WeightedShardedOracle::build(&wg, &sources, 2);
         assert_eq!(weighted.distance(0, usize::MAX), None);
+    }
+
+    #[test]
+    fn hostile_sources_are_unroutable_on_both_sharded_oracles() {
+        let g = msrp_graph::generators::grid_graph(5, 5);
+        // Scrambled so no shard's sources are sorted and shards interleave.
+        let sources = [19usize, 3, 24, 0, 11, 7];
+        let hop = ShardedOracle::build_bk_csr(&g.freeze(), &sources, 3);
+        let (wg, _) = weighted_demo();
+        let wsources = [16usize, 0, 23, 8];
+        let weighted = WeightedShardedOracle::build(&wg, &wsources, 2);
+        assert_eq!(hop.sources(), vec![0, 3, 7, 11, 19, 24]);
+        assert_eq!(weighted.sources(), vec![0, 8, 16, 23]);
+        for (i, &s) in sources.iter().enumerate() {
+            assert_eq!(hop.shard_for(s), Some(i / 2), "s={s}");
+        }
+        let e = Edge::new(0, 1);
+        // n, u32::MAX, usize::MAX and an in-range non-source (1 on both graphs).
+        for s in [25, u32::MAX as usize, usize::MAX, 1] {
+            assert_eq!(hop.shard_for(s), None, "s={s}");
+            assert_eq!(hop.query_routed(Query::new(s, 5, e)), (None, None), "s={s}");
+            assert_eq!(hop.distance(s, 5), None, "s={s}");
+        }
+        for s in [24, u32::MAX as usize, usize::MAX, 1] {
+            assert_eq!(weighted.shard_for(s), None, "s={s}");
+            assert_eq!(weighted.query_routed(Query::new(s, 5, e)), (None, None), "s={s}");
+            assert_eq!(weighted.distance(s, 5), None, "s={s}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use msrp_core::MsrpParams;
@@ -16,7 +16,7 @@ use msrp_graph::{Edge, Graph};
 use msrp_obs::is_well_formed;
 use msrp_serve::{
     format_stats, parse_request, parse_stats, validate_query, Epoch, EpochOracle, ObsConfig, Query,
-    QueryService, Request, ServiceConfig, ShardedOracle,
+    QueryService, Request, RouteOracle, ServiceConfig, ShardedOracle,
 };
 
 const N: usize = 48;
@@ -269,6 +269,48 @@ fn churn_storm_never_mixes_epochs_within_a_batch() {
     assert!(metrics.queries_total > 0);
 }
 
+/// A pass-through oracle that parks every worker consulting it on an *empty* batch until the
+/// test has passed both barriers. A worker dequeues its next batch only after it has
+/// journaled its previous one, so once `W` empty batches have parked all `W` workers of the
+/// pool (`arrived` has `W + 1` parties), every batch answered before them is fully journaled
+/// and no other span can land until `release`. That is how a test waits for the workers'
+/// after-reply journaling without sleeping.
+struct Quiesce<O> {
+    inner: O,
+    arrived: Barrier,
+    release: Barrier,
+}
+
+impl<O> Quiesce<O> {
+    fn new(inner: O, workers: usize) -> Self {
+        Quiesce { inner, arrived: Barrier::new(workers + 1), release: Barrier::new(workers + 1) }
+    }
+}
+
+impl<O: RouteOracle> RouteOracle for Quiesce<O> {
+    type Answer = O::Answer;
+
+    fn shard_count(&self) -> usize {
+        self.inner.shard_count()
+    }
+
+    fn vertex_count(&self) -> usize {
+        self.inner.vertex_count()
+    }
+
+    fn query_routed(&self, q: Query) -> (Option<usize>, Option<O::Answer>) {
+        self.inner.query_routed(q)
+    }
+
+    fn query_batch_routed(&self, queries: &[Query]) -> Vec<(Option<usize>, Option<O::Answer>)> {
+        if queries.is_empty() {
+            self.arrived.wait();
+            self.release.wait();
+        }
+        self.inner.query_batch_routed(queries)
+    }
+}
+
 /// The metrics plane under the storm: `METRICS` parses strictly however it is mangled, and
 /// the exposition rendered *while* epoch swaps and hostile batches are in flight is
 /// well-formed on every single scrape — a scraper never sees a torn or malformed page, the
@@ -283,9 +325,10 @@ fn metrics_scrapes_stay_well_formed_during_epoch_swap_storm() {
     let mut rng = StdRng::seed_from_u64(76);
     let g0 = connected_gnm(N, 130, &mut rng).unwrap();
     let oracle0 = ShardedOracle::build_bk_csr(&g0.freeze(), &SOURCES, 2);
+    let workers = 3;
     let service = QueryService::start_observed(
-        EpochOracle::new(oracle0),
-        &ServiceConfig { workers: 3 },
+        Quiesce::new(EpochOracle::new(oracle0), workers),
+        &ServiceConfig { workers },
         &ObsConfig {
             // Deliberately tiny ring: the storm must wrap it, so scrapes race overwrites.
             journal_capacity: 64,
@@ -305,9 +348,9 @@ fn metrics_scrapes_stay_well_formed_during_epoch_swap_storm() {
                 g.remove_edge(u, v).unwrap();
                 let event_at = std::time::Instant::now();
                 let (next, stats) =
-                    service.oracle().current().oracle.rebuild_bk_csr(&g.freeze(), e);
+                    service.oracle().inner.current().oracle.rebuild_bk_csr(&g.freeze(), e);
                 let rebuilt_in = event_at.elapsed();
-                let epoch = service.oracle().publish(next);
+                let epoch = service.oracle().inner.publish(next);
                 service.shared_metrics().record_epoch_swap(
                     epoch.id,
                     event_at.elapsed(),
@@ -343,13 +386,21 @@ fn metrics_scrapes_stay_well_formed_during_epoch_swap_storm() {
         }
         swapper.join().expect("swapper thread panicked");
     });
-    // The ring wrapped (drops counted, never blocked) and the plane still renders cleanly.
+    // Workers journal after replying, so park them all before counting: then the 50
+    // answered batches are journaled and nothing else is.
+    let parked: Vec<_> = (0..workers).map(|_| service.submit(&[])).collect();
+    service.oracle().arrived.wait();
     let journal = service.journal_snapshot().expect("journal armed");
+    service.oracle().release.wait();
+    for batch in parked {
+        assert!(batch.wait().is_empty());
+    }
+    // The ring wrapped (drops counted, never blocked) and the plane still renders cleanly.
     assert!(journal.total >= 150 && journal.total.is_multiple_of(3), "total = {}", journal.total);
     assert!(journal.dropped > 0, "a 64-slot ring must wrap under 50 batches");
     assert!(service.slow_queries_total() > 0, "zero threshold must capture slow queries");
     // Quiescent: the final epoch serves, the last scrape is well-formed, workers live.
-    let last = service.oracle().current();
+    let last = service.oracle().inner.current();
     assert_eq!(last.id, 6);
     let good = Query::new(SOURCES[1], N - 1, Edge::new(0, 1));
     for _ in 0..service.worker_count() * 2 {

@@ -37,7 +37,7 @@ pub fn render_exposition(m: &MetricsSnapshot, obs: Option<&ObsReport>) -> String
     let mut e = Exposition::new();
     e.counter(
         "msrp_queries_total",
-        "Queries answered by the worker pool, including unroutable ones.",
+        "Queries answered by the service, including unroutable ones.",
         m.queries_total as f64,
     );
     e.counter(
@@ -50,14 +50,17 @@ pub fn render_exposition(m: &MetricsSnapshot, obs: Option<&ObsReport>) -> String
     for (i, &count) in m.shard_queries.iter().enumerate() {
         e.sample("msrp_shard_queries_total", &[("shard", &i.to_string())], count as f64);
     }
-    e.counter_family("msrp_worker_batches_total", "Batches executed by each pool worker.");
+    e.counter_family(
+        "msrp_worker_batches_total",
+        "Batches answered on each lane: a pool worker, or lane 0 when answered inline.",
+    );
     for (i, &count) in m.worker_batches.iter().enumerate() {
         e.sample("msrp_worker_batches_total", &[("worker", &i.to_string())], count as f64);
     }
     histogram(
         &mut e,
         "msrp_batch_latency_seconds",
-        "Per-batch compute latency recorded by the executing worker.",
+        "Per-batch compute latency recorded by the answering lane.",
         &m.batch_latency,
     );
     histogram(

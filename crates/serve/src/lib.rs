@@ -9,8 +9,11 @@
 //! * [`ShardedOracle`] — immutable, `Arc`-shareable shards plus a source → shard routing table;
 //! * [`QueryService`] — a worker pool fed by an mpsc request queue, with a batch-query API
 //!   ([`answer_batch`](QueryService::answer_batch)), pipelined submission
-//!   ([`submit`](QueryService::submit)), and graceful shutdown;
-//! * [`metrics`] — log-bucketed latency histograms (p50/p99/max) and per-shard/per-worker
+//!   ([`submit`](QueryService::submit)), and graceful shutdown. `ServiceConfig { workers: 0 }`
+//!   is not clamped to one worker: it starts no threads and answers every batch on the
+//!   submitting thread through the same code path, metrics and spans (what `msrpctl serve`
+//!   runs, since it serves one connection at a time);
+//! * [`metrics`] — log-bucketed latency histograms (p50/p99/max) and per-shard/per-lane
 //!   throughput counters;
 //! * [`exposition`] — a Prometheus-style text rendering of those metrics (plus span-journal
 //!   and slow-query families from `msrp-obs`), served over the wire by the `METRICS` verb;

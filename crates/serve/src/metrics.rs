@@ -200,7 +200,7 @@ impl HistogramSnapshot {
 /// Shared counters of a running [`QueryService`](crate::QueryService).
 #[derive(Debug)]
 pub struct ServiceMetrics {
-    /// Latency of whole batches, recorded by the worker that executed the batch.
+    /// Latency of whole batches, recorded by the lane that answered the batch.
     pub batch_latency: LatencyHistogram,
     /// Staleness window of each epoch swap: churn-event arrival → new epoch published.
     /// Queries answered inside this window legitimately see the pre-event graph.
@@ -226,8 +226,9 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Creates zeroed metrics for a service with the given shard and worker counts.
-    pub fn new(shards: usize, workers: usize) -> Self {
+    /// Creates zeroed metrics for a service with the given shard count and `lanes` batch
+    /// counters: one per pool worker, or one for a zero-worker service answering inline.
+    pub fn new(shards: usize, lanes: usize) -> Self {
         ServiceMetrics {
             batch_latency: LatencyHistogram::new(),
             staleness_window: LatencyHistogram::new(),
@@ -236,7 +237,7 @@ impl ServiceMetrics {
             queries_total: AtomicU64::new(0),
             unroutable_total: AtomicU64::new(0),
             shard_queries: (0..shards).map(|_| AtomicU64::new(0)).collect(),
-            worker_batches: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+            worker_batches: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             sources_total: AtomicU64::new(0),
             sources_reused_total: AtomicU64::new(0),
             sources_patched_total: AtomicU64::new(0),
@@ -303,10 +304,10 @@ impl ServiceMetrics {
         }
     }
 
-    /// Records one completed batch for `worker`.
-    pub fn record_batch(&self, worker: usize, latency: Duration) {
-        // ordering: Relaxed — per-worker batch tally; statistical-counter contract.
-        self.worker_batches[worker].fetch_add(1, Ordering::Relaxed);
+    /// Records one completed batch on `lane` (a pool worker, or 0 for an inline service).
+    pub fn record_batch(&self, lane: usize, latency: Duration) {
+        // ordering: Relaxed — per-lane batch tally; statistical-counter contract.
+        self.worker_batches[lane].fetch_add(1, Ordering::Relaxed);
         self.batch_latency.record(latency);
     }
 
@@ -356,7 +357,8 @@ pub struct MetricsSnapshot {
     pub unroutable_total: u64,
     /// Queries routed to each shard.
     pub shard_queries: Vec<u64>,
-    /// Batches executed by each worker.
+    /// Batches answered on each lane: one per pool worker, or a single lane 0 when the
+    /// service answers on the submitting thread.
     pub worker_batches: Vec<u64>,
     /// Incremental-rebuild work accounting, merged over every recorded swap (so
     /// `sources_total`/`cuts_total` are the work a from-scratch rebuild per event would

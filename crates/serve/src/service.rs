@@ -1,5 +1,5 @@
-//! The sharded oracles (unweighted and weighted) and the worker-pool query service built on
-//! top of them.
+//! The sharded oracles (unweighted and weighted) and the query service built on top of them:
+//! a worker pool, or, with zero workers, the submitting thread.
 //!
 //! The service is generic over a [`RouteOracle`]: the worker pool, queueing, metrics and
 //! batch semantics are written once and serve both the hop-metric [`ShardedOracle`] and the
@@ -400,7 +400,9 @@ impl RouteOracle for WeightedShardedOracle {
 /// Configuration of a [`QueryService`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Number of worker threads answering batches (clamped to at least 1).
+    /// Number of worker threads answering batches. `0` starts no threads: every batch is
+    /// answered on the thread that submits it, with the same metrics, spans and slow-log
+    /// entries a pool worker records (see [`QueryService`]).
     pub workers: usize,
 }
 
@@ -446,16 +448,17 @@ impl ObsConfig {
     }
 }
 
-/// The per-batch span stages the worker pool journals. Wire/display names are the
+/// The per-batch span stages the service journals. Wire/display names are the
 /// lower-snake forms (`queue_wait`, `compute`, `reply`).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum BatchStage {
-    /// Submit → dequeue: time the batch sat in the mpsc queue.
+    /// Submit → dequeue: time the batch sat in the mpsc queue (near zero when a
+    /// zero-worker service answers on the submitting thread).
     QueueWait,
     /// Dequeue → answers ready: the oracle consultation (this is also what the
     /// `batch_latency` histogram records).
     Compute,
-    /// Answers ready → reply sent on the batch's channel.
+    /// Answers ready → reply sent on the batch's channel (or handed to the caller inline).
     Reply,
 }
 
@@ -488,8 +491,8 @@ impl BatchStage {
     }
 }
 
-/// The observability state shared by the pool and its accessors (present only when
-/// [`ObsConfig::enabled`]).
+/// The observability state shared by the answering path and its accessors (present only
+/// when [`ObsConfig::enabled`]).
 #[derive(Debug)]
 struct ServiceObs {
     journal: Option<SpanJournal>,
@@ -497,7 +500,72 @@ struct ServiceObs {
     slow: Option<SlowLog<Vec<Query>>>,
 }
 
-/// A batch submitted to the service together with the channel its answers travel back on.
+/// Everything answering a batch touches, shared by the pool workers and the accessors.
+#[derive(Debug)]
+struct Core<O: RouteOracle> {
+    oracle: O,
+    metrics: Arc<ServiceMetrics>,
+    obs: Option<ServiceObs>,
+}
+
+impl<O: RouteOracle> Core<O> {
+    /// Answers one batch: the single answering path, run by a pool worker on a dequeued
+    /// batch or, with zero workers, by the submitting thread itself. `lane` is the
+    /// worker whose batch counter and journal spans the batch lands in (0 when inline).
+    ///
+    /// `deliver` hands the answers back (a channel send, or wrapping them for the caller);
+    /// its duration is the batch's reply span, and its result is returned.
+    fn answer<R>(
+        &self,
+        lane: usize,
+        queries: &[Query],
+        submitted: Instant,
+        trace_id: u64,
+        deliver: impl FnOnce(Vec<Option<O::Answer>>) -> R,
+    ) -> R {
+        let start = Instant::now();
+        // One oracle consultation per batch: epoch-pinning implementations rely on this
+        // being the only point answers are produced. Tally routing locally and flush once
+        // per batch; per-query atomics would make the workers contend (see ServiceMetrics).
+        let mut shard_counts = vec![0u64; self.oracle.shard_count()];
+        let mut unroutable = 0u64;
+        let answers: Vec<Option<O::Answer>> = self
+            .oracle
+            .query_batch_routed(queries)
+            .into_iter()
+            .map(|(shard, answer)| {
+                match shard {
+                    Some(i) => shard_counts[i] += 1,
+                    None => unroutable += 1,
+                }
+                answer
+            })
+            .collect();
+        let computed = Instant::now();
+        self.metrics.record_batch_queries(&shard_counts, unroutable);
+        self.metrics.record_batch(lane, computed.duration_since(start));
+        let delivered = deliver(answers);
+        if let Some(obs) = &self.obs {
+            if let Some(journal) = &obs.journal {
+                let spans = [
+                    (BatchStage::QueueWait, start.duration_since(submitted)),
+                    (BatchStage::Compute, computed.duration_since(start)),
+                    (BatchStage::Reply, computed.elapsed()),
+                ];
+                for (stage, duration) in spans {
+                    journal.record(trace_id, stage.code(), lane as u32, duration);
+                }
+            }
+            if let Some(slow) = &obs.slow {
+                // Submit → reply done: the latency a waiting client sees.
+                slow.observe(trace_id, submitted.elapsed(), || queries.to_vec());
+            }
+        }
+        delivered
+    }
+}
+
+/// A batch submitted to the pool together with the channel its answers travel back on.
 struct Job<A> {
     queries: Vec<Query>,
     reply: Sender<Vec<Option<A>>>,
@@ -507,33 +575,60 @@ struct Job<A> {
     trace_id: u64,
 }
 
-/// A handle to a batch in flight; redeem it with [`wait`](PendingBatch::wait). The answer
+/// The worker threads and the queue feeding them.
+#[derive(Debug)]
+struct Pool<A> {
+    sender: Sender<Job<A>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+/// A handle to a submitted batch; redeem it with [`wait`](PendingBatch::wait). The answer
 /// type defaults to the unweighted [`Distance`]; a weighted service hands out
 /// `PendingBatch<Weight>`.
 #[must_use = "a pending batch does nothing until waited on"]
 pub struct PendingBatch<A = Distance> {
-    reply: Receiver<Vec<Option<A>>>,
+    state: Pending<A>,
+}
+
+enum Pending<A> {
+    /// Answered on the submitting thread (a zero-worker service).
+    Ready(Vec<Option<A>>),
+    /// In the pool: the answers arrive on this channel.
+    Queued(Receiver<Vec<Option<A>>>),
 }
 
 impl<A> PendingBatch<A> {
-    /// Blocks until the batch's answers arrive (in submission order).
+    /// Blocks until the batch's answers arrive (in submission order); returns at once when
+    /// the service answered the batch inline.
     ///
     /// # Panics
     ///
     /// Panics if the worker processing the batch died (a worker panic).
     pub fn wait(self) -> Vec<Option<A>> {
-        self.reply.recv().expect("service worker dropped a batch reply")
+        match self.state {
+            Pending::Ready(answers) => answers,
+            Pending::Queued(reply) => reply.recv().expect("service worker dropped a batch reply"),
+        }
     }
 }
 
 /// A concurrent replacement-path query service: `Arc`-shared immutable shards behind a pool of
-/// worker threads fed by an mpsc request queue.
+/// worker threads fed by an mpsc request queue, or answered inline with zero workers.
 ///
 /// Submitting a batch enqueues it; an idle worker dequeues it, answers every query against the
 /// sharded oracle, records metrics, and sends the answers back on the batch's private reply
 /// channel. Batches are independent, so clients on different threads get concurrency without
 /// coordination; answers within a batch stay in submission order, keeping results bit-for-bit
 /// deterministic regardless of worker count.
+///
+/// With `ServiceConfig { workers: 0 }` no thread is started: [`submit`](Self::submit)
+/// answers the batch on the caller's thread through the same code a worker runs, so the
+/// metrics, journal spans and slow-log entries are the same (the batch counts on lane 0,
+/// and its queue-wait span is the few nanoseconds between submit and answer). This skips
+/// the queue, the reply channel and the cross-thread wake-up, which is what a caller that
+/// never overlaps batches wants (`msrpctl serve`, one connection at a time). Callers that
+/// pipeline submissions from one thread, or that need the pool to cap how many threads
+/// compute at once, keep workers.
 ///
 /// Dropping the service (or calling [`shutdown`](QueryService::shutdown)) closes the queue and
 /// joins every worker; batches already queued are drained first.
@@ -543,109 +638,73 @@ impl<A> PendingBatch<A> {
 /// the identical pool, queue, metrics and ordering semantics.
 #[derive(Debug)]
 pub struct QueryService<O: RouteOracle = ShardedOracle> {
-    sender: Option<Sender<Job<O::Answer>>>,
-    workers: Vec<JoinHandle<()>>,
-    oracle: Arc<O>,
-    metrics: Arc<ServiceMetrics>,
-    obs: Option<Arc<ServiceObs>>,
+    /// `None` for a zero-worker service, which answers on the submitting thread.
+    pool: Option<Pool<O::Answer>>,
+    core: Arc<Core<O>>,
 }
 
 impl<O: RouteOracle> QueryService<O> {
-    /// Starts the worker pool over the given sharded oracle, with observability off
+    /// Starts the service over the given sharded oracle, with observability off
     /// (equivalent to [`start_observed`](Self::start_observed) with `ObsConfig::default()`).
     pub fn start(oracle: O, config: &ServiceConfig) -> Self {
         Self::start_observed(oracle, config, &ObsConfig::default())
     }
 
-    /// Starts the worker pool with span tracing and/or slow-query logging per `obs`.
+    /// Starts the service with span tracing and/or slow-query logging per `obs`.
     ///
     /// When tracing is on, every batch journals three spans — queue-wait (submit →
-    /// dequeue), compute (the oracle consultation), reply (answer channel send) — under a
-    /// seed-stable trace id, and batches slower than the configured threshold are captured
-    /// whole in the slow-query log. When `obs` is all-off (the default), the only hot-path
-    /// additions over the untraced pool are one `Instant::now()` per submit and one branch
-    /// per batch (measured in `BENCH_obs.json`).
+    /// answering starts), compute (the oracle consultation), reply (handing the answers
+    /// back) — under a seed-stable trace id, and batches slower than the configured
+    /// threshold are captured whole in the slow-query log. When `obs` is all-off (the
+    /// default), the only hot-path additions over the untraced pool are one
+    /// `Instant::now()` per submit and one branch per batch (measured in `BENCH_obs.json`).
     pub fn start_observed(oracle: O, config: &ServiceConfig, obs: &ObsConfig) -> Self {
-        let worker_count = config.workers.max(1);
-        let oracle = Arc::new(oracle);
-        let metrics = Arc::new(ServiceMetrics::new(oracle.shard_count(), worker_count));
-        let obs_state = obs.enabled().then(|| {
-            Arc::new(ServiceObs {
+        let metrics = ServiceMetrics::new(oracle.shard_count(), config.workers.max(1));
+        let core = Arc::new(Core {
+            oracle,
+            metrics: Arc::new(metrics),
+            obs: obs.enabled().then(|| ServiceObs {
                 journal: (obs.journal_capacity > 0).then(|| SpanJournal::new(obs.journal_capacity)),
                 trace_ids: TraceIdGen::new(obs.trace_seed),
                 slow: obs.slow_query_threshold.map(|t| SlowLog::new(obs.slow_log_capacity, t)),
-            })
+            }),
         });
-        let (sender, receiver) = channel::<Job<O::Answer>>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..worker_count)
-            .map(|worker_id| {
-                let receiver = Arc::clone(&receiver);
-                let oracle = Arc::clone(&oracle);
-                let metrics = Arc::clone(&metrics);
-                let obs = obs_state.clone();
-                std::thread::spawn(move || {
-                    loop {
+        let pool = (config.workers > 0).then(|| {
+            let (sender, receiver) = channel::<Job<O::Answer>>();
+            let receiver = Arc::new(Mutex::new(receiver));
+            let workers = (0..config.workers)
+                .map(|worker_id| {
+                    let receiver = Arc::clone(&receiver);
+                    let core = Arc::clone(&core);
+                    std::thread::spawn(move || loop {
                         // Hold the queue lock only while dequeueing, never while answering.
                         let job = match receiver.lock().expect("queue lock").recv() {
                             Ok(job) => job,
                             Err(_) => break, // queue closed: graceful shutdown
                         };
-                        let start = Instant::now();
-                        // One oracle consultation per batch: epoch-pinning implementations
-                        // rely on this being the only point answers are produced. Tally
-                        // routing locally and flush once per batch; per-query atomics
-                        // would make the workers contend (see ServiceMetrics).
-                        let mut shard_counts = vec![0u64; oracle.shard_count()];
-                        let mut unroutable = 0u64;
-                        let answers: Vec<Option<O::Answer>> = oracle
-                            .query_batch_routed(&job.queries)
-                            .into_iter()
-                            .map(|(shard, answer)| {
-                                match shard {
-                                    Some(i) => shard_counts[i] += 1,
-                                    None => unroutable += 1,
-                                }
-                                answer
-                            })
-                            .collect();
-                        let computed = Instant::now();
-                        metrics.record_batch_queries(&shard_counts, unroutable);
-                        metrics.record_batch(worker_id, computed.duration_since(start));
-                        // The submitter may have given up waiting; that is not an error.
-                        let _ = job.reply.send(answers);
-                        if let Some(obs) = obs.as_deref() {
-                            let worker = worker_id as u32;
-                            if let Some(journal) = &obs.journal {
-                                let spans = [
-                                    (BatchStage::QueueWait, start.duration_since(job.submitted)),
-                                    (BatchStage::Compute, computed.duration_since(start)),
-                                    (BatchStage::Reply, computed.elapsed()),
-                                ];
-                                for (stage, duration) in spans {
-                                    journal.record(job.trace_id, stage.code(), worker, duration);
-                                }
-                            }
-                            if let Some(slow) = &obs.slow {
-                                // Submit → reply done: the latency a waiting client sees.
-                                let total = job.submitted.elapsed();
-                                slow.observe(job.trace_id, total, || job.queries.clone());
-                            }
-                        }
-                    }
+                        core.answer(worker_id, &job.queries, job.submitted, job.trace_id, |a| {
+                            // The submitter may have given up waiting; that is not an error.
+                            let _ = job.reply.send(a);
+                        });
+                    })
                 })
-            })
-            .collect();
-        QueryService { sender: Some(sender), workers, oracle, metrics, obs: obs_state }
+                .collect();
+            Pool { sender, workers }
+        });
+        QueryService { pool, core }
     }
 
-    /// Enqueues a batch without waiting for it; pair with [`PendingBatch::wait`].
+    /// Submits a batch without waiting for it; pair with [`PendingBatch::wait`]. A
+    /// zero-worker service answers it before returning.
     pub fn submit(&self, queries: &[Query]) -> PendingBatch<O::Answer> {
+        let trace_id = self.core.obs.as_ref().map_or(0, |o| o.trace_ids.next_id());
+        let Some(pool) = &self.pool else {
+            return self.core.answer(0, queries, Instant::now(), trace_id, |answers| {
+                PendingBatch { state: Pending::Ready(answers) }
+            });
+        };
         let (reply_tx, reply_rx) = channel();
-        let trace_id = self.obs.as_deref().map_or(0, |o| o.trace_ids.next_id());
-        self.sender
-            .as_ref()
-            .expect("service is running")
+        pool.sender
             .send(Job {
                 queries: queries.to_vec(),
                 reply: reply_tx,
@@ -653,7 +712,7 @@ impl<O: RouteOracle> QueryService<O> {
                 trace_id,
             })
             .expect("service queue is open while the service is alive");
-        PendingBatch { reply: reply_rx }
+        PendingBatch { state: Pending::Queued(reply_rx) }
     }
 
     /// Answers a batch synchronously: answers arrive in submission order, one per query
@@ -664,39 +723,44 @@ impl<O: RouteOracle> QueryService<O> {
 
     /// The sharded oracle the service answers from.
     pub fn oracle(&self) -> &O {
-        &self.oracle
+        &self.core.oracle
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (0 when batches are answered on the submitting thread).
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.pool.as_ref().map_or(0, |p| p.workers.len())
     }
 
     /// Live metrics snapshot (the service keeps running).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
+        self.core.metrics.snapshot()
     }
 
-    /// A shared handle to the live metrics, for recorders outside the worker pool (the
-    /// churn driver's rebuild thread records epoch swaps through this while the pool keeps
-    /// serving).
+    /// A shared handle to the live metrics, for recorders outside the answering path (the
+    /// churn driver's rebuild thread records epoch swaps through this while the service
+    /// keeps serving).
     pub fn shared_metrics(&self) -> Arc<ServiceMetrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.core.metrics)
     }
 
     /// Snapshot of the span journal, or `None` when tracing is off.
     pub fn journal_snapshot(&self) -> Option<JournalSnapshot> {
-        self.obs.as_deref().and_then(|o| o.journal.as_ref()).map(|j| j.snapshot())
+        self.core.obs.as_ref().and_then(|o| o.journal.as_ref()).map(|j| j.snapshot())
     }
 
     /// The retained slow-query entries, oldest first (empty when the log is off).
     pub fn slow_queries(&self) -> Vec<SlowEntry<Vec<Query>>> {
-        self.obs.as_deref().and_then(|o| o.slow.as_ref()).map(|s| s.snapshot()).unwrap_or_default()
+        self.core
+            .obs
+            .as_ref()
+            .and_then(|o| o.slow.as_ref())
+            .map(|s| s.snapshot())
+            .unwrap_or_default()
     }
 
     /// Total batches that ever exceeded the slow-query threshold (including evicted ones).
     pub fn slow_queries_total(&self) -> u64 {
-        self.obs.as_deref().and_then(|o| o.slow.as_ref()).map_or(0, |s| s.recorded())
+        self.core.obs.as_ref().and_then(|o| o.slow.as_ref()).map_or(0, |s| s.recorded())
     }
 
     /// Renders the Prometheus-style text exposition of the service's current state:
@@ -708,12 +772,12 @@ impl<O: RouteOracle> QueryService<O> {
     /// raw, so a missing or doubled trailing newline would desynchronize the header from
     /// the bytes a client actually has to read.
     pub fn render_metrics(&self) -> String {
-        let obs_report = self.obs.as_deref().map(|o| ObsReport {
+        let obs_report = self.core.obs.as_ref().map(|o| ObsReport {
             journal: o.journal.as_ref().map(|j| j.snapshot()),
             slow_total: o.slow.as_ref().map_or(0, |s| s.recorded()),
             slow_threshold: o.slow.as_ref().map(|s| s.threshold()),
         });
-        let mut text = render_exposition(&self.metrics.snapshot(), obs_report.as_ref());
+        let mut text = render_exposition(&self.core.metrics.snapshot(), obs_report.as_ref());
         while text.ends_with('\n') {
             text.pop();
         }
@@ -725,13 +789,15 @@ impl<O: RouteOracle> QueryService<O> {
     /// and returns the final metrics.
     pub fn shutdown(mut self) -> MetricsSnapshot {
         self.stop_workers();
-        self.metrics.snapshot()
+        self.core.metrics.snapshot()
     }
 
     fn stop_workers(&mut self) {
-        drop(self.sender.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        if let Some(Pool { sender, workers }) = self.pool.take() {
+            drop(sender);
+            for handle in workers {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -1024,6 +1090,80 @@ mod tests {
         assert_eq!(service.answer_batch(&[Query::new(3, 0, edges[0].0)]), vec![None]);
         let metrics = service.shutdown();
         assert_eq!(metrics.queries_total, queries.len() as u64 + 1);
+    }
+
+    #[test]
+    fn zero_worker_services_answer_like_the_oracles() {
+        let (g, service) = demo_service(0, 2);
+        assert_eq!(service.worker_count(), 0);
+        let queries: Vec<Query> = [0usize, 5, 15, 3]
+            .iter()
+            .flat_map(|&s| g.edges().map(move |e| Query::new(s, (s + 7) % 16, e)))
+            .collect();
+        let answers = service.answer_batch(&queries);
+        for (q, a) in queries.iter().zip(&answers) {
+            assert_eq!(*a, service.oracle().query(*q), "q={q:?}");
+        }
+        let metrics = service.shutdown();
+        assert_eq!(metrics.queries_total, queries.len() as u64);
+        assert_eq!(metrics.worker_batches, vec![1], "an inline batch counts on lane 0");
+
+        let (wg, sources) = weighted_demo();
+        let reference = msrp_oracle::WeightedReplacementOracle::build(&wg, &sources);
+        let weighted =
+            QueryService::build_and_start_weighted(&wg, &sources, 2, &ServiceConfig { workers: 0 });
+        assert_eq!(weighted.worker_count(), 0);
+        let wqueries: Vec<Query> = sources
+            .iter()
+            .flat_map(|&s| wg.edge_vec().into_iter().map(move |(e, _)| Query::new(s, e.hi(), e)))
+            .collect();
+        let answers = weighted.answer_batch(&wqueries);
+        for (q, a) in wqueries.iter().zip(&answers) {
+            assert_eq!(*a, reference.replacement_distance(q.source, q.target, q.avoid), "q={q:?}");
+        }
+        assert_eq!(weighted.shutdown().queries_total, wqueries.len() as u64);
+    }
+
+    #[test]
+    fn zero_worker_pipelined_submissions_wait_in_order() {
+        let (g, service) = demo_service(0, 3);
+        let batches: Vec<Vec<Query>> = (0..g.vertex_count())
+            .map(|t| [0, 5, 15, 2].iter().map(|&s| Query::new(s, t, Edge::new(4, 5))).collect())
+            .collect();
+        let pending: Vec<PendingBatch> = batches.iter().map(|b| service.submit(b)).collect();
+        for (batch, p) in batches.iter().zip(pending) {
+            let expected: Vec<_> = batch.iter().map(|&q| service.oracle().query(q)).collect();
+            assert_eq!(p.wait(), expected);
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.queries_total, 4 * g.vertex_count() as u64);
+        assert_eq!(metrics.unroutable_total, g.vertex_count() as u64);
+        assert_eq!(metrics.worker_batches, vec![g.vertex_count() as u64]);
+    }
+
+    #[test]
+    fn zero_worker_spans_are_journaled_before_answer_batch_returns() {
+        let g = grid_graph(4, 4);
+        let obs = ObsConfig {
+            journal_capacity: 256,
+            slow_query_threshold: Some(Duration::ZERO),
+            ..ObsConfig::default()
+        };
+        let oracle = ShardedOracle::build(&g, &[0, 5, 15], &MsrpParams::default(), 2);
+        let service = QueryService::start_observed(oracle, &ServiceConfig { workers: 0 }, &obs);
+        for batch in 1..=12u64 {
+            service.answer_batch(&[Query::new(5, batch as usize, Edge::new(0, 1))]);
+            // No settle loop: the caller's thread journaled the spans before returning.
+            let journal = service.journal_snapshot().expect("journal armed");
+            assert_eq!(journal.total, 3 * batch);
+            assert_eq!(journal.events.len() as u64, 3 * batch);
+            let last = &journal.events[journal.events.len() - 3..];
+            let stages: Vec<u16> = last.iter().map(|e| e.stage).collect();
+            assert_eq!(stages, BatchStage::ALL.map(BatchStage::code));
+            assert!(last.iter().all(|e| e.trace_id == last[0].trace_id && e.worker == 0));
+            assert_eq!(service.slow_queries_total(), batch);
+        }
+        assert_eq!(service.metrics().batch_latency.count, 12);
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn service_agrees_with_oracle_and_brute_force_on_pinned_seeds() {
         let mut rng = StdRng::seed_from_u64(1000 + case);
         let workload = random_queries(&g, &sources, 300, &mut rng);
 
-        for (workers, shards) in [(1usize, 1usize), (2, 2), (4, 3)] {
+        for (workers, shards) in [(0usize, 2usize), (1, 1), (2, 2), (4, 3)] {
             let service = QueryService::build_and_start(
                 &g,
                 &sources,
@@ -93,7 +93,7 @@ fn answers_and_checksums_are_invariant_across_worker_and_shard_counts() {
     let params = MsrpParams::default();
     let load = LoadConfig { clients: 3, batches_per_client: 6, batch_size: 16, seed: 99 };
     let mut checksums = Vec::new();
-    for (workers, shards) in [(1usize, 1usize), (1, 3), (3, 1), (4, 2)] {
+    for (workers, shards) in [(0usize, 2usize), (1, 1), (1, 3), (3, 1), (4, 2)] {
         let service = QueryService::build_and_start(
             &g,
             &sources,

@@ -18,15 +18,22 @@
 //! — that boot-vs-rebuild gap is measured by the `oracle_snapshot` bench and experiment
 //! E15. The wire loop speaks the `msrp-serve` text protocol with bounded line reads
 //! (`read_line_bounded`), plus one `msrpctl`-level admin verb: `STOP`, which drains the
-//! service and exits the `serve` process.
+//! service and exits the `serve` process. It serves one connection at a time, so it runs
+//! a zero-worker `QueryService` that answers each `Q` on the connection thread: a worker
+//! pool could never overlap two requests here and would only add a queue hop.
+//!
+//! The client subcommands (`stats`, `query`, `stop`) give up after [`CLIENT_TIMEOUT`] on
+//! connect, send and reply, so a server busy with another connection makes them fail
+//! with an error instead of hanging.
 //!
 //! Everything is deterministic: `create` builds from a seeded generator, so two hosts
 //! running the same `create` line produce byte-identical snapshots.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Duration;
 
 use msrp::graph::generators::{connected_gnm, weighted_connected_gnm};
 use msrp::serve::{
@@ -40,6 +47,8 @@ use rand::SeedableRng;
 
 const DEFAULT_STATE_DIR: &str = ".msrpctl";
 const DEFAULT_WEIGHT_MAX: u64 = 1000;
+/// How long a client subcommand waits to connect, to send, and for the reply.
+const CLIENT_TIMEOUT: Duration = Duration::from_secs(5);
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -48,13 +57,16 @@ fn usage() -> ExitCode {
 USAGE:
   msrpctl create NAME [--n N] [--m M] [--sources K] [--shards S] [--seed SEED] [--weighted]
   msrpctl list
-  msrpctl serve NAME ADDR [--workers W]
+  msrpctl serve NAME ADDR
   msrpctl stats NAME
   msrpctl query NAME SOURCE TARGET AVOID_U AVOID_V
   msrpctl stop NAME
 
 Every subcommand also accepts --state-dir DIR (default ./{DEFAULT_STATE_DIR}).
-`create` defaults: --n 256, --m 4·n, --sources 4, --shards 2, --seed 42, hop metric."
+`create` defaults: --n 256, --m 4·n, --sources 4, --shards 2, --seed 42, hop metric.
+`serve` answers one connection at a time, each query on the connection's thread.
+`stats`, `query` and `stop` fail after {}s without a connection or a reply.",
+        CLIENT_TIMEOUT.as_secs()
     );
     ExitCode::from(2)
 }
@@ -103,6 +115,15 @@ impl Args {
 
     fn state_dir(&self) -> PathBuf {
         PathBuf::from(self.flag("state-dir").unwrap_or(DEFAULT_STATE_DIR))
+    }
+
+    /// Rejects flags the subcommand does not take (`--state-dir` is always allowed), so a
+    /// misspelt or removed flag fails instead of being ignored.
+    fn allow_only(&self, known: &[&str]) -> Result<(), String> {
+        match self.flags.iter().find(|(n, _)| n != "state-dir" && !known.contains(&n.as_str())) {
+            Some((name, _)) => Err(format!("unknown flag --{name}")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -253,8 +274,9 @@ enum Booted {
     Weighted(QueryService<WeightedShardedOracle>),
 }
 
-fn boot(bytes: &[u8], workers: usize) -> Result<Booted, String> {
-    let config = ServiceConfig { workers };
+fn boot(bytes: &[u8]) -> Result<Booted, String> {
+    // One connection at a time: answer on its thread, with no pool hop.
+    let config = ServiceConfig { workers: 0 };
     let info = inspect(bytes).map_err(|e| format!("snapshot rejected: {e}"))?;
     match info.kind {
         SnapKind::HopMetric => {
@@ -348,11 +370,10 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let name = args.positional.first().ok_or("serve needs a NAME")?;
     validate_name(name)?;
     let addr = args.positional.get(1).ok_or("serve needs an ADDR (e.g. 127.0.0.1:7412)")?;
-    let workers: usize = args.num("workers", 2)?;
     let dir = args.state_dir();
     let path = snap_path(&dir, name);
     let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let service = boot(&bytes, workers.max(1))?;
+    let service = boot(&bytes)?;
     let listener = TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
     let addr_file = addr_path(&dir, name);
@@ -378,23 +399,42 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Connects to the server recorded in `NAME.addr`.
+/// Describes a failed socket step, calling a timeout a timeout (reads report it as
+/// `WouldBlock` on some platforms and `TimedOut` on others).
+fn io_error(step: &str, addr: SocketAddr, e: io::Error) -> String {
+    match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => format!(
+            "{step} {addr} timed out after {}s (is another client holding the server?)",
+            CLIENT_TIMEOUT.as_secs()
+        ),
+        _ => format!("{step} {addr}: {e}"),
+    }
+}
+
+/// Connects to the server recorded in `NAME.addr`, with [`CLIENT_TIMEOUT`] on the
+/// connect and on every later read and write.
 fn connect(dir: &Path, name: &str) -> Result<TcpStream, String> {
     let addr_file = addr_path(dir, name);
     let addr = std::fs::read_to_string(&addr_file)
         .map_err(|_| format!("{name} is not serving (no {})", addr_file.display()))?;
-    let addr = addr.trim();
-    TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))
+    let addr: SocketAddr =
+        addr.trim().parse().map_err(|e| format!("{}: bad address: {e}", addr_file.display()))?;
+    let stream = TcpStream::connect_timeout(&addr, CLIENT_TIMEOUT)
+        .map_err(|e| io_error("connect to", addr, e))?;
+    stream.set_read_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| format!("set timeout: {e}"))?;
+    stream.set_write_timeout(Some(CLIENT_TIMEOUT)).map_err(|e| format!("set timeout: {e}"))?;
+    Ok(stream)
 }
 
 /// Sends one line and reads one reply line.
 fn round_trip(stream: TcpStream, request: &str) -> Result<String, String> {
+    let addr = stream.peer_addr().map_err(|e| format!("peer addr: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
     let mut reader = BufReader::new(stream);
-    writeln!(writer, "{request}").map_err(|e| format!("send: {e}"))?;
-    writer.flush().map_err(|e| format!("flush: {e}"))?;
+    writeln!(writer, "{request}").map_err(|e| io_error("send to", addr, e))?;
+    writer.flush().map_err(|e| io_error("send to", addr, e))?;
     let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| format!("read reply: {e}"))?;
+    reader.read_line(&mut line).map_err(|e| io_error("read reply from", addr, e))?;
     if line.is_empty() {
         return Err("server closed the connection without replying".into());
     }
@@ -444,6 +484,9 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A subcommand's entry point.
+type Subcommand = fn(&Args) -> Result<(), String>;
+
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = raw.first().cloned() else {
@@ -456,18 +499,23 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let result = match command.as_str() {
-        "create" => cmd_create(&args),
-        "list" => cmd_list(&args),
-        "serve" => cmd_serve(&args),
-        "stats" => cmd_stats(&args),
-        "query" => cmd_query(&args),
-        "stop" => cmd_stop(&args),
+    let (run, flags): (Subcommand, &[&str]) = match command.as_str() {
+        "create" => (cmd_create, &["n", "m", "sources", "shards", "seed", "weighted"]),
+        "list" => (cmd_list, &[]),
+        "serve" => (cmd_serve, &[]),
+        "stats" => (cmd_stats, &[]),
+        "query" => (cmd_query, &[]),
+        "stop" => (cmd_stop, &[]),
         _ => {
             eprintln!("unknown command {command:?}");
             return usage();
         }
     };
+    if let Err(e) = args.allow_only(flags) {
+        eprintln!("error: {e}");
+        return usage();
+    }
+    let result = run(&args);
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

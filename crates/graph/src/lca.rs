@@ -45,7 +45,7 @@ impl LcaIndex {
     /// Builds the index for the reachable part of `tree`.
     pub fn build(tree: &ShortestPathTree) -> Self {
         let n = tree.vertex_count();
-        let children = tree.children_of();
+        let children = tree.children();
         let mut euler = Vec::with_capacity(2 * n);
         let mut euler_depth = Vec::with_capacity(2 * n);
         let mut first = vec![usize::MAX; n];
@@ -56,8 +56,8 @@ impl LcaIndex {
             let mut stack: Vec<(Vertex, usize)> = vec![(root, 0)];
             push_occurrence(&mut euler, &mut euler_depth, &mut first, tree, root);
             while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-                if *idx < children[v].len() {
-                    let c = children[v][*idx];
+                if let Some(&c) = children.of(v).get(*idx) {
+                    let c = c as Vertex;
                     *idx += 1;
                     push_occurrence(&mut euler, &mut euler_depth, &mut first, tree, c);
                     stack.push((c, 0));

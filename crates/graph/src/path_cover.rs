@@ -74,22 +74,15 @@ impl TreePathCover {
     /// BFS-discovery order (ascending vertex id, since BFS scans sorted adjacency rows).
     pub fn build(tree: &ShortestPathTree) -> Self {
         let n = tree.vertex_count();
-        let children = tree.children_of();
-        // Subtree sizes: reverse BFS order visits every child before its parent.
+        let children = tree.children();
+        // Subtree sizes: reverse BFS order finishes every child before its parent, which
+        // then accumulates the child's completed size.
         let mut size = vec![0u32; n];
         for &v in tree.bfs_order().iter().rev() {
-            size[v] = 1 + children[v].iter().map(|&c| size[c]).sum::<u32>();
-        }
-        // Heavy child per vertex (first maximum = lowest id, deterministic).
-        let mut heavy: Vec<Option<Vertex>> = vec![None; n];
-        for &v in tree.bfs_order() {
-            // Not `max_by_key`, which keeps the *last* maximum: ties must go to the child
-            // first in discovery order for the documented lowest-id tie-break.
-            heavy[v] =
-                children[v].iter().copied().fold(None, |best: Option<Vertex>, c| match best {
-                    Some(b) if size[b] >= size[c] => Some(b),
-                    _ => Some(c),
-                });
+            size[v] += 1;
+            if let Some(p) = tree.parent(v) {
+                size[p] += size[v];
+            }
         }
         // Heavy-first DFS: descend the heavy child first so every chain (and every subtree)
         // is contiguous in preorder.
@@ -116,14 +109,23 @@ impl TreePathCover {
                 index_in_path[v] = paths[path_id as usize].1 - 1;
                 pre[v] = preorder.len() as u32;
                 preorder.push(v);
-                let h = heavy[v];
-                for &c in children[v].iter().rev() {
-                    if Some(c) != h {
-                        stack.push((c, false));
+                // Heavy child: the first maximum (lowest id, deterministic). Not
+                // `max_by_key`, which keeps the *last* maximum.
+                let kids = children.of(v);
+                let heavy = kids.iter().copied().reduce(|b, c| {
+                    if size[b as usize] >= size[c as usize] {
+                        b
+                    } else {
+                        c
+                    }
+                });
+                for &c in kids.iter().rev() {
+                    if Some(c) != heavy {
+                        stack.push((c as Vertex, false));
                     }
                 }
-                if let Some(h) = h {
-                    stack.push((h, true));
+                if let Some(h) = heavy {
+                    stack.push((h as Vertex, true));
                 }
             }
         }

@@ -90,7 +90,7 @@ impl ShortestPathTree {
     pub fn from_bfs(bfs: BfsResult) -> Self {
         let BfsResult { source, dist, parent, order } = bfs;
         let n = dist.len();
-        let (tin, tout) = euler_times(source, n, &order, &parent);
+        let (tin, tout) = euler_times(n, &order, &parent);
         ShortestPathTree { source, dist, parent, order, tin, tout }
     }
 
@@ -261,73 +261,100 @@ impl ShortestPathTree {
         LcaIndex::build(self)
     }
 
-    pub(crate) fn children_of(&self) -> Vec<Vec<Vertex>> {
-        let mut children: Vec<Vec<Vertex>> = vec![Vec::new(); self.vertex_count()];
-        for &v in &self.order {
-            if let Some(p) = self.parent[v] {
-                children[p].push(v);
-            }
-        }
-        children
+    /// The children lists of this tree as one flat buffer (see [`TreeChildren`]).
+    pub(crate) fn children(&self) -> TreeChildren {
+        TreeChildren::build(self.vertex_count(), &self.order, &self.parent)
     }
 }
 
-/// Euler entry/exit times of the rooted tree given by its settle `order` and `parent`
-/// array (iterative DFS from `source`, visiting each vertex's children in settle order;
-/// unreachable vertices keep time 0). Shared by the unweighted [`ShortestPathTree`] and
+/// The children lists of a rooted tree in one flat counting-sorted buffer: one count pass
+/// and one fill pass over the settle `order`, instead of `n` per-vertex `Vec`s. Counting
+/// sort over `order` is stable, so each vertex's children appear in settle order — for a
+/// BFS tree over sorted adjacency rows, ascending discovery order.
+///
+/// The one children builder of the hop trees: the heavy-path cover
+/// ([`TreePathCover::build`](crate::TreePathCover::build)) and the LCA index walk children
+/// through it ([`euler_times`] needs no children lists).
+pub(crate) struct TreeChildren {
+    /// `kids[off[v]..off[v + 1]]` are the children of `v`.
+    off: Vec<u32>,
+    kids: Vec<u32>,
+}
+
+impl TreeChildren {
+    /// Children of the tree over `n` vertices given by its settle `order` and `parent` array.
+    pub(crate) fn build(n: usize, order: &[Vertex], parent: &[Option<Vertex>]) -> Self {
+        // Counts land in `off[p + 2]`, so after the prefix sum `off[p + 1]` is the start of
+        // `p`'s children; the fill pass advances it as a write cursor to their end, which is
+        // the start of `p + 1`'s — exactly the final offsets, with no cursor array.
+        let mut off = vec![0u32; n + 2];
+        for &v in order {
+            if let Some(p) = parent[v] {
+                off[p + 2] += 1;
+            }
+        }
+        for v in 0..n {
+            off[v + 2] += off[v + 1];
+        }
+        let mut kids: Vec<u32> = vec![0; off[n + 1] as usize];
+        for &v in order {
+            if let Some(p) = parent[v] {
+                kids[off[p + 1] as usize] = v as u32;
+                off[p + 1] += 1;
+            }
+        }
+        off.truncate(n + 1);
+        TreeChildren { off, kids }
+    }
+
+    /// The children of `v`, in settle order.
+    #[inline]
+    pub(crate) fn of(&self, v: Vertex) -> &[u32] {
+        &self.kids[self.off[v] as usize..self.off[v + 1] as usize]
+    }
+}
+
+/// Euler entry/exit times of the rooted tree given by its settle `order` (root first) and
+/// `parent` array: the times of a DFS from the root that visits each vertex's children in
+/// settle order (unreachable vertices keep time 0). Shared by the unweighted [`ShortestPathTree`] and
 /// the weighted [`WeightedTree`](crate::WeightedTree), whose `O(1)` ancestry tests both
 /// reduce to interval containment of these times.
 ///
-/// The children adjacency is materialised as a flat counting-sorted CSR (one count pass,
-/// one fill pass over `order`) instead of per-vertex `Vec`s: the tree re-annotation on
-/// the snapshot boot path runs this once per persisted source, where `n` small heap
-/// allocations dominated the old `Vec<Vec<_>>` shape. Counting sort over `order` is
-/// stable, so each vertex's children appear in settle order — the same DFS visit order
-/// (and therefore bit-identical times) as the nested-`Vec` construction produced.
+/// Computed in closed form rather than by walking the DFS: a vertex with preorder index
+/// `i`, tree depth `d` and subtree size `s` is entered after `i` entries and `i − d`
+/// exits, so `tin = 1 + 2i − d` and `tout = tin + 2s − 1`. Sizes accumulate child → parent
+/// over the reversed settle order; preorder indices follow in one forward pass, because
+/// each vertex's children appear in settle order and a child's slot is its parent's next
+/// free one. No children lists and no stack: the snapshot boot path runs this once per
+/// persisted source.
 pub(crate) fn euler_times(
-    source: Vertex,
     n: usize,
     order: &[Vertex],
     parent: &[Option<Vertex>],
 ) -> (Vec<u32>, Vec<u32>) {
+    // `tout` holds subtree sizes until the last pass, `tin` each vertex's next child slot.
     let mut tin = vec![0u32; n];
     let mut tout = vec![0u32; n];
-    if n == 0 {
-        return (tin, tout);
+    for &v in order.iter().rev() {
+        tout[v] += 1;
+        if let Some(p) = parent[v] {
+            tout[p] += tout[v];
+        }
     }
-    let mut off = vec![0u32; n + 1];
+    let mut pre = vec![0u32; n];
+    let mut depth = vec![0u32; n];
     for &v in order {
         if let Some(p) = parent[v] {
-            off[p + 1] += 1;
+            pre[v] = tin[p];
+            tin[p] += tout[v];
+            depth[v] = depth[p] + 1;
         }
+        tin[v] = pre[v] + 1;
     }
-    for v in 0..n {
-        off[v + 1] += off[v];
-    }
-    let mut next: Vec<u32> = off[..n].to_vec();
-    let mut kids: Vec<u32> = vec![0; off[n] as usize];
     for &v in order {
-        if let Some(p) = parent[v] {
-            kids[next[p] as usize] = v as u32;
-            next[p] += 1;
-        }
-    }
-    let mut timer: u32 = 1;
-    let mut stack: Vec<(Vertex, u32)> = vec![(source, off[source])];
-    tin[source] = timer;
-    timer += 1;
-    while let Some(&mut (v, ref mut idx)) = stack.last_mut() {
-        if *idx < off[v + 1] {
-            let c = kids[*idx as usize] as Vertex;
-            *idx += 1;
-            tin[c] = timer;
-            timer += 1;
-            stack.push((c, off[c]));
-        } else {
-            tout[v] = timer;
-            timer += 1;
-            stack.pop();
-        }
+        let size = tout[v];
+        tin[v] = 1 + 2 * pre[v] - depth[v];
+        tout[v] = tin[v] + 2 * size - 1;
     }
     (tin, tout)
 }
@@ -437,6 +464,43 @@ mod tests {
         assert_eq!(t.path_from_source(0), Some(vec![0]));
         assert!(t.path_edges(0).is_empty());
         assert!(t.is_ancestor(0, 0));
+    }
+
+    /// Euler times by an explicit DFS from the root, children in settle order.
+    fn reference_euler_times(t: &ShortestPathTree) -> (Vec<u32>, Vec<u32>) {
+        let n = t.vertex_count();
+        let (mut tin, mut tout) = (vec![0u32; n], vec![0u32; n]);
+        let mut timer = 1;
+        let mut stack = vec![(t.source, false)];
+        while let Some((v, exiting)) = stack.pop() {
+            if exiting {
+                tout[v] = timer;
+            } else {
+                tin[v] = timer;
+                stack.push((v, true));
+                let kids = t.order.iter().filter(|&&c| t.parent[c] == Some(v));
+                stack.extend(kids.rev().map(|&c| (c, false)));
+            }
+            timer += 1;
+        }
+        (tin, tout)
+    }
+
+    #[test]
+    fn euler_times_match_an_explicit_dfs() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(41);
+        let graphs = [
+            sample_graph(),
+            crate::generators::grid_graph(5, 6),
+            crate::generators::gnm(60, 70, &mut rng).unwrap(),
+            Graph::new(1),
+        ];
+        for g in &graphs {
+            for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
+                let t = ShortestPathTree::build(g, s);
+                assert_eq!((t.tin.clone(), t.tout.clone()), reference_euler_times(&t), "s={s}");
+            }
+        }
     }
 
     #[test]

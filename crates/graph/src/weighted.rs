@@ -688,7 +688,7 @@ impl WeightedTree {
                 depth[v] = depth[p] + 1;
             }
         }
-        let (tin, tout) = euler_times(source, n, &order, &parent);
+        let (tin, tout) = euler_times(n, &order, &parent);
         WeightedTree { source, dist, parent, depth, order, tin, tout }
     }
 

@@ -195,10 +195,14 @@ impl ReplacementPathOracle {
                 // sets. Only cuts whose subtree contains a toggled endpoint can differ.
                 let mut rows = old_rows.clone();
                 let dirty = dirty_cuts(&new_tree, changed);
+                if !dirty.is_empty() {
+                    // The same O(n + m) relabel the fresh BFS above already paid for.
+                    scratch.prepare(g_new, &new_tree, &cover);
+                }
                 for &c in &dirty {
                     let p = new_tree.parent(c).expect("dirty cut vertex has a parent");
                     debug_assert!(cover.edge_touches_subtree(c, changed));
-                    solve_cut_into(g_new, &new_tree, &cover, &mut scratch, &mut rows, p, c);
+                    solve_cut_into(&new_tree, &cover, &mut scratch, &mut rows, p, c);
                 }
                 stats.cuts_recomputed += dirty.len();
                 stats.sources_patched += 1;
@@ -307,6 +311,36 @@ mod tests {
         let agg = drive_sequence(grid_graph(6, 6), &[0, 35], 77, 10);
         assert!(agg.sources_patched > 0, "{agg:?}");
         assert!(agg.strictly_less_than_full(), "{agg:?}");
+    }
+
+    #[test]
+    fn patch_after_a_rebuilt_source_relabels_for_its_own_tree() {
+        // Sources share one scratch in order. When the first source's tree changes (its
+        // full rebuild prepares the scratch for that tree) and the second only re-solves
+        // dirty cuts, the patch must prepare the scratch for its own tree first.
+        let mut rng = StdRng::seed_from_u64(909);
+        let g0 = connected_gnm(30, 70, &mut rng).unwrap();
+        let csr0 = g0.freeze();
+        let alone = |s: Vertex, g: &CsrGraph, e: Edge| {
+            ReplacementPathOracle::build_bk_csr(&csr0, &[s]).rebuild_bk_csr(g, e).1
+        };
+        let mut found = 0;
+        for e in g0.edge_vec() {
+            let mut g = g0.clone();
+            toggle(&mut g, e);
+            let csr = g.freeze();
+            for (a, b) in [(0, 15), (15, 0), (7, 22), (22, 7)] {
+                let (sa, sb) = (alone(a, &csr, e), alone(b, &csr, e));
+                if sa.sources_rebuilt == 1 && sb.sources_patched == 1 && sb.cuts_recomputed > 0 {
+                    let oracle = ReplacementPathOracle::build_bk_csr(&csr0, &[a, b]);
+                    let (next, stats) = oracle.rebuild_bk_csr(&csr, e);
+                    assert_eq!((stats.sources_rebuilt, stats.sources_patched), (1, 1), "{e:?}");
+                    assert_equals_scratch_build(&next, &csr);
+                    found += 1;
+                }
+            }
+        }
+        assert!(found > 0, "no toggle rebuilt one source and patched the next");
     }
 
     #[test]

@@ -137,6 +137,80 @@ fn differential_disconnected() {
     differential_battery("two-components", &h, 7);
 }
 
+/// Per-source rows from one shared scratch, each checked `==` against the independent brute
+/// force: the scratch's per-source relabel must leave nothing behind for the next source.
+fn rows_match_brute_force(name: &str, g: &Graph, sources: &[Vertex], scratch: &mut BkScratch) {
+    let csr = g.freeze();
+    for &s in sources {
+        let tree = ShortestPathTree::build_csr(&csr, s);
+        let cover = TreePathCover::build(&tree);
+        assert_eq!(
+            bk_replacement_distances(&csr, &tree, &cover, scratch),
+            single_source_brute_force_csr(&csr, &tree),
+            "{name}: s={s}"
+        );
+    }
+}
+
+/// `g` plus `chords` seeded random non-edges between vertices `0..among`.
+fn with_chords(mut g: Graph, chords: usize, among: usize, rng: &mut StdRng) -> Graph {
+    let mut added = 0;
+    while added < chords {
+        let (u, v) = (rng.gen_range(0..among), rng.gen_range(0..among));
+        if u != v && !g.has_edge(u, v) {
+            g.add_edge(u, v).unwrap();
+            added += 1;
+        }
+    }
+    g
+}
+
+#[test]
+fn one_scratch_serves_graphs_of_every_size() {
+    // Large → small → large through one scratch. The small graph has a second component
+    // and isolated vertices (4 and 8), and sources in each of them.
+    let mut rng = StdRng::seed_from_u64(505);
+    let large = connected_gnm(120, 300, &mut rng).unwrap();
+    let small =
+        Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (2, 3), (5, 6), (6, 7), (7, 5)]).unwrap();
+    let larger = barabasi_albert(150, 2, &mut rng).unwrap();
+    let mut scratch = BkScratch::new();
+    rows_match_brute_force("large", &large, &[0, 57, 119], &mut scratch);
+    rows_match_brute_force("small", &small, &[0, 3, 4, 6, 8], &mut scratch);
+    rows_match_brute_force("larger", &larger, &[149, 1, 75], &mut scratch);
+    rows_match_brute_force("small-again", &small, &[8, 7, 2], &mut scratch);
+}
+
+#[test]
+fn wide_seed_spreads_and_deep_subtrees() {
+    // Long cycles with a few chords: the subtree below a cut deep in one arm is a long
+    // chain whose seeds come from chords and the far arm, so they are far from tight and
+    // far apart. A path with a dense head: deep subtrees hanging off a cluster whose
+    // crossing edges seed at several depths at once.
+    let mut scratch = BkScratch::new();
+    for seed in 0..4u64 {
+        let mut rng = StdRng::seed_from_u64(600 + seed);
+        let n = 90 + 20 * seed as usize;
+        let ring = with_chords(cycle_graph(n), 2 + seed as usize, n, &mut rng);
+        let sources = seeded_sources(n, 4, seed);
+        rows_match_brute_force("cycle+chords", &ring, &sources, &mut scratch);
+        differential_battery("cycle+chords", &ring, seed);
+
+        // A 60-edge tail hanging off vertex head − 1 of a 12-vertex cluster with 30 of its
+        // 66 possible edges.
+        let head = 12;
+        let tail = Graph::from_edges(
+            head + 60,
+            &(head..head + 60).map(|v| (v - 1, v)).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let g = with_chords(tail, 30, head, &mut rng);
+        let sources = [0, head - 1, head + 30, head + 59];
+        rows_match_brute_force("dense-head path", &g, &sources, &mut scratch);
+        differential_battery("dense-head path", &g, seed);
+    }
+}
+
 #[test]
 fn bk_sharded_parallel_builds_stay_bit_identical() {
     // The sharded BK build (what `msrp-serve` consumes) merged back together must equal the

@@ -692,17 +692,18 @@ impl WeightedTree {
         WeightedTree { source, dist, parent, depth, order, tin, tout }
     }
 
-    /// Children lists of the tree, in settle order (a parent's children appear in the
-    /// order they were settled). Rebuilt from the parent/order arrays on each call; the
-    /// weighted solver consumes this once per source to enumerate subtrees.
-    pub fn children_of(&self) -> Vec<Vec<Vertex>> {
-        let mut children: Vec<Vec<Vertex>> = vec![Vec::new(); self.vertex_count()];
-        for &v in &self.order {
-            if let Some(p) = self.parent[v] {
-                children[p].push(v);
-            }
+    /// Preorder position and subtree size of `v`, or `None` when `v` is unreachable. The
+    /// preorder is the DFS of the tree from the root with children in settle order, so the
+    /// subtree of `v` is exactly the position interval `[pre, pre + size)`. Both follow in
+    /// `O(1)` from the closed-form Euler times (`tin = 1 + 2·pre − depth`,
+    /// `tout = tin + 2·size − 1`); nothing extra is stored.
+    #[inline]
+    pub fn preorder_interval(&self, v: Vertex) -> Option<(usize, usize)> {
+        if !self.is_reachable(v) {
+            return None;
         }
-        children
+        let (tin, tout) = (self.tin[v] as usize, self.tout[v] as usize);
+        Some(((tin + self.depth[v] as usize - 1) / 2, (tout - tin).div_ceil(2)))
     }
 
     /// The root of the tree.
@@ -1020,6 +1021,57 @@ mod tests {
         assert_eq!(t.distance(3), Some(0));
         assert_eq!(t.depth(3), 3);
         assert_eq!(t.path_from_source(3), Some(vec![0, 1, 2, 3]));
+    }
+
+    /// Preorder positions and subtree sizes by an explicit DFS from the root, children in
+    /// settle order (`None` for vertices outside the tree).
+    fn reference_preorder(t: &WeightedTree) -> Vec<Option<(usize, usize)>> {
+        let mut out = vec![None; t.vertex_count()];
+        let mut next = 0;
+        let mut stack = vec![(t.source, false)];
+        while let Some((v, exiting)) = stack.pop() {
+            if exiting {
+                let pre = out[v].map_or(0, |(pre, _)| pre);
+                out[v] = Some((pre, next - pre));
+            } else {
+                out[v] = Some((next, 0));
+                next += 1;
+                stack.push((v, true));
+                let kids = t.order.iter().filter(|&&c| t.parent[c] == Some(v));
+                stack.extend(kids.rev().map(|&c| (c, false)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn preorder_intervals_match_an_explicit_dfs() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
+        let graphs = [
+            sample().freeze(),
+            // Zero weights: every distance ties at 0, so the tree shape comes from the
+            // settle order alone.
+            WeightedGraph::from_graph(&crate::generators::grid_graph(4, 5), |_| 0).freeze(),
+            crate::generators::random_weights(
+                &crate::generators::gnm(50, 60, &mut rng).unwrap(),
+                3,
+                &mut rng,
+            )
+            .freeze(),
+            // Unreachable vertices, including isolated ones.
+            WeightedGraph::from_edges(7, &[(0, 1, 2), (1, 2, 0), (0, 2, 2), (4, 5, 1)])
+                .unwrap()
+                .freeze(),
+            WeightedGraph::new(1).freeze(),
+        ];
+        for g in &graphs {
+            for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
+                let t = WeightedTree::build(g, s);
+                let derived: Vec<_> =
+                    (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
+                assert_eq!(derived, reference_preorder(&t), "s={s}");
+            }
+        }
     }
 
     #[test]

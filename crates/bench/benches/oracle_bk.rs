@@ -1,5 +1,5 @@
-//! The payoff measurement for the Bernstein–Karger preprocessing: `build_bk` (heavy-path
-//! cover + one multi-seed subtree BFS per tree-edge cut) against `build_exact` (one full
+//! The payoff measurement for the Bernstein–Karger preprocessing: `build_bk` (one multi-seed
+//! subtree BFS per tree-edge cut) against `build_exact` (one full
 //! avoiding-BFS per tree edge) on the `graph_csr`/`oracle_queries` workloads, plus the query
 //! surface of a BK-built oracle against recomputation.
 //!
@@ -42,6 +42,7 @@ fn bench_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("build_exact_per_edge_bfs", n), &n, |b, _| {
             b.iter(|| ReplacementPathOracle::build_exact_csr(&csr, &sources))
         });
+        // The id predates the removal of the heavy-path cover; `BENCH_bk.json` rows key on it.
         group.bench_with_input(BenchmarkId::new("build_bk_path_cover", n), &n, |b, _| {
             b.iter(|| ReplacementPathOracle::build_bk_csr(&csr, &sources))
         });

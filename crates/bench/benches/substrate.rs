@@ -1,6 +1,5 @@
 //! Micro-benchmarks of the substrates the algorithm is built on: BFS / shortest-path trees, the
-//! classical single-pair routine, LCA construction, and the cuckoo hash table against the
-//! standard library map.
+//! classical single-pair routine, and the cuckoo hash table against the standard library map.
 
 use std::collections::HashMap;
 use std::time::Duration;
@@ -24,7 +23,6 @@ fn bench_substrate(c: &mut Criterion) {
 
     group.bench_function("bfs_n1024", |b| b.iter(|| bfs(&g, 0)));
     group.bench_function("shortest_path_tree_n1024", |b| b.iter(|| ShortestPathTree::build(&g, 0)));
-    group.bench_function("lca_index_n1024", |b| b.iter(|| tree.lca_index()));
     group.bench_function("classical_single_pair_n1024", |b| {
         b.iter(|| single_pair_replacement_paths(&csr, &tree, 777, &dist_to_target))
     });

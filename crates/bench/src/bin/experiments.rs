@@ -499,9 +499,10 @@ fn experiment_e9(quick: bool) {
     table.print();
 }
 
-/// E10 — the Bernstein–Karger preprocessing (heavy-path cover + per-cut subtree searches)
-/// against the per-tree-edge brute force, with the full replacement tables compared bit for
-/// bit (`ReplacementPathOracle::per_source` row equality — every entry, nothing sampled).
+/// E10 — the Bernstein–Karger preprocessing (one multi-seed subtree search per tree-edge
+/// cut, in preorder-local coordinates) against the per-tree-edge brute force, with the
+/// full replacement tables compared bit for bit (`ReplacementPathOracle::per_source` row
+/// equality — every entry, nothing sampled).
 fn experiment_e10(quick: bool) {
     println!("\n=== E10: Bernstein-Karger preprocessing vs per-tree-edge brute force ===");
     let sizes: &[usize] = if quick { &[96, 192] } else { &[128, 256, 512, 1024] };
@@ -603,10 +604,10 @@ fn experiment_e11(quick: bool) {
 }
 
 /// E12 — build/rebuild stage profile: where the Bernstein–Karger preprocessing wall time
-/// goes, stage by stage (`tree` BFS trees, `cover` heavy-path decomposition, `rows` table
-/// allocation, `cuts` the multi-seed cut solves, `merge` the shard merge), and where the
-/// incremental rebuild ladder spends its time (`reuse`/`patch`/`rebuild` rungs), at three
-/// graph sizes. The acceptance bar asserted on every row: the staged times must account
+/// goes, stage by stage (`tree` BFS trees, `cover` the per-source relabel into preorder
+/// positions — the stage keeps its old name — `rows` table allocation, `cuts` the
+/// multi-seed cut solves, `merge` the shard merge), and where the incremental rebuild
+/// ladder spends its time (`reuse`/`patch`/`rebuild` rungs), at three graph sizes. The acceptance bar asserted on every row: the staged times must account
 /// for the measured wall within 10% (plus a small absolute epsilon so the timer-noise
 /// floor cannot flake the `--quick` sizes on a loaded 1-CPU runner).
 fn experiment_e12(quick: bool) {

@@ -3,8 +3,8 @@
 //! The paper (Gupta, Jain, Modi, *Multiple Source Replacement Path Problem*, 2020) works with
 //! undirected, unweighted graphs and relies on a small number of classical building blocks:
 //!
-//! * breadth-first search and shortest-path trees (Section 5),
-//! * least-common-ancestor queries on those trees (Lemma 6, Bender–Farach-Colton),
+//! * breadth-first search and shortest-path trees (Section 5), with `O(1)` ancestry and
+//!   subtree-interval queries from Euler times,
 //! * a hash table with worst-case constant lookups (Lemma 5, Pagh–Rodler cuckoo hashing),
 //! * Dijkstra's algorithm on the weighted *auxiliary* graphs built in Sections 7 and 8.
 //!
@@ -39,10 +39,8 @@ mod distance;
 mod edge;
 mod error;
 mod graph;
-mod lca;
 mod metrics;
 mod multi_bfs;
-mod path_cover;
 mod tree;
 mod weighted;
 
@@ -58,9 +56,7 @@ pub use distance::{dist_add, dist_add3, dist_min, is_finite, Distance, INFINITE_
 pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::{Graph, Vertex};
-pub use lca::LcaIndex;
 pub use metrics::{diameter_lower_bound, graph_metrics, GraphMetrics};
 pub use multi_bfs::{bfs_trees_wave, MultiBfsScratch, WAVE_LANES};
-pub use path_cover::TreePathCover;
 pub use tree::ShortestPathTree;
 pub use weighted::{DijkstraScratch, WeightedCsrGraph, WeightedGraph, WeightedTree};

@@ -10,7 +10,6 @@ use crate::csr::{bfs_csr, BfsScratch, CsrGraph};
 use crate::distance::{Distance, INFINITE_DISTANCE};
 use crate::edge::Edge;
 use crate::graph::{Graph, Vertex};
-use crate::lca::LcaIndex;
 
 /// A rooted BFS tree of an unweighted graph, annotated for `O(1)` path queries.
 ///
@@ -159,6 +158,18 @@ impl ShortestPathTree {
         self.tin[a] <= self.tin[d] && self.tout[d] <= self.tout[a]
     }
 
+    /// Preorder position and subtree size of `v`, or `None` when `v` is unreachable. The
+    /// preorder is the DFS of the tree from the root with children in settle order, so the
+    /// subtree of `v` is exactly the position interval `[pre, pre + size)`. Both follow in
+    /// `O(1)` from the closed-form Euler times (depth = distance); nothing extra is stored.
+    #[inline]
+    pub fn preorder_interval(&self, v: Vertex) -> Option<(usize, usize)> {
+        if !self.is_reachable(v) {
+            return None;
+        }
+        Some(preorder_from_euler(self.tin[v], self.tout[v], self.dist[v]))
+    }
+
     /// Returns `true` when `v` lies on the canonical root→`t` path.
     #[inline]
     pub fn path_contains_vertex(&self, t: Vertex, v: Vertex) -> bool {
@@ -255,63 +266,6 @@ impl ShortestPathTree {
         }
         Some(cur)
     }
-
-    /// Builds an LCA index over this tree (Lemma 6 in the paper).
-    pub fn lca_index(&self) -> LcaIndex {
-        LcaIndex::build(self)
-    }
-
-    /// The children lists of this tree as one flat buffer (see [`TreeChildren`]).
-    pub(crate) fn children(&self) -> TreeChildren {
-        TreeChildren::build(self.vertex_count(), &self.order, &self.parent)
-    }
-}
-
-/// The children lists of a rooted tree in one flat counting-sorted buffer: one count pass
-/// and one fill pass over the settle `order`, instead of `n` per-vertex `Vec`s. Counting
-/// sort over `order` is stable, so each vertex's children appear in settle order — for a
-/// BFS tree over sorted adjacency rows, ascending discovery order.
-///
-/// The one children builder of the hop trees: the heavy-path cover
-/// ([`TreePathCover::build`](crate::TreePathCover::build)) and the LCA index walk children
-/// through it ([`euler_times`] needs no children lists).
-pub(crate) struct TreeChildren {
-    /// `kids[off[v]..off[v + 1]]` are the children of `v`.
-    off: Vec<u32>,
-    kids: Vec<u32>,
-}
-
-impl TreeChildren {
-    /// Children of the tree over `n` vertices given by its settle `order` and `parent` array.
-    pub(crate) fn build(n: usize, order: &[Vertex], parent: &[Option<Vertex>]) -> Self {
-        // Counts land in `off[p + 2]`, so after the prefix sum `off[p + 1]` is the start of
-        // `p`'s children; the fill pass advances it as a write cursor to their end, which is
-        // the start of `p + 1`'s — exactly the final offsets, with no cursor array.
-        let mut off = vec![0u32; n + 2];
-        for &v in order {
-            if let Some(p) = parent[v] {
-                off[p + 2] += 1;
-            }
-        }
-        for v in 0..n {
-            off[v + 2] += off[v + 1];
-        }
-        let mut kids: Vec<u32> = vec![0; off[n + 1] as usize];
-        for &v in order {
-            if let Some(p) = parent[v] {
-                kids[off[p + 1] as usize] = v as u32;
-                off[p + 1] += 1;
-            }
-        }
-        off.truncate(n + 1);
-        TreeChildren { off, kids }
-    }
-
-    /// The children of `v`, in settle order.
-    #[inline]
-    pub(crate) fn of(&self, v: Vertex) -> &[u32] {
-        &self.kids[self.off[v] as usize..self.off[v + 1] as usize]
-    }
 }
 
 /// Euler entry/exit times of the rooted tree given by its settle `order` (root first) and
@@ -359,8 +313,17 @@ pub(crate) fn euler_times(
     (tin, tout)
 }
 
+/// The inverse of [`euler_times`]' closed form: the preorder position and subtree size of
+/// a reachable vertex with Euler times `tin`, `tout` and tree depth `depth`, namely
+/// `pre = (tin + depth − 1) / 2` and `size = (tout − tin + 1) / 2`.
+#[inline]
+pub(crate) fn preorder_from_euler(tin: u32, tout: u32, depth: u32) -> (usize, usize) {
+    let (tin, tout, depth) = (tin as usize, tout as usize, depth as usize);
+    ((tin + depth - 1) / 2, (tout - tin).div_ceil(2))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_graph() -> Graph {
@@ -377,7 +340,8 @@ mod tests {
         assert_eq!(t.distance(3), Some(2));
         assert_eq!(t.distance(5), Some(3));
         assert_eq!(t.parent(0), None);
-        assert_eq!(t.parent(3), Some(4)); // BFS with sorted adjacency reaches 3 via 4? 3's neighbours processed: from 2 (dist 2) and 4 (dist 1) -> via 4 at dist 2; order of discovery: level 1 = {1,4}; processing 1 first discovers 2; processing 4 discovers 3. So parent(3)=4.
+        // Level 1 is {1, 4}; 1 discovers 2, then 4 discovers 3.
+        assert_eq!(t.parent(3), Some(4));
         assert!(t.is_reachable(5));
     }
 
@@ -499,6 +463,75 @@ mod tests {
             for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
                 let t = ShortestPathTree::build(g, s);
                 assert_eq!((t.tin.clone(), t.tout.clone()), reference_euler_times(&t), "s={s}");
+            }
+        }
+    }
+
+    /// Preorder positions and subtree sizes of the tree given by its `source`, settle
+    /// `order` and `parent` array, by an explicit DFS from the root with children in settle
+    /// order (`None` for vertices outside the tree). Shared with the weighted tree's tests.
+    pub(crate) fn reference_preorder(
+        source: Vertex,
+        order: &[Vertex],
+        parent: &[Option<Vertex>],
+    ) -> Vec<Option<(usize, usize)>> {
+        let mut out = vec![None; parent.len()];
+        let mut next = 0;
+        let mut stack = vec![(source, false)];
+        while let Some((v, exiting)) = stack.pop() {
+            if exiting {
+                let pre = out[v].map_or(0, |(pre, _)| pre);
+                out[v] = Some((pre, next - pre));
+            } else {
+                out[v] = Some((next, 0));
+                next += 1;
+                stack.push((v, true));
+                let kids = order.iter().filter(|&&c| parent[c] == Some(v));
+                stack.extend(kids.rev().map(|&c| (c, false)));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn hop_preorder_intervals_match_an_explicit_dfs() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(47);
+        let graphs = [
+            sample_graph(),
+            crate::generators::grid_graph(5, 6),
+            crate::generators::gnm(60, 70, &mut rng).unwrap(),
+            // Unreachable vertices, including isolated ones.
+            Graph::from_edges(7, &[(0, 1), (1, 2), (0, 2), (4, 5)]).unwrap(),
+            Graph::new(1),
+        ];
+        for g in &graphs {
+            for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
+                let t = ShortestPathTree::build(g, s);
+                let derived: Vec<_> =
+                    (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
+                assert_eq!(derived, reference_preorder(s, &t.order, &t.parent), "s={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn subtrees_are_contiguous_preorder_intervals() {
+        // The fact the cut kernel relies on: `v` lies in the position interval of `a`
+        // exactly when `a` is an ancestor of `v`.
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(53);
+        for case in 0..12 {
+            let n = 10 + 7 * case;
+            let g = crate::generators::gnm(n, n + 3 * case, &mut rng).unwrap();
+            for s in [0, n / 3, n - 1] {
+                let t = ShortestPathTree::build(&g, s);
+                for a in (0..n).filter(|&a| t.is_reachable(a)) {
+                    let (pa, sa) = t.preorder_interval(a).unwrap();
+                    for v in (0..n).filter(|&v| t.is_reachable(v)) {
+                        let (pv, _) = t.preorder_interval(v).unwrap();
+                        let inside = (pa..pa + sa).contains(&pv);
+                        assert_eq!(inside, t.is_ancestor(a, v), "case {case} s={s} a={a} v={v}");
+                    }
+                }
             }
         }
     }

@@ -29,7 +29,7 @@ use crate::dijkstra::{DijkstraResult, Weight, INFINITE_WEIGHT};
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::{Graph, Vertex};
-use crate::tree::euler_times;
+use crate::tree::{euler_times, preorder_from_euler};
 
 /// An undirected, simple graph with finite non-negative `u64` edge weights, adjacency rows
 /// kept sorted by neighbour id.
@@ -702,8 +702,7 @@ impl WeightedTree {
         if !self.is_reachable(v) {
             return None;
         }
-        let (tin, tout) = (self.tin[v] as usize, self.tout[v] as usize);
-        Some(((tin + self.depth[v] as usize - 1) / 2, (tout - tin).div_ceil(2)))
+        Some(preorder_from_euler(self.tin[v], self.tout[v], self.depth[v]))
     }
 
     /// The root of the tree.
@@ -1023,27 +1022,6 @@ mod tests {
         assert_eq!(t.path_from_source(3), Some(vec![0, 1, 2, 3]));
     }
 
-    /// Preorder positions and subtree sizes by an explicit DFS from the root, children in
-    /// settle order (`None` for vertices outside the tree).
-    fn reference_preorder(t: &WeightedTree) -> Vec<Option<(usize, usize)>> {
-        let mut out = vec![None; t.vertex_count()];
-        let mut next = 0;
-        let mut stack = vec![(t.source, false)];
-        while let Some((v, exiting)) = stack.pop() {
-            if exiting {
-                let pre = out[v].map_or(0, |(pre, _)| pre);
-                out[v] = Some((pre, next - pre));
-            } else {
-                out[v] = Some((next, 0));
-                next += 1;
-                stack.push((v, true));
-                let kids = t.order.iter().filter(|&&c| t.parent[c] == Some(v));
-                stack.extend(kids.rev().map(|&c| (c, false)));
-            }
-        }
-        out
-    }
-
     #[test]
     fn preorder_intervals_match_an_explicit_dfs() {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
@@ -1069,7 +1047,8 @@ mod tests {
                 let t = WeightedTree::build(g, s);
                 let derived: Vec<_> =
                     (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
-                assert_eq!(derived, reference_preorder(&t), "s={s}");
+                let reference = crate::tree::tests::reference_preorder(s, &t.order, &t.parent);
+                assert_eq!(derived, reference, "s={s}");
             }
         }
     }

@@ -1,15 +1,14 @@
-//! The Bernstein–Karger single-fault preprocessing: path-cover decomposition plus per-path
-//! replacement tables, replacing the one-BFS-per-tree-edge brute force of
+//! The Bernstein–Karger single-fault preprocessing: one multi-seed subtree search per
+//! tree-edge cut, replacing the one-BFS-per-tree-edge brute force of
 //! [`build_exact`](ReplacementPathOracle::build_exact).
 //!
 //! # The pipeline
 //!
 //! For each source `s` with BFS tree `T_s`:
 //!
-//! 1. **Decompose** `T_s` into its heavy-path cover ([`TreePathCover`]): vertex-disjoint
-//!    descending chains, every tree edge owned by exactly one cover path, every subtree a
-//!    contiguous slice of the heavy-first preorder.
-//! 2. **Walk each cover path top to bottom.** The edge above chain vertex `c` — the tree edge
+//! 1. **Number** `T_s` in preorder ([`ShortestPathTree::preorder_interval`]), so every
+//!    subtree is a contiguous interval of positions.
+//! 2. **Visit every tree edge once**, in preorder. The edge above `c` — the tree edge
 //!    `e = (p, c)` with `p = parent(c)` — separates the subtree `C = desc(c)` from the rest of
 //!    the tree, and the targets whose canonical path uses `e` are exactly the members of `C`.
 //! 3. **Solve one cut, not one graph.** For `t ∈ C`, every `s–t` path in `G \ e` decomposes at
@@ -24,7 +23,7 @@
 //!
 //!    which one multi-seed BFS over the subtree slice computes exactly.
 //!
-//! The per-path tables this fills are the rows of [`SourceReplacementDistances`], indexed by
+//! The tables this fills are the rows of [`SourceReplacementDistances`], indexed by
 //! the canonical-path position of the avoided edge, so `QUERY(s, t, e)` stays the same `O(1)`
 //! lookup the rest of the workspace already serves. The answers are **bit-for-bit identical**
 //! to `build_exact`'s: both store the exact distance `d_{G\e}(s, t)`, a unique number — the
@@ -33,8 +32,7 @@
 //! # The kernel
 //!
 //! Each source is first relabelled into **preorder-local coordinates**
-//! ([`BkScratch::prepare`], one `O(n + m)` pass): vertices become heavy-first preorder
-//! positions, so the subtree below position `pc` is the interval `[pc, pc + size)` and
+//! ([`BkScratch::prepare`], one `O(n + m)` pass): vertices become preorder positions, so the subtree below position `pc` is the interval `[pc, pc + size)` and
 //! membership is `x − pc < size` (one wrapping subtraction); each adjacency row is
 //! stored in positions and ordered by depth, shallowest first. A cut then runs:
 //!
@@ -59,10 +57,13 @@
 //! output-sensitive, and `O((n + m) · log n)`-ish on the shallow trees of the random
 //! workloads — versus the brute force's `Θ(n · m)` per source (one full BFS per tree
 //! edge). `BENCH_bk.json` records the measured gap.
+//!
+//! Bernstein and Karger charge their per-path tables to a heavy-path cover; this kernel
+//! needs none, because a cut's cost does not depend on the order the cuts run in.
 
 use msrp_graph::{
-    bfs_trees_wave, CsrGraph, Distance, Graph, MultiBfsScratch, ShortestPathTree, TreePathCover,
-    Vertex, INFINITE_DISTANCE,
+    bfs_trees_wave, CsrGraph, Distance, Graph, MultiBfsScratch, ShortestPathTree, Vertex,
+    INFINITE_DISTANCE,
 };
 use msrp_obs::{timed, NoProfiler, Profiler, StageProfile};
 use msrp_rpath::SourceReplacementDistances;
@@ -71,9 +72,9 @@ use crate::ReplacementPathOracle;
 
 /// Stage labels of the profiled BK pipeline (see
 /// [`build_bk_csr_profiled`](ReplacementPathOracle::build_bk_csr_profiled)): BFS tree
-/// construction, heavy-path cover decomposition (with the per-source relabel into preorder
-/// positions), replacement-table allocation, the per-cut multi-seed BFS solves, and the
-/// shard merge.
+/// construction, the per-source relabel into preorder positions, replacement-table
+/// allocation, the per-cut multi-seed BFS solves, and the shard merge. The relabel stage
+/// keeps its historical name `"cover"`, which the benchmark harness reads.
 pub const BK_STAGES: [&str; 5] = ["tree", "cover", "rows", "cuts", "merge"];
 
 /// Sentinel position: "no vertex" (never equal to a real preorder position).
@@ -83,22 +84,24 @@ const NONE: u32 = u32::MAX;
 /// coordinates**.
 ///
 /// [`prepare`](Self::prepare) runs once per source: it relabels the source's reachable
-/// vertices by their heavy-first preorder position and stores, indexed by position, the
-/// tree depth, the subtree size and the adjacency rewritten as positions, each row ordered
-/// by depth. The subtree below position `pc` is then the position interval
+/// vertices by their tree preorder position and stores, indexed by position, the vertex,
+/// its tree depth, its subtree size and its adjacency rewritten as positions, each row
+/// ordered by depth. The subtree below position `pc` is then the position interval
 /// `[pc, pc + size[pc])`, so every cut's membership test is one wrapping subtraction and
 /// one compare, and its tentative distances live in a slice indexed by `x − pc` that the
 /// cut overwrites in full (no reset list).
 ///
-/// One scratch serves every cut of every cover path of every source, over graphs of any
-/// size, so the whole [`build_bk`](ReplacementPathOracle::build_bk) construction performs
-/// no per-cut allocation (mirroring what [`MultiBfsScratch`] does for `build_exact`).
+/// One scratch serves every cut of every source, over graphs of any size, so the whole
+/// [`build_bk`](ReplacementPathOracle::build_bk) construction performs no per-cut
+/// allocation (mirroring what [`MultiBfsScratch`] does for `build_exact`).
 #[derive(Clone, Debug, Default)]
 pub struct BkScratch {
     /// Root of the tree the per-source arrays describe (`None` before the first prepare).
     root: Option<Vertex>,
     /// Preorder position of each vertex (`NONE` for unreachable vertices).
     pos: Vec<u32>,
+    /// The vertex at each position (the inverse of `pos`).
+    vert: Vec<Vertex>,
     /// Tree depth (distance from the root) per position.
     depth: Vec<Distance>,
     /// Subtree size per position.
@@ -126,33 +129,35 @@ impl BkScratch {
     }
 
     /// The per-source relabel: one `O(n + m)` pass mapping the reachable part of `g` into
-    /// the heavy-first preorder positions of `cover`. Every cut of this source reads only
-    /// what this pass stores, so it must run (again) before the cuts of any other source.
-    ///
-    /// `tree` and `cover` must belong together (`cover == TreePathCover::build(tree)`).
+    /// the preorder positions of `tree`. Every cut of this source reads only what this pass
+    /// stores, so it must run (again) before the cuts of any other source.
     ///
     /// # Panics
     ///
     /// Panics if `tree` is not a tree over `g`'s vertex set.
-    pub fn prepare(&mut self, g: &CsrGraph, tree: &ShortestPathTree, cover: &TreePathCover) {
+    pub fn prepare(&mut self, g: &CsrGraph, tree: &ShortestPathTree) {
         let n = g.vertex_count();
         assert_eq!(tree.vertex_count(), n, "tree and graph disagree on the vertex count");
-        let order = cover.preorder();
+        let r = tree.bfs_order().len();
         self.pos.clear();
         self.pos.resize(n, NONE);
-        for (i, &v) in order.iter().enumerate() {
-            self.pos[v] = i as u32;
+        self.vert.resize(r, 0);
+        self.depth.resize(r, 0);
+        self.size.resize(r, 0);
+        let dists = tree.distances();
+        for &v in tree.bfs_order() {
+            let (pre, size) = tree.preorder_interval(v).expect("settled vertices are reachable");
+            self.pos[v] = pre as u32;
+            self.vert[pre] = v;
+            self.depth[pre] = dists[v];
+            self.size[pre] = size as u32;
         }
-        self.depth.clear();
-        self.size.clear();
         self.off.clear();
         self.adj.clear();
         self.off.push(0);
-        let (pos, dists) = (&self.pos, tree.distances());
-        for &v in order {
+        let pos = &self.pos;
+        for &v in &self.vert {
             let dv = dists[v];
-            self.depth.push(dv);
-            self.size.push(cover.subtree_size(v) as u32);
             // A reachable vertex's neighbours are reachable (so every position is real) and
             // have depth dv − 1, dv or dv + 1: counting-sort the row into those three
             // classes, shallowest first, so a cut's seed scan can stop at the first
@@ -174,7 +179,6 @@ impl BkScratch {
             self.off.push(self.adj.len() as u32);
         }
         // The root's subtree is the largest cut a search can see.
-        let r = order.len();
         self.dist.resize(r, INFINITE_DISTANCE);
         self.count.resize(r + 3, 0);
         self.root = Some(tree.source());
@@ -292,31 +296,30 @@ impl BkScratch {
 /// (entries start infinite) and the incremental patcher (entries may hold a stale finite
 /// value from the previous epoch).
 ///
-/// `scratch` must have been [prepared](BkScratch::prepare) for this `tree` and `cover`.
+/// `scratch` must have been [prepared](BkScratch::prepare) for this `tree`.
 pub(crate) fn solve_cut_into(
     tree: &ShortestPathTree,
-    cover: &TreePathCover,
     scratch: &mut BkScratch,
     out: &mut SourceReplacementDistances,
     p: Vertex,
     c: Vertex,
 ) {
     debug_assert_eq!(scratch.root, Some(tree.source()), "scratch prepared for another tree");
-    debug_assert_eq!(scratch.depth.len(), cover.preorder().len());
+    debug_assert_eq!(scratch.vert.len(), tree.bfs_order().len());
     let (pc, pp) = (scratch.pos[c], scratch.pos[p]);
     scratch.run_cut(pc, pp);
     let col = tree.distance_or_infinite(c) as usize - 1;
-    for (&t, &d) in cover.descendants(c).iter().zip(&scratch.dist) {
+    let (pc, sz) = (pc as usize, scratch.size[pc as usize] as usize);
+    for (&t, &d) in scratch.vert[pc..pc + sz].iter().zip(&scratch.dist) {
         out.set(t, col, d);
     }
 }
 
-/// The Bernstein–Karger replacement table for one source: walks every cover path of `cover`
-/// top to bottom and solves each tree-edge cut with one multi-seed subtree BFS, filling the
-/// same row layout the brute force fills — exactly (see the module docs for the identity).
+/// The Bernstein–Karger replacement table for one source: solves every tree-edge cut, in
+/// preorder, with one multi-seed subtree BFS, filling the same row layout the brute force
+/// fills — exactly (see the module docs for the identity).
 ///
-/// `tree` and `cover` must belong together (`cover == TreePathCover::build(tree)`), and the
-/// tree must be a BFS tree of `g`. Exposed (rather than private to
+/// The tree must be a BFS tree of `g`. Exposed (rather than private to
 /// [`build_bk`](ReplacementPathOracle::build_bk)) so the differential suite and experiment
 /// E10 can compare rows against `single_source_brute_force_csr` with `==`.
 ///
@@ -326,11 +329,10 @@ pub(crate) fn solve_cut_into(
 pub fn bk_replacement_distances(
     g: &CsrGraph,
     tree: &ShortestPathTree,
-    cover: &TreePathCover,
     scratch: &mut BkScratch,
 ) -> SourceReplacementDistances {
-    scratch.prepare(g, tree, cover);
-    prepared_replacement_distances(tree, cover, scratch, &mut NoProfiler)
+    scratch.prepare(g, tree);
+    prepared_replacement_distances(tree, scratch, &mut NoProfiler)
 }
 
 /// The body of [`bk_replacement_distances`] once `scratch` is prepared for `tree`, with
@@ -339,28 +341,24 @@ pub fn bk_replacement_distances(
 /// public un-profiled entry point pays nothing.
 fn prepared_replacement_distances<P: Profiler>(
     tree: &ShortestPathTree,
-    cover: &TreePathCover,
     scratch: &mut BkScratch,
     profiler: &mut P,
 ) -> SourceReplacementDistances {
     let mut out = timed(profiler, "rows", || SourceReplacementDistances::new(tree));
     timed(profiler, "cuts", || {
-        for path_id in 0..cover.path_count() {
-            for &c in cover.path(path_id) {
-                let p = match tree.parent(c) {
-                    Some(p) => p,
-                    None => continue, // c is the root: no edge above it
-                };
-                solve_cut_into(tree, cover, scratch, &mut out, p, c);
-            }
+        // Position 0 is the root, which has no edge above it.
+        for pc in 1..scratch.vert.len() {
+            let c = scratch.vert[pc];
+            let p = tree.parent(c).expect("a non-root vertex has a parent");
+            solve_cut_into(tree, scratch, &mut out, p, c);
         }
     });
     out
 }
 
 impl ReplacementPathOracle {
-    /// Builds the oracle with the real Bernstein–Karger preprocessing: heavy-path cover
-    /// decomposition of every source tree plus one multi-seed subtree BFS per tree-edge cut,
+    /// Builds the oracle with the real Bernstein–Karger preprocessing: one multi-seed
+    /// subtree BFS per tree-edge cut of every source tree,
     /// instead of [`build_exact`](Self::build_exact)'s full BFS per tree edge. Answers are
     /// bit-for-bit identical to `build_exact`'s (pinned by `tests/bk_differential.rs`);
     /// only the construction cost differs. Freezes `g` once.
@@ -395,9 +393,10 @@ impl ReplacementPathOracle {
     }
 
     /// Profiled variant of [`build_bk_csr`](Self::build_bk_csr): bit-identical output,
-    /// with per-stage wall time (`"tree"` BFS trees, `"cover"` heavy-path decomposition and
-    /// the per-source relabel, `"rows"` table allocation, `"cuts"` the multi-seed cut BFS
-    /// solves — timed once per source, not per cut) accumulated into `profile`. Experiment E12 builds its build-phase tables from this.
+    /// with per-stage wall time (`"tree"` BFS trees, `"cover"` the per-source relabel into
+    /// preorder positions, `"rows"` table allocation, `"cuts"` the multi-seed cut BFS
+    /// solves — timed once per source, not per cut) accumulated into `profile`. Experiment
+    /// E12 builds its build-phase tables from this.
     ///
     /// # Panics
     ///
@@ -419,13 +418,8 @@ impl ReplacementPathOracle {
         let distances = trees
             .iter()
             .map(|t| {
-                // The per-source relabel is charged to "cover", the decomposition it reads.
-                let cover = timed(profiler, "cover", || {
-                    let cover = TreePathCover::build(t);
-                    scratch.prepare(g, t, &cover);
-                    cover
-                });
-                prepared_replacement_distances(t, &cover, &mut scratch, profiler)
+                timed(profiler, "cover", || scratch.prepare(g, t));
+                prepared_replacement_distances(t, &mut scratch, profiler)
             })
             .collect();
         Self::from_parts(sources.to_vec(), trees, distances)
@@ -485,9 +479,8 @@ mod tests {
     fn rows_match_brute_force(g: &Graph, s: Vertex) {
         let csr = g.freeze();
         let tree = ShortestPathTree::build_csr(&csr, s);
-        let cover = TreePathCover::build(&tree);
         let mut scratch = BkScratch::new();
-        let bk = bk_replacement_distances(&csr, &tree, &cover, &mut scratch);
+        let bk = bk_replacement_distances(&csr, &tree, &mut scratch);
         let brute = msrp_rpath::single_source_brute_force_csr(&csr, &tree);
         assert_eq!(bk, brute, "source {s}");
     }
@@ -597,11 +590,10 @@ mod tests {
     fn cut_on_a_scratch_prepared_for_another_source_is_caught() {
         let csr = grid_graph(3, 3).freeze();
         let (t0, t8) = (ShortestPathTree::build_csr(&csr, 0), ShortestPathTree::build_csr(&csr, 8));
-        let (c0, c8) = (TreePathCover::build(&t0), TreePathCover::build(&t8));
         let mut scratch = BkScratch::new();
-        scratch.prepare(&csr, &t0, &c0);
+        scratch.prepare(&csr, &t0);
         let mut out = SourceReplacementDistances::new(&t8);
-        solve_cut_into(&t8, &c8, &mut scratch, &mut out, 8, 7);
+        solve_cut_into(&t8, &mut scratch, &mut out, 8, 7);
     }
 
     #[test]
@@ -614,8 +606,7 @@ mod tests {
         let mut rows = Vec::new();
         for s in [0usize, 12, 24] {
             let tree = ShortestPathTree::build_csr(&csr, s);
-            let cover = TreePathCover::build(&tree);
-            rows.push(bk_replacement_distances(&csr, &tree, &cover, &mut scratch));
+            rows.push(bk_replacement_distances(&csr, &tree, &mut scratch));
         }
         for (i, &s) in [0usize, 12, 24].iter().enumerate() {
             let tree = ShortestPathTree::build_csr(&csr, s);

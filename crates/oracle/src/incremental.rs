@@ -21,8 +21,9 @@
 //! depend only on (a) the shortest-path tree and (b) the set of edges with at least one
 //! endpoint inside the subtree. So when the tree is unchanged, a toggled edge can only dirty
 //! the cuts whose subtree contains one of its endpoints — the ancestors of those endpoints,
-//! an `O(depth)` chain ([`TreePathCover::edge_touches_subtree`] is the membership test) —
-//! and every other column is reused verbatim.
+//! an `O(depth)` chain (the cut below `c` is dirty exactly when `c` is an ancestor of an
+//! endpoint, [`ShortestPathTree::is_ancestor`]) — and every other column is reused
+//! verbatim.
 //!
 //! # The per-source ladder
 //!
@@ -38,8 +39,8 @@
 //!    ordinary BK pipeline.
 //!
 //! The equality test in rung 2 compares distances and parents, not traversal order: any
-//! tree with the same parent function yields the same canonical paths, the same path cover
-//! subtree *sets*, and therefore the same table values.
+//! tree with the same parent function yields the same canonical paths, the same subtree
+//! *sets*, and therefore the same table values.
 //!
 //! The differential suite at the bottom of this module drives seeded toggle sequences
 //! through [`ReplacementPathOracle::rebuild_bk_csr`] and pins the result row-for-row against
@@ -47,7 +48,7 @@
 
 use std::time::{Duration, Instant};
 
-use msrp_graph::{CsrGraph, DirOptScratch, Edge, ShortestPathTree, TreePathCover, Vertex};
+use msrp_graph::{CsrGraph, DirOptScratch, Edge, ShortestPathTree, Vertex};
 
 use crate::bk::{bk_replacement_distances, solve_cut_into, BkScratch};
 use crate::ReplacementPathOracle;
@@ -124,8 +125,8 @@ impl RebuildStats {
 
 /// The dirty cuts of a tree for a toggled edge: every reachable ancestor chain vertex of the
 /// edge's endpoints, root excluded (the root has no cut above it). These are exactly the
-/// cuts `c` with `cover.edge_touches_subtree(c, changed)`, enumerated in `O(depth)` by
-/// walking parent pointers instead of testing all `n` cuts.
+/// cuts `c` that are ancestors of `changed.lo()` or `changed.hi()`, enumerated in
+/// `O(depth)` by walking parent pointers instead of testing all `n` cuts.
 fn dirty_cuts(tree: &ShortestPathTree, changed: Edge) -> Vec<Vertex> {
     let mut dirty = Vec::new();
     for endpoint in [changed.lo(), changed.hi()] {
@@ -189,7 +190,6 @@ impl ReplacementPathOracle {
             }
             let new_tree = ShortestPathTree::build_with_dir_opt(g_new, old_tree.source(), &mut bfs);
             stats.cuts_total += new_tree.bfs_order().len().saturating_sub(1);
-            let cover = TreePathCover::build(&new_tree);
             if same_forest(&new_tree, old_tree) {
                 // Rung 2: same forest ⇒ same canonical paths, same row layout, same subtree
                 // sets. Only cuts whose subtree contains a toggled endpoint can differ.
@@ -197,12 +197,15 @@ impl ReplacementPathOracle {
                 let dirty = dirty_cuts(&new_tree, changed);
                 if !dirty.is_empty() {
                     // The same O(n + m) relabel the fresh BFS above already paid for.
-                    scratch.prepare(g_new, &new_tree, &cover);
+                    scratch.prepare(g_new, &new_tree);
                 }
                 for &c in &dirty {
                     let p = new_tree.parent(c).expect("dirty cut vertex has a parent");
-                    debug_assert!(cover.edge_touches_subtree(c, changed));
-                    solve_cut_into(&new_tree, &cover, &mut scratch, &mut rows, p, c);
+                    debug_assert!(
+                        new_tree.is_ancestor(c, changed.lo())
+                            || new_tree.is_ancestor(c, changed.hi())
+                    );
+                    solve_cut_into(&new_tree, &mut scratch, &mut rows, p, c);
                 }
                 stats.cuts_recomputed += dirty.len();
                 stats.sources_patched += 1;
@@ -213,7 +216,7 @@ impl ReplacementPathOracle {
                 // Rung 3: the shortest-path forest changed; rebuild this source outright.
                 stats.cuts_recomputed += new_tree.bfs_order().len().saturating_sub(1);
                 stats.sources_rebuilt += 1;
-                distances.push(bk_replacement_distances(g_new, &new_tree, &cover, &mut scratch));
+                distances.push(bk_replacement_distances(g_new, &new_tree, &mut scratch));
                 trees.push(new_tree);
                 stats.rebuild_time += rung_start.elapsed();
             }
@@ -402,6 +405,33 @@ mod tests {
             Some(msrp_graph::INFINITE_DISTANCE)
         );
         assert_equals_scratch_build(&next, &g.freeze());
+    }
+
+    #[test]
+    fn dirty_cuts_are_the_ancestors_of_the_changed_endpoints() {
+        // `dirty_cuts` against its definition, by brute force over every vertex: the
+        // reachable non-root ancestors of either endpoint.
+        let mut rng = StdRng::seed_from_u64(313);
+        let graphs = [
+            msrp_graph::generators::gnm(40, 60, &mut rng).unwrap(),
+            connected_gnm(30, 70, &mut rng).unwrap(),
+            grid_graph(5, 6),
+            Graph::from_edges(12, &[(0, 1), (1, 2), (2, 0), (2, 3), (5, 6), (6, 7), (7, 5)])
+                .unwrap(),
+        ];
+        for g in &graphs {
+            let n = g.vertex_count();
+            for s in [0, n / 2, n - 1] {
+                let tree = ShortestPathTree::build(g, s);
+                for e in g.edges() {
+                    let expected: Vec<Vertex> = (0..n)
+                        .filter(|&c| c != s && tree.is_reachable(c))
+                        .filter(|&c| tree.is_ancestor(c, e.lo()) || tree.is_ancestor(c, e.hi()))
+                        .collect();
+                    assert_eq!(dirty_cuts(&tree, e), expected, "s={s} e={e:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   avoided edge, all rows of a source in one flat buffer, found through a dense
 //!   [`SourceSlots`] table (an `O(1)` lookup, whatever σ is);
 //! * [`build_bk`](ReplacementPathOracle::build_bk) — the **real Bernstein–Karger
-//!   preprocessing** (heavy-path cover decomposition plus one multi-seed subtree search per
-//!   tree-edge cut, see the [`bk`] module);
+//!   preprocessing** (one multi-seed subtree search per tree-edge cut, in preorder-local
+//!   coordinates, see the [`bk`] module);
 //! * [`build`](ReplacementPathOracle::build) — the paper's MSRP solver packaged behind the
 //!   same interface;
 //! * [`build_exact`](ReplacementPathOracle::build_exact) — the brute-force construction used

@@ -13,7 +13,7 @@
 use msrp_graph::generators::{
     barabasi_albert, connected_gnm, cycle_graph, gnm, grid_graph, star_graph,
 };
-use msrp_graph::{CsrGraph, Graph, ShortestPathTree, TreePathCover, Vertex};
+use msrp_graph::{CsrGraph, Graph, ShortestPathTree, Vertex};
 use msrp_oracle::{bk_replacement_distances, BkScratch, ReplacementPathOracle};
 use msrp_rpath::single_source_brute_force_csr;
 use rand::rngs::StdRng;
@@ -58,10 +58,9 @@ fn differential_battery(name: &str, g: &Graph, seed: u64) {
         let mut scratch = BkScratch::new();
         for (idx, &s) in sources.iter().enumerate() {
             let tree = ShortestPathTree::build_csr(&csr, s);
-            let cover = TreePathCover::build(&tree);
             let brute = single_source_brute_force_csr(&csr, &tree);
             assert_eq!(
-                bk_replacement_distances(&csr, &tree, &cover, &mut scratch),
+                bk_replacement_distances(&csr, &tree, &mut scratch),
                 brute,
                 "{name}: sigma={sigma} s={s}"
             );
@@ -143,9 +142,8 @@ fn rows_match_brute_force(name: &str, g: &Graph, sources: &[Vertex], scratch: &m
     let csr = g.freeze();
     for &s in sources {
         let tree = ShortestPathTree::build_csr(&csr, s);
-        let cover = TreePathCover::build(&tree);
         assert_eq!(
-            bk_replacement_distances(&csr, &tree, &cover, scratch),
+            bk_replacement_distances(&csr, &tree, scratch),
             single_source_brute_force_csr(&csr, &tree),
             "{name}: s={s}"
         );

@@ -145,7 +145,7 @@ impl ShardedOracle {
     }
 
     /// Builds `shard_count` shards with the real Bernstein–Karger preprocessing
-    /// (`msrp_oracle::build_bk_shards_csr`: heavy-path cover plus per-cut subtree searches,
+    /// (`msrp_oracle::build_bk_shards_csr`: one multi-seed subtree search per tree-edge cut,
     /// one construction worker per shard over the caller's frozen view) and wires up the
     /// routing table. Serves bit-for-bit the same answers as [`build_csr`](Self::build_csr)
     /// and the `build_exact` route — only the preprocessing cost differs. `shard_count` is

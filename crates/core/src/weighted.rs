@@ -226,6 +226,7 @@ impl CutScratch {
         // Parents settle before children, so a parent's position is known when its child
         // asks for it.
         for &v in tree.order() {
+            let v = v as usize;
             let (pre, size) = tree.preorder_interval(v).expect("settled vertices are reachable");
             self.pos[v] = pre as u32;
             self.vert[pre] = v;

@@ -26,7 +26,7 @@ use crate::graph::{Graph, Vertex};
 pub const NO_PARENT: u32 = u32::MAX;
 
 /// Widens a flat sentinel-encoded parent array into the `Option<Vertex>` form the owned
-/// [`BfsResult`](crate::BfsResult) and [`ShortestPathTree`](crate::ShortestPathTree) store.
+/// [`BfsResult`](crate::BfsResult) stores (trees keep the flat form).
 pub(crate) fn decode_parents(raw: &[u32]) -> Vec<Option<Vertex>> {
     raw.iter().map(|&p| if p == NO_PARENT { None } else { Some(p as Vertex) }).collect()
 }

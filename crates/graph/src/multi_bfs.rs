@@ -28,8 +28,7 @@
 //! the brute-force replacement-path loop (one BFS per tree edge), which consumes only the
 //! distances and therefore inherits bit-identity outright.
 
-use crate::bfs::BfsResult;
-use crate::csr::{decode_parents, CsrGraph, NO_PARENT};
+use crate::csr::{CsrGraph, NO_PARENT};
 use crate::distance::{Distance, INFINITE_DISTANCE};
 use crate::edge::Edge;
 use crate::graph::Vertex;
@@ -324,22 +323,22 @@ fn tree_from_lane(
     let n = g.vertex_count();
     let dist = wave.lane_dist_vec(lane);
     let mut parent: Vec<u32> = vec![NO_PARENT; n];
-    let mut order: Vec<Vertex> = Vec::with_capacity(n);
-    order.push(source);
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    order.push(source as u32);
     let mut head = 0;
     while head < order.len() {
         let v = order[head];
         head += 1;
-        let next_level = dist[v] + 1;
-        for &w in g.neighbor_row(v) {
+        let next_level = dist[v as usize] + 1;
+        for &w in g.neighbor_row(v as usize) {
             let wu = w as usize;
             if dist[wu] == next_level && parent[wu] == NO_PARENT {
-                parent[wu] = v as u32;
-                order.push(wu);
+                parent[wu] = v;
+                order.push(w);
             }
         }
     }
-    ShortestPathTree::from_bfs(BfsResult { source, dist, parent: decode_parents(&parent), order })
+    ShortestPathTree::from_raw(source, dist, parent, order)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! ancestry test, which we answer in `O(1)` using Euler-tour entry/exit times.
 
 use crate::bfs::{bfs, BfsResult};
-use crate::csr::{bfs_csr, BfsScratch, CsrGraph};
+use crate::csr::{BfsScratch, CsrGraph, NO_PARENT};
 use crate::distance::{Distance, INFINITE_DISTANCE};
 use crate::edge::Edge;
 use crate::graph::{Graph, Vertex};
@@ -25,12 +25,15 @@ use crate::graph::{Graph, Vertex};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShortestPathTree {
     source: Vertex,
     dist: Vec<Distance>,
-    parent: Vec<Option<Vertex>>,
-    order: Vec<Vertex>,
+    /// Sentinel-encoded parents: `parent[v]` is the tree parent of `v`, or [`NO_PARENT`]
+    /// for the root and unreachable vertices (4 bytes per vertex, the kernels' own form).
+    parent: Vec<u32>,
+    /// Reachable vertices in BFS order (root first).
+    order: Vec<u32>,
     tin: Vec<u32>,
     tout: Vec<u32>,
 }
@@ -52,7 +55,7 @@ impl ShortestPathTree {
     ///
     /// Panics if `source` is out of range for `g`.
     pub fn build_csr(g: &CsrGraph, source: Vertex) -> Self {
-        Self::from_bfs(bfs_csr(g, source))
+        Self::build_with_scratch(g, source, &mut BfsScratch::new())
     }
 
     /// Builds the BFS tree rooted at `source` reusing the caller's [`BfsScratch`] buffers —
@@ -64,7 +67,12 @@ impl ShortestPathTree {
     /// Panics if `source` is out of range for `g`.
     pub fn build_with_scratch(g: &CsrGraph, source: Vertex, scratch: &mut BfsScratch) -> Self {
         scratch.run(g, source);
-        Self::from_bfs(scratch.to_result())
+        Self::from_raw(
+            source,
+            scratch.dist().to_vec(),
+            scratch.parent_raw().to_vec(),
+            scratch.order().iter().map(|&v| v as u32).collect(),
+        )
     }
 
     /// Builds the BFS tree rooted at `source` with the direction-optimizing kernel —
@@ -82,14 +90,36 @@ impl ShortestPathTree {
         scratch: &mut crate::DirOptScratch,
     ) -> Self {
         scratch.run(g, source);
-        Self::from_bfs(scratch.to_result())
+        Self::from_raw(
+            source,
+            scratch.dist().to_vec(),
+            scratch.parent_raw().to_vec(),
+            scratch.order().iter().map(|&v| v as u32).collect(),
+        )
     }
 
-    /// Builds the tree from an existing BFS result.
+    /// Builds the tree from an adjacency-list [`BfsResult`] (the adapter for
+    /// [`bfs`](crate::bfs())); the CSR kernels hand their flat buffers to
+    /// [`from_raw`](Self::from_raw) instead.
     pub fn from_bfs(bfs: BfsResult) -> Self {
         let BfsResult { source, dist, parent, order } = bfs;
-        let n = dist.len();
-        let (tin, tout) = euler_times(n, &order, &parent);
+        let parent = parent.iter().map(|p| p.map_or(NO_PARENT, |p| p as u32)).collect();
+        Self::from_raw(source, dist, parent, order.iter().map(|&v| v as u32).collect())
+    }
+
+    /// Adopts raw BFS buffers as they are: `dist` (`INFINITE_DISTANCE` when unreachable),
+    /// sentinel-encoded `parent` ([`NO_PARENT`] for the root and unreachable vertices) and
+    /// the settle `order` of the reachable vertices, root first. The buffers must describe
+    /// a BFS tree rooted at `source` (so `dist` is also the tree depth) whose `order`
+    /// settles every parent before its children (any BFS queue does); only the Euler
+    /// times are computed here.
+    pub fn from_raw(
+        source: Vertex,
+        dist: Vec<Distance>,
+        parent: Vec<u32>,
+        order: Vec<u32>,
+    ) -> Self {
+        let (tin, tout) = euler_times(&order, &parent, &dist);
         ShortestPathTree { source, dist, parent, order, tin, tout }
     }
 
@@ -131,7 +161,15 @@ impl ShortestPathTree {
     /// Tree parent of `v`.
     #[inline]
     pub fn parent(&self, v: Vertex) -> Option<Vertex> {
-        self.parent[v]
+        let p = self.parent[v];
+        (p != NO_PARENT).then_some(p as Vertex)
+    }
+
+    /// The sentinel-encoded parent array: `parents_raw()[v]` is the parent of `v` as a
+    /// `u32`, or [`NO_PARENT`] for the root and unreachable vertices.
+    #[inline]
+    pub fn parents_raw(&self) -> &[u32] {
+        &self.parent
     }
 
     /// `true` when `v` is reachable from the root.
@@ -142,7 +180,7 @@ impl ShortestPathTree {
 
     /// Reachable vertices in BFS order (root first).
     #[inline]
-    pub fn bfs_order(&self) -> &[Vertex] {
+    pub fn bfs_order(&self) -> &[u32] {
         &self.order
     }
 
@@ -179,9 +217,9 @@ impl ShortestPathTree {
     /// If `e` is a tree edge, returns its deeper endpoint (the child side), else `None`.
     pub fn deeper_endpoint(&self, e: Edge) -> Option<Vertex> {
         let (u, v) = e.endpoints();
-        if self.parent[v] == Some(u) {
+        if self.parent[v] == u as u32 {
             Some(v)
-        } else if self.parent[u] == Some(v) {
+        } else if self.parent[u] == v as u32 {
             Some(u)
         } else {
             None
@@ -224,7 +262,7 @@ impl ShortestPathTree {
         let mut path = Vec::with_capacity(self.dist[t] as usize + 1);
         let mut cur = t;
         path.push(cur);
-        while let Some(p) = self.parent[cur] {
+        while let Some(p) = self.parent(cur) {
             path.push(p);
             cur = p;
         }
@@ -241,9 +279,9 @@ impl ShortestPathTree {
         // Walk up from t to depth i + 1; its parent edge is the answer.
         let mut cur = t;
         while self.dist[cur] as usize > i + 1 {
-            cur = self.parent[cur].expect("reachable non-root vertex has a parent");
+            cur = self.parent(cur).expect("reachable non-root vertex has a parent");
         }
-        let p = self.parent[cur].expect("depth >= 1 vertex has a parent");
+        let p = self.parent(cur).expect("depth >= 1 vertex has a parent");
         Some(Edge::new(p, cur))
     }
 
@@ -262,52 +300,56 @@ impl ShortestPathTree {
         }
         let mut cur = t;
         while self.dist[cur] as usize > depth {
-            cur = self.parent[cur]?;
+            cur = self.parent(cur)?;
         }
         Some(cur)
     }
 }
 
-/// Euler entry/exit times of the rooted tree given by its settle `order` (root first) and
-/// `parent` array: the times of a DFS from the root that visits each vertex's children in
-/// settle order (unreachable vertices keep time 0). Shared by the unweighted [`ShortestPathTree`] and
-/// the weighted [`WeightedTree`](crate::WeightedTree), whose `O(1)` ancestry tests both
-/// reduce to interval containment of these times.
+/// Euler entry/exit times of the rooted tree given by its settle `order` (root first, every
+/// parent before its children), sentinel-encoded `parent` array and tree `depth` (the hop
+/// distance for a BFS tree): the times of a DFS from the root that visits each vertex's
+/// children in settle order (unreachable vertices keep time 0). Shared by the unweighted
+/// [`ShortestPathTree`] and the weighted [`WeightedTree`](crate::WeightedTree), whose
+/// `O(1)` ancestry tests both reduce to interval containment of these times.
 ///
 /// Computed in closed form rather than by walking the DFS: a vertex with preorder index
 /// `i`, tree depth `d` and subtree size `s` is entered after `i` entries and `i − d`
 /// exits, so `tin = 1 + 2i − d` and `tout = tin + 2s − 1`. Sizes accumulate child → parent
-/// over the reversed settle order; preorder indices follow in one forward pass, because
+/// over the reversed settle order. Preorder indices follow in one forward pass, because
 /// each vertex's children appear in settle order and a child's slot is its parent's next
-/// free one. No children lists and no stack: the snapshot boot path runs this once per
-/// persisted source.
-pub(crate) fn euler_times(
-    n: usize,
-    order: &[Vertex],
-    parent: &[Option<Vertex>],
-) -> (Vec<u32>, Vec<u32>) {
-    // `tout` holds subtree sizes until the last pass, `tin` each vertex's next child slot.
+/// free one: `tin[v]` holds that next slot, which ends at `i + s`, so `i` is recovered as
+/// `tin[v] − s` without an array of its own. No children lists and no stack: the snapshot
+/// boot path runs this once per persisted source.
+pub(crate) fn euler_times(order: &[u32], parent: &[u32], depth: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let n = parent.len();
+    // `tout` holds subtree sizes until the last pass.
     let mut tin = vec![0u32; n];
     let mut tout = vec![0u32; n];
     for &v in order.iter().rev() {
+        let v = v as usize;
         tout[v] += 1;
-        if let Some(p) = parent[v] {
-            tout[p] += tout[v];
+        let p = parent[v];
+        if p != NO_PARENT {
+            tout[p as usize] += tout[v];
         }
     }
-    let mut pre = vec![0u32; n];
-    let mut depth = vec![0u32; n];
     for &v in order {
-        if let Some(p) = parent[v] {
-            pre[v] = tin[p];
+        let v = v as usize;
+        let p = parent[v];
+        if p == NO_PARENT {
+            tin[v] = 1;
+        } else {
+            let p = p as usize;
+            tin[v] = tin[p] + 1;
             tin[p] += tout[v];
-            depth[v] = depth[p] + 1;
         }
-        tin[v] = pre[v] + 1;
     }
     for &v in order {
+        let v = v as usize;
         let size = tout[v];
-        tin[v] = 1 + 2 * pre[v] - depth[v];
+        let pre = tin[v] - size;
+        tin[v] = 1 + 2 * pre - depth[v];
         tout[v] = tin[v] + 2 * size - 1;
     }
     (tin, tout)
@@ -442,8 +484,8 @@ pub(crate) mod tests {
             } else {
                 tin[v] = timer;
                 stack.push((v, true));
-                let kids = t.order.iter().filter(|&&c| t.parent[c] == Some(v));
-                stack.extend(kids.rev().map(|&c| (c, false)));
+                let kids = t.order.iter().filter(|&&c| t.parent[c as usize] == v as u32);
+                stack.extend(kids.rev().map(|&c| (c as usize, false)));
             }
             timer += 1;
         }
@@ -468,12 +510,13 @@ pub(crate) mod tests {
     }
 
     /// Preorder positions and subtree sizes of the tree given by its `source`, settle
-    /// `order` and `parent` array, by an explicit DFS from the root with children in settle
-    /// order (`None` for vertices outside the tree). Shared with the weighted tree's tests.
+    /// `order` and sentinel-encoded `parent` array, by an explicit DFS from the root with
+    /// children in settle order (`None` for vertices outside the tree). Shared with the
+    /// weighted tree's tests.
     pub(crate) fn reference_preorder(
         source: Vertex,
-        order: &[Vertex],
-        parent: &[Option<Vertex>],
+        order: &[u32],
+        parent: &[u32],
     ) -> Vec<Option<(usize, usize)>> {
         let mut out = vec![None; parent.len()];
         let mut next = 0;
@@ -486,30 +529,65 @@ pub(crate) mod tests {
                 out[v] = Some((next, 0));
                 next += 1;
                 stack.push((v, true));
-                let kids = order.iter().filter(|&&c| parent[c] == Some(v));
-                stack.extend(kids.rev().map(|&c| (c, false)));
+                let kids = order.iter().filter(|&&c| parent[c as usize] == v as u32);
+                stack.extend(kids.rev().map(|&c| (c as usize, false)));
             }
         }
         out
     }
 
-    #[test]
-    fn hop_preorder_intervals_match_an_explicit_dfs() {
+    /// The graph set of the preorder and raw-constructor tests.
+    fn preorder_graphs() -> [Graph; 5] {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(47);
-        let graphs = [
+        [
             sample_graph(),
             crate::generators::grid_graph(5, 6),
             crate::generators::gnm(60, 70, &mut rng).unwrap(),
             // Unreachable vertices, including isolated ones.
             Graph::from_edges(7, &[(0, 1), (1, 2), (0, 2), (4, 5)]).unwrap(),
             Graph::new(1),
-        ];
-        for g in &graphs {
+        ]
+    }
+
+    #[test]
+    fn hop_preorder_intervals_match_an_explicit_dfs() {
+        for g in &preorder_graphs() {
             for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
                 let t = ShortestPathTree::build(g, s);
                 let derived: Vec<_> =
                     (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
                 assert_eq!(derived, reference_preorder(s, &t.order, &t.parent), "s={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn raw_constructors_match_the_adjacency_list_adapter() {
+        // Every CSR kernel hands its u32 buffers to `from_raw`; each tree must equal the
+        // one `from_bfs` adapts from the adjacency-list BFS.
+        let (mut td, mut dopt) = (BfsScratch::new(), crate::DirOptScratch::new());
+        let mut wave = crate::MultiBfsScratch::new();
+        for g in &preorder_graphs() {
+            let csr = g.freeze();
+            let n = g.vertex_count();
+            let sources = [0, n / 2, n - 1];
+            let waved = crate::bfs_trees_wave(&csr, &sources, &mut wave);
+            for (k, &s) in sources.iter().enumerate() {
+                let reference = ShortestPathTree::from_bfs(bfs(g, s));
+                let built = [
+                    ("scratch", ShortestPathTree::build_with_scratch(&csr, s, &mut td)),
+                    ("dir-opt", ShortestPathTree::build_with_dir_opt(&csr, s, &mut dopt)),
+                    ("wave", waved[k].clone()),
+                ];
+                for (kernel, t) in &built {
+                    for v in 0..n {
+                        assert_eq!(t.parent(v), reference.parent(v), "{kernel} s={s} v={v}");
+                        let interval = t.preorder_interval(v);
+                        assert_eq!(interval, reference.preorder_interval(v), "{kernel} s={s}");
+                    }
+                    assert_eq!(t.bfs_order(), reference.bfs_order(), "{kernel} s={s}");
+                    assert_eq!(t, &reference, "{kernel} s={s}");
+                }
             }
         }
     }

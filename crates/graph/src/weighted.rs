@@ -25,6 +25,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+use crate::csr::NO_PARENT;
 use crate::dijkstra::{DijkstraResult, Weight, INFINITE_WEIGHT};
 use crate::edge::Edge;
 use crate::error::GraphError;
@@ -628,15 +629,17 @@ impl DijkstraScratch {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WeightedTree {
     source: Vertex,
     dist: Vec<Weight>,
-    parent: Vec<Option<Vertex>>,
+    /// Sentinel-encoded parents ([`NO_PARENT`] for the root and unreachable vertices).
+    parent: Vec<u32>,
     /// Hop depth in the tree (0 for the source; 0 for unreachable vertices, which are not
     /// part of the tree).
     depth: Vec<u32>,
-    order: Vec<Vertex>,
+    /// Reachable vertices in settle order (root first).
+    order: Vec<u32>,
     tin: Vec<u32>,
     tout: Vec<u32>,
 }
@@ -668,27 +671,31 @@ impl WeightedTree {
         Self::from_parts(
             source,
             scratch.dist().to_vec(),
-            scratch.parent().to_vec(),
-            scratch.order().to_vec(),
+            scratch.parent().iter().map(|p| p.map_or(NO_PARENT, |p| p as u32)).collect(),
+            scratch.order().iter().map(|&v| v as u32).collect(),
         )
     }
 
-    /// Builds the annotated tree from raw Dijkstra buffers. `order` must settle parents
-    /// before children (any Dijkstra settle order does).
+    /// Adopts raw Dijkstra buffers as they are: `dist` (`INFINITE_WEIGHT` when
+    /// unreachable), sentinel-encoded `parent` ([`NO_PARENT`] for the root and unreachable
+    /// vertices) and the settle `order` of the reachable vertices, root first. `order` must
+    /// settle parents before children (any Dijkstra settle order does); only the hop depths
+    /// and the Euler times are computed here.
     pub fn from_parts(
         source: Vertex,
         dist: Vec<Weight>,
-        parent: Vec<Option<Vertex>>,
-        order: Vec<Vertex>,
+        parent: Vec<u32>,
+        order: Vec<u32>,
     ) -> Self {
         let n = dist.len();
         let mut depth = vec![0u32; n];
         for &v in &order {
-            if let Some(p) = parent[v] {
-                depth[v] = depth[p] + 1;
+            let p = parent[v as usize];
+            if p != NO_PARENT {
+                depth[v as usize] = depth[p as usize] + 1;
             }
         }
-        let (tin, tout) = euler_times(n, &order, &parent);
+        let (tin, tout) = euler_times(&order, &parent, &depth);
         WeightedTree { source, dist, parent, depth, order, tin, tout }
     }
 
@@ -750,7 +757,15 @@ impl WeightedTree {
     /// Tree parent of `v`.
     #[inline]
     pub fn parent(&self, v: Vertex) -> Option<Vertex> {
-        self.parent[v]
+        let p = self.parent[v];
+        (p != NO_PARENT).then_some(p as Vertex)
+    }
+
+    /// The sentinel-encoded parent array: `parents_raw()[v]` is the parent of `v` as a
+    /// `u32`, or [`NO_PARENT`] for the root and unreachable vertices.
+    #[inline]
+    pub fn parents_raw(&self) -> &[u32] {
+        &self.parent
     }
 
     /// `true` when `v` is reachable from the root.
@@ -761,7 +776,7 @@ impl WeightedTree {
 
     /// Reachable vertices in settle order (root first, distances non-decreasing).
     #[inline]
-    pub fn order(&self) -> &[Vertex] {
+    pub fn order(&self) -> &[u32] {
         &self.order
     }
 
@@ -783,9 +798,9 @@ impl WeightedTree {
     /// If `e` is a tree edge, returns its deeper endpoint (the child side), else `None`.
     pub fn deeper_endpoint(&self, e: Edge) -> Option<Vertex> {
         let (u, v) = e.endpoints();
-        if self.parent[v] == Some(u) {
+        if self.parent[v] == u as u32 {
             Some(v)
-        } else if self.parent[u] == Some(v) {
+        } else if self.parent[u] == v as u32 {
             Some(u)
         } else {
             None
@@ -823,7 +838,7 @@ impl WeightedTree {
         let mut path = Vec::with_capacity(self.depth[t] as usize + 1);
         let mut cur = t;
         path.push(cur);
-        while let Some(p) = self.parent[cur] {
+        while let Some(p) = self.parent(cur) {
             path.push(p);
             cur = p;
         }
@@ -1022,10 +1037,10 @@ mod tests {
         assert_eq!(t.path_from_source(3), Some(vec![0, 1, 2, 3]));
     }
 
-    #[test]
-    fn preorder_intervals_match_an_explicit_dfs() {
+    /// The graph set of the preorder and raw-constructor tests.
+    fn preorder_graphs() -> [WeightedCsrGraph; 5] {
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(43);
-        let graphs = [
+        [
             sample().freeze(),
             // Zero weights: every distance ties at 0, so the tree shape comes from the
             // settle order alone.
@@ -1041,14 +1056,42 @@ mod tests {
                 .unwrap()
                 .freeze(),
             WeightedGraph::new(1).freeze(),
-        ];
-        for g in &graphs {
+        ]
+    }
+
+    #[test]
+    fn preorder_intervals_match_an_explicit_dfs() {
+        for g in &preorder_graphs() {
             for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
                 let t = WeightedTree::build(g, s);
                 let derived: Vec<_> =
                     (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
                 let reference = crate::tree::tests::reference_preorder(s, &t.order, &t.parent);
                 assert_eq!(derived, reference, "s={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn raw_constructor_matches_the_scratch_buffers() {
+        // `from_parts` adopts the u32 form of the scratch's buffers; read back, it must
+        // give the scratch's own parents and order, and the preorder of an explicit DFS.
+        let mut scratch = DijkstraScratch::new();
+        for g in &preorder_graphs() {
+            for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
+                let t = WeightedTree::build_with_scratch(g, s, &mut scratch);
+                for v in 0..g.vertex_count() {
+                    assert_eq!(t.parent(v), scratch.parent()[v], "s={s} v={v}");
+                }
+                let order: Vec<Vertex> = t.order().iter().map(|&v| v as Vertex).collect();
+                assert_eq!(order, scratch.order(), "s={s}");
+                let reference =
+                    crate::tree::tests::reference_preorder(s, t.order(), t.parents_raw());
+                for (v, &interval) in reference.iter().enumerate() {
+                    assert_eq!(t.preorder_interval(v), interval, "s={s} v={v}");
+                }
+                assert_eq!(g.dijkstra(s).pred, scratch.parent(), "s={s}");
+                assert_eq!(t, WeightedTree::build(g, s), "s={s}");
             }
         }
     }

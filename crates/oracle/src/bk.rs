@@ -146,6 +146,7 @@ impl BkScratch {
         self.size.resize(r, 0);
         let dists = tree.distances();
         for &v in tree.bfs_order() {
+            let v = v as usize;
             let (pre, size) = tree.preorder_interval(v).expect("settled vertices are reachable");
             self.pos[v] = pre as u32;
             self.vert[pre] = v;

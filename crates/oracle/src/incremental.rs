@@ -148,7 +148,7 @@ fn dirty_cuts(tree: &ShortestPathTree, changed: Edge) -> Vec<Vertex> {
 /// equal parent functions. Traversal-order fields are deliberately not compared (they do not
 /// affect any stored answer).
 fn same_forest(a: &ShortestPathTree, b: &ShortestPathTree) -> bool {
-    a.distances() == b.distances() && (0..a.vertex_count()).all(|v| a.parent(v) == b.parent(v))
+    a.distances() == b.distances() && a.parents_raw() == b.parents_raw()
 }
 
 impl ReplacementPathOracle {

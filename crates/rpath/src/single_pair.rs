@@ -73,6 +73,7 @@ pub fn single_pair_replacement_paths(
     }
     let mut branch: Vec<u32> = vec![0; n];
     for &v in tree.bfs_order() {
+        let v = v as usize;
         if let Some(i) = path_index[v] {
             branch[v] = i;
         } else if let Some(p) = tree.parent(v) {

@@ -32,22 +32,34 @@
 //! `Vec` with `chunks_exact` — the layout supports the mmap route, the reference
 //! implementation does not need it to hit its speedup budget (see `BENCH_snapshot.json`).
 //!
-//! What is persisted is deliberately minimal. Trees are stored as their BFS/Dijkstra raw
-//! buffers (`dist`, sentinel-encoded `parent`, settle `order`) and re-annotated on load via
-//! [`ShortestPathTree::from_bfs`] / [`WeightedTree::from_parts`]; replacement tables are
-//! stored as their flat row values only, because the row *shapes* are a function of the
-//! tree (row length = hop distance in the unweighted oracle, hop depth in the weighted
-//! one). The graph is stored as its raw CSR arrays, which
-//! [`CsrGraph::from_raw_parts`] revalidates structurally on load.
+//! What is persisted is deliberately minimal. Trees are stored as the raw buffers they
+//! hold in memory (`dist`, sentinel-encoded `u32` `parent`, `u32` settle `order`), and a
+//! boot adopts each source's validated slices as they are through
+//! [`ShortestPathTree::from_raw`] / [`WeightedTree::from_parts`], which only add the Euler
+//! times (and, weighted, the hop depths); replacement tables are stored as their flat row
+//! values only, because the row *shapes* are a function of the tree (row length = hop
+//! distance in the unweighted oracle, hop depth in the weighted one). The graph is stored
+//! as its raw CSR arrays, which [`CsrGraph::from_raw_parts`] revalidates structurally on
+//! load.
 //!
 //! # Fail closed
 //!
 //! Decoding never panics and never returns a silently wrong oracle: any corrupt,
 //! truncated, or version-skewed input yields a typed [`SnapError`]. Validation is layered
 //! — magic, version, kind, file length, whole-file checksum, section-table bounds,
-//! per-section checksums, then structural validation of every decoded array — so that by
-//! the time [`ReplacementPathOracle::from_parts`] (which asserts) is called, its
-//! preconditions are already proven. The corruption fuzz battery in
+//! per-section checksums, then structural validation of every decoded array. For each
+//! tree that last rung proves the root settles first, the settle order names exactly the
+//! reachable vertices and settles every parent before its child (hop: in BFS queue order;
+//! weighted: in non-decreasing distance), unreachable vertices have no parent, and every
+//! reachable non-root vertex hangs off its parent by a graph edge with
+//! `dist[parent] + len(edge) == dist[vertex]`. A parent word that lies (a grandparent,
+//! the vertex itself, a non-neighbour, `NO_PARENT` on a reachable vertex, a parent on an
+//! unreachable one) fails here instead of answering wrongly or looping in a path walk.
+//! Like row values, the choice among equally short parents that keeps the settle order
+//! consistent is content only the checksums guard: proving the first-settled parent would
+//! scan every CSR row once per source, as much work as the rest of the decode. All this
+//! holds so that by the time [`ReplacementPathOracle::from_parts`] (which asserts) is
+//! called, its preconditions are already proven. The corruption fuzz battery in
 //! `tests/snapshot_fuzz.rs` pins this: every seeded bit flip, truncation, section-offset
 //! lie, and version bump must either round-trip bit-identically or fail closed here.
 
@@ -58,7 +70,7 @@ use std::error::Error;
 use std::fmt;
 
 use msrp_graph::{
-    BfsResult, CsrGraph, GraphError, ShortestPathTree, Vertex, WeightedCsrGraph, WeightedTree,
+    CsrGraph, GraphError, ShortestPathTree, Vertex, WeightedCsrGraph, WeightedTree,
     INFINITE_DISTANCE, INFINITE_WEIGHT, NO_PARENT,
 };
 use msrp_oracle::{ReplacementPathOracle, WeightedReplacementOracle};
@@ -315,11 +327,6 @@ fn push_u64s<I: IntoIterator<Item = u64>>(dst: &mut Vec<u8>, words: I) {
     }
 }
 
-/// Sentinel-encodes a tree parent array (`NO_PARENT` for the root and unreachable).
-fn encode_parents(n: usize, parent_of: impl Fn(Vertex) -> Option<Vertex>) -> Vec<u32> {
-    (0..n).map(|v| parent_of(v).map_or(NO_PARENT, |p| p as u32)).collect()
-}
-
 /// Lays out header + section table + 8-aligned payloads and stamps both checksum layers.
 fn assemble(kind: SnapKind, sections: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
     let table_end = HEADER_BYTES + TABLE_ENTRY_BYTES * sections.len();
@@ -381,8 +388,8 @@ pub fn encode_snapshot(g: &CsrGraph, shards: &[ReplacementPathOracle]) -> Vec<u8
     for shard in shards {
         for (tree, table) in shard.trees().iter().zip(shard.per_source()) {
             push_u32s(&mut tree_dist, tree.distances().iter().copied());
-            push_u32s(&mut tree_parent, encode_parents(n, |v| tree.parent(v)));
-            push_u32s(&mut tree_order, tree.bfs_order().iter().map(|&v| v as u32));
+            push_u32s(&mut tree_parent, tree.parents_raw().iter().copied());
+            push_u32s(&mut tree_order, tree.bfs_order().iter().copied());
             for t in 0..n {
                 let row = table.row(t);
                 push_u32s(&mut rows, row.iter().copied());
@@ -445,8 +452,8 @@ pub fn encode_weighted_snapshot(
     for shard in shards {
         for (tree, table) in shard.trees().iter().zip(shard.per_source()) {
             push_u64s(&mut tree_dist, tree.distances().iter().copied());
-            push_u32s(&mut tree_parent, encode_parents(n, |v| tree.parent(v)));
-            push_u32s(&mut tree_order, tree.order().iter().map(|&v| v as u32));
+            push_u32s(&mut tree_parent, tree.parents_raw().iter().copied());
+            push_u32s(&mut tree_order, tree.order().iter().copied());
             for t in 0..n {
                 let row = table.row(t);
                 push_u64s(&mut rows, row.iter().copied());
@@ -705,51 +712,77 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
     })
 }
 
-/// Validates one tree's raw buffers: parents are in range (or sentinel), the settle order
-/// names exactly the reachable vertices, and the root looks like a root. Everything the
-/// tree re-annotation (`from_bfs` / `from_parts`) and the row-shape derivation index with
-/// is proven in range here — this is what makes the downstream constructors panic-free on
-/// arbitrary checksum-valid bytes.
-fn validate_tree_arrays<D: Copy + Eq>(
+/// Validates one tree's raw buffers before the tree adopts them as they are. Proven here:
+///
+/// * the root has distance 0 and no parent, and settles first;
+/// * the settle order names exactly the reachable vertices, each once, and settles every
+///   parent before its child, in non-decreasing `settle_key(vertex, parent's position)`;
+/// * every unreachable vertex has no parent;
+/// * every reachable `v ≠ source` hangs off its parent `p` by a graph edge
+///   (`edge_len(p, v)`, a binary search of `v`'s sorted CSR row) with
+///   `dist[p] + len(p, v) == dist[v]`.
+///
+/// Settling parents first rules out cycles even under zero weights, and it is the order
+/// the Euler-time and depth passes of [`ShortestPathTree::from_raw`] /
+/// [`WeightedTree::from_parts`] rely on; the distance equation makes every tree path a
+/// graph path of the stored length. A lied parent word (a grandparent, the vertex itself,
+/// a non-neighbour, `NO_PARENT` on a reachable vertex, a parent on an unreachable one)
+/// fails here instead of answering wrongly or looping in a path walk. The order pass
+/// follows the settle order; the edge pass runs in vertex order, so it reads the CSR rows
+/// front to back.
+fn validate_tree<D: Copy + Eq + Into<u64>, K: Ord>(
     source: Vertex,
-    n: usize,
     dist: &[D],
     infinite: D,
-    zero: D,
     parent: &[u32],
     order: &[u32],
+    settle_key: impl Fn(u32, u32) -> K,
+    edge_len: impl Fn(Vertex, Vertex) -> Option<D>,
 ) -> Result<(), SnapError> {
-    if dist[source] != zero {
-        return Err(structure(format!("tree of source {source} has nonzero root distance")));
+    let n = dist.len();
+    let lie = |what: String| Err(structure(format!("tree of source {source} {what}")));
+    if dist[source].into() != 0
+        || parent[source] != NO_PARENT
+        || order.first() != Some(&(source as u32))
+    {
+        return lie("does not root at its source".into());
     }
-    if parent[source] != NO_PARENT {
-        return Err(structure(format!("tree of source {source} gives the root a parent")));
-    }
-    if parent.iter().any(|&p| p != NO_PARENT && p as usize >= n) {
-        return Err(structure(format!("tree of source {source} has an out-of-range parent")));
-    }
-    let reachable = dist.iter().filter(|&&d| d != infinite).count();
-    if order.len() != reachable {
-        return Err(structure(format!(
-            "tree of source {source} settles {} vertices but {reachable} are reachable",
-            order.len()
-        )));
-    }
-    let mut seen = vec![false; n];
-    for &v in order {
-        let v = v as usize;
-        if v >= n || seen[v] {
-            return Err(structure(format!(
-                "tree of source {source} has an invalid or repeated settle entry"
-            )));
+    // Settle positions (`u32::MAX` = not settled yet); a parent must already have one.
+    let mut pos = vec![u32::MAX; n];
+    pos[source] = 0;
+    let mut last_key = None;
+    for (i, &v) in order.iter().enumerate().skip(1) {
+        if v as usize >= n || pos[v as usize] != u32::MAX {
+            return lie(format!("has an invalid or repeated settle entry {v}"));
         }
-        seen[v] = true;
+        let p = parent[v as usize] as usize;
+        if p >= n || pos[p] == u32::MAX {
+            return lie(format!("settles {v} before any parent"));
+        }
+        let key = settle_key(v, pos[p]);
+        if last_key.as_ref().is_some_and(|last| *last > key) {
+            return lie(format!("settles {v} out of order"));
+        }
+        last_key = Some(key);
+        pos[v as usize] = i as u32;
     }
-    for (v, &d) in dist.iter().enumerate() {
-        if (d != infinite) != seen[v] {
-            return Err(structure(format!(
-                "tree of source {source} disagrees with its settle order on reachability"
-            )));
+    for v in 0..n {
+        let settled = pos[v] != u32::MAX;
+        if (dist[v] != infinite) != settled {
+            return lie(format!("disagrees with its settle order on whether {v} is reachable"));
+        }
+        if !settled && parent[v] != NO_PARENT {
+            return lie(format!("gives unreachable vertex {v} a parent"));
+        }
+        if !settled || v == source {
+            continue;
+        }
+        // The order pass proved `p` in range and settled, so its distance is finite.
+        let p = parent[v] as usize;
+        let tight = edge_len(p, v)
+            .is_some_and(|len| dist[p].into().checked_add(len.into()) == Some(dist[v].into()));
+        if !tight {
+            return lie(format!("has no tight edge from {p} to its child {v}"));
         }
     }
     Ok(())
@@ -802,7 +835,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapError> {
         )));
     }
 
-    // Per-source reconstruction: validate, re-annotate the tree, derive the row shapes
+    // Per-source reconstruction: validate, adopt the tree, derive the row shapes
     // from it, and fill them from the flat stream.
     let mut trees = Vec::with_capacity(sigma);
     let mut tables = Vec::with_capacity(sigma);
@@ -817,7 +850,17 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapError> {
         }
         let order = &tree_order[order_cursor..order_cursor + reachable];
         order_cursor += reachable;
-        validate_tree_arrays(s, n, dist, INFINITE_DISTANCE, 0, parent, order)?;
+        // BFS queue discipline: children grouped by their parent's settle position,
+        // ascending id within a group, as the top-down kernel appends them.
+        validate_tree(
+            s,
+            dist,
+            INFINITE_DISTANCE,
+            parent,
+            order,
+            |v, parent_pos| (parent_pos, v),
+            |p, v| graph.neighbor_row(v).binary_search(&(p as u32)).is_ok().then_some(1),
+        )?;
         // Memory-bounding gate: the table constructor below sizes each row by the tree
         // distance, so a lied (finite but huge) distance word would otherwise translate
         // into a multi-gigabyte allocation from a kilobyte-sized file. Prove the derived
@@ -828,15 +871,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapError> {
         if (row_cursor as u64).saturating_add(tree_rows) > rows.len() as u64 {
             return Err(structure(format!("rows of source {s} overrun their section")));
         }
-        let tree = ShortestPathTree::from_bfs(BfsResult {
-            source: s,
-            dist: dist.to_vec(),
-            parent: parent
-                .iter()
-                .map(|&p| if p == NO_PARENT { None } else { Some(p as Vertex) })
-                .collect(),
-            order: order.iter().map(|&v| v as Vertex).collect(),
-        });
+        let tree = ShortestPathTree::from_raw(s, dist.to_vec(), parent.to_vec(), order.to_vec());
         // Row shapes are a function of the (validated) tree: length = hop distance for
         // reachable targets. The gate above proved the flat stream holds this source's
         // whole row total, so the bulk constructor's exact-payout panic cannot fire.
@@ -921,13 +956,20 @@ pub fn decode_weighted_snapshot(bytes: &[u8]) -> Result<WeightedSnapshot, SnapEr
         }
         let order = &tree_order[order_cursor..order_cursor + reachable];
         order_cursor += reachable;
-        validate_tree_arrays(s, n, dist, INFINITE_WEIGHT, 0, parent, order)?;
-        let tree = WeightedTree::from_parts(
+        // Dijkstra settles in non-decreasing distance.
+        validate_tree(
             s,
-            dist.to_vec(),
-            parent.iter().map(|&p| if p == NO_PARENT { None } else { Some(p as Vertex) }).collect(),
-            order.iter().map(|&v| v as Vertex).collect(),
-        );
+            dist,
+            INFINITE_WEIGHT,
+            parent,
+            order,
+            |v, _| dist[v as usize],
+            |p, v| {
+                let (targets, weights) = graph.neighbor_row(v);
+                targets.binary_search(&(p as u32)).ok().map(|i| weights[i])
+            },
+        )?;
+        let tree = WeightedTree::from_parts(s, dist.to_vec(), parent.to_vec(), order.to_vec());
         // Memory-bounding gate, weighted flavour: rows are sized by hop *depth*, and a
         // crafted path-shaped parent array makes Σ depth(t) quadratic in n. Prove the
         // derived total fits the (file-size-bounded) ROWS section before the table

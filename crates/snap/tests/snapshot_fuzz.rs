@@ -14,7 +14,7 @@ use msrp_graph::generators::{
     barabasi_albert, connected_gnm, cycle_graph, gnm, grid_graph, star_graph,
     weighted_connected_gnm,
 };
-use msrp_graph::Graph;
+use msrp_graph::{Graph, WeightedGraph, NO_PARENT};
 use msrp_oracle::{build_bk_shards, ReplacementPathOracle, WeightedReplacementOracle};
 use msrp_snap::{
     decode_snapshot, decode_weighted_snapshot, encode_snapshot, encode_weighted_snapshot,
@@ -59,12 +59,25 @@ fn reference_snapshot() -> Vec<u8> {
     encode_snapshot(&g.freeze(), &shards)
 }
 
-/// Asserts two oracle sets answer identically, row for row, via their public tables.
+/// Asserts two oracle sets answer identically, row for row, via their public tables, and
+/// hold identical trees (distances, parents, settle order and the Euler times derived from
+/// them): a lied parent word that decodes must not hide behind equal rows.
 fn assert_same_tables(a: &[ReplacementPathOracle], b: &[ReplacementPathOracle]) {
     assert_eq!(a.len(), b.len(), "shard counts must agree");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.sources(), y.sources());
         assert_eq!(x.per_source(), y.per_source(), "replacement tables must be identical");
+        assert_eq!(x.trees(), y.trees(), "source trees must be identical");
+    }
+}
+
+/// The weighted twin of [`assert_same_tables`].
+fn assert_same_weighted_tables(a: &[WeightedReplacementOracle], b: &[WeightedReplacementOracle]) {
+    assert_eq!(a.len(), b.len(), "shard counts must agree");
+    for (x, y) in a.iter().zip(b) {
+        assert_eq!(x.sources(), y.sources());
+        assert_eq!(x.per_source(), y.per_source(), "replacement tables must be identical");
+        assert_eq!(x.trees(), y.trees(), "source trees must be identical");
     }
 }
 
@@ -106,12 +119,22 @@ fn weighted_families_boot_bit_identical() {
         let bytes = encode_weighted_snapshot(&g, &shards);
         let snap = decode_weighted_snapshot(&bytes).expect("weighted round trip");
         assert_eq!(snap.graph, g);
-        for (x, y) in snap.shards.iter().zip(&shards) {
-            assert_eq!(x.sources(), y.sources());
-            assert_eq!(x.per_source(), y.per_source());
-        }
+        assert_same_weighted_tables(&snap.shards, &shards);
         assert_eq!(encode_weighted_snapshot(&snap.graph, &snap.shards), bytes);
     }
+}
+
+#[test]
+fn zero_weight_trees_boot_bit_identical() {
+    // Zero weights tie whole regions at one distance, so the settle order alone shapes the
+    // trees: the decoder's parent and heap-order proofs must accept exactly what Dijkstra
+    // settled.
+    let g = WeightedGraph::from_graph(&grid_graph(5, 6), |e| (e.lo() % 3) as u64).freeze();
+    let shards = vec![WeightedReplacementOracle::build_exact(&g, &[0, 14, 29])];
+    let bytes = encode_weighted_snapshot(&g, &shards);
+    let snap = decode_weighted_snapshot(&bytes).expect("zero-weight round trip");
+    assert_same_weighted_tables(&snap.shards, &shards);
+    assert_eq!(encode_weighted_snapshot(&snap.graph, &snap.shards), bytes);
 }
 
 #[test]
@@ -350,4 +373,147 @@ fn inspect_agrees_with_decode_on_the_pristine_file() {
     assert_eq!(info.source_count, snap.shards.iter().map(|s| s.sources().len()).sum::<usize>());
     assert_eq!(info.entry_count, snap.shards.iter().map(|s| s.entry_count() as u64).sum::<u64>());
     assert_eq!(info.bytes, bytes.len());
+}
+
+/// Rewrites the parent word of vertex `v` in the `tree`-th persisted tree (snapshot order)
+/// and re-stamps the section and file checksums, so only the structural validators stand
+/// between the lie and a booted oracle.
+fn lie_about_parent(bytes: &[u8], n: usize, tree: usize, v: usize, word: u32) -> Vec<u8> {
+    const TREE_PARENT_ID: u32 = 8;
+    let mut mutated = bytes.to_vec();
+    let section_count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    let entry = (0..section_count)
+        .map(|i| 40 + 32 * i)
+        .find(|&e| u32::from_le_bytes(bytes[e..e + 4].try_into().unwrap()) == TREE_PARENT_ID)
+        .expect("a tree-parent section");
+    let off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+    let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+    let at = off + 4 * (tree * n + v);
+    mutated[at..at + 4].copy_from_slice(&word.to_le_bytes());
+    let sum = fnv1a64_lanes(&mutated[off..off + len]);
+    mutated[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
+    restamp(&mut mutated);
+    mutated
+}
+
+/// One persisted tree as the parent-lie battery sees it: its parent words and each
+/// vertex's level (hop distance, or hop depth for the weighted metric; `None` when
+/// unreachable).
+struct TreeView {
+    parents: Vec<u32>,
+    level: Vec<Option<usize>>,
+}
+
+/// The first `(tree, vertex, lied word)` over the trees in snapshot order that `pick`
+/// accepts; panics when none does, so no lie is ever skipped silently.
+fn first_lie(
+    trees: &[TreeView],
+    label: &str,
+    pick: impl Fn(&TreeView, usize) -> Option<u32>,
+) -> (usize, usize, u32) {
+    for (i, t) in trees.iter().enumerate() {
+        for v in 0..t.parents.len() {
+            if let Some(word) = pick(t, v) {
+                return (i, v, word);
+            }
+        }
+    }
+    panic!("no vertex admits the {label} lie");
+}
+
+/// The parent-word lies every decoder must reject: a grandparent, the vertex itself,
+/// `NO_PARENT` on a reachable vertex, and a non-adjacent vertex one level up — plus, when
+/// some tree has unreachable vertices, a parent on one of them.
+fn parent_lies(
+    trees: &[TreeView],
+    has_edge: impl Fn(usize, usize) -> bool,
+) -> Vec<(&'static str, (usize, usize, u32))> {
+    let parent = |t: &TreeView, v: usize| (t.parents[v] != NO_PARENT).then_some(t.parents[v]);
+    let mut lies = vec![
+        ("grandparent", first_lie(trees, "grandparent", |t, v| parent(t, parent(t, v)? as usize))),
+        ("self", first_lie(trees, "self", |t, v| parent(t, v).map(|_| v as u32))),
+        ("no parent", first_lie(trees, "no parent", |t, v| parent(t, v).map(|_| NO_PARENT))),
+        (
+            "non-adjacent one level up",
+            first_lie(trees, "non-adjacent", |t, v| {
+                let up = t.level[v]?.checked_sub(1)?;
+                let u = (0..t.level.len()).find(|&u| t.level[u] == Some(up) && !has_edge(u, v))?;
+                Some(u as u32)
+            }),
+        ),
+    ];
+    if trees.iter().any(|t| t.level.contains(&None)) {
+        let root = |t: &TreeView| t.level.iter().position(|&l| l == Some(0)).unwrap() as u32;
+        let lie = first_lie(trees, "unreachable", |t, v| t.level[v].is_none().then(|| root(t)));
+        lies.push(("parent on an unreachable vertex", lie));
+    }
+    lies
+}
+
+#[test]
+fn parent_word_lies_fail_closed() {
+    // Hop metric: the connected reference snapshot, then a disconnected family so the
+    // unreachable-vertex lie has a target.
+    let mut rng = StdRng::seed_from_u64(303);
+    let disconnected = gnm(40, 28, &mut rng).unwrap();
+    let disconnected_bytes =
+        encode_snapshot(&disconnected.freeze(), &build_bk_shards(&disconnected, &[0, 13, 26], 2));
+    for (name, bytes) in [("gnm", reference_snapshot()), ("gnm-disconnected", disconnected_bytes)] {
+        let snap = decode_snapshot(&bytes).expect("pristine decode");
+        let n = snap.graph.vertex_count();
+        let trees: Vec<TreeView> = snap
+            .shards
+            .iter()
+            .flat_map(|s| s.trees())
+            .map(|t| TreeView {
+                parents: t.parents_raw().to_vec(),
+                level: (0..n).map(|v| t.distance(v).map(|d| d as usize)).collect(),
+            })
+            .collect();
+        let lies = parent_lies(&trees, |u, v| snap.graph.has_edge(u, v));
+        assert_eq!(lies.len(), if name == "gnm" { 4 } else { 5 }, "{name}");
+        for (label, (tree, v, word)) in lies {
+            let mutated = lie_about_parent(&bytes, n, tree, v, word);
+            assert!(
+                matches!(decode_snapshot(&mutated), Err(SnapError::Structure { .. })),
+                "{name}: {label} lie (tree {tree}, vertex {v} := {word}) must fail structurally"
+            );
+        }
+    }
+
+    // Weighted metric: a connected graph and one with an unreachable component.
+    let mut rng = StdRng::seed_from_u64(11);
+    let connected = weighted_connected_gnm(36, 90, 1000, &mut rng).unwrap().freeze();
+    let split = WeightedGraph::from_edges(
+        12,
+        &[(0, 1, 4), (1, 2, 3), (2, 3, 5), (3, 0, 9), (2, 4, 1), (6, 7, 2), (7, 8, 2), (8, 9, 1)],
+    )
+    .unwrap()
+    .freeze();
+    for (name, g, sources) in
+        [("connected", connected, vec![0, 12, 24]), ("split", split, vec![0, 3])]
+    {
+        let shards = vec![WeightedReplacementOracle::build_exact(&g, &sources)];
+        let bytes = encode_weighted_snapshot(&g, &shards);
+        let snap = decode_weighted_snapshot(&bytes).expect("pristine decode");
+        let n = g.vertex_count();
+        let trees: Vec<TreeView> = snap.shards[0]
+            .trees()
+            .iter()
+            .map(|t| TreeView {
+                parents: t.parents_raw().to_vec(),
+                level: (0..n).map(|v| t.is_reachable(v).then(|| t.depth(v))).collect(),
+            })
+            .collect();
+        let lies = parent_lies(&trees, |u, v| g.has_edge(u, v));
+        assert_eq!(lies.len(), if name == "connected" { 4 } else { 5 }, "{name}");
+        for (label, (tree, v, word)) in lies {
+            let mutated = lie_about_parent(&bytes, n, tree, v, word);
+            assert!(
+                matches!(decode_weighted_snapshot(&mutated), Err(SnapError::Structure { .. })),
+                "weighted {name}: {label} lie (tree {tree}, vertex {v} := {word}) must fail \
+                 structurally"
+            );
+        }
+    }
 }

@@ -39,6 +39,7 @@ mod distance;
 mod edge;
 mod error;
 mod graph;
+mod metric;
 mod metrics;
 mod multi_bfs;
 mod tree;
@@ -56,7 +57,8 @@ pub use distance::{dist_add, dist_add3, dist_min, is_finite, Distance, INFINITE_
 pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::{Graph, Vertex};
+pub use metric::{Hop, Metric, Weighted};
 pub use metrics::{diameter_lower_bound, graph_metrics, GraphMetrics};
 pub use multi_bfs::{bfs_trees_wave, MultiBfsScratch, WAVE_LANES};
-pub use tree::ShortestPathTree;
+pub use tree::{CanonicalTree, ShortestPathTree};
 pub use weighted::{DijkstraScratch, WeightedCsrGraph, WeightedGraph, WeightedTree};

@@ -412,7 +412,7 @@ mod tests {
             let reference = ShortestPathTree::build_with_scratch(&csr, s, &mut seq);
             assert_eq!(tree.source(), reference.source());
             assert_eq!(tree.distances(), reference.distances(), "dist s={s}");
-            assert_eq!(tree.bfs_order(), reference.bfs_order(), "order s={s}");
+            assert_eq!(tree.order(), reference.order(), "order s={s}");
             for v in 0..10 {
                 assert_eq!(tree.parent(v), reference.parent(v), "parent s={s} v={v}");
             }

@@ -1,17 +1,40 @@
-//! Shortest-path (BFS) trees with constant-time ancestry queries.
+//! Canonical shortest-path trees with constant-time ancestry queries.
 //!
 //! The paper's algorithms constantly ask questions of the form *"does the edge `e` lie on the
 //! canonical shortest path from `r` to `t`?"* (Algorithm 4, Sections 7.1, 8.1–8.3). Because the
-//! canonical path is a root-to-vertex path of the BFS tree `T_r`, the question reduces to an
-//! ancestry test, which we answer in `O(1)` using Euler-tour entry/exit times.
+//! canonical path is a root-to-vertex path of the shortest-path tree `T_r`, the question
+//! reduces to an ancestry test, which we answer in `O(1)` using Euler-tour entry/exit times.
+//! One [`CanonicalTree`] type serves both metrics: BFS trees ([`ShortestPathTree`]) and
+//! Dijkstra trees ([`WeightedTree`](crate::WeightedTree)).
 
 use crate::bfs::{bfs, BfsResult};
 use crate::csr::{BfsScratch, CsrGraph, NO_PARENT};
-use crate::distance::{Distance, INFINITE_DISTANCE};
 use crate::edge::Edge;
 use crate::graph::{Graph, Vertex};
+use crate::metric::{Hop, Metric};
 
-/// A rooted BFS tree of an unweighted graph, annotated for `O(1)` path queries.
+/// A rooted canonical shortest-path tree under the metric `M`, annotated for `O(1)` path
+/// queries.
+///
+/// Canonical paths separate *distance* (`M::Dist`) from *depth* (number of edges on the
+/// canonical path); replacement-path tables index avoided edges by their 0-based position on
+/// the canonical path, which is `depth(child) - 1`. Under the hop metric the two coincide.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CanonicalTree<M: Metric> {
+    source: Vertex,
+    dist: Vec<M::Dist>,
+    /// Sentinel-encoded parents: `parent[v]` is the tree parent of `v`, or [`NO_PARENT`]
+    /// for the root and unreachable vertices (4 bytes per vertex, the kernels' own form).
+    parent: Vec<u32>,
+    /// Hop depths beyond `dist` ([`Metric::Depths`]).
+    depths: M::Depths,
+    /// Reachable vertices in settle order (root first).
+    order: Vec<u32>,
+    tin: Vec<u32>,
+    tout: Vec<u32>,
+}
+
+/// A rooted BFS tree of an unweighted graph (its depth is its hop distance).
 ///
 /// ```
 /// use msrp_graph::{Graph, ShortestPathTree, Edge};
@@ -25,18 +48,7 @@ use crate::graph::{Graph, Vertex};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShortestPathTree {
-    source: Vertex,
-    dist: Vec<Distance>,
-    /// Sentinel-encoded parents: `parent[v]` is the tree parent of `v`, or [`NO_PARENT`]
-    /// for the root and unreachable vertices (4 bytes per vertex, the kernels' own form).
-    parent: Vec<u32>,
-    /// Reachable vertices in BFS order (root first).
-    order: Vec<u32>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
-}
+pub type ShortestPathTree = CanonicalTree<Hop>;
 
 impl ShortestPathTree {
     /// Builds the BFS tree rooted at `source` (deterministic: sorted adjacency order).
@@ -106,21 +118,19 @@ impl ShortestPathTree {
         let parent = parent.iter().map(|p| p.map_or(NO_PARENT, |p| p as u32)).collect();
         Self::from_raw(source, dist, parent, order.iter().map(|&v| v as u32).collect())
     }
+}
 
-    /// Adopts raw BFS buffers as they are: `dist` (`INFINITE_DISTANCE` when unreachable),
+impl<M: Metric> CanonicalTree<M> {
+    /// Adopts raw traversal buffers as they are: `dist` (`M::INFINITY` when unreachable),
     /// sentinel-encoded `parent` ([`NO_PARENT`] for the root and unreachable vertices) and
-    /// the settle `order` of the reachable vertices, root first. The buffers must describe
-    /// a BFS tree rooted at `source` (so `dist` is also the tree depth) whose `order`
-    /// settles every parent before its children (any BFS queue does); only the Euler
-    /// times are computed here.
-    pub fn from_raw(
-        source: Vertex,
-        dist: Vec<Distance>,
-        parent: Vec<u32>,
-        order: Vec<u32>,
-    ) -> Self {
-        let (tin, tout) = euler_times(&order, &parent, &dist);
-        ShortestPathTree { source, dist, parent, order, tin, tout }
+    /// the settle `order` of the reachable vertices, root first. The buffers must describe a
+    /// shortest-path tree rooted at `source` whose `order` settles every parent before its
+    /// children (any BFS queue and any Dijkstra settle order does); only the depth store and
+    /// the Euler times are computed here.
+    pub fn from_raw(source: Vertex, dist: Vec<M::Dist>, parent: Vec<u32>, order: Vec<u32>) -> Self {
+        let depths = M::depths(&dist, &parent, &order);
+        let (tin, tout) = euler_times(&order, &parent, |v| M::depth(&dist, &depths, v));
+        CanonicalTree { source, dist, parent, depths, order, tin, tout }
     }
 
     /// The root of the tree.
@@ -137,25 +147,28 @@ impl ShortestPathTree {
 
     /// Distance from the root to `v`, or `None` if `v` is unreachable.
     #[inline]
-    pub fn distance(&self, v: Vertex) -> Option<Distance> {
+    pub fn distance(&self, v: Vertex) -> Option<M::Dist> {
         let d = self.dist[v];
-        if d == INFINITE_DISTANCE {
-            None
-        } else {
-            Some(d)
-        }
+        (d != M::INFINITY).then_some(d)
     }
 
-    /// Distance from the root to `v`, with `INFINITE_DISTANCE` for unreachable vertices.
+    /// Distance from the root to `v`, with `M::INFINITY` for unreachable vertices.
     #[inline]
-    pub fn distance_or_infinite(&self, v: Vertex) -> Distance {
+    pub fn distance_or_infinite(&self, v: Vertex) -> M::Dist {
         self.dist[v]
     }
 
-    /// The raw distance vector (entries are `INFINITE_DISTANCE` for unreachable vertices).
+    /// The raw distance vector (entries are `M::INFINITY` for unreachable vertices).
     #[inline]
-    pub fn distances(&self) -> &[Distance] {
+    pub fn distances(&self) -> &[M::Dist] {
         &self.dist
+    }
+
+    /// Number of edges on the canonical root→`v` path (0 for the root and for unreachable
+    /// vertices).
+    #[inline]
+    pub fn depth(&self, v: Vertex) -> usize {
+        M::depth(&self.dist, &self.depths, v) as usize
     }
 
     /// Tree parent of `v`.
@@ -175,12 +188,13 @@ impl ShortestPathTree {
     /// `true` when `v` is reachable from the root.
     #[inline]
     pub fn is_reachable(&self, v: Vertex) -> bool {
-        self.dist[v] != INFINITE_DISTANCE
+        self.dist[v] != M::INFINITY
     }
 
-    /// Reachable vertices in BFS order (root first).
+    /// Reachable vertices in settle order (root first): BFS order under the hop metric,
+    /// non-decreasing distance under the weighted one.
     #[inline]
-    pub fn bfs_order(&self) -> &[u32] {
+    pub fn order(&self) -> &[u32] {
         &self.order
     }
 
@@ -199,13 +213,14 @@ impl ShortestPathTree {
     /// Preorder position and subtree size of `v`, or `None` when `v` is unreachable. The
     /// preorder is the DFS of the tree from the root with children in settle order, so the
     /// subtree of `v` is exactly the position interval `[pre, pre + size)`. Both follow in
-    /// `O(1)` from the closed-form Euler times (depth = distance); nothing extra is stored.
+    /// `O(1)` from the closed-form Euler times (`tin = 1 + 2·pre − depth`,
+    /// `tout = tin + 2·size − 1`); nothing extra is stored.
     #[inline]
     pub fn preorder_interval(&self, v: Vertex) -> Option<(usize, usize)> {
         if !self.is_reachable(v) {
             return None;
         }
-        Some(preorder_from_euler(self.tin[v], self.tout[v], self.dist[v]))
+        Some(preorder_from_euler(self.tin[v], self.tout[v], M::depth(&self.dist, &self.depths, v)))
     }
 
     /// Returns `true` when `v` lies on the canonical root→`t` path.
@@ -248,7 +263,7 @@ impl ShortestPathTree {
     pub fn edge_position_on_path(&self, t: Vertex, e: Edge) -> Option<usize> {
         let child = self.deeper_endpoint(e)?;
         if self.is_reachable(t) && self.is_ancestor(child, t) {
-            Some(self.dist[child] as usize - 1)
+            Some(self.depth(child) - 1)
         } else {
             None
         }
@@ -259,7 +274,7 @@ impl ShortestPathTree {
         if !self.is_reachable(t) {
             return None;
         }
-        let mut path = Vec::with_capacity(self.dist[t] as usize + 1);
+        let mut path = Vec::with_capacity(self.depth(t) + 1);
         let mut cur = t;
         path.push(cur);
         while let Some(p) = self.parent(cur) {
@@ -273,16 +288,8 @@ impl ShortestPathTree {
 
     /// The `i`-th edge on the canonical root→`t` path (0-based), if it exists.
     pub fn path_edge(&self, t: Vertex, i: usize) -> Option<Edge> {
-        if !self.is_reachable(t) || (i as u64) >= self.dist[t] as u64 {
-            return None;
-        }
-        // Walk up from t to depth i + 1; its parent edge is the answer.
-        let mut cur = t;
-        while self.dist[cur] as usize > i + 1 {
-            cur = self.parent(cur).expect("reachable non-root vertex has a parent");
-        }
-        let p = self.parent(cur).expect("depth >= 1 vertex has a parent");
-        Some(Edge::new(p, cur))
+        let cur = self.path_vertex_at_depth(t, i.checked_add(1)?)?;
+        Some(Edge::new(self.parent(cur)?, cur))
     }
 
     /// All edges on the canonical root→`t` path, in root→`t` order.
@@ -295,11 +302,11 @@ impl ShortestPathTree {
 
     /// Vertex at depth `depth` on the canonical root→`t` path, if the path is that long.
     pub fn path_vertex_at_depth(&self, t: Vertex, depth: usize) -> Option<Vertex> {
-        if !self.is_reachable(t) || (depth as u64) > self.dist[t] as u64 {
+        if !self.is_reachable(t) || depth > self.depth(t) {
             return None;
         }
         let mut cur = t;
-        while self.dist[cur] as usize > depth {
+        while self.depth(cur) > depth {
             cur = self.parent(cur)?;
         }
         Some(cur)
@@ -307,11 +314,10 @@ impl ShortestPathTree {
 }
 
 /// Euler entry/exit times of the rooted tree given by its settle `order` (root first, every
-/// parent before its children), sentinel-encoded `parent` array and tree `depth` (the hop
-/// distance for a BFS tree): the times of a DFS from the root that visits each vertex's
-/// children in settle order (unreachable vertices keep time 0). Shared by the unweighted
-/// [`ShortestPathTree`] and the weighted [`WeightedTree`](crate::WeightedTree), whose
-/// `O(1)` ancestry tests both reduce to interval containment of these times.
+/// parent before its children), sentinel-encoded `parent` array and tree `depth` of each
+/// vertex: the times of a DFS from the root that visits each vertex's children in settle
+/// order (unreachable vertices keep time 0). A [`CanonicalTree`]'s `O(1)` ancestry test
+/// reduces to interval containment of these times.
 ///
 /// Computed in closed form rather than by walking the DFS: a vertex with preorder index
 /// `i`, tree depth `d` and subtree size `s` is entered after `i` entries and `i − d`
@@ -321,7 +327,11 @@ impl ShortestPathTree {
 /// free one: `tin[v]` holds that next slot, which ends at `i + s`, so `i` is recovered as
 /// `tin[v] − s` without an array of its own. No children lists and no stack: the snapshot
 /// boot path runs this once per persisted source.
-pub(crate) fn euler_times(order: &[u32], parent: &[u32], depth: &[u32]) -> (Vec<u32>, Vec<u32>) {
+fn euler_times(
+    order: &[u32],
+    parent: &[u32],
+    depth: impl Fn(Vertex) -> u32,
+) -> (Vec<u32>, Vec<u32>) {
     let n = parent.len();
     // `tout` holds subtree sizes until the last pass.
     let mut tin = vec![0u32; n];
@@ -349,7 +359,7 @@ pub(crate) fn euler_times(order: &[u32], parent: &[u32], depth: &[u32]) -> (Vec<
         let v = v as usize;
         let size = tout[v];
         let pre = tin[v] - size;
-        tin[v] = 1 + 2 * pre - depth[v];
+        tin[v] = 1 + 2 * pre - depth(v);
         tout[v] = tin[v] + 2 * size - 1;
     }
     (tin, tout)
@@ -359,7 +369,7 @@ pub(crate) fn euler_times(order: &[u32], parent: &[u32], depth: &[u32]) -> (Vec<
 /// a reachable vertex with Euler times `tin`, `tout` and tree depth `depth`, namely
 /// `pre = (tin + depth − 1) / 2` and `size = (tout − tin + 1) / 2`.
 #[inline]
-pub(crate) fn preorder_from_euler(tin: u32, tout: u32, depth: u32) -> (usize, usize) {
+fn preorder_from_euler(tin: u32, tout: u32, depth: u32) -> (usize, usize) {
     let (tin, tout, depth) = (tin as usize, tout as usize, depth as usize);
     ((tin + depth - 1) / 2, (tout - tin).div_ceil(2))
 }
@@ -367,6 +377,7 @@ pub(crate) fn preorder_from_euler(tin: u32, tout: u32, depth: u32) -> (usize, us
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::distance::INFINITE_DISTANCE;
 
     fn sample_graph() -> Graph {
         // 0-1-2-3 path plus a shortcut 0-4-3 and a pendant 5 off vertex 2.
@@ -585,7 +596,7 @@ pub(crate) mod tests {
                         let interval = t.preorder_interval(v);
                         assert_eq!(interval, reference.preorder_interval(v), "{kernel} s={s}");
                     }
-                    assert_eq!(t.bfs_order(), reference.bfs_order(), "{kernel} s={s}");
+                    assert_eq!(t.order(), reference.order(), "{kernel} s={s}");
                     assert_eq!(t, &reference, "{kernel} s={s}");
                 }
             }
@@ -618,7 +629,7 @@ pub(crate) mod tests {
     fn bfs_order_is_exposed() {
         let g = sample_graph();
         let t = ShortestPathTree::build(&g, 0);
-        assert_eq!(t.bfs_order()[0], 0);
-        assert_eq!(t.bfs_order().len(), 6);
+        assert_eq!(t.order()[0], 0);
+        assert_eq!(t.order().len(), 6);
     }
 }

@@ -4,14 +4,14 @@
 //! The paper's algorithms are stated for unweighted graphs, but its Section 9 discussion
 //! (and the classical replacement-path literature it builds on) lifts to non-negative edge
 //! weights by swapping BFS trees for Dijkstra shortest-path trees. This module provides the
-//! weighted mirror of the unweighted traversal core:
+//! weighted counterpart of the unweighted traversal core:
 //!
 //! | unweighted | weighted |
 //! |---|---|
 //! | [`Graph`] | [`WeightedGraph`] |
 //! | [`CsrGraph`](crate::CsrGraph) | [`WeightedCsrGraph`] |
 //! | [`BfsScratch`](crate::BfsScratch) | [`DijkstraScratch`] |
-//! | [`ShortestPathTree`](crate::ShortestPathTree) | [`WeightedTree`] |
+//! | [`ShortestPathTree`](crate::ShortestPathTree) | [`WeightedTree`] (one [`CanonicalTree`] type) |
 //!
 //! Weights are [`Weight`] (`u64`); [`INFINITE_WEIGHT`] is the "no path" sentinel and the
 //! saturation point of distance arithmetic (a path whose length would reach the sentinel is
@@ -30,7 +30,8 @@ use crate::dijkstra::{DijkstraResult, Weight, INFINITE_WEIGHT};
 use crate::edge::Edge;
 use crate::error::GraphError;
 use crate::graph::{Graph, Vertex};
-use crate::tree::{euler_times, preorder_from_euler};
+use crate::metric::Weighted;
+use crate::tree::CanonicalTree;
 
 /// An undirected, simple graph with finite non-negative `u64` edge weights, adjacency rows
 /// kept sorted by neighbour id.
@@ -435,7 +436,7 @@ impl WeightedCsrGraph {
 }
 
 /// Reusable Dijkstra buffers — distances, predecessors, the settle order and the heap —
-/// reset in `O(visited)` between runs instead of reallocated; the weighted mirror of
+/// reset in `O(visited)` between runs instead of reallocated; the weighted counterpart of
 /// [`BfsScratch`](crate::BfsScratch).
 ///
 /// The weighted brute force and the weighted solver run one Dijkstra per tree edge; the
@@ -609,12 +610,8 @@ impl DijkstraScratch {
     }
 }
 
-/// A rooted Dijkstra shortest-path tree of a weighted graph, annotated for `O(1)` path
-/// queries — the weighted mirror of [`ShortestPathTree`](crate::ShortestPathTree).
-///
-/// Weighted canonical paths separate *distance* (sum of weights, [`Weight`]) from *depth*
-/// (number of edges on the canonical path); replacement-path tables index avoided edges by
-/// their 0-based position on the canonical path, which is `depth(child) - 1`.
+/// A rooted Dijkstra shortest-path tree of a weighted graph. Its distance (sum of weights)
+/// and its depth (edges on the canonical path) differ, so it stores a hop depth per vertex.
 ///
 /// ```
 /// use msrp_graph::{Edge, WeightedGraph, WeightedTree};
@@ -629,20 +626,7 @@ impl DijkstraScratch {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WeightedTree {
-    source: Vertex,
-    dist: Vec<Weight>,
-    /// Sentinel-encoded parents ([`NO_PARENT`] for the root and unreachable vertices).
-    parent: Vec<u32>,
-    /// Hop depth in the tree (0 for the source; 0 for unreachable vertices, which are not
-    /// part of the tree).
-    depth: Vec<u32>,
-    /// Reachable vertices in settle order (root first).
-    order: Vec<u32>,
-    tin: Vec<u32>,
-    tout: Vec<u32>,
-}
+pub type WeightedTree = CanonicalTree<Weighted>;
 
 impl WeightedTree {
     /// Builds the Dijkstra tree rooted at `source` (deterministic: sorted adjacency order,
@@ -668,191 +652,12 @@ impl WeightedTree {
         scratch: &mut DijkstraScratch,
     ) -> Self {
         scratch.run(g, source);
-        Self::from_parts(
+        Self::from_raw(
             source,
             scratch.dist().to_vec(),
             scratch.parent().iter().map(|p| p.map_or(NO_PARENT, |p| p as u32)).collect(),
             scratch.order().iter().map(|&v| v as u32).collect(),
         )
-    }
-
-    /// Adopts raw Dijkstra buffers as they are: `dist` (`INFINITE_WEIGHT` when
-    /// unreachable), sentinel-encoded `parent` ([`NO_PARENT`] for the root and unreachable
-    /// vertices) and the settle `order` of the reachable vertices, root first. `order` must
-    /// settle parents before children (any Dijkstra settle order does); only the hop depths
-    /// and the Euler times are computed here.
-    pub fn from_parts(
-        source: Vertex,
-        dist: Vec<Weight>,
-        parent: Vec<u32>,
-        order: Vec<u32>,
-    ) -> Self {
-        let n = dist.len();
-        let mut depth = vec![0u32; n];
-        for &v in &order {
-            let p = parent[v as usize];
-            if p != NO_PARENT {
-                depth[v as usize] = depth[p as usize] + 1;
-            }
-        }
-        let (tin, tout) = euler_times(&order, &parent, &depth);
-        WeightedTree { source, dist, parent, depth, order, tin, tout }
-    }
-
-    /// Preorder position and subtree size of `v`, or `None` when `v` is unreachable. The
-    /// preorder is the DFS of the tree from the root with children in settle order, so the
-    /// subtree of `v` is exactly the position interval `[pre, pre + size)`. Both follow in
-    /// `O(1)` from the closed-form Euler times (`tin = 1 + 2·pre − depth`,
-    /// `tout = tin + 2·size − 1`); nothing extra is stored.
-    #[inline]
-    pub fn preorder_interval(&self, v: Vertex) -> Option<(usize, usize)> {
-        if !self.is_reachable(v) {
-            return None;
-        }
-        Some(preorder_from_euler(self.tin[v], self.tout[v], self.depth[v]))
-    }
-
-    /// The root of the tree.
-    #[inline]
-    pub fn source(&self) -> Vertex {
-        self.source
-    }
-
-    /// Number of vertices of the underlying graph.
-    #[inline]
-    pub fn vertex_count(&self) -> usize {
-        self.dist.len()
-    }
-
-    /// Weighted distance from the root to `v`, or `None` if `v` is unreachable.
-    #[inline]
-    pub fn distance(&self, v: Vertex) -> Option<Weight> {
-        let d = self.dist[v];
-        if d == INFINITE_WEIGHT {
-            None
-        } else {
-            Some(d)
-        }
-    }
-
-    /// Weighted distance from the root to `v`, with `INFINITE_WEIGHT` when unreachable.
-    #[inline]
-    pub fn distance_or_infinite(&self, v: Vertex) -> Weight {
-        self.dist[v]
-    }
-
-    /// The raw distance vector (entries are `INFINITE_WEIGHT` for unreachable vertices).
-    #[inline]
-    pub fn distances(&self) -> &[Weight] {
-        &self.dist
-    }
-
-    /// Number of edges on the canonical root→`v` path (0 for the root and for unreachable
-    /// vertices).
-    #[inline]
-    pub fn depth(&self, v: Vertex) -> usize {
-        self.depth[v] as usize
-    }
-
-    /// Tree parent of `v`.
-    #[inline]
-    pub fn parent(&self, v: Vertex) -> Option<Vertex> {
-        let p = self.parent[v];
-        (p != NO_PARENT).then_some(p as Vertex)
-    }
-
-    /// The sentinel-encoded parent array: `parents_raw()[v]` is the parent of `v` as a
-    /// `u32`, or [`NO_PARENT`] for the root and unreachable vertices.
-    #[inline]
-    pub fn parents_raw(&self) -> &[u32] {
-        &self.parent
-    }
-
-    /// `true` when `v` is reachable from the root.
-    #[inline]
-    pub fn is_reachable(&self, v: Vertex) -> bool {
-        self.dist[v] != INFINITE_WEIGHT
-    }
-
-    /// Reachable vertices in settle order (root first, distances non-decreasing).
-    #[inline]
-    pub fn order(&self) -> &[u32] {
-        &self.order
-    }
-
-    /// Returns `true` when `a` is an ancestor of `d` (a vertex is an ancestor of itself).
-    #[inline]
-    pub fn is_ancestor(&self, a: Vertex, d: Vertex) -> bool {
-        if !self.is_reachable(a) || !self.is_reachable(d) {
-            return a == d;
-        }
-        self.tin[a] <= self.tin[d] && self.tout[d] <= self.tout[a]
-    }
-
-    /// Returns `true` when `v` lies on the canonical root→`t` path.
-    #[inline]
-    pub fn path_contains_vertex(&self, t: Vertex, v: Vertex) -> bool {
-        self.is_reachable(t) && self.is_ancestor(v, t)
-    }
-
-    /// If `e` is a tree edge, returns its deeper endpoint (the child side), else `None`.
-    pub fn deeper_endpoint(&self, e: Edge) -> Option<Vertex> {
-        let (u, v) = e.endpoints();
-        if self.parent[v] == u as u32 {
-            Some(v)
-        } else if self.parent[u] == v as u32 {
-            Some(u)
-        } else {
-            None
-        }
-    }
-
-    /// Returns `true` when `e` is an edge of the tree.
-    pub fn is_tree_edge(&self, e: Edge) -> bool {
-        self.deeper_endpoint(e).is_some()
-    }
-
-    /// Returns `true` when the edge `e` lies on the canonical root→`t` path.
-    pub fn path_contains_edge(&self, t: Vertex, e: Edge) -> bool {
-        match self.deeper_endpoint(e) {
-            Some(child) => self.is_reachable(t) && self.is_ancestor(child, t),
-            None => false,
-        }
-    }
-
-    /// Position (0-based) of the edge `e` on the canonical root→`t` path, if it lies on it.
-    pub fn edge_position_on_path(&self, t: Vertex, e: Edge) -> Option<usize> {
-        let child = self.deeper_endpoint(e)?;
-        if self.is_reachable(t) && self.is_ancestor(child, t) {
-            Some(self.depth[child] as usize - 1)
-        } else {
-            None
-        }
-    }
-
-    /// The canonical path from the root to `t` (inclusive), or `None` if `t` is unreachable.
-    pub fn path_from_source(&self, t: Vertex) -> Option<Vec<Vertex>> {
-        if !self.is_reachable(t) {
-            return None;
-        }
-        let mut path = Vec::with_capacity(self.depth[t] as usize + 1);
-        let mut cur = t;
-        path.push(cur);
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        debug_assert_eq!(path[0], self.source);
-        Some(path)
-    }
-
-    /// All edges on the canonical root→`t` path, in root→`t` order.
-    pub fn path_edges(&self, t: Vertex) -> Vec<Edge> {
-        match self.path_from_source(t) {
-            None => Vec::new(),
-            Some(path) => path.windows(2).map(|w| Edge::new(w[0], w[1])).collect(),
-        }
     }
 }
 
@@ -1066,7 +871,8 @@ mod tests {
                 let t = WeightedTree::build(g, s);
                 let derived: Vec<_> =
                     (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
-                let reference = crate::tree::tests::reference_preorder(s, &t.order, &t.parent);
+                let reference =
+                    crate::tree::tests::reference_preorder(s, t.order(), t.parents_raw());
                 assert_eq!(derived, reference, "s={s}");
             }
         }

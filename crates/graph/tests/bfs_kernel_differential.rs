@@ -107,7 +107,7 @@ fn all_three_kernels_agree_on_every_family() {
         for (tree, &s) in trees.iter().zip(&sources) {
             let reference = ShortestPathTree::build_with_scratch(&csr, s, &mut td);
             assert_eq!(tree.distances(), reference.distances(), "{name}: tree dist s={s}");
-            assert_eq!(tree.bfs_order(), reference.bfs_order(), "{name}: tree order s={s}");
+            assert_eq!(tree.order(), reference.order(), "{name}: tree order s={s}");
             for v in 0..n {
                 assert_eq!(tree.parent(v), reference.parent(v), "{name}: tree parent s={s} v={v}");
             }

@@ -117,7 +117,7 @@ fn trees_built_over_csr_match_trees_built_over_graph() {
                     "{name}: canonical path to {v}"
                 );
             }
-            assert_eq!(frozen.bfs_order(), seed.bfs_order(), "{name}: BFS order");
+            assert_eq!(frozen.order(), seed.order(), "{name}: BFS order");
         }
     }
 }

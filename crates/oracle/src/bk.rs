@@ -138,14 +138,14 @@ impl BkScratch {
     pub fn prepare(&mut self, g: &CsrGraph, tree: &ShortestPathTree) {
         let n = g.vertex_count();
         assert_eq!(tree.vertex_count(), n, "tree and graph disagree on the vertex count");
-        let r = tree.bfs_order().len();
+        let r = tree.order().len();
         self.pos.clear();
         self.pos.resize(n, NONE);
         self.vert.resize(r, 0);
         self.depth.resize(r, 0);
         self.size.resize(r, 0);
         let dists = tree.distances();
-        for &v in tree.bfs_order() {
+        for &v in tree.order() {
             let v = v as usize;
             let (pre, size) = tree.preorder_interval(v).expect("settled vertices are reachable");
             self.pos[v] = pre as u32;
@@ -306,7 +306,7 @@ pub(crate) fn solve_cut_into(
     c: Vertex,
 ) {
     debug_assert_eq!(scratch.root, Some(tree.source()), "scratch prepared for another tree");
-    debug_assert_eq!(scratch.vert.len(), tree.bfs_order().len());
+    debug_assert_eq!(scratch.vert.len(), tree.order().len());
     let (pc, pp) = (scratch.pos[c], scratch.pos[p]);
     scratch.run_cut(pc, pp);
     let col = tree.distance_or_infinite(c) as usize - 1;
@@ -428,7 +428,7 @@ impl ReplacementPathOracle {
 }
 
 /// Builds one Bernstein–Karger oracle per shard, in parallel (one scoped worker per shard
-/// over the caller's graph, frozen once) — the BK mirror of [`build_shards`](crate::build_shards),
+/// over the caller's graph, frozen once) — the BK counterpart of [`build_shards`](crate::build_shards),
 /// consumed by `msrp-serve`'s `ShardedOracle::build_bk_csr`.
 ///
 /// `threads == 0` is treated as 1 (built inline); thread counts above σ are clamped to σ.
@@ -456,17 +456,7 @@ pub fn build_bk_shards_csr(
     sources: &[Vertex],
     threads: usize,
 ) -> Vec<ReplacementPathOracle> {
-    let threads = threads.max(1).min(sources.len().max(1));
-    if threads == 1 {
-        return vec![ReplacementPathOracle::build_bk_csr(g, sources)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = crate::shard_sources(sources, threads)
-            .into_iter()
-            .map(|chunk| scope.spawn(move || ReplacementPathOracle::build_bk_csr(g, chunk)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("oracle shard worker panicked")).collect()
-    })
+    crate::build_sharded(sources, threads, |chunk| ReplacementPathOracle::build_bk_csr(g, chunk))
 }
 
 #[cfg(test)]

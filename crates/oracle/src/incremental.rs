@@ -182,14 +182,14 @@ impl ReplacementPathOracle {
                 // unreachable vertices merges components the source still cannot enter).
                 // No BFS from the source and no cut search ever traverses it.
                 stats.sources_reused += 1;
-                stats.cuts_total += old_tree.bfs_order().len().saturating_sub(1);
+                stats.cuts_total += old_tree.order().len().saturating_sub(1);
                 trees.push(old_tree.clone());
                 distances.push(old_rows.clone());
                 stats.reuse_time += rung_start.elapsed();
                 continue;
             }
             let new_tree = ShortestPathTree::build_with_dir_opt(g_new, old_tree.source(), &mut bfs);
-            stats.cuts_total += new_tree.bfs_order().len().saturating_sub(1);
+            stats.cuts_total += new_tree.order().len().saturating_sub(1);
             if same_forest(&new_tree, old_tree) {
                 // Rung 2: same forest ⇒ same canonical paths, same row layout, same subtree
                 // sets. Only cuts whose subtree contains a toggled endpoint can differ.
@@ -214,7 +214,7 @@ impl ReplacementPathOracle {
                 stats.patch_time += rung_start.elapsed();
             } else {
                 // Rung 3: the shortest-path forest changed; rebuild this source outright.
-                stats.cuts_recomputed += new_tree.bfs_order().len().saturating_sub(1);
+                stats.cuts_recomputed += new_tree.order().len().saturating_sub(1);
                 stats.sources_rebuilt += 1;
                 distances.push(bk_replacement_distances(g_new, &new_tree, &mut scratch));
                 trees.push(new_tree);

@@ -5,9 +5,11 @@
 //! `O(1)` time; the MSRP paper generalizes the preprocessing to an arbitrary number of sources
 //! `σ`. This crate serves that query interface from three construction routes:
 //!
-//! * [`ReplacementPathOracle`] — per-source rows indexed by the canonical-path position of the
+//! * [`ReplacementOracle`] — per-source rows indexed by the canonical-path position of the
 //!   avoided edge, all rows of a source in one flat buffer, found through a dense
-//!   [`SourceSlots`] table (an `O(1)` lookup, whatever σ is);
+//!   [`SourceSlots`] table (an `O(1)` lookup, whatever σ is). It is generic over the
+//!   [`Metric`]: [`ReplacementPathOracle`] serves hops, [`WeightedReplacementOracle`]
+//!   weights, through the same query code;
 //! * [`build_bk`](ReplacementPathOracle::build_bk) — the **real Bernstein–Karger
 //!   preprocessing** (one multi-seed subtree search per tree-edge cut, in preorder-local
 //!   coordinates, see the [`bk`] module);
@@ -33,13 +35,12 @@ pub use incremental::RebuildStats;
 
 use msrp_core::{solve_msrp_csr, solve_msrp_weighted, MsrpOutput, MsrpParams, WeightedMsrpOutput};
 use msrp_graph::{
-    bfs_trees_wave, CsrGraph, CuckooHashMap, DijkstraScratch, Distance, Edge, Graph,
-    MultiBfsScratch, ShortestPathTree, Vertex, Weight, WeightedCsrGraph, WeightedTree,
-    INFINITE_DISTANCE, INFINITE_WEIGHT,
+    bfs_trees_wave, CanonicalTree, CsrGraph, CuckooHashMap, DijkstraScratch, Distance, Edge, Graph,
+    Hop, Metric, MultiBfsScratch, Vertex, Weighted, WeightedCsrGraph, WeightedTree,
+    INFINITE_DISTANCE,
 };
 use msrp_rpath::{
-    single_source_brute_force_wave, single_source_brute_force_weighted, SourceReplacementDistances,
-    WeightedReplacementDistances,
+    single_source_brute_force_wave, single_source_brute_force_weighted, ReplacementDistances,
 };
 
 /// A dense `vertex → slot` table: one `u32` per vertex of the graph, `u32::MAX` for a vertex
@@ -82,7 +83,18 @@ impl SourceSlots {
     }
 }
 
-/// A single-edge-fault distance oracle for a fixed set of sources.
+/// A single-edge-fault distance oracle for a fixed set of sources under the metric `M`: one
+/// canonical tree and one replacement table per source, found through a dense
+/// [`SourceSlots`] table.
+#[derive(Clone, Debug)]
+pub struct ReplacementOracle<M: Metric> {
+    sources: Vec<Vertex>,
+    slots: SourceSlots,
+    trees: Vec<CanonicalTree<M>>,
+    distances: Vec<ReplacementDistances<M>>,
+}
+
+/// The hop-metric oracle over unweighted graphs.
 ///
 /// ```
 /// use msrp_graph::{generators::cycle_graph, Edge};
@@ -96,12 +108,162 @@ impl SourceSlots {
 /// // Edges off the canonical path do not hurt.
 /// assert_eq!(oracle.replacement_distance(0, 3, Edge::new(5, 6)), Some(3));
 /// ```
-#[derive(Clone, Debug)]
-pub struct ReplacementPathOracle {
-    sources: Vec<Vertex>,
-    slots: SourceSlots,
-    trees: Vec<ShortestPathTree>,
-    distances: Vec<SourceReplacementDistances>,
+pub type ReplacementPathOracle = ReplacementOracle<Hop>;
+
+/// The weighted oracle, answering `QUERY(x, y, e)` under the weighted metric from Dijkstra
+/// shortest-path trees.
+///
+/// ```
+/// use msrp_graph::{Edge, WeightedGraph};
+/// use msrp_oracle::WeightedReplacementOracle;
+///
+/// # fn main() -> Result<(), msrp_graph::GraphError> {
+/// let g = WeightedGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 10)])?;
+/// let oracle = WeightedReplacementOracle::build(&g.freeze(), &[0]);
+/// assert_eq!(oracle.distance(0, 2), Some(2));
+/// assert_eq!(oracle.replacement_distance(0, 2, Edge::new(1, 2)), Some(11));
+/// # Ok(())
+/// # }
+/// ```
+pub type WeightedReplacementOracle = ReplacementOracle<Weighted>;
+
+impl<M: Metric> ReplacementOracle<M> {
+    /// Merges per-shard oracles (each covering a disjoint slice of the sources) into one
+    /// oracle, concatenating the per-source rows in shard order.
+    ///
+    /// This is the merge half of [`build_parallel`](ReplacementPathOracle::build_parallel);
+    /// it is public so that serving layers (`msrp-serve`) can build shards on their own
+    /// schedule and still recover a single-oracle view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shards are empty or share a source.
+    pub fn from_shards(shards: Vec<Self>) -> Self {
+        assert!(!shards.is_empty(), "at least one shard is required");
+        let mut sources = Vec::new();
+        let mut trees = Vec::new();
+        let mut distances = Vec::new();
+        for shard in shards {
+            sources.extend_from_slice(&shard.sources);
+            trees.extend(shard.trees);
+            distances.extend(shard.distances);
+        }
+        Self::assemble(sources, trees, distances, "shards must cover disjoint sources")
+    }
+
+    /// The constructor every route ends in: indexes the sources densely ([`SourceSlots`]).
+    /// Panics with `duplicate` if two entries cover the same source.
+    fn assemble(
+        sources: Vec<Vertex>,
+        trees: Vec<CanonicalTree<M>>,
+        distances: Vec<ReplacementDistances<M>>,
+        duplicate: &str,
+    ) -> Self {
+        let n = trees.first().map_or(0, |t| t.vertex_count());
+        let slots =
+            SourceSlots::new(n, sources.iter().enumerate().map(|(i, &s)| (s, i))).expect(duplicate);
+        ReplacementOracle { sources, slots, trees, distances }
+    }
+
+    /// Assembles an oracle from its parts: one canonical tree and one replacement table per
+    /// source, in source order. This is how the Bernstein–Karger construction in [`bk`]
+    /// hands over its output, and how a deserialized snapshot (`msrp-snap`) becomes a live
+    /// oracle again without re-running any solver — the inverse of reading the parts back
+    /// through [`sources`](Self::sources) / [`trees`](Self::trees) /
+    /// [`per_source`](Self::per_source).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the three vectors disagree in length, are empty, if two entries cover the
+    /// same source, or if a tree is not rooted at its slot's source. Callers holding
+    /// *untrusted* parts (a decoded snapshot) must validate before constructing — the
+    /// snapshot loader does, and fails closed with a typed error instead of reaching these
+    /// asserts.
+    pub fn from_parts(
+        sources: Vec<Vertex>,
+        trees: Vec<CanonicalTree<M>>,
+        distances: Vec<ReplacementDistances<M>>,
+    ) -> Self {
+        assert!(!sources.is_empty(), "at least one source is required");
+        assert_eq!(sources.len(), trees.len(), "one tree per source");
+        assert_eq!(sources.len(), distances.len(), "one replacement table per source");
+        for (i, &s) in sources.iter().enumerate() {
+            assert_eq!(trees[i].source(), s, "tree {i} is not rooted at its source");
+        }
+        Self::assemble(sources, trees, distances, "sources must be distinct")
+    }
+
+    /// The canonical shortest-path trees, in source order (one per source).
+    ///
+    /// Together with [`per_source`](Self::per_source) this is the oracle's entire state;
+    /// serializers persist exactly these parts and rebuild with
+    /// [`from_parts`](Self::from_parts).
+    pub fn trees(&self) -> &[CanonicalTree<M>] {
+        &self.trees
+    }
+
+    /// The per-source replacement tables, in source order.
+    ///
+    /// Exposed so differential tests and experiments can compare two construction routes
+    /// row-for-row with `==` (the rows are the oracle's entire answer state: two oracles over
+    /// the same trees with equal rows answer every query identically).
+    pub fn per_source(&self) -> &[ReplacementDistances<M>] {
+        &self.distances
+    }
+
+    /// The sources the oracle was built for.
+    pub fn sources(&self) -> &[Vertex] {
+        &self.sources
+    }
+
+    /// Number of vertices of the graph the oracle was built over (0 for an oracle with no
+    /// trees, which no public constructor produces).
+    ///
+    /// Serving layers validate incoming `target`/`edge` ids against this bound *before*
+    /// querying: [`replacement_distance`](Self::replacement_distance) indexes its per-tree
+    /// arrays with `t` and the edge endpoints, so out-of-range ids panic (see the
+    /// `msrp-serve` protocol boundary).
+    pub fn vertex_count(&self) -> usize {
+        self.trees.first().map_or(0, |t| t.vertex_count())
+    }
+
+    /// Slot of `s` among the sources: one dense-table load, whatever σ is.
+    fn source_index(&self, s: Vertex) -> Option<usize> {
+        self.slots.get(s)
+    }
+
+    /// Fault-free distance from source `s` to `t` (`None` if `s` is not a source or `t` is
+    /// unreachable).
+    pub fn distance(&self, s: Vertex, t: Vertex) -> Option<M::Dist> {
+        let i = self.source_index(s)?;
+        self.trees[i].distance(t)
+    }
+
+    /// `QUERY(s, t, e)`: length of the shortest `s–t` path avoiding `e`, or `None` when `s` is
+    /// not one of the sources. `Some(M::INFINITY)` means the failure disconnects `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` or an endpoint of `e` is at least [`vertex_count`](Self::vertex_count);
+    /// callers exposed to untrusted ids must validate first (the serving boundary does).
+    pub fn replacement_distance(&self, s: Vertex, t: Vertex, e: Edge) -> Option<M::Dist> {
+        let i = self.source_index(s)?;
+        if !self.trees[i].is_reachable(t) {
+            return Some(M::INFINITY);
+        }
+        Some(self.distances[i].distance_avoiding(&self.trees[i], t, e))
+    }
+
+    /// The canonical shortest path from `s` to `t`, if both exist.
+    pub fn canonical_path(&self, s: Vertex, t: Vertex) -> Option<Vec<Vertex>> {
+        let i = self.source_index(s)?;
+        self.trees[i].path_from_source(t)
+    }
+
+    /// Total number of `(s, t, e)` entries stored.
+    pub fn entry_count(&self) -> usize {
+        self.distances.iter().map(|d| d.entry_count()).sum()
+    }
 }
 
 impl ReplacementPathOracle {
@@ -154,92 +316,9 @@ impl ReplacementPathOracle {
         Self::from_shards(build_shards_csr(g, sources, params, threads))
     }
 
-    /// Merges per-shard oracles (each covering a disjoint slice of the sources) into one
-    /// oracle, concatenating the per-source rows in shard order.
-    ///
-    /// This is the merge half of [`build_parallel`](Self::build_parallel); it is public so
-    /// that serving layers (`msrp-serve`) can build shards on their own schedule and still
-    /// recover a single-oracle view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shards are empty or share a source.
-    pub fn from_shards(shards: Vec<ReplacementPathOracle>) -> Self {
-        assert!(!shards.is_empty(), "at least one shard is required");
-        let mut sources = Vec::new();
-        let mut trees = Vec::new();
-        let mut distances = Vec::new();
-        for shard in shards {
-            sources.extend_from_slice(&shard.sources);
-            trees.extend(shard.trees);
-            distances.extend(shard.distances);
-        }
-        Self::assemble(sources, trees, distances, "shards must cover disjoint sources")
-    }
-
     /// Wraps an existing solver output.
     pub fn from_msrp_output(out: MsrpOutput) -> Self {
         Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
-    }
-
-    /// The constructor every route ends in: indexes the sources densely ([`SourceSlots`]).
-    /// Panics with `duplicate` if two entries cover the same source.
-    fn assemble(
-        sources: Vec<Vertex>,
-        trees: Vec<ShortestPathTree>,
-        distances: Vec<SourceReplacementDistances>,
-        duplicate: &str,
-    ) -> Self {
-        let n = trees.first().map_or(0, |t| t.vertex_count());
-        let slots =
-            SourceSlots::new(n, sources.iter().enumerate().map(|(i, &s)| (s, i))).expect(duplicate);
-        ReplacementPathOracle { sources, slots, trees, distances }
-    }
-
-    /// Assembles an oracle from its parts: one canonical tree and one replacement table per
-    /// source, in source order. This is how the Bernstein–Karger construction in [`bk`]
-    /// hands over its output, and how a deserialized snapshot (`msrp-snap`) becomes a live
-    /// oracle again without re-running any solver — the inverse of reading the parts back
-    /// through [`sources`](Self::sources) / [`trees`](Self::trees) /
-    /// [`per_source`](Self::per_source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three vectors disagree in length, are empty, if two entries cover the
-    /// same source, or if a tree is not rooted at its slot's source. Callers holding
-    /// *untrusted* parts (a decoded snapshot) must validate before constructing — the
-    /// snapshot loader does, and fails closed with a typed error instead of reaching these
-    /// asserts.
-    pub fn from_parts(
-        sources: Vec<Vertex>,
-        trees: Vec<ShortestPathTree>,
-        distances: Vec<SourceReplacementDistances>,
-    ) -> Self {
-        assert!(!sources.is_empty(), "at least one source is required");
-        assert_eq!(sources.len(), trees.len(), "one tree per source");
-        assert_eq!(sources.len(), distances.len(), "one replacement table per source");
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(trees[i].source(), s, "tree {i} is not rooted at its source");
-        }
-        Self::assemble(sources, trees, distances, "sources must be distinct")
-    }
-
-    /// The canonical shortest-path trees, in source order (one per source).
-    ///
-    /// Together with [`per_source`](Self::per_source) this is the oracle's entire state;
-    /// serializers persist exactly these parts and rebuild with
-    /// [`from_parts`](Self::from_parts).
-    pub fn trees(&self) -> &[ShortestPathTree] {
-        &self.trees
-    }
-
-    /// The per-source replacement tables, in source order.
-    ///
-    /// Exposed so differential tests and experiments can compare two construction routes
-    /// row-for-row with `==` (the rows are the oracle's entire answer state: two oracles over
-    /// the same trees with equal rows answer every query identically).
-    pub fn per_source(&self) -> &[SourceReplacementDistances] {
-        &self.distances
     }
 
     /// Builds the oracle by brute force (one BFS per tree edge per source); exact, used as the
@@ -260,60 +339,6 @@ impl ReplacementPathOracle {
         let distances =
             trees.iter().map(|t| single_source_brute_force_wave(g, t, &mut wave)).collect();
         Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
-    }
-
-    /// The sources the oracle was built for.
-    pub fn sources(&self) -> &[Vertex] {
-        &self.sources
-    }
-
-    /// Number of vertices of the graph the oracle was built over (0 for an oracle with no
-    /// trees, which no public constructor produces).
-    ///
-    /// Serving layers validate incoming `target`/`edge` ids against this bound *before*
-    /// querying: [`replacement_distance`](Self::replacement_distance) indexes its per-tree
-    /// arrays with `t` and the edge endpoints, so out-of-range ids panic (see the
-    /// `msrp-serve` protocol boundary).
-    pub fn vertex_count(&self) -> usize {
-        self.trees.first().map_or(0, |t| t.vertex_count())
-    }
-
-    /// Slot of `s` among the sources: one dense-table load, whatever σ is.
-    fn source_index(&self, s: Vertex) -> Option<usize> {
-        self.slots.get(s)
-    }
-
-    /// Fault-free distance from source `s` to `t` (`None` if `s` is not a source or `t` is
-    /// unreachable).
-    pub fn distance(&self, s: Vertex, t: Vertex) -> Option<Distance> {
-        let i = self.source_index(s)?;
-        self.trees[i].distance(t)
-    }
-
-    /// `QUERY(s, t, e)`: length of the shortest `s–t` path avoiding `e`, or `None` when `s` is
-    /// not one of the sources. `Some(INFINITE_DISTANCE)` means the failure disconnects `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` or an endpoint of `e` is at least [`vertex_count`](Self::vertex_count);
-    /// callers exposed to untrusted ids must validate first (the serving boundary does).
-    pub fn replacement_distance(&self, s: Vertex, t: Vertex, e: Edge) -> Option<Distance> {
-        let i = self.source_index(s)?;
-        if !self.trees[i].is_reachable(t) {
-            return Some(INFINITE_DISTANCE);
-        }
-        Some(self.distances[i].distance_avoiding(&self.trees[i], t, e))
-    }
-
-    /// The canonical shortest path from `s` to `t`, if both exist.
-    pub fn canonical_path(&self, s: Vertex, t: Vertex) -> Option<Vec<Vertex>> {
-        let i = self.source_index(s)?;
-        self.trees[i].path_from_source(t)
-    }
-
-    /// Total number of `(s, t, e)` entries stored.
-    pub fn entry_count(&self) -> usize {
-        self.distances.iter().map(|d| d.entry_count()).sum()
     }
 
     /// Vickrey-style edge criticality for the `s–t` pair: for every edge on the canonical path,
@@ -337,6 +362,36 @@ impl ReplacementPathOracle {
     /// Flattens the oracle into a cuckoo-hashed `(s, t, e) → d` table.
     pub fn flatten(&self) -> FlatReplacementOracle {
         FlatReplacementOracle::from_oracle(self)
+    }
+}
+
+impl WeightedReplacementOracle {
+    /// Builds the oracle by running the weighted solver (`msrp_core::solve_msrp_weighted`,
+    /// the crossing-edge / subtree-Dijkstra algorithm).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
+    /// vertex.
+    pub fn build(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
+        Self::from_output(solve_msrp_weighted(g, sources))
+    }
+
+    /// Wraps an existing weighted solver output.
+    pub fn from_output(out: WeightedMsrpOutput) -> Self {
+        Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
+    }
+
+    /// Builds the oracle by brute force (one Dijkstra per tree edge per source, all through
+    /// one shared [`DijkstraScratch`]); exact, the comparator of the weighted solver in
+    /// tests and experiment E9.
+    pub fn build_exact(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
+        let mut scratch = DijkstraScratch::new();
+        let trees: Vec<_> =
+            sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
+        let distances =
+            trees.iter().map(|t| single_source_brute_force_weighted(g, t, &mut scratch)).collect();
+        Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
     }
 }
 
@@ -440,16 +495,44 @@ pub fn shard_sources(sources: &[Vertex], shards: usize) -> Vec<&[Vertex]> {
     chunks
 }
 
-/// Builds one [`ReplacementPathOracle`] per shard, in parallel (one `std::thread` worker per
-/// shard, scoped). This is the construction half of
-/// [`ReplacementPathOracle::build_parallel`]; it is public so that serving layers
-/// (`msrp-serve`'s `ShardedOracle`) can keep the shards separate instead of merging them.
-///
-/// Freezes `g` into a [`CsrGraph`] once and hands every worker the same frozen view; see
-/// [`build_shards_csr`].
+/// Builds one oracle per shard of `sources` with `build`, in parallel: one scoped worker per
+/// shard, every worker traversing the caller's graph through a shared reference. Every
+/// sharded construction ([`build_shards_csr`], [`build_bk_shards_csr`],
+/// [`build_weighted_shards`]) runs through this.
 ///
 /// `threads == 0` is treated as 1 (built inline, no thread spawned); thread counts above σ
 /// are clamped to σ.
+///
+/// # Panics
+///
+/// Panics if `build` or a worker thread panics.
+pub(crate) fn build_sharded<M: Metric>(
+    sources: &[Vertex],
+    threads: usize,
+    build: impl Fn(&[Vertex]) -> ReplacementOracle<M> + Sync,
+) -> Vec<ReplacementOracle<M>> {
+    let threads = threads.max(1).min(sources.len().max(1));
+    if threads == 1 {
+        return vec![build(sources)];
+    }
+    let build = &build;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = shard_sources(sources, threads)
+            .into_iter()
+            .map(|chunk| scope.spawn(move || build(chunk)))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("oracle shard worker panicked")).collect()
+    })
+}
+
+/// Builds one [`ReplacementPathOracle`] per shard with the MSRP solver, in parallel. This is
+/// the construction half of [`ReplacementPathOracle::build_parallel`]; it is public so that
+/// serving layers (`msrp-serve`'s `ShardedOracle`) can keep the shards separate instead of
+/// merging them.
+///
+/// Freezes `g` into a [`CsrGraph`] once and hands every worker the same frozen view; see
+/// [`build_shards_csr`]. `threads == 0` is treated as 1 (built inline, no thread spawned);
+/// thread counts above σ are clamped to σ.
 ///
 /// # Panics
 ///
@@ -464,8 +547,7 @@ pub fn build_shards(
     build_shards_csr(&g.freeze(), sources, params, threads)
 }
 
-/// CSR entry point of [`build_shards`]: every scoped worker traverses the *same* frozen
-/// graph through a shared reference — the adjacency structure is built exactly once, no
+/// CSR entry point of [`build_shards`]: the adjacency structure is built exactly once, no
 /// matter how many shards are constructed (an `Arc<CsrGraph>` gives the same sharing to
 /// non-scoped callers).
 ///
@@ -478,196 +560,12 @@ pub fn build_shards_csr(
     params: &MsrpParams,
     threads: usize,
 ) -> Vec<ReplacementPathOracle> {
-    let threads = threads.max(1).min(sources.len().max(1));
-    if threads == 1 {
-        return vec![ReplacementPathOracle::build_csr(g, sources, params)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_sources(sources, threads)
-            .into_iter()
-            .map(|chunk| scope.spawn(move || ReplacementPathOracle::build_csr(g, chunk, params)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("oracle shard worker panicked")).collect()
-    })
+    build_sharded(sources, threads, |chunk| ReplacementPathOracle::build_csr(g, chunk, params))
 }
 
-/// A single-edge-fault distance oracle over *weighted* graphs: the weighted mirror of
-/// [`ReplacementPathOracle`], answering `QUERY(x, y, e)` under the weighted metric from
-/// Dijkstra shortest-path trees.
-///
-/// ```
-/// use msrp_graph::{Edge, WeightedGraph};
-/// use msrp_oracle::WeightedReplacementOracle;
-///
-/// # fn main() -> Result<(), msrp_graph::GraphError> {
-/// let g = WeightedGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 10)])?;
-/// let oracle = WeightedReplacementOracle::build(&g.freeze(), &[0]);
-/// assert_eq!(oracle.distance(0, 2), Some(2));
-/// assert_eq!(oracle.replacement_distance(0, 2, Edge::new(1, 2)), Some(11));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct WeightedReplacementOracle {
-    sources: Vec<Vertex>,
-    slots: SourceSlots,
-    trees: Vec<WeightedTree>,
-    distances: Vec<WeightedReplacementDistances>,
-}
-
-impl WeightedReplacementOracle {
-    /// Builds the oracle by running the weighted solver (`msrp_core::solve_msrp_weighted`,
-    /// the crossing-edge / subtree-Dijkstra algorithm).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
-    /// vertex.
-    pub fn build(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
-        Self::from_output(solve_msrp_weighted(g, sources))
-    }
-
-    /// Wraps an existing weighted solver output.
-    pub fn from_output(out: WeightedMsrpOutput) -> Self {
-        Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
-    }
-
-    /// The constructor every route ends in — the weighted mirror of
-    /// [`ReplacementPathOracle`]'s. Panics with `duplicate` if two entries share a source.
-    fn assemble(
-        sources: Vec<Vertex>,
-        trees: Vec<WeightedTree>,
-        distances: Vec<WeightedReplacementDistances>,
-        duplicate: &str,
-    ) -> Self {
-        let n = trees.first().map_or(0, |t| t.vertex_count());
-        let slots =
-            SourceSlots::new(n, sources.iter().enumerate().map(|(i, &s)| (s, i))).expect(duplicate);
-        WeightedReplacementOracle { sources, slots, trees, distances }
-    }
-
-    /// Assembles a weighted oracle from its parts — the weighted mirror of
-    /// [`ReplacementPathOracle::from_parts`], and the reconstruction path a deserialized
-    /// snapshot (`msrp-snap`) boots through.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`ReplacementPathOracle::from_parts`]
-    /// (length mismatch, empty or duplicate sources, a tree rooted elsewhere). Untrusted
-    /// parts must be validated by the caller first; the snapshot loader fails closed with
-    /// a typed error instead of reaching these asserts.
-    pub fn from_parts(
-        sources: Vec<Vertex>,
-        trees: Vec<WeightedTree>,
-        distances: Vec<WeightedReplacementDistances>,
-    ) -> Self {
-        assert!(!sources.is_empty(), "at least one source is required");
-        assert_eq!(sources.len(), trees.len(), "one tree per source");
-        assert_eq!(sources.len(), distances.len(), "one replacement table per source");
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(trees[i].source(), s, "tree {i} is not rooted at its source");
-        }
-        Self::assemble(sources, trees, distances, "sources must be distinct")
-    }
-
-    /// The canonical Dijkstra trees, in source order (one per source); with
-    /// [`per_source`](Self::per_source) this is the oracle's entire state.
-    pub fn trees(&self) -> &[WeightedTree] {
-        &self.trees
-    }
-
-    /// The per-source weighted replacement tables, in source order (the weighted mirror of
-    /// [`ReplacementPathOracle::per_source`]).
-    pub fn per_source(&self) -> &[WeightedReplacementDistances] {
-        &self.distances
-    }
-
-    /// Builds the oracle by brute force (one Dijkstra per tree edge per source, all through
-    /// one shared [`DijkstraScratch`]); exact, the comparator of the weighted solver in
-    /// tests and experiment E9.
-    pub fn build_exact(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
-        let mut scratch = DijkstraScratch::new();
-        let trees: Vec<_> =
-            sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
-        let distances =
-            trees.iter().map(|t| single_source_brute_force_weighted(g, t, &mut scratch)).collect();
-        Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
-    }
-
-    /// Merges per-shard weighted oracles (disjoint source slices) into one, concatenating
-    /// the per-source rows in shard order — the weighted mirror of
-    /// [`ReplacementPathOracle::from_shards`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shards are empty or share a source.
-    pub fn from_shards(shards: Vec<WeightedReplacementOracle>) -> Self {
-        assert!(!shards.is_empty(), "at least one shard is required");
-        let mut sources = Vec::new();
-        let mut trees = Vec::new();
-        let mut distances = Vec::new();
-        for shard in shards {
-            sources.extend_from_slice(&shard.sources);
-            trees.extend(shard.trees);
-            distances.extend(shard.distances);
-        }
-        Self::assemble(sources, trees, distances, "shards must cover disjoint sources")
-    }
-
-    /// The sources the oracle was built for.
-    pub fn sources(&self) -> &[Vertex] {
-        &self.sources
-    }
-
-    /// Number of vertices of the graph the oracle was built over (see
-    /// [`ReplacementPathOracle::vertex_count`] for why serving layers validate against it).
-    pub fn vertex_count(&self) -> usize {
-        self.trees.first().map_or(0, |t| t.vertex_count())
-    }
-
-    fn source_index(&self, s: Vertex) -> Option<usize> {
-        self.slots.get(s)
-    }
-
-    /// Fault-free weighted distance from source `s` to `t` (`None` if `s` is not a source
-    /// or `t` is unreachable).
-    pub fn distance(&self, s: Vertex, t: Vertex) -> Option<Weight> {
-        let i = self.source_index(s)?;
-        self.trees[i].distance(t)
-    }
-
-    /// `QUERY(s, t, e)` under the weighted metric, or `None` when `s` is not one of the
-    /// sources. `Some(INFINITE_WEIGHT)` means the failure disconnects `t`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` or an endpoint of `e` is at least [`vertex_count`](Self::vertex_count);
-    /// callers exposed to untrusted ids must validate first (the serving boundary does).
-    pub fn replacement_distance(&self, s: Vertex, t: Vertex, e: Edge) -> Option<Weight> {
-        let i = self.source_index(s)?;
-        if !self.trees[i].is_reachable(t) {
-            return Some(INFINITE_WEIGHT);
-        }
-        Some(self.distances[i].distance_avoiding(&self.trees[i], t, e))
-    }
-
-    /// The canonical (Dijkstra-tree) shortest path from `s` to `t`, if both exist.
-    pub fn canonical_path(&self, s: Vertex, t: Vertex) -> Option<Vec<Vertex>> {
-        let i = self.source_index(s)?;
-        self.trees[i].path_from_source(t)
-    }
-
-    /// Total number of `(s, t, e)` entries stored.
-    pub fn entry_count(&self) -> usize {
-        self.distances.iter().map(|d| d.entry_count()).sum()
-    }
-}
-
-/// Builds one [`WeightedReplacementOracle`] per shard, in parallel (one scoped worker per
-/// shard over the caller's frozen weighted view) — the weighted mirror of
-/// [`build_shards_csr`], consumed by `msrp-serve`'s `WeightedShardedOracle`.
-///
-/// `threads == 0` is treated as 1 (built inline); thread counts above σ are clamped to σ.
+/// Builds one [`WeightedReplacementOracle`] per shard with the weighted solver, in parallel
+/// over the caller's frozen weighted view; consumed by `msrp-serve`'s
+/// `WeightedShardedOracle`. Threads as in [`build_shards`].
 ///
 /// # Panics
 ///
@@ -678,17 +576,7 @@ pub fn build_weighted_shards(
     sources: &[Vertex],
     threads: usize,
 ) -> Vec<WeightedReplacementOracle> {
-    let threads = threads.max(1).min(sources.len().max(1));
-    if threads == 1 {
-        return vec![WeightedReplacementOracle::build(g, sources)];
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shard_sources(sources, threads)
-            .into_iter()
-            .map(|chunk| scope.spawn(move || WeightedReplacementOracle::build(g, chunk)))
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("oracle shard worker panicked")).collect()
-    })
+    build_sharded(sources, threads, |chunk| WeightedReplacementOracle::build(g, chunk))
 }
 
 // The serving layer (`msrp-serve`) shares immutable oracles across worker threads; these

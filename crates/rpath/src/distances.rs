@@ -1,15 +1,15 @@
 //! The output representation shared by every replacement-path algorithm in the workspace.
 
-use msrp_graph::{Distance, Edge, ShortestPathTree, Vertex, INFINITE_DISTANCE};
+use msrp_graph::{CanonicalTree, Edge, Hop, Metric, Vertex, Weighted};
 
 use crate::rows::FlatRows;
 
-/// Replacement distances from a single source to every target, indexed by the position of the
-/// avoided edge on the canonical (BFS-tree) shortest path.
+/// Replacement distances from a single source to every target under the metric `M`, indexed
+/// by the position of the avoided edge on the canonical shortest path.
 ///
-/// For a target `t` at depth `k` in the source's BFS tree, `row(t)` has length `k`; its `i`-th
-/// entry is `|st ⋄ e_i|`, the length of the shortest `s–t` path avoiding the `i`-th edge of the
-/// canonical path (`INFINITE_DISTANCE` when removing that edge disconnects `t` from `s`).
+/// For a target `t` at depth `k` in the source's canonical tree, `row(t)` has length `k`; its
+/// `i`-th entry is `|st ⋄ e_i|`, the length of the shortest `s–t` path avoiding the `i`-th edge
+/// of the canonical path (`M::INFINITY` when removing that edge disconnects `t` from `s`).
 /// Unreachable targets (and the source itself) have empty rows.
 ///
 /// This matches the problem statement in the paper: replacement paths are only asked for edges
@@ -18,30 +18,31 @@ use crate::rows::FlatRows;
 /// buffer, cut by the prefix sum of the row lengths, so reading an entry touches no per-row
 /// allocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SourceReplacementDistances {
+pub struct ReplacementDistances<M: Metric> {
     source: Vertex,
-    base: Vec<Distance>,
-    rows: FlatRows<Distance>,
+    base: Vec<M::Dist>,
+    rows: FlatRows<M::Dist>,
 }
 
-/// Row length of `t`: its hop distance from the source (0 when unreachable).
-fn row_len(tree: &ShortestPathTree, t: Vertex) -> usize {
-    tree.distance(t).map_or(0, |d| d as usize)
-}
+/// Hop-metric replacement distances over a BFS tree (row length = hop distance).
+pub type SourceReplacementDistances = ReplacementDistances<Hop>;
 
-impl SourceReplacementDistances {
-    /// Creates a table with every entry initialised to `INFINITE_DISTANCE`, sized according to
-    /// the canonical tree `tree` (which must be rooted at the source).
-    pub fn new(tree: &ShortestPathTree) -> Self {
-        SourceReplacementDistances {
+/// Weighted replacement distances over a Dijkstra tree (row length = hop depth).
+pub type WeightedReplacementDistances = ReplacementDistances<Weighted>;
+
+impl<M: Metric> ReplacementDistances<M> {
+    /// Creates a table with every entry initialised to `M::INFINITY`, sized according to the
+    /// canonical tree `tree` (which must be rooted at the source).
+    pub fn new(tree: &CanonicalTree<M>) -> Self {
+        ReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
-            rows: FlatRows::filled(tree.vertex_count(), |t| row_len(tree, t), INFINITE_DISTANCE),
+            rows: FlatRows::filled(tree.vertex_count(), |t| tree.depth(t), M::INFINITY),
         }
     }
 
     /// Builds the table directly from a flat row stream: row `t` takes the next
-    /// `tree.distance(t)` entries (empty for unreachable targets), in vertex order.
+    /// `tree.depth(t)` entries (empty for unreachable targets), in vertex order.
     /// The snapshot boot path uses this instead of [`new`](Self::new) followed by
     /// per-entry [`set`](Self::set), which initialised and then overwrote every entry;
     /// the stream is the table's own buffer layout, so this is one copy.
@@ -50,11 +51,11 @@ impl SourceReplacementDistances {
     ///
     /// Panics if `flat` does not hold exactly the entries the tree's row shapes
     /// require — callers (the snapshot decoder) prove the total first.
-    pub fn from_flat_rows(tree: &ShortestPathTree, flat: &[Distance]) -> Self {
-        SourceReplacementDistances {
+    pub fn from_flat_rows(tree: &CanonicalTree<M>, flat: &[M::Dist]) -> Self {
+        ReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
-            rows: FlatRows::from_flat(tree.vertex_count(), |t| row_len(tree, t), flat),
+            rows: FlatRows::from_flat(tree.vertex_count(), |t| tree.depth(t), flat),
         }
     }
 
@@ -69,25 +70,21 @@ impl SourceReplacementDistances {
     }
 
     /// The ordinary (no-failure) distance from the source to `t`, if `t` is reachable.
-    pub fn base_distance(&self, t: Vertex) -> Option<Distance> {
+    pub fn base_distance(&self, t: Vertex) -> Option<M::Dist> {
         let d = self.base[t];
-        if d == INFINITE_DISTANCE {
-            None
-        } else {
-            Some(d)
-        }
+        (d != M::INFINITY).then_some(d)
     }
 
     /// The replacement distance avoiding the `i`-th edge of the canonical path to `t`.
     ///
     /// Returns `None` when `t` or `i` is out of range (including unreachable targets); returns
-    /// `Some(INFINITE_DISTANCE)` when the entry exists but no replacement path does.
-    pub fn get(&self, t: Vertex, i: usize) -> Option<Distance> {
+    /// `Some(M::INFINITY)` when the entry exists but no replacement path does.
+    pub fn get(&self, t: Vertex, i: usize) -> Option<M::Dist> {
         self.rows.get(t, i)
     }
 
     /// The row of replacement distances for target `t` (may be empty).
-    pub fn row(&self, t: Vertex) -> &[Distance] {
+    pub fn row(&self, t: Vertex) -> &[M::Dist] {
         self.rows.row(t)
     }
 
@@ -96,7 +93,7 @@ impl SourceReplacementDistances {
     /// # Panics
     ///
     /// Panics if `i` is out of range for `t`.
-    pub fn set(&mut self, t: Vertex, i: usize, d: Distance) {
+    pub fn set(&mut self, t: Vertex, i: usize, d: M::Dist) {
         self.rows.row_mut(t)[i] = d;
     }
 
@@ -105,7 +102,7 @@ impl SourceReplacementDistances {
     /// # Panics
     ///
     /// Panics if `i` is out of range for `t`.
-    pub fn relax(&mut self, t: Vertex, i: usize, d: Distance) -> bool {
+    pub fn relax(&mut self, t: Vertex, i: usize, d: M::Dist) -> bool {
         let entry = &mut self.rows.row_mut(t)[i];
         if d < *entry {
             *entry = d;
@@ -118,7 +115,7 @@ impl SourceReplacementDistances {
     /// Replacement distance for an arbitrary edge: if `e` lies on the canonical path to `t` the
     /// stored entry is returned, otherwise the failure does not affect the canonical path and
     /// the ordinary distance is returned. This is the query the fault-tolerant oracles expose.
-    pub fn distance_avoiding(&self, tree: &ShortestPathTree, t: Vertex, e: Edge) -> Distance {
+    pub fn distance_avoiding(&self, tree: &CanonicalTree<M>, t: Vertex, e: Edge) -> M::Dist {
         match tree.edge_position_on_path(t, e) {
             Some(i) => self.rows.row(t)[i],
             None => self.base[t],
@@ -130,14 +127,14 @@ impl SourceReplacementDistances {
         self.rows.values().len()
     }
 
-    /// Number of entries that are still `INFINITE_DISTANCE`.
+    /// Number of entries that are still `M::INFINITY`.
     pub fn infinite_entry_count(&self) -> usize {
-        self.rows.values().iter().filter(|&&d| d == INFINITE_DISTANCE).count()
+        self.rows.values().iter().filter(|&&d| d == M::INFINITY).count()
     }
 
     /// Iterates over `(target, edge_index, distance)` for every stored entry, in vertex
     /// order and then edge order (the snapshot's row-stream order).
-    pub fn iter(&self) -> impl Iterator<Item = (Vertex, usize, Distance)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Vertex, usize, M::Dist)> + '_ {
         self.rows.iter()
     }
 }
@@ -146,7 +143,7 @@ impl SourceReplacementDistances {
 mod tests {
     use super::*;
     use msrp_graph::generators::{cycle_graph, path_graph};
-    use msrp_graph::Graph;
+    use msrp_graph::{Distance, Graph, ShortestPathTree, INFINITE_DISTANCE};
 
     fn tree_of(g: &Graph, s: Vertex) -> ShortestPathTree {
         ShortestPathTree::build(g, s)

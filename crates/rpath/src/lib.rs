@@ -43,7 +43,9 @@ pub use brute_force::{
     single_source_brute_force_wave, single_source_brute_force_with_scratch,
 };
 pub use compare::{compare, ComparisonReport, Mismatch};
-pub use distances::SourceReplacementDistances;
+pub use distances::{
+    ReplacementDistances, SourceReplacementDistances, WeightedReplacementDistances,
+};
 pub use most_vital::{
     most_vital_edge, most_vital_edge_csr, most_vital_edges, most_vital_edges_csr, VitalEdge,
 };
@@ -51,5 +53,4 @@ pub use single_pair::single_pair_replacement_paths;
 pub use ssrp_baseline::{single_source_via_single_pair, single_source_via_single_pair_csr};
 pub use weighted::{
     replacement_weight, single_source_brute_force_weighted, single_source_brute_force_weighted_csr,
-    WeightedReplacementDistances,
 };

@@ -72,7 +72,7 @@ pub fn single_pair_replacement_paths(
         path_index[v] = Some(i as u32);
     }
     let mut branch: Vec<u32> = vec![0; n];
-    for &v in tree.bfs_order() {
+    for &v in tree.order() {
         let v = v as usize;
         if let Some(i) = path_index[v] {
             branch[v] = i;

@@ -1,144 +1,14 @@
 //! Weighted replacement-path ground truth: remove the edge, rerun Dijkstra.
 //!
-//! The weighted mirror of [`brute_force`](crate::brute_force) and
-//! [`distances`](crate::distances): [`WeightedReplacementDistances`] stores per-target rows
-//! indexed by the position of the avoided edge on the canonical (Dijkstra-tree) path, and
-//! [`single_source_brute_force_weighted`] fills them with one edge-avoiding Dijkstra per
-//! tree edge. Everything the weighted solver in `msrp-core` produces is validated against
-//! these routines bit-for-bit.
+//! The weighted counterpart of [`brute_force`](crate::brute_force):
+//! [`single_source_brute_force_weighted`] fills a [`WeightedReplacementDistances`] table
+//! (rows indexed by the position of the avoided edge on the canonical Dijkstra-tree path)
+//! with one edge-avoiding Dijkstra per tree edge. Everything the weighted solver in
+//! `msrp-core` produces is validated against these routines bit-for-bit.
 
-use msrp_graph::{
-    DijkstraScratch, Edge, Vertex, Weight, WeightedCsrGraph, WeightedTree, INFINITE_WEIGHT,
-};
+use msrp_graph::{DijkstraScratch, Edge, Vertex, Weight, WeightedCsrGraph, WeightedTree};
 
-use crate::rows::FlatRows;
-
-/// Weighted replacement distances from a single source to every target, indexed by the
-/// position of the avoided edge on the canonical Dijkstra-tree path.
-///
-/// For a target `t` at hop depth `k` in the source's tree, `row(t)` has length `k`; its
-/// `i`-th entry is `|st ⋄ e_i|` under the weighted metric (`INFINITE_WEIGHT` when removing
-/// that edge disconnects `t`). Unreachable targets and the source itself have empty rows.
-/// This is the weighted twin of
-/// [`SourceReplacementDistances`](crate::SourceReplacementDistances) — the only structural
-/// difference is that row lengths follow hop *depth*, which is no longer equal to distance.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WeightedReplacementDistances {
-    source: Vertex,
-    base: Vec<Weight>,
-    rows: FlatRows<Weight>,
-}
-
-impl WeightedReplacementDistances {
-    /// Creates a table with every entry initialised to `INFINITE_WEIGHT`, sized according to
-    /// the canonical tree `tree` (which must be rooted at the source).
-    pub fn new(tree: &WeightedTree) -> Self {
-        WeightedReplacementDistances {
-            source: tree.source(),
-            base: tree.distances().to_vec(),
-            rows: FlatRows::filled(tree.vertex_count(), |t| tree.depth(t), INFINITE_WEIGHT),
-        }
-    }
-
-    /// Builds the table directly from a flat row stream: row `t` takes the next
-    /// `tree.depth(t)` entries, in vertex order — the weighted mirror of
-    /// [`SourceReplacementDistances::from_flat_rows`](crate::SourceReplacementDistances::from_flat_rows).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat` does not hold exactly the entries the tree's row shapes
-    /// require — callers (the snapshot decoder) prove the total first.
-    pub fn from_flat_rows(tree: &WeightedTree, flat: &[Weight]) -> Self {
-        WeightedReplacementDistances {
-            source: tree.source(),
-            base: tree.distances().to_vec(),
-            rows: FlatRows::from_flat(tree.vertex_count(), |t| tree.depth(t), flat),
-        }
-    }
-
-    /// The source vertex.
-    pub fn source(&self) -> Vertex {
-        self.source
-    }
-
-    /// Number of vertices in the underlying graph.
-    pub fn vertex_count(&self) -> usize {
-        self.rows.row_count()
-    }
-
-    /// The ordinary (no-failure) weighted distance to `t`, if `t` is reachable.
-    pub fn base_distance(&self, t: Vertex) -> Option<Weight> {
-        let d = self.base[t];
-        if d == INFINITE_WEIGHT {
-            None
-        } else {
-            Some(d)
-        }
-    }
-
-    /// The replacement distance avoiding the `i`-th edge of the canonical path to `t`.
-    ///
-    /// Returns `None` when `t` or `i` is out of range (including unreachable targets);
-    /// returns `Some(INFINITE_WEIGHT)` when the entry exists but no replacement path does.
-    pub fn get(&self, t: Vertex, i: usize) -> Option<Weight> {
-        self.rows.get(t, i)
-    }
-
-    /// The row of replacement distances for target `t` (may be empty).
-    pub fn row(&self, t: Vertex) -> &[Weight] {
-        self.rows.row(t)
-    }
-
-    /// Sets the entry for `(t, i)` unconditionally.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range for `t`.
-    pub fn set(&mut self, t: Vertex, i: usize, d: Weight) {
-        self.rows.row_mut(t)[i] = d;
-    }
-
-    /// Lowers the entry for `(t, i)` to `d` if `d` is smaller; returns whether it changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is out of range for `t`.
-    pub fn relax(&mut self, t: Vertex, i: usize, d: Weight) -> bool {
-        let entry = &mut self.rows.row_mut(t)[i];
-        if d < *entry {
-            *entry = d;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Replacement distance for an arbitrary edge: the stored entry when `e` lies on the
-    /// canonical path to `t`, the ordinary distance otherwise (the failure then cannot
-    /// affect the canonical path). The query the weighted oracle exposes.
-    pub fn distance_avoiding(&self, tree: &WeightedTree, t: Vertex, e: Edge) -> Weight {
-        match tree.edge_position_on_path(t, e) {
-            Some(i) => self.rows.row(t)[i],
-            None => self.base[t],
-        }
-    }
-
-    /// Total number of `(target, edge)` entries stored.
-    pub fn entry_count(&self) -> usize {
-        self.rows.values().len()
-    }
-
-    /// Number of entries that are still `INFINITE_WEIGHT`.
-    pub fn infinite_entry_count(&self) -> usize {
-        self.rows.values().iter().filter(|&&d| d == INFINITE_WEIGHT).count()
-    }
-
-    /// Iterates over `(target, edge_index, distance)` for every stored entry, in vertex
-    /// order and then edge order (the snapshot's row-stream order).
-    pub fn iter(&self) -> impl Iterator<Item = (Vertex, usize, Weight)> + '_ {
-        self.rows.iter()
-    }
-}
+use crate::WeightedReplacementDistances;
 
 /// The weighted replacement distance `|st ⋄ e|` computed by a single Dijkstra in `G \ {e}`.
 ///
@@ -205,7 +75,7 @@ pub fn single_source_brute_force_weighted(
 mod tests {
     use super::*;
     use msrp_graph::generators::cycle_graph;
-    use msrp_graph::WeightedGraph;
+    use msrp_graph::{WeightedGraph, INFINITE_WEIGHT};
 
     /// A weighted 6-cycle with per-edge weights 1..=6 (edge {i, i+1} has weight i + 1).
     fn weighted_cycle() -> WeightedGraph {

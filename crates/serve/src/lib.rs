@@ -73,7 +73,7 @@ pub use protocol::{
     parse_weighted_answer, validate_query, ProtocolError, Request, StatsReply,
 };
 pub use service::{
-    BatchStage, ObsConfig, PendingBatch, Query, QueryService, RouteOracle, ServiceConfig,
+    BatchStage, ObsConfig, PendingBatch, Query, QueryService, RouteOracle, ServiceConfig, Sharded,
     ShardedOracle, WeightedShardedOracle,
 };
 pub use wire::{read_line_bounded, LineOutcome, MAX_LINE_BYTES};

@@ -1,15 +1,16 @@
-//! The sharded oracles (unweighted and weighted) and the query service built on top of them:
-//! a worker pool, or, with zero workers, the submitting thread.
+//! The sharded oracle and the query service built on top of it: a worker pool, or, with
+//! zero workers, the submitting thread.
 //!
-//! The service is generic over a [`RouteOracle`]: the worker pool, queueing, metrics and
-//! batch semantics are written once and serve both the hop-metric [`ShardedOracle`] and the
-//! weighted [`WeightedShardedOracle`] (whose answers are [`Weight`]s instead of
-//! [`Distance`]s). `QueryService` defaults its oracle parameter to `ShardedOracle`, so
-//! existing unweighted callers are unaffected.
+//! [`Sharded`] is generic over the metric, so the hop-metric [`ShardedOracle`] and the
+//! weighted [`WeightedShardedOracle`] (whose answers are [`Weight`](msrp_graph::Weight)s instead of
+//! [`Distance`]s) route and answer through the same code. The service is generic over a
+//! [`RouteOracle`]: the worker pool, queueing, metrics and batch semantics are written once.
+//! `QueryService` defaults its oracle parameter to `ShardedOracle`, so existing unweighted
+//! callers are unaffected.
 //!
 //! # Untrusted ids
 //!
-//! Queries reaching a service may come straight off a socket. Both sharded oracles treat
+//! Queries reaching a service may come straight off a socket. The sharded oracle treats
 //! out-of-range `target`/edge ids as *unroutable* (`(None, None)`) instead of letting them
 //! reach the panicking deep-layer accessors — a malformed `Q` line must never kill a worker
 //! thread (the TCP front end additionally rejects such lines with an `ERR` reply before
@@ -21,11 +22,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use msrp_core::MsrpParams;
-use msrp_graph::{CsrGraph, Distance, Edge, Graph, Vertex, Weight, WeightedCsrGraph};
+use msrp_graph::{
+    CsrGraph, Distance, Edge, Graph, Hop, Metric, Vertex, Weighted, WeightedCsrGraph,
+};
 use msrp_obs::{JournalSnapshot, SlowEntry, SlowLog, SpanJournal, TraceIdGen};
 use msrp_oracle::{
-    build_shards, build_shards_csr, build_weighted_shards, RebuildStats, ReplacementPathOracle,
-    SourceSlots, WeightedReplacementOracle,
+    build_shards, build_shards_csr, build_weighted_shards, RebuildStats, ReplacementOracle,
+    SourceSlots,
 };
 
 use crate::exposition::{render_exposition, ObsReport};
@@ -53,7 +56,7 @@ impl Query {
 /// under arbitrary (including out-of-range) query ids.
 ///
 /// Implementations answer with their own distance type — `Distance` for the hop metric,
-/// [`Weight`] for the weighted metric — and must *never panic* on a hostile [`Query`]:
+/// [`Weight`](msrp_graph::Weight) for the weighted metric — and must *never panic* on a hostile [`Query`]:
 /// out-of-range ids are reported as unroutable, which is what keeps a serving worker alive
 /// when a malformed line slips past the protocol boundary.
 pub trait RouteOracle: Send + Sync + 'static {
@@ -84,36 +87,110 @@ pub trait RouteOracle: Send + Sync + 'static {
     }
 }
 
-/// The dense `vertex → shard` routing table shared by both sharded oracles, over the `n`
-/// vertices of the graph.
+/// Immutable oracle shards under the metric `M` plus a dense source → shard routing table.
 ///
-/// # Panics
-///
-/// Panics if two shards share a source.
-fn build_route<'a, S: Iterator<Item = &'a [Vertex]>>(n: usize, shard_sources: S) -> SourceSlots {
-    let pairs =
-        shard_sources.enumerate().flat_map(|(i, sources)| sources.iter().map(move |&s| (s, i)));
-    SourceSlots::new(n, pairs).expect("shards must cover disjoint sources")
-}
-
-/// Every source the shards cover, in ascending order.
-fn sorted_sources<'a, S: Iterator<Item = &'a [Vertex]>>(shard_sources: S) -> Vec<Vertex> {
-    let mut sources: Vec<Vertex> = shard_sources.flatten().copied().collect();
-    sources.sort_unstable();
-    sources
-}
-
-/// Immutable oracle shards plus a dense source → shard routing table.
-///
-/// Each shard is a [`ReplacementPathOracle`] covering a contiguous slice of the sources (the
+/// Each shard is a [`ReplacementOracle`] covering a contiguous slice of the sources (the
 /// same partition `msrp_oracle::shard_sources` and `build_parallel` use), so shards share
 /// nothing and can be queried from any number of threads concurrently — the `Send + Sync`
 /// assertions in `msrp-oracle` guarantee this stays true.
 #[derive(Clone, Debug)]
-pub struct ShardedOracle {
-    shards: Vec<ReplacementPathOracle>,
+pub struct Sharded<M: Metric> {
+    shards: Vec<ReplacementOracle<M>>,
     /// Dense `vertex → shard` routing table.
     route: SourceSlots,
+}
+
+/// Hop-metric oracle shards, answering in [`Distance`]s.
+pub type ShardedOracle = Sharded<Hop>;
+
+/// Weighted oracle shards, answering in [`Weight`](msrp_graph::Weight)s from Dijkstra trees.
+pub type WeightedShardedOracle = Sharded<Weighted>;
+
+impl<M: Metric> Sharded<M> {
+    /// Wraps pre-built shards (which must cover disjoint source sets).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is empty or two shards share a source.
+    pub fn from_shards(shards: Vec<ReplacementOracle<M>>) -> Self {
+        assert!(!shards.is_empty(), "at least one shard is required");
+        let pairs =
+            shards.iter().enumerate().flat_map(|(i, s)| s.sources().iter().map(move |&v| (v, i)));
+        let route = SourceSlots::new(shards[0].vertex_count(), pairs)
+            .expect("shards must cover disjoint sources");
+        Sharded { shards, route }
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// Number of vertices of the underlying graph (every shard sees the same graph).
+    pub fn vertex_count(&self) -> usize {
+        self.shards[0].vertex_count()
+    }
+
+    /// All sources, in ascending order.
+    pub fn sources(&self) -> Vec<Vertex> {
+        let mut sources: Vec<Vertex> =
+            self.shards.iter().flat_map(|s| s.sources()).copied().collect();
+        sources.sort_unstable();
+        sources
+    }
+
+    /// Index of the shard owning `source`, or `None` when no shard covers it.
+    pub fn shard_for(&self, source: Vertex) -> Option<usize> {
+        self.route.get(source)
+    }
+
+    /// Answers one query by routing it to its shard (`None` when the source is unroutable;
+    /// `Some(M::INFINITY)` when the failure disconnects the target).
+    pub fn query(&self, q: Query) -> Option<M::Dist> {
+        self.query_routed(q).1
+    }
+
+    /// Like [`query`](Self::query), but also reports which shard the query was routed to —
+    /// one routing lookup serves both the answer and the per-shard accounting.
+    ///
+    /// A query whose `target` or avoided-edge endpoints are out of range for the graph is
+    /// reported as unroutable (`(None, None)`) instead of reaching the oracle's panicking
+    /// array accesses: this is the line that keeps a worker thread alive when a hostile
+    /// `Q 0 999999999 0 1` arrives over the wire (the regression in `examples/serve_tcp.rs`).
+    pub fn query_routed(&self, q: Query) -> (Option<usize>, Option<M::Dist>) {
+        if !query_ids_in_range(&q, self.vertex_count()) {
+            return (None, None);
+        }
+        match self.shard_for(q.source) {
+            Some(shard) => {
+                (Some(shard), self.shards[shard].replacement_distance(q.source, q.target, q.avoid))
+            }
+            None => (None, None),
+        }
+    }
+
+    /// Fault-free distance from `source` to `target` (`None` when `source` is unroutable or
+    /// `target` unreachable or out of range).
+    pub fn distance(&self, source: Vertex, target: Vertex) -> Option<M::Dist> {
+        // The shard's `distance` indexes its tree's distance array with `target`, and a
+        // hostile id must answer `None`, not panic.
+        if target >= self.vertex_count() {
+            return None;
+        }
+        let shard = self.shard_for(source)?;
+        self.shards[shard].distance(source, target)
+    }
+
+    /// The shards, in routing order (read-only; what the snapshot encoder persists, and what
+    /// churn drivers compare shard-for-shard against a from-scratch build).
+    pub fn shards(&self) -> &[ReplacementOracle<M>] {
+        &self.shards
+    }
+
+    /// Merges the shards back into a single oracle (consumes the sharded view).
+    pub fn into_merged(self) -> ReplacementOracle<M> {
+        ReplacementOracle::from_shards(self.shards)
+    }
 }
 
 impl ShardedOracle {
@@ -122,7 +199,7 @@ impl ShardedOracle {
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`ReplacementPathOracle::build`] rejects (empty, duplicate, or
+    /// Panics on the inputs [`ReplacementPathOracle::build`](msrp_oracle::ReplacementPathOracle::build) rejects (empty, duplicate, or
     /// out-of-range sources) and if a construction worker panics.
     pub fn build(g: &Graph, sources: &[Vertex], params: &MsrpParams, shard_count: usize) -> Self {
         Self::from_shards(build_shards(g, sources, params, shard_count))
@@ -153,90 +230,16 @@ impl ShardedOracle {
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`ReplacementPathOracle::build_bk`] rejects (an out-of-range
+    /// Panics on the inputs [`ReplacementPathOracle::build_bk`](msrp_oracle::ReplacementPathOracle::build_bk) rejects (an out-of-range
     /// source; duplicates are rejected by the routing table) and if a construction worker
     /// panics.
     pub fn build_bk_csr(g: &CsrGraph, sources: &[Vertex], shard_count: usize) -> Self {
         Self::from_shards(msrp_oracle::build_bk_shards_csr(g, sources, shard_count))
     }
 
-    /// Wraps pre-built shards (which must cover disjoint source sets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty or two shards share a source.
-    pub fn from_shards(shards: Vec<ReplacementPathOracle>) -> Self {
-        assert!(!shards.is_empty(), "at least one shard is required");
-        let route = build_route(shards[0].vertex_count(), shards.iter().map(|s| s.sources()));
-        ShardedOracle { shards, route }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of vertices of the underlying graph (every shard sees the same graph).
-    pub fn vertex_count(&self) -> usize {
-        self.shards[0].vertex_count()
-    }
-
-    /// All sources, in ascending order.
-    pub fn sources(&self) -> Vec<Vertex> {
-        sorted_sources(self.shards.iter().map(|s| s.sources()))
-    }
-
-    /// Index of the shard owning `source`, or `None` when no shard covers it.
-    pub fn shard_for(&self, source: Vertex) -> Option<usize> {
-        self.route.get(source)
-    }
-
-    /// Answers one query by routing it to its shard (`None` when the source is unroutable;
-    /// `Some(INFINITE_DISTANCE)` when the failure disconnects the target).
-    pub fn query(&self, q: Query) -> Option<Distance> {
-        self.query_routed(q).1
-    }
-
-    /// Like [`query`](Self::query), but also reports which shard the query was routed to —
-    /// one routing lookup serves both the answer and the per-shard accounting.
-    ///
-    /// A query whose `target` or avoided-edge endpoints are out of range for the graph is
-    /// reported as unroutable (`(None, None)`) instead of reaching the oracle's panicking
-    /// array accesses: this is the line that keeps a worker thread alive when a hostile
-    /// `Q 0 999999999 0 1` arrives over the wire (the regression in `examples/serve_tcp.rs`).
-    pub fn query_routed(&self, q: Query) -> (Option<usize>, Option<Distance>) {
-        if !query_ids_in_range(&q, self.vertex_count()) {
-            return (None, None);
-        }
-        match self.shard_for(q.source) {
-            Some(shard) => {
-                (Some(shard), self.shards[shard].replacement_distance(q.source, q.target, q.avoid))
-            }
-            None => (None, None),
-        }
-    }
-
-    /// Fault-free distance from `source` to `target` (`None` when `source` is unroutable or
-    /// `target` unreachable or out of range).
-    pub fn distance(&self, source: Vertex, target: Vertex) -> Option<Distance> {
-        // Same guard as the weighted twin: the shard's `distance` indexes its tree's
-        // distance array with `target`, and a hostile id must answer `None`, not panic.
-        if target >= self.vertex_count() {
-            return None;
-        }
-        let shard = self.shard_for(source)?;
-        self.shards[shard].distance(source, target)
-    }
-
-    /// The shards, in routing order (read-only; exposed so churn drivers can compare an
-    /// incrementally rebuilt shard set against a from-scratch build shard-for-shard).
-    pub fn shards(&self) -> &[ReplacementPathOracle] {
-        &self.shards
-    }
-
     /// Rebuilds every shard for `g_new` — the served graph with the single edge `changed`
     /// added or removed — through the incremental Bernstein–Karger path
-    /// ([`ReplacementPathOracle::rebuild_bk_csr`]), reusing every per-source table the
+    /// ([`ReplacementPathOracle::rebuild_bk_csr`](msrp_oracle::ReplacementPathOracle::rebuild_bk_csr)), reusing every per-source table the
     /// change provably does not touch. Routing is unchanged (the sources are the same); the
     /// merged [`RebuildStats`] quantify the work saved over a from-scratch
     /// [`build_bk_csr`](Self::build_bk_csr).
@@ -255,12 +258,21 @@ impl ShardedOracle {
                 next
             })
             .collect();
-        (ShardedOracle { shards, route: self.route.clone() }, stats)
+        (Sharded { shards, route: self.route.clone() }, stats)
     }
+}
 
-    /// Merges the shards back into a single oracle (consumes the sharded view).
-    pub fn into_merged(self) -> ReplacementPathOracle {
-        ReplacementPathOracle::from_shards(self.shards)
+impl WeightedShardedOracle {
+    /// Builds `shard_count` weighted shards in parallel (one construction worker per shard,
+    /// all traversing the caller's frozen weighted view) and wires up the routing table.
+    /// `shard_count` is clamped to `[1, σ]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the inputs [`WeightedReplacementOracle::build`](msrp_oracle::WeightedReplacementOracle::build) rejects (empty, duplicate,
+    /// or out-of-range sources) and if a construction worker panics.
+    pub fn build(g: &WeightedCsrGraph, sources: &[Vertex], shard_count: usize) -> Self {
+        Self::from_shards(build_weighted_shards(g, sources, shard_count))
     }
 }
 
@@ -271,129 +283,19 @@ fn query_ids_in_range(q: &Query, vertex_count: usize) -> bool {
     q.target < vertex_count && q.avoid.hi() < vertex_count
 }
 
-impl RouteOracle for ShardedOracle {
-    type Answer = Distance;
+impl<M: Metric> RouteOracle for Sharded<M> {
+    type Answer = M::Dist;
 
     fn shard_count(&self) -> usize {
-        ShardedOracle::shard_count(self)
+        Sharded::shard_count(self)
     }
 
     fn vertex_count(&self) -> usize {
-        ShardedOracle::vertex_count(self)
+        Sharded::vertex_count(self)
     }
 
-    fn query_routed(&self, q: Query) -> (Option<usize>, Option<Distance>) {
-        ShardedOracle::query_routed(self, q)
-    }
-}
-
-/// Immutable *weighted* oracle shards plus the same source → shard routing table: the
-/// weighted mirror of [`ShardedOracle`], answering in [`Weight`]s from Dijkstra trees.
-#[derive(Clone, Debug)]
-pub struct WeightedShardedOracle {
-    shards: Vec<WeightedReplacementOracle>,
-    route: SourceSlots,
-}
-
-impl WeightedShardedOracle {
-    /// Builds `shard_count` weighted shards in parallel (one construction worker per shard,
-    /// all traversing the caller's frozen weighted view) and wires up the routing table.
-    /// `shard_count` is clamped to `[1, σ]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the inputs [`WeightedReplacementOracle::build`] rejects (empty, duplicate,
-    /// or out-of-range sources) and if a construction worker panics.
-    pub fn build(g: &WeightedCsrGraph, sources: &[Vertex], shard_count: usize) -> Self {
-        Self::from_shards(build_weighted_shards(g, sources, shard_count))
-    }
-
-    /// Wraps pre-built weighted shards (which must cover disjoint source sets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty or two shards share a source.
-    pub fn from_shards(shards: Vec<WeightedReplacementOracle>) -> Self {
-        assert!(!shards.is_empty(), "at least one shard is required");
-        let route = build_route(shards[0].vertex_count(), shards.iter().map(|s| s.sources()));
-        WeightedShardedOracle { shards, route }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Number of vertices of the underlying graph.
-    pub fn vertex_count(&self) -> usize {
-        self.shards[0].vertex_count()
-    }
-
-    /// All sources, in ascending order.
-    pub fn sources(&self) -> Vec<Vertex> {
-        sorted_sources(self.shards.iter().map(|s| s.sources()))
-    }
-
-    /// Index of the shard owning `source`, or `None` when no shard covers it.
-    pub fn shard_for(&self, source: Vertex) -> Option<usize> {
-        self.route.get(source)
-    }
-
-    /// Answers one query by routing it to its shard (`None` when the source is unroutable;
-    /// `Some(INFINITE_WEIGHT)` when the failure disconnects the target).
-    pub fn query(&self, q: Query) -> Option<Weight> {
-        self.query_routed(q).1
-    }
-
-    /// Like [`query`](Self::query), but also reports the shard. Out-of-range ids are
-    /// unroutable, never a panic — same hostile-input contract as
-    /// [`ShardedOracle::query_routed`].
-    pub fn query_routed(&self, q: Query) -> (Option<usize>, Option<Weight>) {
-        if !query_ids_in_range(&q, self.vertex_count()) {
-            return (None, None);
-        }
-        match self.shard_for(q.source) {
-            Some(shard) => {
-                (Some(shard), self.shards[shard].replacement_distance(q.source, q.target, q.avoid))
-            }
-            None => (None, None),
-        }
-    }
-
-    /// Fault-free weighted distance from `source` to `target` (`None` when `source` is
-    /// unroutable or `target` unreachable or out of range).
-    pub fn distance(&self, source: Vertex, target: Vertex) -> Option<Weight> {
-        if target >= self.vertex_count() {
-            return None;
-        }
-        let shard = self.shard_for(source)?;
-        self.shards[shard].distance(source, target)
-    }
-
-    /// The shards, in routing order (read-only; what the snapshot encoder persists).
-    pub fn shards(&self) -> &[WeightedReplacementOracle] {
-        &self.shards
-    }
-
-    /// Merges the shards back into a single weighted oracle (consumes the sharded view).
-    pub fn into_merged(self) -> WeightedReplacementOracle {
-        WeightedReplacementOracle::from_shards(self.shards)
-    }
-}
-
-impl RouteOracle for WeightedShardedOracle {
-    type Answer = Weight;
-
-    fn shard_count(&self) -> usize {
-        WeightedShardedOracle::shard_count(self)
-    }
-
-    fn vertex_count(&self) -> usize {
-        WeightedShardedOracle::vertex_count(self)
-    }
-
-    fn query_routed(&self, q: Query) -> (Option<usize>, Option<Weight>) {
-        WeightedShardedOracle::query_routed(self, q)
+    fn query_routed(&self, q: Query) -> (Option<usize>, Option<M::Dist>) {
+        Sharded::query_routed(self, q)
     }
 }
 
@@ -863,6 +765,7 @@ mod tests {
     use super::*;
     use msrp_graph::generators::{cycle_graph, grid_graph};
     use msrp_graph::INFINITE_DISTANCE;
+    use msrp_oracle::ReplacementPathOracle;
 
     fn demo_service(workers: usize, shards: usize) -> (Graph, QueryService) {
         let g = grid_graph(4, 4);

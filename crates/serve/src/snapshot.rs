@@ -3,18 +3,15 @@
 //!
 //! The division of labour: `msrp-snap` owns the byte format and its fail-closed
 //! validation; this module owns the serving-side adoption — turning decoded shards back
-//! into a routed [`ShardedOracle`] / [`WeightedShardedOracle`] (and the reverse, freezing
-//! a live one into bytes). `msrpctl create`/`serve` and the `oracle_snapshot` bench are
+//! into a routed [`Sharded`] oracle of either metric (and the reverse, freezing a live one
+//! into bytes). `msrpctl create`/`serve` and the `oracle_snapshot` bench are
 //! the two callers.
 
-use msrp_graph::{CsrGraph, WeightedCsrGraph};
-use msrp_snap::{
-    decode_snapshot, decode_weighted_snapshot, encode_snapshot, encode_weighted_snapshot, SnapError,
-};
+use msrp_snap::{decode_snapshot, encode_snapshot, SnapError, SnapMetric};
 
-use crate::service::{ShardedOracle, WeightedShardedOracle};
+use crate::service::Sharded;
 
-impl ShardedOracle {
+impl<M: SnapMetric> Sharded<M> {
     /// Freezes this oracle (and the graph it was built over) into a snapshot buffer.
     /// The shard partition is preserved, so the booted twin routes identically.
     ///
@@ -23,7 +20,7 @@ impl ShardedOracle {
     /// Panics if `g` is not the graph the shards were built over (vertex-count
     /// mismatch) — encoding is trusted and in-process; only decoding is hostile-input
     /// territory.
-    pub fn to_snapshot(&self, g: &CsrGraph) -> Vec<u8> {
+    pub fn to_snapshot(&self, g: &M::Graph) -> Vec<u8> {
         encode_snapshot(g, self.shards())
     }
 
@@ -31,30 +28,11 @@ impl ShardedOracle {
     /// alongside it. Fails closed with a typed [`SnapError`] on any corruption,
     /// truncation, or version/kind skew; on success the oracle answers bit-for-bit what
     /// the encoded one answered.
-    pub fn from_snapshot(bytes: &[u8]) -> Result<(CsrGraph, Self), SnapError> {
-        let snap = decode_snapshot(bytes)?;
+    pub fn from_snapshot(bytes: &[u8]) -> Result<(M::Graph, Self), SnapError> {
+        let snap = decode_snapshot::<M>(bytes)?;
         // The decoder already proved the shards non-empty with globally distinct
         // sources, so the routing-table construction cannot panic here.
-        Ok((snap.graph, ShardedOracle::from_shards(snap.shards)))
-    }
-}
-
-impl WeightedShardedOracle {
-    /// Freezes this weighted oracle into a snapshot buffer — the weighted mirror of
-    /// [`ShardedOracle::to_snapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Same trusted-input contract as [`ShardedOracle::to_snapshot`].
-    pub fn to_snapshot(&self, g: &WeightedCsrGraph) -> Vec<u8> {
-        encode_weighted_snapshot(g, self.shards())
-    }
-
-    /// Boots a weighted sharded oracle from a snapshot buffer — the weighted mirror of
-    /// [`ShardedOracle::from_snapshot`].
-    pub fn from_snapshot(bytes: &[u8]) -> Result<(WeightedCsrGraph, Self), SnapError> {
-        let snap = decode_weighted_snapshot(bytes)?;
-        Ok((snap.graph, WeightedShardedOracle::from_shards(snap.shards)))
+        Ok((snap.graph, Sharded::from_shards(snap.shards)))
     }
 }
 

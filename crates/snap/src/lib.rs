@@ -3,9 +3,11 @@
 //! A serving process should boot by *adopting* the immutable state a builder already paid
 //! for — the frozen [`CsrGraph`] / [`WeightedCsrGraph`] and the per-source replacement
 //! tables of the Bernstein–Karger (or exact, or weighted) oracle — instead of re-running
-//! minutes of preprocessing. This crate defines that interchange format and the two
-//! round-trip halves: [`encode_snapshot`] / [`decode_snapshot`] for the hop metric and
-//! [`encode_weighted_snapshot`] / [`decode_weighted_snapshot`] for the weighted metric.
+//! minutes of preprocessing. This crate defines that interchange format and its two
+//! round-trip halves, [`encode_snapshot`] / [`decode_snapshot`]: one encoder and one decoder,
+//! generic over the metric ([`SnapMetric`]: [`Hop`] or [`Weighted`]), whose per-metric
+//! items are the kind word, the graph sections, the word width of distances and rows, and
+//! the settle-order key the decoder checks.
 //!
 //! # Layout
 //!
@@ -35,10 +37,10 @@
 //! What is persisted is deliberately minimal. Trees are stored as the raw buffers they
 //! hold in memory (`dist`, sentinel-encoded `u32` `parent`, `u32` settle `order`), and a
 //! boot adopts each source's validated slices as they are through
-//! [`ShortestPathTree::from_raw`] / [`WeightedTree::from_parts`], which only add the Euler
-//! times (and, weighted, the hop depths); replacement tables are stored as their flat row
-//! values only, because the row *shapes* are a function of the tree (row length = hop
-//! distance in the unweighted oracle, hop depth in the weighted one). The graph is stored
+//! [`CanonicalTree::from_raw`], which only adds the Euler times (and, weighted, the hop
+//! depths); replacement tables are stored as their flat row values only, because the row
+//! *shapes* are a function of the tree (row length = hop depth, which is the hop distance
+//! in the unweighted oracle). The graph is stored
 //! as its raw CSR arrays, which [`CsrGraph::from_raw_parts`] revalidates structurally on
 //! load.
 //!
@@ -58,7 +60,7 @@
 //! Like row values, the choice among equally short parents that keeps the settle order
 //! consistent is content only the checksums guard: proving the first-settled parent would
 //! scan every CSR row once per source, as much work as the rest of the decode. All this
-//! holds so that by the time [`ReplacementPathOracle::from_parts`] (which asserts) is
+//! holds so that by the time [`ReplacementOracle::from_parts`] (which asserts) is
 //! called, its preconditions are already proven. The corruption fuzz battery in
 //! `tests/snapshot_fuzz.rs` pins this: every seeded bit flip, truncation, section-offset
 //! lie, and version bump must either round-trip bit-identically or fail closed here.
@@ -70,11 +72,12 @@ use std::error::Error;
 use std::fmt;
 
 use msrp_graph::{
-    CsrGraph, GraphError, ShortestPathTree, Vertex, WeightedCsrGraph, WeightedTree,
-    INFINITE_DISTANCE, INFINITE_WEIGHT, NO_PARENT,
+    CanonicalTree, CsrGraph, GraphError, Hop, Metric, Vertex, Weighted, WeightedCsrGraph, NO_PARENT,
 };
-use msrp_oracle::{ReplacementPathOracle, WeightedReplacementOracle};
-use msrp_rpath::{SourceReplacementDistances, WeightedReplacementDistances};
+use msrp_oracle::ReplacementOracle;
+use msrp_rpath::ReplacementDistances;
+
+use codec::{Codec, Envelope, Word};
 
 /// The 8-byte file magic.
 pub const SNAP_MAGIC: [u8; 8] = *b"MSRPSNAP";
@@ -104,11 +107,11 @@ const SEC_ROWS: u32 = 10;
 /// Which metric a snapshot serves.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum SnapKind {
-    /// Hop-metric snapshot: [`CsrGraph`] plus [`ReplacementPathOracle`] shards (the exact
-    /// and Bernstein–Karger construction routes produce identical tables, so one kind
-    /// covers both).
+    /// Hop-metric snapshot: [`CsrGraph`] plus hop-metric oracle shards (the exact and
+    /// Bernstein–Karger construction routes produce identical tables, so one kind covers
+    /// both).
     HopMetric,
-    /// Weighted snapshot: [`WeightedCsrGraph`] plus [`WeightedReplacementOracle`] shards.
+    /// Weighted snapshot: [`WeightedCsrGraph`] plus weighted oracle shards.
     Weighted,
 }
 
@@ -315,15 +318,9 @@ fn file_checksum(bytes: &[u8]) -> u64 {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn push_u32s<I: IntoIterator<Item = u32>>(dst: &mut Vec<u8>, words: I) {
+fn push_words<W: Word>(dst: &mut Vec<u8>, words: impl IntoIterator<Item = W>) {
     for w in words {
-        dst.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-fn push_u64s<I: IntoIterator<Item = u64>>(dst: &mut Vec<u8>, words: I) {
-    for w in words {
-        dst.extend_from_slice(&w.to_le_bytes());
+        w.put(dst);
     }
 }
 
@@ -358,21 +355,22 @@ fn assemble(kind: SnapKind, sections: Vec<(u32, Vec<u8>)>) -> Vec<u8> {
     out
 }
 
-/// Serializes a frozen graph plus per-shard hop-metric oracles into one snapshot buffer.
+/// Serializes a frozen graph plus its per-shard oracles into one snapshot buffer, with the
+/// metric's word width for tree distances and rows.
 ///
 /// The shard split is preserved (see the `SHARD_LENS` section), so a serving process can
-/// rebuild its `ShardedOracle` with the exact same source partition the builder used.
-/// Both the exact and the Bernstein–Karger construction routes produce these tables; the
-/// snapshot does not care which one paid for them.
+/// rebuild its sharded oracle with the exact same source partition the builder used. Both
+/// the exact and the Bernstein–Karger construction routes produce hop tables; the snapshot
+/// does not care which one paid for them.
 ///
 /// # Panics
 ///
 /// Panics if `shards` is empty or any shard was built over a different graph than `g`
 /// (vertex-count mismatch) — encoding is a trusted, in-process operation; only *decoding*
 /// handles hostile bytes.
-pub fn encode_snapshot(g: &CsrGraph, shards: &[ReplacementPathOracle]) -> Vec<u8> {
+pub fn encode_snapshot<M: SnapMetric>(g: &M::Graph, shards: &[ReplacementOracle<M>]) -> Vec<u8> {
     assert!(!shards.is_empty(), "at least one shard is required");
-    let n = g.vertex_count();
+    let n = shards[0].vertex_count();
     for shard in shards {
         assert_eq!(shard.vertex_count(), n, "shard built over a different graph");
     }
@@ -387,130 +385,40 @@ pub fn encode_snapshot(g: &CsrGraph, shards: &[ReplacementPathOracle]) -> Vec<u8
     let mut entry_total: u64 = 0;
     for shard in shards {
         for (tree, table) in shard.trees().iter().zip(shard.per_source()) {
-            push_u32s(&mut tree_dist, tree.distances().iter().copied());
-            push_u32s(&mut tree_parent, tree.parents_raw().iter().copied());
-            push_u32s(&mut tree_order, tree.bfs_order().iter().copied());
+            push_words(&mut tree_dist, tree.distances().iter().copied());
+            push_words(&mut tree_parent, tree.parents_raw().iter().copied());
+            push_words(&mut tree_order, tree.order().iter().copied());
             for t in 0..n {
                 let row = table.row(t);
-                push_u32s(&mut rows, row.iter().copied());
+                push_words(&mut rows, row.iter().copied());
                 entry_total += row.len() as u64;
             }
         }
     }
 
     let mut meta = Vec::new();
-    push_u64s(&mut meta, [n as u64, sources.len() as u64, shards.len() as u64, entry_total]);
-    let mut graph_offsets = Vec::new();
-    push_u32s(&mut graph_offsets, g.offsets().iter().copied());
-    let mut graph_targets = Vec::new();
-    push_u32s(&mut graph_targets, g.targets().iter().copied());
+    push_words(&mut meta, [n as u64, sources.len() as u64, shards.len() as u64, entry_total]);
     let mut sources_bytes = Vec::new();
-    push_u32s(&mut sources_bytes, sources);
+    push_words(&mut sources_bytes, sources);
     let mut shard_bytes = Vec::new();
-    push_u32s(&mut shard_bytes, shard_lens);
+    push_words(&mut shard_bytes, shard_lens);
 
-    assemble(
-        SnapKind::HopMetric,
-        vec![
-            (SEC_META, meta),
-            (SEC_GRAPH_OFFSETS, graph_offsets),
-            (SEC_GRAPH_TARGETS, graph_targets),
-            (SEC_SOURCES, sources_bytes),
-            (SEC_SHARD_LENS, shard_bytes),
-            (SEC_TREE_DIST, tree_dist),
-            (SEC_TREE_PARENT, tree_parent),
-            (SEC_TREE_ORDER, tree_order),
-            (SEC_ROWS, rows),
-        ],
-    )
-}
-
-/// Serializes a frozen weighted graph plus per-shard weighted oracles — the weighted
-/// mirror of [`encode_snapshot`], with `u64` words for weights, tree distances, and rows.
-///
-/// # Panics
-///
-/// Same trusted-input contract as [`encode_snapshot`].
-pub fn encode_weighted_snapshot(
-    g: &WeightedCsrGraph,
-    shards: &[WeightedReplacementOracle],
-) -> Vec<u8> {
-    assert!(!shards.is_empty(), "at least one shard is required");
-    let n = g.vertex_count();
-    for shard in shards {
-        assert_eq!(shard.vertex_count(), n, "shard built over a different graph");
-    }
-    let sources: Vec<u32> =
-        shards.iter().flat_map(|s| s.sources().iter().map(|&v| v as u32)).collect();
-    let shard_lens: Vec<u32> = shards.iter().map(|s| s.sources().len() as u32).collect();
-
-    let mut tree_dist = Vec::new();
-    let mut tree_parent = Vec::new();
-    let mut tree_order = Vec::new();
-    let mut rows = Vec::new();
-    let mut entry_total: u64 = 0;
-    for shard in shards {
-        for (tree, table) in shard.trees().iter().zip(shard.per_source()) {
-            push_u64s(&mut tree_dist, tree.distances().iter().copied());
-            push_u32s(&mut tree_parent, tree.parents_raw().iter().copied());
-            push_u32s(&mut tree_order, tree.order().iter().copied());
-            for t in 0..n {
-                let row = table.row(t);
-                push_u64s(&mut rows, row.iter().copied());
-                entry_total += row.len() as u64;
-            }
-        }
-    }
-
-    let mut meta = Vec::new();
-    push_u64s(&mut meta, [n as u64, sources.len() as u64, shards.len() as u64, entry_total]);
-    let mut graph_offsets = Vec::new();
-    push_u32s(&mut graph_offsets, g.offsets().iter().copied());
-    let mut graph_targets = Vec::new();
-    push_u32s(&mut graph_targets, g.targets().iter().copied());
-    let mut graph_weights = Vec::new();
-    push_u64s(&mut graph_weights, g.weights().iter().copied());
-    let mut sources_bytes = Vec::new();
-    push_u32s(&mut sources_bytes, sources);
-    let mut shard_bytes = Vec::new();
-    push_u32s(&mut shard_bytes, shard_lens);
-
-    assemble(
-        SnapKind::Weighted,
-        vec![
-            (SEC_META, meta),
-            (SEC_GRAPH_OFFSETS, graph_offsets),
-            (SEC_GRAPH_TARGETS, graph_targets),
-            (SEC_GRAPH_WEIGHTS, graph_weights),
-            (SEC_SOURCES, sources_bytes),
-            (SEC_SHARD_LENS, shard_bytes),
-            (SEC_TREE_DIST, tree_dist),
-            (SEC_TREE_PARENT, tree_parent),
-            (SEC_TREE_ORDER, tree_order),
-            (SEC_ROWS, rows),
-        ],
-    )
+    let mut sections = vec![(SEC_META, meta)];
+    sections.extend(M::graph_sections(g, n));
+    sections.extend([
+        (SEC_SOURCES, sources_bytes),
+        (SEC_SHARD_LENS, shard_bytes),
+        (SEC_TREE_DIST, tree_dist),
+        (SEC_TREE_PARENT, tree_parent),
+        (SEC_TREE_ORDER, tree_order),
+        (SEC_ROWS, rows),
+    ]);
+    assemble(M::KIND, sections)
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
-
-/// Validated header fields plus the located (checksum-verified) sections.
-struct Envelope<'a> {
-    kind: SnapKind,
-    sections: Vec<(u32, &'a [u8])>,
-}
-
-impl<'a> Envelope<'a> {
-    fn section(&self, id: u32) -> Result<&'a [u8], SnapError> {
-        self.sections
-            .iter()
-            .find(|&&(sid, _)| sid == id)
-            .map(|&(_, payload)| payload)
-            .ok_or(SnapError::SectionTable { reason: format!("required section {id} is missing") })
-    }
-}
 
 fn u32_le(bytes: &[u8], offset: usize) -> u32 {
     u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4-byte slice"))
@@ -520,26 +428,16 @@ fn u64_le(bytes: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8-byte slice"))
 }
 
-/// Reinterprets a checksum-verified payload as little-endian `u32` words.
-fn words_u32(id: u32, payload: &[u8]) -> Result<Vec<u32>, SnapError> {
-    if !payload.len().is_multiple_of(4) {
+/// Reinterprets a checksum-verified payload as little-endian words of type `W`.
+fn words<W: Word>(id: u32, payload: &[u8]) -> Result<Vec<W>, SnapError> {
+    if !payload.len().is_multiple_of(W::BYTES) {
         return Err(structure(format!(
-            "section {id} length {} is not a u32 multiple",
-            payload.len()
+            "section {id} length {} is not a {}-byte multiple",
+            payload.len(),
+            W::BYTES
         )));
     }
-    Ok(payload.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().expect("chunk"))).collect())
-}
-
-/// Reinterprets a checksum-verified payload as little-endian `u64` words.
-fn words_u64(id: u32, payload: &[u8]) -> Result<Vec<u64>, SnapError> {
-    if !payload.len().is_multiple_of(8) {
-        return Err(structure(format!(
-            "section {id} length {} is not a u64 multiple",
-            payload.len()
-        )));
-    }
-    Ok(payload.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().expect("chunk"))).collect())
+    Ok(payload.chunks_exact(W::BYTES).map(W::get).collect())
 }
 
 /// Runs the byte-level validation ladder: magic → version → kind → length → file checksum
@@ -638,7 +536,7 @@ pub struct SnapInfo {
 /// reconstructing trees or tables (what `msrpctl list` prints).
 pub fn inspect(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
     let envelope = open(bytes)?;
-    let meta = words_u64(SEC_META, envelope.section(SEC_META)?)?;
+    let meta = words::<u64>(SEC_META, envelope.section(SEC_META)?)?;
     if meta.len() != 4 {
         return Err(structure(format!("META holds {} words, expected 4", meta.len())));
     }
@@ -663,7 +561,7 @@ struct CommonParts {
 }
 
 fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
-    let meta = words_u64(SEC_META, envelope.section(SEC_META)?)?;
+    let meta = words::<u64>(SEC_META, envelope.section(SEC_META)?)?;
     if meta.len() != 4 {
         return Err(structure(format!("META holds {} words, expected 4", meta.len())));
     }
@@ -672,7 +570,7 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
     let shard_count = usize::try_from(meta[2]).map_err(|_| structure("shard count overflows"))?;
     let entry_total = meta[3];
 
-    let sources_raw = words_u32(SEC_SOURCES, envelope.section(SEC_SOURCES)?)?;
+    let sources_raw = words::<u32>(SEC_SOURCES, envelope.section(SEC_SOURCES)?)?;
     if sources_raw.len() != sigma || sigma == 0 {
         return Err(structure(format!(
             "META claims {sigma} sources, section holds {}",
@@ -689,7 +587,7 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
         return Err(structure("duplicate source ids"));
     }
 
-    let shard_lens_raw = words_u32(SEC_SHARD_LENS, envelope.section(SEC_SHARD_LENS)?)?;
+    let shard_lens_raw = words::<u32>(SEC_SHARD_LENS, envelope.section(SEC_SHARD_LENS)?)?;
     if shard_lens_raw.len() != shard_count || shard_count == 0 {
         return Err(structure(format!(
             "META claims {shard_count} shards, section holds {}",
@@ -716,28 +614,26 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
 ///
 /// * the root has distance 0 and no parent, and settles first;
 /// * the settle order names exactly the reachable vertices, each once, and settles every
-///   parent before its child, in non-decreasing `settle_key(vertex, parent's position)`;
+///   parent before its child, in non-decreasing settle key (hop: `(parent's position, id)`,
+///   the BFS queue discipline; weighted: distance, Dijkstra's);
 /// * every unreachable vertex has no parent;
 /// * every reachable `v ≠ source` hangs off its parent `p` by a graph edge
-///   (`edge_len(p, v)`, a binary search of `v`'s sorted CSR row) with
+///   ([`Metric::edge_length`], a binary search of `v`'s sorted CSR row) with
 ///   `dist[p] + len(p, v) == dist[v]`.
 ///
 /// Settling parents first rules out cycles even under zero weights, and it is the order
-/// the Euler-time and depth passes of [`ShortestPathTree::from_raw`] /
-/// [`WeightedTree::from_parts`] rely on; the distance equation makes every tree path a
-/// graph path of the stored length. A lied parent word (a grandparent, the vertex itself,
-/// a non-neighbour, `NO_PARENT` on a reachable vertex, a parent on an unreachable one)
-/// fails here instead of answering wrongly or looping in a path walk. The order pass
-/// follows the settle order; the edge pass runs in vertex order, so it reads the CSR rows
-/// front to back.
-fn validate_tree<D: Copy + Eq + Into<u64>, K: Ord>(
+/// the depth and Euler-time passes of [`CanonicalTree::from_raw`] rely on; the distance
+/// equation makes every tree path a graph path of the stored length. A lied parent word (a
+/// grandparent, the vertex itself, a non-neighbour, `NO_PARENT` on a reachable vertex, a
+/// parent on an unreachable one) fails here instead of answering wrongly or looping in a
+/// path walk. The order pass follows the settle order; the edge pass runs in vertex order,
+/// so it reads the CSR rows front to back.
+fn validate_tree<M: SnapMetric>(
+    graph: &M::Graph,
     source: Vertex,
-    dist: &[D],
-    infinite: D,
+    dist: &[M::Dist],
     parent: &[u32],
     order: &[u32],
-    settle_key: impl Fn(u32, u32) -> K,
-    edge_len: impl Fn(Vertex, Vertex) -> Option<D>,
 ) -> Result<(), SnapError> {
     let n = dist.len();
     let lie = |what: String| Err(structure(format!("tree of source {source} {what}")));
@@ -759,7 +655,7 @@ fn validate_tree<D: Copy + Eq + Into<u64>, K: Ord>(
         if p >= n || pos[p] == u32::MAX {
             return lie(format!("settles {v} before any parent"));
         }
-        let key = settle_key(v, pos[p]);
+        let key = M::settle_key(dist, v, pos[p]);
         if last_key.as_ref().is_some_and(|last| *last > key) {
             return lie(format!("settles {v} out of order"));
         }
@@ -768,7 +664,7 @@ fn validate_tree<D: Copy + Eq + Into<u64>, K: Ord>(
     }
     for v in 0..n {
         let settled = pos[v] != u32::MAX;
-        if (dist[v] != infinite) != settled {
+        if (dist[v] != M::INFINITY) != settled {
             return lie(format!("disagrees with its settle order on whether {v} is reachable"));
         }
         if !settled && parent[v] != NO_PARENT {
@@ -779,7 +675,7 @@ fn validate_tree<D: Copy + Eq + Into<u64>, K: Ord>(
         }
         // The order pass proved `p` in range and settled, so its distance is finite.
         let p = parent[v] as usize;
-        let tight = edge_len(p, v)
+        let tight = M::edge_length(graph, p, v)
             .is_some_and(|len| dist[p].into().checked_add(len.into()) == Some(dist[v].into()));
         if !tight {
             return lie(format!("has no tight edge from {p} to its child {v}"));
@@ -788,41 +684,41 @@ fn validate_tree<D: Copy + Eq + Into<u64>, K: Ord>(
     Ok(())
 }
 
-/// A decoded hop-metric snapshot: the frozen graph and the oracle shards, ready to serve.
+/// A decoded snapshot: the frozen graph and the oracle shards, ready to serve.
 #[derive(Clone, Debug)]
-pub struct Snapshot {
+pub struct Snapshot<M: Metric> {
     /// The frozen graph the oracles were built over.
-    pub graph: CsrGraph,
+    pub graph: M::Graph,
     /// The oracle shards, in the builder's shard order (disjoint source slices).
-    pub shards: Vec<ReplacementPathOracle>,
+    pub shards: Vec<ReplacementOracle<M>>,
 }
 
-/// Decodes a hop-metric snapshot, failing closed with a typed [`SnapError`] on any
+/// Decodes a snapshot of the metric `M`, failing closed with a typed [`SnapError`] on any
 /// corruption, truncation, or version/kind skew. On success the returned shards answer
 /// bit-for-bit what the encoded oracles answered — pinned row-for-row by the fuzz battery.
-pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapError> {
+pub fn decode_snapshot<M: SnapMetric>(bytes: &[u8]) -> Result<Snapshot<M>, SnapError> {
     let envelope = open(bytes)?;
-    if envelope.kind != SnapKind::HopMetric {
-        return Err(SnapError::WrongKind { expected: SnapKind::HopMetric, found: envelope.kind });
+    if envelope.kind != M::KIND {
+        return Err(SnapError::WrongKind { expected: M::KIND, found: envelope.kind });
     }
     let common = decode_common(&envelope)?;
     let n = common.n;
     let sigma = common.sources.len();
 
-    let offsets = words_u32(SEC_GRAPH_OFFSETS, envelope.section(SEC_GRAPH_OFFSETS)?)?;
+    let offsets = words::<u32>(SEC_GRAPH_OFFSETS, envelope.section(SEC_GRAPH_OFFSETS)?)?;
     if offsets.len() != n + 1 {
         return Err(structure(format!(
             "META claims {n} vertices, offsets array holds {}",
             offsets.len()
         )));
     }
-    let targets = words_u32(SEC_GRAPH_TARGETS, envelope.section(SEC_GRAPH_TARGETS)?)?;
-    let graph = CsrGraph::from_raw_parts(offsets, targets)?;
+    let targets = words::<u32>(SEC_GRAPH_TARGETS, envelope.section(SEC_GRAPH_TARGETS)?)?;
+    let graph = M::graph_from_sections(&envelope, offsets, targets)?;
 
-    let tree_dist = words_u32(SEC_TREE_DIST, envelope.section(SEC_TREE_DIST)?)?;
-    let tree_parent = words_u32(SEC_TREE_PARENT, envelope.section(SEC_TREE_PARENT)?)?;
-    let tree_order = words_u32(SEC_TREE_ORDER, envelope.section(SEC_TREE_ORDER)?)?;
-    let rows = words_u32(SEC_ROWS, envelope.section(SEC_ROWS)?)?;
+    let tree_dist = words::<M::Dist>(SEC_TREE_DIST, envelope.section(SEC_TREE_DIST)?)?;
+    let tree_parent = words::<u32>(SEC_TREE_PARENT, envelope.section(SEC_TREE_PARENT)?)?;
+    let tree_order = words::<u32>(SEC_TREE_ORDER, envelope.section(SEC_TREE_ORDER)?)?;
+    let rows = words::<M::Dist>(SEC_ROWS, envelope.section(SEC_ROWS)?)?;
     let per_tree = sigma.checked_mul(n).ok_or_else(|| structure("σ·n overflows"))?;
     if tree_dist.len() != per_tree || tree_parent.len() != per_tree {
         return Err(structure("tree arrays do not hold σ·n entries"));
@@ -844,136 +740,18 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Snapshot, SnapError> {
     for (i, &s) in common.sources.iter().enumerate() {
         let dist = &tree_dist[i * n..(i + 1) * n];
         let parent = &tree_parent[i * n..(i + 1) * n];
-        let reachable = dist.iter().filter(|&&d| d != INFINITE_DISTANCE).count();
+        let reachable = dist.iter().filter(|&&d| d != M::INFINITY).count();
         if order_cursor + reachable > tree_order.len() {
             return Err(structure("settle orders overrun their section"));
         }
         let order = &tree_order[order_cursor..order_cursor + reachable];
         order_cursor += reachable;
-        // BFS queue discipline: children grouped by their parent's settle position,
-        // ascending id within a group, as the top-down kernel appends them.
-        validate_tree(
-            s,
-            dist,
-            INFINITE_DISTANCE,
-            parent,
-            order,
-            |v, parent_pos| (parent_pos, v),
-            |p, v| graph.neighbor_row(v).binary_search(&(p as u32)).is_ok().then_some(1),
-        )?;
-        // Memory-bounding gate: the table constructor below sizes each row by the tree
-        // distance, so a lied (finite but huge) distance word would otherwise translate
-        // into a multi-gigabyte allocation from a kilobyte-sized file. Prove the derived
-        // row total fits the (file-size-bounded) ROWS section BEFORE allocating anything
-        // distance-sized.
-        let tree_rows: u64 =
-            dist.iter().filter(|&&d| d != INFINITE_DISTANCE).map(|&d| u64::from(d)).sum();
-        if (row_cursor as u64).saturating_add(tree_rows) > rows.len() as u64 {
-            return Err(structure(format!("rows of source {s} overrun their section")));
-        }
-        let tree = ShortestPathTree::from_raw(s, dist.to_vec(), parent.to_vec(), order.to_vec());
-        // Row shapes are a function of the (validated) tree: length = hop distance for
-        // reachable targets. The gate above proved the flat stream holds this source's
-        // whole row total, so the bulk constructor's exact-payout panic cannot fire.
-        let take = tree_rows as usize;
-        let table =
-            SourceReplacementDistances::from_flat_rows(&tree, &rows[row_cursor..row_cursor + take]);
-        row_cursor += take;
-        trees.push(tree);
-        tables.push(table);
-    }
-    if order_cursor != tree_order.len() {
-        return Err(structure("settle-order section has trailing entries"));
-    }
-    if row_cursor != rows.len() {
-        return Err(structure("rows section has trailing entries"));
-    }
-
-    let shards = split_shards(common.sources, trees, tables, &common.shard_lens, |s, t, d| {
-        ReplacementPathOracle::from_parts(s, t, d)
-    });
-    Ok(Snapshot { graph, shards })
-}
-
-/// A decoded weighted snapshot: frozen weighted graph plus weighted oracle shards.
-#[derive(Clone, Debug)]
-pub struct WeightedSnapshot {
-    /// The frozen weighted graph the oracles were built over.
-    pub graph: WeightedCsrGraph,
-    /// The weighted oracle shards, in the builder's shard order.
-    pub shards: Vec<WeightedReplacementOracle>,
-}
-
-/// Decodes a weighted snapshot — the weighted mirror of [`decode_snapshot`], with the
-/// same fail-closed ladder and the row shapes derived from hop *depth* instead of
-/// distance (weighted canonical paths are indexed by edge position, not length).
-pub fn decode_weighted_snapshot(bytes: &[u8]) -> Result<WeightedSnapshot, SnapError> {
-    let envelope = open(bytes)?;
-    if envelope.kind != SnapKind::Weighted {
-        return Err(SnapError::WrongKind { expected: SnapKind::Weighted, found: envelope.kind });
-    }
-    let common = decode_common(&envelope)?;
-    let n = common.n;
-    let sigma = common.sources.len();
-
-    let offsets = words_u32(SEC_GRAPH_OFFSETS, envelope.section(SEC_GRAPH_OFFSETS)?)?;
-    if offsets.len() != n + 1 {
-        return Err(structure(format!(
-            "META claims {n} vertices, offsets array holds {}",
-            offsets.len()
-        )));
-    }
-    let targets = words_u32(SEC_GRAPH_TARGETS, envelope.section(SEC_GRAPH_TARGETS)?)?;
-    let weights = words_u64(SEC_GRAPH_WEIGHTS, envelope.section(SEC_GRAPH_WEIGHTS)?)?;
-    let graph = WeightedCsrGraph::from_raw_parts(offsets, targets, weights)?;
-
-    let tree_dist = words_u64(SEC_TREE_DIST, envelope.section(SEC_TREE_DIST)?)?;
-    let tree_parent = words_u32(SEC_TREE_PARENT, envelope.section(SEC_TREE_PARENT)?)?;
-    let tree_order = words_u32(SEC_TREE_ORDER, envelope.section(SEC_TREE_ORDER)?)?;
-    let rows = words_u64(SEC_ROWS, envelope.section(SEC_ROWS)?)?;
-    let per_tree = sigma.checked_mul(n).ok_or_else(|| structure("σ·n overflows"))?;
-    if tree_dist.len() != per_tree || tree_parent.len() != per_tree {
-        return Err(structure("tree arrays do not hold σ·n entries"));
-    }
-    if rows.len() as u64 != common.entry_total {
-        return Err(structure(format!(
-            "META claims {} row entries, section holds {}",
-            common.entry_total,
-            rows.len()
-        )));
-    }
-
-    let mut trees = Vec::with_capacity(sigma);
-    let mut tables = Vec::with_capacity(sigma);
-    let mut order_cursor = 0usize;
-    let mut row_cursor = 0usize;
-    for (i, &s) in common.sources.iter().enumerate() {
-        let dist = &tree_dist[i * n..(i + 1) * n];
-        let parent = &tree_parent[i * n..(i + 1) * n];
-        let reachable = dist.iter().filter(|&&d| d != INFINITE_WEIGHT).count();
-        if order_cursor + reachable > tree_order.len() {
-            return Err(structure("settle orders overrun their section"));
-        }
-        let order = &tree_order[order_cursor..order_cursor + reachable];
-        order_cursor += reachable;
-        // Dijkstra settles in non-decreasing distance.
-        validate_tree(
-            s,
-            dist,
-            INFINITE_WEIGHT,
-            parent,
-            order,
-            |v, _| dist[v as usize],
-            |p, v| {
-                let (targets, weights) = graph.neighbor_row(v);
-                targets.binary_search(&(p as u32)).ok().map(|i| weights[i])
-            },
-        )?;
-        let tree = WeightedTree::from_parts(s, dist.to_vec(), parent.to_vec(), order.to_vec());
-        // Memory-bounding gate, weighted flavour: rows are sized by hop *depth*, and a
-        // crafted path-shaped parent array makes Σ depth(t) quadratic in n. Prove the
-        // derived total fits the (file-size-bounded) ROWS section before the table
-        // constructor allocates it.
+        validate_tree::<M>(&graph, s, dist, parent, order)?;
+        let tree = CanonicalTree::from_raw(s, dist.to_vec(), parent.to_vec(), order.to_vec());
+        // Memory-bounding gate: rows are sized by tree depth, and a lied (finite but huge)
+        // hop distance, or a crafted path-shaped weighted parent array, makes Σ depth(t)
+        // huge or quadratic in n from a kilobyte-sized file. Prove the derived total fits
+        // the (file-size-bounded) ROWS section before the table constructor allocates it.
         let tree_rows: u64 = (0..n).map(|t| tree.depth(t) as u64).sum();
         if (row_cursor as u64).saturating_add(tree_rows) > rows.len() as u64 {
             return Err(structure(format!("rows of source {s} overrun their section")));
@@ -981,10 +759,8 @@ pub fn decode_weighted_snapshot(bytes: &[u8]) -> Result<WeightedSnapshot, SnapEr
         // The gate above proved the flat stream holds this source's whole row total, so
         // the bulk constructor's exact-payout panic cannot fire.
         let take = tree_rows as usize;
-        let table = WeightedReplacementDistances::from_flat_rows(
-            &tree,
-            &rows[row_cursor..row_cursor + take],
-        );
+        let table =
+            ReplacementDistances::from_flat_rows(&tree, &rows[row_cursor..row_cursor + take]);
         row_cursor += take;
         trees.push(tree);
         tables.push(table);
@@ -996,29 +772,26 @@ pub fn decode_weighted_snapshot(bytes: &[u8]) -> Result<WeightedSnapshot, SnapEr
         return Err(structure("rows section has trailing entries"));
     }
 
-    let shards = split_shards(common.sources, trees, tables, &common.shard_lens, |s, t, d| {
-        WeightedReplacementOracle::from_parts(s, t, d)
-    });
-    Ok(WeightedSnapshot { graph, shards })
+    let shards = split_shards(common.sources, trees, tables, &common.shard_lens);
+    Ok(Snapshot { graph, shards })
 }
 
 /// Splits flat per-source parts back into the builder's shard partition. All inputs are
 /// already validated (lengths agree, shard lens sum to σ), so the constructor's asserts
 /// cannot fire.
-fn split_shards<T, D, O>(
+fn split_shards<M: Metric>(
     sources: Vec<Vertex>,
-    trees: Vec<T>,
-    tables: Vec<D>,
+    trees: Vec<CanonicalTree<M>>,
+    tables: Vec<ReplacementDistances<M>>,
     shard_lens: &[usize],
-    make: impl Fn(Vec<Vertex>, Vec<T>, Vec<D>) -> O,
-) -> Vec<O> {
+) -> Vec<ReplacementOracle<M>> {
     let mut sources = sources.into_iter();
     let mut trees = trees.into_iter();
     let mut tables = tables.into_iter();
     shard_lens
         .iter()
         .map(|&len| {
-            make(
+            ReplacementOracle::from_parts(
                 sources.by_ref().take(len).collect(),
                 trees.by_ref().take(len).collect(),
                 tables.by_ref().take(len).collect(),
@@ -1027,11 +800,145 @@ fn split_shards<T, D, O>(
         .collect()
 }
 
+/// The metrics a snapshot can hold: [`Hop`] and [`Weighted`]. Sealed; the codec's
+/// per-metric items (kind, graph sections, word width, settle-order key) stay private.
+pub trait SnapMetric: Codec {}
+
+impl<M: Codec> SnapMetric for M {}
+
+mod codec {
+    use super::*;
+
+    /// Validated header fields plus the located (checksum-verified) sections.
+    pub struct Envelope<'a> {
+        pub kind: SnapKind,
+        pub sections: Vec<(u32, &'a [u8])>,
+    }
+
+    impl<'a> Envelope<'a> {
+        pub fn section(&self, id: u32) -> Result<&'a [u8], SnapError> {
+            self.sections.iter().find(|&&(sid, _)| sid == id).map(|&(_, payload)| payload).ok_or(
+                SnapError::SectionTable { reason: format!("required section {id} is missing") },
+            )
+        }
+    }
+
+    /// A fixed-width little-endian word.
+    pub trait Word: Copy {
+        /// Width in bytes.
+        const BYTES: usize;
+        /// Appends the word.
+        fn put(self, dst: &mut Vec<u8>);
+        /// Reads the word from a `BYTES`-long chunk.
+        fn get(chunk: &[u8]) -> Self;
+    }
+
+    impl Word for u32 {
+        const BYTES: usize = 4;
+        #[inline]
+        fn put(self, dst: &mut Vec<u8>) {
+            dst.extend_from_slice(&self.to_le_bytes());
+        }
+        #[inline]
+        fn get(chunk: &[u8]) -> Self {
+            u32::from_le_bytes(chunk.try_into().expect("chunk"))
+        }
+    }
+
+    impl Word for u64 {
+        const BYTES: usize = 8;
+        #[inline]
+        fn put(self, dst: &mut Vec<u8>) {
+            dst.extend_from_slice(&self.to_le_bytes());
+        }
+        #[inline]
+        fn get(chunk: &[u8]) -> Self {
+            u64::from_le_bytes(chunk.try_into().expect("chunk"))
+        }
+    }
+
+    /// What the codec needs of a metric beyond [`Metric`]; distances and rows are stored
+    /// as `Dist` words.
+    pub trait Codec: Metric<Dist: Word> {
+        /// The header's kind word.
+        const KIND: SnapKind;
+        /// Sort key the settle order must be non-decreasing in.
+        type SettleKey: Ord;
+        /// Settle key of `v`, whose parent settled at position `parent_pos`.
+        fn settle_key(dist: &[Self::Dist], v: u32, parent_pos: u32) -> Self::SettleKey;
+        /// The graph's sections, in file order, for a graph of `n` vertices.
+        fn graph_sections(g: &Self::Graph, n: usize) -> Vec<(u32, Vec<u8>)>;
+        /// Rebuilds the graph from its validated-length CSR arrays and its other sections.
+        fn graph_from_sections(
+            envelope: &Envelope<'_>,
+            offsets: Vec<u32>,
+            targets: Vec<u32>,
+        ) -> Result<Self::Graph, SnapError>;
+    }
+
+    /// The offsets and targets sections of a graph of `n` vertices.
+    fn csr_sections(n: usize, offsets: &[u32], targets: &[u32]) -> Vec<(u32, Vec<u8>)> {
+        assert_eq!(offsets.len(), n + 1, "shard built over a different graph");
+        let mut graph_offsets = Vec::new();
+        push_words(&mut graph_offsets, offsets.iter().copied());
+        let mut graph_targets = Vec::new();
+        push_words(&mut graph_targets, targets.iter().copied());
+        vec![(SEC_GRAPH_OFFSETS, graph_offsets), (SEC_GRAPH_TARGETS, graph_targets)]
+    }
+
+    impl Codec for Hop {
+        const KIND: SnapKind = SnapKind::HopMetric;
+        /// BFS queue discipline: children grouped by their parent's settle position,
+        /// ascending id within a group, as the top-down kernel appends them.
+        type SettleKey = (u32, u32);
+        #[inline]
+        fn settle_key(_: &[u32], v: u32, parent_pos: u32) -> (u32, u32) {
+            (parent_pos, v)
+        }
+        fn graph_sections(g: &CsrGraph, n: usize) -> Vec<(u32, Vec<u8>)> {
+            csr_sections(n, g.offsets(), g.targets())
+        }
+        fn graph_from_sections(
+            _: &Envelope<'_>,
+            offsets: Vec<u32>,
+            targets: Vec<u32>,
+        ) -> Result<CsrGraph, SnapError> {
+            Ok(CsrGraph::from_raw_parts(offsets, targets)?)
+        }
+    }
+
+    impl Codec for Weighted {
+        const KIND: SnapKind = SnapKind::Weighted;
+        /// Dijkstra settles in non-decreasing distance.
+        type SettleKey = u64;
+        #[inline]
+        fn settle_key(dist: &[u64], v: u32, _: u32) -> u64 {
+            dist[v as usize]
+        }
+        fn graph_sections(g: &WeightedCsrGraph, n: usize) -> Vec<(u32, Vec<u8>)> {
+            let mut sections = csr_sections(n, g.offsets(), g.targets());
+            let mut graph_weights = Vec::new();
+            push_words(&mut graph_weights, g.weights().iter().copied());
+            sections.push((SEC_GRAPH_WEIGHTS, graph_weights));
+            sections
+        }
+        fn graph_from_sections(
+            envelope: &Envelope<'_>,
+            offsets: Vec<u32>,
+            targets: Vec<u32>,
+        ) -> Result<WeightedCsrGraph, SnapError> {
+            let weights = words::<u64>(SEC_GRAPH_WEIGHTS, envelope.section(SEC_GRAPH_WEIGHTS)?)?;
+            Ok(WeightedCsrGraph::from_raw_parts(offsets, targets, weights)?)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use msrp_graph::generators::{cycle_graph, grid_graph, path_graph};
     use msrp_graph::{Edge, Graph, WeightedGraph};
+    use msrp_oracle::{ReplacementPathOracle, WeightedReplacementOracle};
 
     fn demo_shards(g: &Graph, splits: &[&[Vertex]]) -> Vec<ReplacementPathOracle> {
         splits.iter().map(|s| ReplacementPathOracle::build_exact(g, s)).collect()
@@ -1042,7 +949,7 @@ mod tests {
         let g = grid_graph(5, 6);
         let shards = demo_shards(&g, &[&[0, 7], &[29]]);
         let bytes = encode_snapshot(&g.freeze(), &shards);
-        let decoded = decode_snapshot(&bytes).expect("round trip");
+        let decoded = decode_snapshot::<Hop>(&bytes).expect("round trip");
         assert_eq!(decoded.graph, g.freeze());
         assert_eq!(decoded.shards.len(), shards.len());
         for (a, b) in decoded.shards.iter().zip(&shards) {
@@ -1058,7 +965,7 @@ mod tests {
         let g = Graph::from_edges(9, &[(0, 1), (1, 2), (2, 0), (4, 5), (5, 6)]).unwrap();
         let shards = demo_shards(&g, &[&[0, 4]]);
         let bytes = encode_snapshot(&g.freeze(), &shards);
-        let decoded = decode_snapshot(&bytes).expect("round trip");
+        let decoded = decode_snapshot::<Hop>(&bytes).expect("round trip");
         for (a, b) in decoded.shards.iter().zip(&shards) {
             assert_eq!(a.per_source(), b.per_source());
             for t in 0..9 {
@@ -1082,14 +989,14 @@ mod tests {
             WeightedReplacementOracle::build_exact(&g, &[0, 2]),
             WeightedReplacementOracle::build_exact(&g, &[5]),
         ];
-        let bytes = encode_weighted_snapshot(&g, &shards);
-        let decoded = decode_weighted_snapshot(&bytes).expect("round trip");
+        let bytes = encode_snapshot(&g, &shards);
+        let decoded = decode_snapshot::<Weighted>(&bytes).expect("round trip");
         assert_eq!(decoded.graph, g);
         for (a, b) in decoded.shards.iter().zip(&shards) {
             assert_eq!(a.sources(), b.sources());
             assert_eq!(a.per_source(), b.per_source());
         }
-        assert_eq!(encode_weighted_snapshot(&decoded.graph, &decoded.shards), bytes);
+        assert_eq!(encode_snapshot(&decoded.graph, &decoded.shards), bytes);
     }
 
     #[test]
@@ -1112,16 +1019,16 @@ mod tests {
         let g = cycle_graph(8);
         let bytes = encode_snapshot(&g.freeze(), &demo_shards(&g, &[&[0]]));
         assert_eq!(
-            decode_weighted_snapshot(&bytes).err(),
+            decode_snapshot::<Weighted>(&bytes).err(),
             Some(SnapError::WrongKind { expected: SnapKind::Weighted, found: SnapKind::HopMetric })
         );
     }
 
     #[test]
     fn empty_and_tiny_buffers_fail_closed() {
-        assert!(matches!(decode_snapshot(&[]), Err(SnapError::Truncated { .. })));
-        assert!(matches!(decode_snapshot(&[0x4d; 16]), Err(SnapError::Truncated { .. })));
-        assert!(matches!(decode_snapshot(&[0u8; 64]), Err(SnapError::BadMagic)));
+        assert!(matches!(decode_snapshot::<Hop>(&[]), Err(SnapError::Truncated { .. })));
+        assert!(matches!(decode_snapshot::<Hop>(&[0x4d; 16]), Err(SnapError::Truncated { .. })));
+        assert!(matches!(decode_snapshot::<Hop>(&[0u8; 64]), Err(SnapError::BadMagic)));
     }
 
     #[test]

@@ -14,11 +14,12 @@ use msrp_graph::generators::{
     barabasi_albert, connected_gnm, cycle_graph, gnm, grid_graph, star_graph,
     weighted_connected_gnm,
 };
-use msrp_graph::{Graph, WeightedGraph, NO_PARENT};
-use msrp_oracle::{build_bk_shards, ReplacementPathOracle, WeightedReplacementOracle};
+use msrp_graph::{Graph, Hop, Metric, Weighted, WeightedGraph, NO_PARENT};
+use msrp_oracle::{
+    build_bk_shards, ReplacementOracle, ReplacementPathOracle, WeightedReplacementOracle,
+};
 use msrp_snap::{
-    decode_snapshot, decode_weighted_snapshot, encode_snapshot, encode_weighted_snapshot,
-    fnv1a64_lanes, inspect, SnapError, SNAP_VERSION,
+    decode_snapshot, encode_snapshot, fnv1a64_lanes, inspect, SnapError, SnapMetric, SNAP_VERSION,
 };
 
 /// The six workload families of `bk_differential.rs`, with evenly spread sources.
@@ -59,20 +60,35 @@ fn reference_snapshot() -> Vec<u8> {
     encode_snapshot(&g.freeze(), &shards)
 }
 
+/// The weighted reference snapshot: exact shards `[..2]` / `[2..]` over a seeded weighted
+/// gnm graph.
+fn weighted_reference_snapshot() -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(11);
+    let g = weighted_connected_gnm(36, 90, 1000, &mut rng).unwrap().freeze();
+    let sources = spread_sources(36, 4);
+    let shards = vec![
+        WeightedReplacementOracle::build_exact(&g, &sources[..2]),
+        WeightedReplacementOracle::build_exact(&g, &sources[2..]),
+    ];
+    encode_snapshot(&g, &shards)
+}
+
+#[test]
+fn reference_snapshot_bytes_are_pinned() {
+    // Length and file-checksum word of both reference snapshots, recorded from an earlier
+    // build of the encoder: a change to either means the byte format moved, and every
+    // snapshot on disk would stop booting.
+    let stored = |bytes: &[u8]| u64::from_le_bytes(bytes[32..40].try_into().unwrap());
+    let hop = reference_snapshot();
+    assert_eq!((hop.len(), stored(&hop)), (5888, 0x2df7_1074_4e09_fc6e));
+    let weighted = weighted_reference_snapshot();
+    assert_eq!((weighted.len(), stored(&weighted)), (8432, 0x1eb6_904a_c913_37d0));
+}
+
 /// Asserts two oracle sets answer identically, row for row, via their public tables, and
 /// hold identical trees (distances, parents, settle order and the Euler times derived from
 /// them): a lied parent word that decodes must not hide behind equal rows.
-fn assert_same_tables(a: &[ReplacementPathOracle], b: &[ReplacementPathOracle]) {
-    assert_eq!(a.len(), b.len(), "shard counts must agree");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.sources(), y.sources());
-        assert_eq!(x.per_source(), y.per_source(), "replacement tables must be identical");
-        assert_eq!(x.trees(), y.trees(), "source trees must be identical");
-    }
-}
-
-/// The weighted twin of [`assert_same_tables`].
-fn assert_same_weighted_tables(a: &[WeightedReplacementOracle], b: &[WeightedReplacementOracle]) {
+fn assert_same_tables<M: Metric>(a: &[ReplacementOracle<M>], b: &[ReplacementOracle<M>]) {
     assert_eq!(a.len(), b.len(), "shard counts must agree");
     for (x, y) in a.iter().zip(b) {
         assert_eq!(x.sources(), y.sources());
@@ -89,7 +105,7 @@ fn every_family_boots_bit_identical_from_its_snapshot() {
         let shards = build_bk_shards(&g, &sources, 2);
         let frozen = g.freeze();
         let bytes = encode_snapshot(&frozen, &shards);
-        let snap = decode_snapshot(&bytes).unwrap_or_else(|e| panic!("family {name}: {e}"));
+        let snap = decode_snapshot::<Hop>(&bytes).unwrap_or_else(|e| panic!("family {name}: {e}"));
         assert_eq!(snap.graph, frozen, "family {name}: graph must round-trip");
         assert_same_tables(&snap.shards, &shards);
         // Exact-built tables equal BK-built tables, so the booted oracle also answers
@@ -116,11 +132,11 @@ fn weighted_families_boot_bit_identical() {
             WeightedReplacementOracle::build_exact(&g, &sources[..2]),
             WeightedReplacementOracle::build_exact(&g, &sources[2..]),
         ];
-        let bytes = encode_weighted_snapshot(&g, &shards);
-        let snap = decode_weighted_snapshot(&bytes).expect("weighted round trip");
+        let bytes = encode_snapshot(&g, &shards);
+        let snap = decode_snapshot::<Weighted>(&bytes).expect("weighted round trip");
         assert_eq!(snap.graph, g);
-        assert_same_weighted_tables(&snap.shards, &shards);
-        assert_eq!(encode_weighted_snapshot(&snap.graph, &snap.shards), bytes);
+        assert_same_tables(&snap.shards, &shards);
+        assert_eq!(encode_snapshot(&snap.graph, &snap.shards), bytes);
     }
 }
 
@@ -131,16 +147,16 @@ fn zero_weight_trees_boot_bit_identical() {
     // settled.
     let g = WeightedGraph::from_graph(&grid_graph(5, 6), |e| (e.lo() % 3) as u64).freeze();
     let shards = vec![WeightedReplacementOracle::build_exact(&g, &[0, 14, 29])];
-    let bytes = encode_weighted_snapshot(&g, &shards);
-    let snap = decode_weighted_snapshot(&bytes).expect("zero-weight round trip");
-    assert_same_weighted_tables(&snap.shards, &shards);
-    assert_eq!(encode_weighted_snapshot(&snap.graph, &snap.shards), bytes);
+    let bytes = encode_snapshot(&g, &shards);
+    let snap = decode_snapshot::<Weighted>(&bytes).expect("zero-weight round trip");
+    assert_same_tables(&snap.shards, &shards);
+    assert_eq!(encode_snapshot(&snap.graph, &snap.shards), bytes);
 }
 
 #[test]
 fn seeded_bit_flips_always_fail_closed() {
     let bytes = reference_snapshot();
-    let baseline = decode_snapshot(&bytes).expect("pristine bytes decode");
+    let baseline = decode_snapshot::<Hop>(&bytes).expect("pristine bytes decode");
     let mut rng = StdRng::seed_from_u64(0xB17F11B);
     for _ in 0..600 {
         let mut mutated = bytes.clone();
@@ -151,7 +167,7 @@ fn seeded_bit_flips_always_fail_closed() {
         // bit flip can never decode: fail-closed means a typed error, never a panic.
         // (This arm exists so a future format change that weakens the covering is
         // caught: if it ever decodes, it must be identical.)
-        if let Ok(snap) = decode_snapshot(&mutated) {
+        if let Ok(snap) = decode_snapshot::<Hop>(&mutated) {
             assert_eq!(snap.graph, baseline.graph, "bit {bit}: silently wrong graph");
             assert_same_tables(&snap.shards, &baseline.shards);
             panic!("bit {bit}: a flipped bit decoded successfully — checksum gap");
@@ -165,7 +181,7 @@ fn every_truncation_fails_closed() {
     // Every length below the header, then a byte-dense sweep above it.
     for len in (0..bytes.len()).step_by(7).chain([0, 1, 39, 40, 41, bytes.len() - 1]) {
         let truncated = &bytes[..len];
-        let err = decode_snapshot(truncated).expect_err("truncation must fail");
+        let err = decode_snapshot::<Hop>(truncated).expect_err("truncation must fail");
         assert!(
             matches!(err, SnapError::Truncated { .. } | SnapError::LengthMismatch { .. }),
             "length {len}: unexpected error {err}"
@@ -178,7 +194,7 @@ fn every_truncation_fails_closed() {
 fn trailing_garbage_fails_closed() {
     let mut bytes = reference_snapshot();
     bytes.extend_from_slice(b"garbage");
-    assert!(matches!(decode_snapshot(&bytes), Err(SnapError::LengthMismatch { .. })));
+    assert!(matches!(decode_snapshot::<Hop>(&bytes), Err(SnapError::LengthMismatch { .. })));
 }
 
 /// Recomputes and re-stamps the whole-file checksum after a targeted mutation, so the
@@ -216,7 +232,7 @@ fn version_skew_is_a_typed_error_not_a_guess() {
         mutated[8..12].copy_from_slice(&skew.to_le_bytes());
         restamp(&mut mutated);
         assert_eq!(
-            decode_snapshot(&mutated).expect_err("skewed version must fail"),
+            decode_snapshot::<Hop>(&mutated).expect_err("skewed version must fail"),
             SnapError::UnsupportedVersion { found: skew, supported: SNAP_VERSION }
         );
     }
@@ -229,18 +245,21 @@ fn kind_lies_are_typed_errors() {
     let mut mutated = bytes.clone();
     mutated[12..16].copy_from_slice(&7u32.to_le_bytes());
     restamp(&mut mutated);
-    assert_eq!(decode_snapshot(&mutated).expect_err("unknown kind"), SnapError::UnknownKind(7));
+    assert_eq!(
+        decode_snapshot::<Hop>(&mutated).expect_err("unknown kind"),
+        SnapError::UnknownKind(7)
+    );
     // A hop-metric file relabeled as weighted: the weighted decoder is now the right
     // kind, but the file has no GRAPH_WEIGHTS section — structural fail, not a panic.
     let mut relabeled = bytes.clone();
     relabeled[12..16].copy_from_slice(&1u32.to_le_bytes());
     restamp(&mut relabeled);
     assert!(matches!(
-        decode_weighted_snapshot(&relabeled),
+        decode_snapshot::<Weighted>(&relabeled),
         Err(SnapError::SectionTable { .. } | SnapError::Structure { .. })
     ));
     // And the honest file handed to the wrong decoder.
-    assert!(matches!(decode_weighted_snapshot(&bytes), Err(SnapError::WrongKind { .. })));
+    assert!(matches!(decode_snapshot::<Weighted>(&bytes), Err(SnapError::WrongKind { .. })));
 }
 
 #[test]
@@ -257,7 +276,7 @@ fn section_offset_lies_fail_closed() {
             let lied = offset.wrapping_add(delta as u64);
             mutated[entry + 8..entry + 16].copy_from_slice(&lied.to_le_bytes());
             restamp(&mut mutated);
-            let err = decode_snapshot(&mutated).expect_err("offset lie must fail");
+            let err = decode_snapshot::<Hop>(&mutated).expect_err("offset lie must fail");
             assert!(
                 matches!(err, SnapError::SectionTable { .. } | SnapError::SectionChecksum { .. }),
                 "section {i} offset {delta:+}: unexpected error {err}"
@@ -269,7 +288,7 @@ fn section_offset_lies_fail_closed() {
             mutated[entry + 16..entry + 24].copy_from_slice(&lied_len.to_le_bytes());
             restamp(&mut mutated);
             assert!(
-                matches!(decode_snapshot(&mutated), Err(SnapError::SectionTable { .. })),
+                matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::SectionTable { .. })),
                 "section {i} length lie must be a table error"
             );
         }
@@ -278,11 +297,18 @@ fn section_offset_lies_fail_closed() {
     let mut mutated = bytes.clone();
     mutated[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
     restamp(&mut mutated);
-    assert!(matches!(decode_snapshot(&mutated), Err(SnapError::SectionTable { .. })));
+    assert!(matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::SectionTable { .. })));
 }
 
 #[test]
 fn word_level_corruption_with_fixed_checksums_fails_structurally() {
+    word_level_sweep::<Hop>(reference_snapshot());
+    word_level_sweep::<Weighted>(weighted_reference_snapshot());
+}
+
+/// The word-level sweep of one reference snapshot: 32-bit lies, so under the weighted metric
+/// they also land in either half of a `u64` distance, row or weight word.
+fn word_level_sweep<M: SnapMetric>(bytes: Vec<u8>) {
     // The deepest layer: flip payload words AND re-stamp both checksum layers, so only
     // the structural validators stand between the lie and a wrong oracle. Two regimes:
     //
@@ -295,8 +321,7 @@ fn word_level_corruption_with_fixed_checksums_fails_structurally() {
     //   well-formed (different) snapshot — integrity checksums are its only defense,
     //   and this test forged them on purpose. The contract there is just: no panic,
     //   and the graph half is untouched.
-    let bytes = reference_snapshot();
-    let baseline = decode_snapshot(&bytes).expect("pristine decode");
+    let baseline = decode_snapshot::<M>(&bytes).expect("pristine decode");
     let section_count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
     let table_end = 40 + 32 * section_count;
     let section_bounds: Vec<(u32, usize, usize)> = (0..section_count)
@@ -340,7 +365,7 @@ fn word_level_corruption_with_fixed_checksums_fails_structurally() {
         restamp(&mut mutated);
         // Typed structural rejection is the common case; anything that decodes must
         // be answer-preserving.
-        if let Ok(snap) = decode_snapshot(&mutated) {
+        if let Ok(snap) = decode_snapshot::<M>(&mutated) {
             assert_eq!(snap.graph, baseline.graph, "word {word}: silently wrong graph");
             if owner != Some(ROWS_ID) {
                 // Identity rewrite or alignment padding: must be answer-preserving.
@@ -366,7 +391,7 @@ fn word_level_corruption_with_fixed_checksums_fails_structurally() {
 fn inspect_agrees_with_decode_on_the_pristine_file() {
     let bytes = reference_snapshot();
     let info = inspect(&bytes).expect("inspect");
-    let snap = decode_snapshot(&bytes).expect("decode");
+    let snap = decode_snapshot::<Hop>(&bytes).expect("decode");
     assert_eq!(info.vertex_count, snap.graph.vertex_count());
     assert_eq!(info.edge_count, snap.graph.edge_count());
     assert_eq!(info.shard_count, snap.shards.len());
@@ -459,7 +484,7 @@ fn parent_word_lies_fail_closed() {
     let disconnected_bytes =
         encode_snapshot(&disconnected.freeze(), &build_bk_shards(&disconnected, &[0, 13, 26], 2));
     for (name, bytes) in [("gnm", reference_snapshot()), ("gnm-disconnected", disconnected_bytes)] {
-        let snap = decode_snapshot(&bytes).expect("pristine decode");
+        let snap = decode_snapshot::<Hop>(&bytes).expect("pristine decode");
         let n = snap.graph.vertex_count();
         let trees: Vec<TreeView> = snap
             .shards
@@ -475,7 +500,7 @@ fn parent_word_lies_fail_closed() {
         for (label, (tree, v, word)) in lies {
             let mutated = lie_about_parent(&bytes, n, tree, v, word);
             assert!(
-                matches!(decode_snapshot(&mutated), Err(SnapError::Structure { .. })),
+                matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::Structure { .. })),
                 "{name}: {label} lie (tree {tree}, vertex {v} := {word}) must fail structurally"
             );
         }
@@ -494,8 +519,8 @@ fn parent_word_lies_fail_closed() {
         [("connected", connected, vec![0, 12, 24]), ("split", split, vec![0, 3])]
     {
         let shards = vec![WeightedReplacementOracle::build_exact(&g, &sources)];
-        let bytes = encode_weighted_snapshot(&g, &shards);
-        let snap = decode_weighted_snapshot(&bytes).expect("pristine decode");
+        let bytes = encode_snapshot(&g, &shards);
+        let snap = decode_snapshot::<Weighted>(&bytes).expect("pristine decode");
         let n = g.vertex_count();
         let trees: Vec<TreeView> = snap.shards[0]
             .trees()
@@ -510,7 +535,7 @@ fn parent_word_lies_fail_closed() {
         for (label, (tree, v, word)) in lies {
             let mutated = lie_about_parent(&bytes, n, tree, v, word);
             assert!(
-                matches!(decode_weighted_snapshot(&mutated), Err(SnapError::Structure { .. })),
+                matches!(decode_snapshot::<Weighted>(&mutated), Err(SnapError::Structure { .. })),
                 "weighted {name}: {label} lie (tree {tree}, vertex {v} := {word}) must fail \
                  structurally"
             );

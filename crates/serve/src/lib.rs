@@ -11,18 +11,20 @@
 //!   ([`answer_batch`](QueryService::answer_batch)), pipelined submission
 //!   ([`submit`](QueryService::submit)), and graceful shutdown. `ServiceConfig { workers: 0 }`
 //!   is not clamped to one worker: it starts no threads and answers every batch on the
-//!   submitting thread through the same code path, metrics and spans (what `msrpctl serve`
-//!   runs, since it serves one connection at a time);
+//!   submitting thread through the same code path, metrics and spans (what [`serve`]'s
+//!   sessions run, each on its own connection thread);
 //! * [`metrics`] — log-bucketed latency histograms (p50/p99/max) and per-shard/per-lane
 //!   throughput counters;
 //! * [`exposition`] — a Prometheus-style text rendering of those metrics (plus span-journal
 //!   and slow-query families from `msrp-obs`), served over the wire by the `METRICS` verb;
 //! * [`loadgen`] — a deterministic, seed-pinned closed-loop load generator for driving the
 //!   service from N client threads;
-//! * [`protocol`] — the newline-delimited text protocol spoken by the TCP front end
-//!   (`examples/serve_tcp.rs` in the workspace root);
-//! * [`wire`] — bounded line reading for that front end, capping what a hostile
-//!   newline-free connection can make the server buffer;
+//! * [`protocol`] — the grammar of the newline-delimited text protocol spoken on the wire;
+//! * [`wire`] — bounded line reading, capping what a hostile newline-free connection can
+//!   make the server buffer;
+//! * [`session`] — the one implementation of the wire: [`run_session`] answers one
+//!   client's lines over any reader and writer, and [`serve`] is the bounded accept loop
+//!   (connection cap, idle timeout, `STOP`) that `msrpctl serve` and `serve_tcp` drive;
 //! * [`snapshot`] — boot-from-snapshot paths over `msrp-snap`, so a serving process can
 //!   adopt a persisted oracle instead of re-running construction.
 //!
@@ -60,6 +62,7 @@ pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
 pub mod service;
+pub mod session;
 pub mod snapshot;
 pub mod wire;
 
@@ -75,5 +78,8 @@ pub use protocol::{
 pub use service::{
     BatchStage, ObsConfig, PendingBatch, Query, QueryService, RouteOracle, ServiceConfig, Sharded,
     ShardedOracle, WeightedShardedOracle,
+};
+pub use session::{
+    run_session, serve, Services, SessionEnd, IDLE_TIMEOUT, MAX_BATCH, MAX_CONNECTIONS,
 };
 pub use wire::{read_line_bounded, LineOutcome, MAX_LINE_BYTES};

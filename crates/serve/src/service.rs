@@ -528,9 +528,9 @@ impl<A> PendingBatch<A> {
 /// metrics, journal spans and slow-log entries are the same (the batch counts on lane 0,
 /// and its queue-wait span is the few nanoseconds between submit and answer). This skips
 /// the queue, the reply channel and the cross-thread wake-up, which is what a caller that
-/// never overlaps batches wants (`msrpctl serve`, one connection at a time). Callers that
-/// pipeline submissions from one thread, or that need the pool to cap how many threads
-/// compute at once, keep workers.
+/// never overlaps batches wants (each session of [`serve`](crate::session::serve), whose
+/// connection cap bounds the threads that compute). Callers that pipeline submissions from
+/// one thread keep workers.
 ///
 /// Dropping the service (or calling [`shutdown`](QueryService::shutdown)) closes the queue and
 /// joins every worker; batches already queued are drained first.

@@ -1,12 +1,15 @@
 //! Hostile-protocol-input property suite: seed-pinned fuzz of `parse_request`,
-//! `validate_query`, and the service loop. The invariant under test is the headline bugfix
-//! of the weighted-MSRP PR — *no input a client can send may kill a serving worker*: every
-//! line either parses (and then either validates or is answered as unroutable) or is
-//! rejected with an error value; nothing panics.
+//! `validate_query`, the service loop, and the protocol session itself. The invariant
+//! under test is that *no input a client can send may kill a serving worker*: every line
+//! either parses (and then either validates or is answered as unroutable) or is rejected
+//! with an error value; nothing panics. The session fuzz adds that every request gets
+//! exactly the replies it is owed, and that every fatal input ends the session after one
+//! `ERR`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use std::io::{self, BufReader, Read};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
@@ -15,8 +18,10 @@ use msrp_graph::generators::{connected_gnm, weighted_connected_gnm};
 use msrp_graph::{Edge, Graph};
 use msrp_obs::is_well_formed;
 use msrp_serve::{
-    format_stats, parse_request, parse_stats, validate_query, Epoch, EpochOracle, ObsConfig, Query,
-    QueryService, Request, RouteOracle, ServiceConfig, ShardedOracle,
+    format_answer, format_stats, format_weighted_answer, parse_metrics_header, parse_request,
+    parse_stats, run_session, validate_query, Epoch, EpochOracle, ObsConfig, Query, QueryService,
+    Request, RouteOracle, ServiceConfig, Services, SessionEnd, ShardedOracle,
+    WeightedShardedOracle, MAX_BATCH, MAX_LINE_BYTES,
 };
 
 const N: usize = 48;
@@ -578,7 +583,7 @@ fn metrics_body_matches_its_own_line_count_header() {
             "every line is newline-terminated, so the header count equals the wire count"
         );
 
-        // Round-trip the exact framing `examples/serve_tcp.rs` uses: write header + raw
+        // Round-trip the exact framing `run_session` uses: write header + raw
         // body, then read the announced number of lines back and require byte equality.
         let mut wire = Vec::new();
         writeln!(wire, "{}", msrp_serve::format_metrics_header(text.lines().count())).unwrap();
@@ -603,4 +608,268 @@ fn metrics_body_matches_its_own_line_count_header() {
         assert!(is_well_formed(&body), "reassembled exposition must be well-formed");
     }
     service.shutdown();
+}
+
+/// The three shapes of [`Services`] a process can serve, each answering inline.
+fn session_services(hop: bool, weighted: bool) -> Services {
+    let config = ServiceConfig { workers: 0 };
+    let mut rng = StdRng::seed_from_u64(81);
+    let g = connected_gnm(N, 120, &mut rng).unwrap().freeze();
+    let wg = weighted_connected_gnm(N, 120, 1000, &mut rng).unwrap().freeze();
+    Services {
+        hop: hop
+            .then(|| QueryService::start(ShardedOracle::build_bk_csr(&g, &SOURCES, 2), &config)),
+        weighted: weighted
+            .then(|| QueryService::start(WeightedShardedOracle::build(&wg, &SOURCES, 2), &config)),
+    }
+}
+
+/// An in-memory client stream that, once its bytes run out, either ends (EOF) or fails
+/// the way a socket read timeout does.
+struct Client {
+    bytes: io::Cursor<Vec<u8>>,
+    stall: Option<io::ErrorKind>,
+}
+
+impl Read for Client {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        match self.bytes.read(buf)? {
+            0 => self.stall.map_or(Ok(0), |kind| Err(kind.into())),
+            n => Ok(n),
+        }
+    }
+}
+
+/// One line of what a session owes, in order.
+#[derive(Debug)]
+enum Owed {
+    /// Exactly this line.
+    Line(String),
+    /// Any `ERR` line (a parse or validation error, whose wording the protocol owns).
+    Err,
+    /// A parseable `STATS` line.
+    Stats,
+    /// A `METRICS k` header and the `k` lines it announces.
+    Metrics,
+}
+
+/// A `Q` (or `QW`) line from a served source with in-range ids (the avoided pair need not
+/// be an edge), or, one time in four, an out-of-range target.
+fn query_line(rng: &mut StdRng, verb: &str) -> String {
+    let s = SOURCES[rng.gen_range(0..SOURCES.len())];
+    let t =
+        if rng.gen_range(0..4usize) == 0 { N + rng.gen_range(0..N) } else { rng.gen_range(0..N) };
+    let u = rng.gen_range(0..N - 1);
+    format!("{verb} {s} {t} {u} {}", rng.gen_range(u + 1..N))
+}
+
+/// A seed-pinned hostile client: [`hostile_line`]s (whose `B`/`BW` headers swallow
+/// whatever lines follow), batches and single queries of either metric, the metrics verbs,
+/// and now and then a session-ending request; its stream then ends or stalls.
+fn hostile_session(rng: &mut StdRng) -> Client {
+    let mut lines = Vec::new();
+    for _ in 0..rng.gen_range(1..40usize) {
+        match rng.gen_range(0..40usize) {
+            0..=11 => lines.push(hostile_line(rng)),
+            12..=21 => {
+                let (header, verb) =
+                    if rng.gen_range(0..2usize) == 0 { ("B", "Q") } else { ("BW", "QW") };
+                let k = rng.gen_range(0..6usize);
+                lines.push(format!("{header} {k}"));
+                for _ in 0..k {
+                    // One line in 24 belongs to the other metric or is not a query.
+                    lines.push(match rng.gen_range(0..24usize) {
+                        0 => hostile_line(rng),
+                        _ => query_line(rng, verb),
+                    });
+                }
+            }
+            22..=31 => {
+                let verb = if rng.gen_range(0..2usize) == 0 { "Q" } else { "QW" };
+                lines.push(query_line(rng, verb));
+            }
+            32 => lines.push("STATS".into()),
+            33 => lines.push("METRICS".into()),
+            34 => lines.push(format!("B {}", MAX_BATCH + 1 + rng.gen_range(0..4usize))),
+            35 => lines.push("x".repeat(MAX_LINE_BYTES + 1)),
+            36 => lines.push("STOP".into()),
+            _ => lines.push(hostile_line(rng)),
+        }
+    }
+    let stall = match rng.gen_range(0..4usize) {
+        0 => Some(io::ErrorKind::TimedOut),
+        1 => Some(io::ErrorKind::WouldBlock),
+        _ => None,
+    };
+    let bytes: Vec<u8> = lines.iter().flat_map(|l| l.bytes().chain([b'\n'])).collect();
+    Client { bytes: io::Cursor::new(bytes), stall }
+}
+
+/// The reply one query is owed: the oracle's answer, an `ERR` for an out-of-range id, or
+/// `None` when the process does not serve the query's metric.
+fn owed_answer(services: &Services, q: Query, weighted: bool) -> Option<Owed> {
+    // The oracles answer out-of-range ids as unroutable, so the answer is safe to compute.
+    let (vertex_count, answer) = if weighted {
+        let s = services.weighted.as_ref()?;
+        (s.oracle().vertex_count(), format_weighted_answer(s.oracle().query(q)))
+    } else {
+        let s = services.hop.as_ref()?;
+        (s.oracle().vertex_count(), format_answer(s.oracle().query(q)))
+    };
+    Some(match validate_query(&q, vertex_count) {
+        Ok(()) => Owed::Line(answer),
+        Err(_) => Owed::Err,
+    })
+}
+
+/// What a session owes a client that sends `lines` and then stalls (or hangs up): a
+/// model of the protocol written from its specification, independent of the session.
+fn owed_replies(services: &Services, lines: &[&str], stalls: bool) -> (Vec<Owed>, SessionEnd) {
+    let mut owed = Vec::new();
+    let mut lines = lines.iter();
+    let end_of_input = |mut owed: Vec<Owed>| {
+        if stalls {
+            owed.push(Owed::Line("ERR idle timeout".into()));
+        }
+        (owed, SessionEnd::Closed)
+    };
+    let fatal = |mut owed: Vec<Owed>, why: String| {
+        owed.push(Owed::Line(format!("ERR {why}")));
+        (owed, SessionEnd::Closed)
+    };
+    loop {
+        let Some(line) = lines.next() else { return end_of_input(owed) };
+        if line.len() > MAX_LINE_BYTES {
+            return fatal(owed, "line too long".into());
+        }
+        if *line == "STOP" {
+            owed.push(Owed::Line("OK stopping".into()));
+            return (owed, SessionEnd::Stop);
+        }
+        let (k, weighted) =
+            match parse_request(line) {
+                Err(_) => {
+                    owed.push(Owed::Err);
+                    continue;
+                }
+                Ok(Request::Query(q)) => {
+                    owed.push(owed_answer(services, q, false).unwrap_or_else(|| {
+                        Owed::Line("ERR this server is weighted: use QW".into())
+                    }));
+                    continue;
+                }
+                Ok(Request::WeightedQuery(q)) => {
+                    owed.push(owed_answer(services, q, true).unwrap_or_else(|| {
+                        Owed::Line("ERR this server is hop-metric: use Q".into())
+                    }));
+                    continue;
+                }
+                Ok(Request::Stats) => {
+                    owed.push(Owed::Stats);
+                    continue;
+                }
+                Ok(Request::Metrics) => {
+                    owed.push(Owed::Metrics);
+                    continue;
+                }
+                Ok(Request::Quit) => return (owed, SessionEnd::Closed),
+                Ok(Request::Batch(k)) => (k, false),
+                Ok(Request::WeightedBatch(k)) => (k, true),
+            };
+        let served = if weighted { services.weighted.is_some() } else { services.hop.is_some() };
+        if !served {
+            let other = if weighted { "hop-metric: use B" } else { "weighted: use BW" };
+            return fatal(owed, format!("this server is {other}"));
+        }
+        if k > MAX_BATCH {
+            return fatal(owed, format!("batch size {k} exceeds the limit of {MAX_BATCH}"));
+        }
+        let mut replies = Vec::new();
+        for _ in 0..k {
+            let Some(line) = lines.next() else { return end_of_input(owed) };
+            if line.len() > MAX_LINE_BYTES {
+                return fatal(owed, "line too long".into());
+            }
+            match (parse_request(line), weighted) {
+                (Ok(Request::Query(q)), false) | (Ok(Request::WeightedQuery(q)), true) => {
+                    replies.push(owed_answer(services, q, weighted).expect("served"));
+                }
+                _ => {
+                    let verb = if weighted { "QW" } else { "Q" };
+                    return fatal(owed, format!("batch lines must be {verb} queries"));
+                }
+            }
+        }
+        owed.extend(replies);
+    }
+}
+
+#[test]
+fn fuzzed_sessions_owe_exactly_their_replies_and_fatal_input_ends_them() {
+    let mut rng = StdRng::seed_from_u64(0x5E55);
+    // Last reply of each session (or how it ended), to prove every fatal path was driven.
+    let mut endings = std::collections::BTreeMap::<String, usize>::new();
+    let mut answered = 0usize;
+    for (hop, weighted) in [(true, false), (false, true), (true, true)] {
+        let services = session_services(hop, weighted);
+        for session in 0..300 {
+            let client = hostile_session(&mut rng);
+            let sent = String::from_utf8_lossy(client.bytes.get_ref()).into_owned();
+            let sent: Vec<&str> = sent.lines().collect();
+            let (owed, want_end) = owed_replies(&services, &sent, client.stall.is_some());
+            let mut out = Vec::new();
+            let end = run_session(BufReader::new(client), &mut out, &services)
+                .expect("in-memory I/O never fails, and stalls end the session with an ERR");
+            let ctx = || format!("shape ({hop}, {weighted}) session {session}: {sent:?}");
+            assert_eq!(end, want_end, "{}", ctx());
+            let out = String::from_utf8(out).expect("replies are UTF-8");
+            let mut got = out.lines();
+            for o in &owed {
+                let line = got.next().unwrap_or_else(|| panic!("missing {o:?}: {}", ctx()));
+                match o {
+                    Owed::Line(want) => assert_eq!(line, want, "{}", ctx()),
+                    Owed::Err => assert!(line.starts_with("ERR "), "{line:?}: {}", ctx()),
+                    Owed::Stats => assert!(parse_stats(line).is_ok(), "{line:?}: {}", ctx()),
+                    Owed::Metrics => {
+                        let k = parse_metrics_header(line).expect("METRICS header");
+                        let body: Vec<&str> = got.by_ref().take(k).collect();
+                        assert_eq!(body.len(), k, "short METRICS body: {}", ctx());
+                        assert!(is_well_formed(&(body.join("\n") + "\n")), "{}", ctx());
+                    }
+                }
+            }
+            assert_eq!(got.next(), None, "a reply nobody asked for: {}", ctx());
+            answered += owed
+                .iter()
+                .filter(
+                    |o| matches!(o, Owed::Line(l) if !l.starts_with("ERR") && l != "OK stopping"),
+                )
+                .count();
+            let ending = match (owed.last(), end) {
+                (_, SessionEnd::Stop) => "STOP".to_string(),
+                (Some(Owed::Line(l)), _) if l.starts_with("ERR ") => {
+                    l.split(|c: char| c.is_ascii_digit()).next().unwrap_or(l).to_string()
+                }
+                _ => "EOF or QUIT".to_string(),
+            };
+            *endings.entry(ending).or_default() += 1;
+        }
+    }
+    for fatal in [
+        "ERR line too long",
+        "ERR idle timeout",
+        "ERR batch size ",
+        "ERR batch lines must be Q queries",
+        "ERR batch lines must be QW queries",
+        "ERR this server is weighted: use BW",
+        "ERR this server is hop-metric: use B",
+        "STOP",
+        "EOF or QUIT",
+    ] {
+        assert!(
+            endings.get(fatal).is_some_and(|&n| n > 0),
+            "never ended by {fatal:?}: {endings:?}"
+        );
+    }
+    assert!(answered > 1500, "only {answered} answers were checked against the oracle");
 }

@@ -16,20 +16,20 @@
 //! `serve` never runs the solver: it validates the snapshot's checksums, adopts the
 //! frozen graph and oracle shards (`ShardedOracle::from_snapshot`), and starts answering
 //! — that boot-vs-rebuild gap is measured by the `oracle_snapshot` bench and experiment
-//! E15. The wire loop speaks the `msrp-serve` text protocol with bounded line reads
-//! (`read_line_bounded`), plus one `msrpctl`-level admin verb: `STOP`, which drains the
-//! service and exits the `serve` process. It serves one connection at a time, so it runs
-//! a zero-worker `QueryService` that answers each `Q` on the connection thread: a worker
-//! pool could never overlap two requests here and would only add a queue hop.
+//! E15. It hands the socket to `msrp_serve::serve`, the bounded accept loop shared with
+//! the `serve_tcp` example: up to `MAX_CONNECTIONS` clients at once, each on its own
+//! thread with an idle timeout, answering every `Q`/`QW` line and `B`/`BW` batch inline
+//! (a zero-worker `QueryService`). A client past the cap is told `ERR busy`, and the
+//! admin verb `STOP` closes every connection and exits the `serve` process.
 //!
 //! The client subcommands (`stats`, `query`, `stop`) give up after [`CLIENT_TIMEOUT`] on
-//! connect, send and reply, so a server busy with another connection makes them fail
-//! with an error instead of hanging.
+//! connect, send and reply, so a server that does not answer makes them fail with an
+//! error instead of hanging.
 //!
 //! Everything is deterministic: `create` builds from a seeded generator, so two hosts
 //! running the same `create` line produce byte-identical snapshots.
 
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -37,9 +37,8 @@ use std::time::Duration;
 
 use msrp::graph::generators::{connected_gnm, weighted_connected_gnm};
 use msrp::serve::{
-    format_answer, format_metrics_header, format_stats, format_weighted_answer, parse_request,
-    read_line_bounded, validate_query, LineOutcome, QueryService, Request, ServiceConfig,
-    ShardedOracle, WeightedShardedOracle, MAX_LINE_BYTES,
+    serve, QueryService, ServiceConfig, Services, ShardedOracle, WeightedShardedOracle,
+    IDLE_TIMEOUT, MAX_CONNECTIONS,
 };
 use msrp::snap::{inspect, SnapInfo, SnapKind};
 use rand::rngs::StdRng;
@@ -64,8 +63,10 @@ USAGE:
 
 Every subcommand also accepts --state-dir DIR (default ./{DEFAULT_STATE_DIR}).
 `create` defaults: --n 256, --m 4·n, --sources 4, --shards 2, --seed 42, hop metric.
-`serve` answers one connection at a time, each query on the connection's thread.
+`serve` answers up to {MAX_CONNECTIONS} connections at once, each on its own thread, and
+closes one that is idle for {}s; STOP (`msrpctl stop`) shuts the server down.
 `stats`, `query` and `stop` fail after {}s without a connection or a reply.",
+        IDLE_TIMEOUT.as_secs(),
         CLIENT_TIMEOUT.as_secs()
     );
     ExitCode::from(2)
@@ -268,102 +269,21 @@ fn cmd_list(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// The two bootable service flavours, dispatched on the snapshot's kind.
-enum Booted {
-    Hop(QueryService),
-    Weighted(QueryService<WeightedShardedOracle>),
-}
-
-fn boot(bytes: &[u8]) -> Result<Booted, String> {
-    // One connection at a time: answer on its thread, with no pool hop.
+/// Boots the snapshot's service, hop or weighted by its kind, answering on the thread
+/// of each connection.
+fn boot(bytes: &[u8]) -> Result<Services, String> {
     let config = ServiceConfig { workers: 0 };
-    let info = inspect(bytes).map_err(|e| format!("snapshot rejected: {e}"))?;
-    match info.kind {
+    let rejected = |e| format!("snapshot rejected: {e}");
+    Ok(match inspect(bytes).map_err(rejected)?.kind {
         SnapKind::HopMetric => {
-            let (_g, oracle) = ShardedOracle::from_snapshot(bytes)
-                .map_err(|e| format!("snapshot rejected: {e}"))?;
-            Ok(Booted::Hop(QueryService::start(oracle, &config)))
+            let (_g, oracle) = ShardedOracle::from_snapshot(bytes).map_err(rejected)?;
+            Services { hop: Some(QueryService::start(oracle, &config)), weighted: None }
         }
         SnapKind::Weighted => {
-            let (_g, oracle) = WeightedShardedOracle::from_snapshot(bytes)
-                .map_err(|e| format!("snapshot rejected: {e}"))?;
-            Ok(Booted::Weighted(QueryService::start(oracle, &config)))
+            let (_g, oracle) = WeightedShardedOracle::from_snapshot(bytes).map_err(rejected)?;
+            Services { hop: None, weighted: Some(QueryService::start(oracle, &config)) }
         }
-    }
-}
-
-/// One connection of the serve loop. Returns `true` when the client issued `STOP` (the
-/// admin verb that shuts the whole server down, not just the connection).
-fn handle_connection(stream: TcpStream, service: &Booted) -> std::io::Result<bool> {
-    let vertex_count = match service {
-        Booted::Hop(s) => s.oracle().vertex_count(),
-        Booted::Weighted(s) => s.oracle().vertex_count(),
-    };
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        match read_line_bounded(&mut reader, &mut line, MAX_LINE_BYTES)? {
-            LineOutcome::Line => {}
-            LineOutcome::Eof => return Ok(false),
-            LineOutcome::TooLong => {
-                writeln!(writer, "ERR line too long")?;
-                writer.flush()?;
-                return Ok(false);
-            }
-        }
-        let trimmed = line.trim_end();
-        // STOP is msrpctl's admin verb, above the query protocol.
-        if trimmed == "STOP" {
-            writeln!(writer, "OK stopping")?;
-            writer.flush()?;
-            return Ok(true);
-        }
-        match (parse_request(trimmed), service) {
-            (Ok(Request::Query(q)), Booted::Hop(s)) => match validate_query(&q, vertex_count) {
-                Ok(()) => writeln!(writer, "{}", format_answer(s.answer_batch(&[q])[0]))?,
-                Err(e) => writeln!(writer, "ERR {e}")?,
-            },
-            (Ok(Request::WeightedQuery(q)), Booted::Weighted(s)) => {
-                match validate_query(&q, vertex_count) {
-                    Ok(()) => {
-                        writeln!(writer, "{}", format_weighted_answer(s.answer_batch(&[q])[0]))?
-                    }
-                    Err(e) => writeln!(writer, "ERR {e}")?,
-                }
-            }
-            (Ok(Request::Query(_)), Booted::Weighted(_)) => {
-                writeln!(writer, "ERR this server is weighted: use QW")?
-            }
-            (Ok(Request::WeightedQuery(_)), Booted::Hop(_)) => {
-                writeln!(writer, "ERR this server is hop-metric: use Q")?
-            }
-            (Ok(Request::Stats), _) => {
-                let metrics = match service {
-                    Booted::Hop(s) => s.metrics(),
-                    Booted::Weighted(s) => s.metrics(),
-                };
-                writeln!(writer, "{}", format_stats(&metrics))?;
-            }
-            (Ok(Request::Metrics), _) => {
-                let text = match service {
-                    Booted::Hop(s) => s.render_metrics(),
-                    Booted::Weighted(s) => s.render_metrics(),
-                };
-                writeln!(writer, "{}", format_metrics_header(text.lines().count()))?;
-                writer.write_all(text.as_bytes())?;
-            }
-            (Ok(Request::Quit), _) => return Ok(false),
-            (Ok(Request::Batch(_)) | Ok(Request::WeightedBatch(_)), _) => {
-                // Batches are a serve_tcp feature; the fleet CLI keeps its loop minimal.
-                writeln!(writer, "ERR batches are not supported by msrpctl serve")?;
-                writer.flush()?;
-                return Ok(false);
-            }
-            (Err(e), _) => writeln!(writer, "ERR {e}")?,
-        }
-        writer.flush()?;
-    }
+    })
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
@@ -373,29 +293,19 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let dir = args.state_dir();
     let path = snap_path(&dir, name);
     let bytes = std::fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let service = boot(&bytes)?;
+    let services = boot(&bytes)?;
     let listener = TcpListener::bind(addr.as_str()).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local addr: {e}"))?;
     let addr_file = addr_path(&dir, name);
     std::fs::write(&addr_file, format!("{local}\n"))
         .map_err(|e| format!("write {}: {e}", addr_file.display()))?;
     println!("serving snapshot {name} on {local} (adopted, not rebuilt); STOP to shut down");
-    // Sequential accept loop: the fleet CLI serves one connection at a time, which keeps
-    // the STOP semantics trivial (no cross-thread shutdown signalling to get wrong).
-    for stream in listener.incoming() {
-        let stream = stream.map_err(|e| format!("accept: {e}"))?;
-        match handle_connection(stream, &service) {
-            Ok(true) => break,
-            Ok(false) => {}
-            Err(e) => eprintln!("connection error: {e}"),
-        }
-    }
+    let served = serve(listener, &services);
     let _ = std::fs::remove_file(&addr_file);
-    let metrics = match service {
-        Booted::Hop(s) => s.shutdown(),
-        Booted::Weighted(s) => s.shutdown(),
-    };
-    println!("stopped after {} queries", metrics.queries_total);
+    served.map_err(|e| format!("serve: {e}"))?;
+    let queries = services.hop.map_or(0, |s| s.shutdown().queries_total)
+        + services.weighted.map_or(0, |s| s.shutdown().queries_total);
+    println!("stopped after {queries} queries");
     Ok(())
 }
 
@@ -404,7 +314,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 fn io_error(step: &str, addr: SocketAddr, e: io::Error) -> String {
     match e.kind() {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => format!(
-            "{step} {addr} timed out after {}s (is another client holding the server?)",
+            "{step} {addr} timed out after {}s (is the server at that address answering?)",
             CLIENT_TIMEOUT.as_secs()
         ),
         _ => format!("{step} {addr}: {e}"),

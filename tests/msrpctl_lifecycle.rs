@@ -1,11 +1,12 @@
 //! The `msrpctl` binary end to end, against a throwaway state directory: `create`, then
-//! `serve` on an ephemeral port (found through `NAME.addr`), a seeded `Q`/`QW` mix whose
-//! every reply must equal the in-process oracle booted from the same snapshot, `STATS`
-//! accounting, the client subcommands' timeout, and a `STOP` that makes the server exit 0.
+//! `serve` on an ephemeral port (found through `NAME.addr`), a seeded `Q`/`QW` mix and a
+//! `B k` batch whose every reply must equal the in-process oracle booted from the same
+//! snapshot, `STATS` accounting, the connection cap under a storm of sockets, the client
+//! subcommands' timeout, and a `STOP` that makes the server exit 0.
 
 use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdout, Command, Output, Stdio};
 use std::time::Duration;
@@ -13,7 +14,7 @@ use std::time::Duration;
 use msrp::graph::{Edge, Vertex};
 use msrp::serve::{
     format_answer, format_query, format_weighted_answer, format_weighted_query, parse_stats, Query,
-    ShardedOracle, WeightedShardedOracle,
+    ShardedOracle, WeightedShardedOracle, MAX_CONNECTIONS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -121,9 +122,14 @@ struct Conn {
 impl Conn {
     fn round_trip(&mut self, request: &str) -> String {
         writeln!(self.writer, "{request}").expect("send request");
+        self.next_line().expect("a reply, not EOF")
+    }
+
+    /// The next line the server sent, or `None` at EOF.
+    fn next_line(&mut self) -> Option<String> {
         let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read reply");
-        line.trim_end().to_string()
+        let read = self.reader.read_line(&mut line).expect("read from the server");
+        (read > 0).then(|| line.trim_end().to_string())
     }
 }
 
@@ -167,14 +173,34 @@ fn hop_server_answers_like_the_in_process_oracle_and_stops_cleanly() {
 
     let server = Server::start(&dir, "demo");
     let mut conn = server.connect();
-    for q in &queries {
+    let (singles, batch) = queries.split_at(336);
+    for q in singles {
         assert_eq!(conn.round_trip(&format_query(q)), format_answer(oracle.query(*q)), "{q:?}");
     }
-    assert_eq!(stats_queries(&conn.round_trip("STATS")), queries.len() as u64);
+    assert_eq!(stats_queries(&conn.round_trip("STATS")), singles.len() as u64);
     assert_eq!(conn.round_trip("QW 0 1 0 1"), "ERR this server is hop-metric: use Q");
-    // The sequential server takes the next connection once this one quits.
-    writeln!(conn.writer, "QUIT").expect("send QUIT");
-    drop(conn);
+    // A batch: one reply per line, in order, with an in-place ERR for an out-of-range id.
+    writeln!(conn.writer, "B {}", batch.len() + 1).expect("send batch header");
+    for q in &batch[..32] {
+        writeln!(conn.writer, "{}", format_query(q)).expect("send batch line");
+    }
+    writeln!(conn.writer, "Q 0 300 0 1").expect("send out-of-range batch line");
+    for q in &batch[32..] {
+        writeln!(conn.writer, "{}", format_query(q)).expect("send batch line");
+    }
+    for q in &batch[..32] {
+        assert_eq!(conn.next_line().unwrap(), format_answer(oracle.query(*q)), "{q:?}");
+    }
+    let err = conn.next_line().unwrap();
+    assert!(err.starts_with("ERR") && err.contains("out of range"), "{err}");
+    for q in &batch[32..] {
+        assert_eq!(conn.next_line().unwrap(), format_answer(oracle.query(*q)), "{q:?}");
+    }
+    assert_eq!(stats_queries(&conn.round_trip("STATS")), 400);
+    // A batch for the other metric is refused, and ends the connection: its lines may
+    // already be on the wire.
+    assert_eq!(conn.round_trip("BW 2"), "ERR this server is hop-metric: use B");
+    assert_eq!(conn.next_line(), None);
 
     // The client subcommands reach the same server through NAME.addr.
     let q = queries[0];
@@ -219,19 +245,91 @@ fn weighted_server_answers_qw_like_the_in_process_oracle() {
 }
 
 #[test]
-fn client_subcommands_time_out_while_another_client_holds_the_server() {
+fn client_subcommands_succeed_while_another_client_holds_a_connection() {
     let dir = StateDir::new("held");
-    dir.create("demo", &["--n", "64"]);
+    let bytes = dir.create("demo", &["--n", "64"]);
+    let (_, oracle) = ShardedOracle::from_snapshot(&bytes).expect("snapshot boots");
     let server = Server::start(&dir, "demo");
-    // An idle connection: the sequential server reads from it and accepts nothing else.
+    // An idle connection holds one session; every other client is still served.
     let mut holder = server.connect();
     let out = dir.run(["stats", "demo"]);
-    assert!(!out.status.success(), "stats must fail, not hang, while the server is held");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(stats_queries(String::from_utf8_lossy(&out.stdout).trim_end()), 0);
+    let out = dir.run(["query", "demo", "0", "37", "0", "1"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let want = format_answer(oracle.query(Query::new(0, 37, Edge::new(0, 1))));
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim_end(), want);
+    let out = dir.run(["stop", "demo"]);
+    assert_eq!(String::from_utf8_lossy(&out.stdout).trim_end(), "OK stopping");
+    // STOP closes the holder's connection too, and the server exits without waiting it out.
+    assert_eq!(holder.next_line(), None, "the holder reads EOF after STOP");
+    let (last, exited_ok) = server.wait();
+    assert!(exited_ok, "msrpctl serve must exit 0 after STOP");
+    assert_eq!(last, "stopped after 1 queries");
+}
+
+#[test]
+fn client_subcommands_time_out_against_a_server_that_never_replies() {
+    let dir = StateDir::new("mute");
+    // The kernel completes the handshake for this listener, but nobody ever reads or
+    // replies, so the client's read of the reply has to time out.
+    let mute = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = mute.local_addr().expect("local addr");
+    std::fs::write(dir.0.join("demo.addr"), format!("{addr}\n")).expect("write");
+    let out = dir.run(["stats", "demo"]);
+    assert!(!out.status.success(), "stats must fail, not hang, against a mute server");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.starts_with("error: ") && stderr.contains("timed out"), "stderr: {stderr}");
-    // The holder is still served, and STOP from it shuts the server down.
-    assert_eq!(holder.round_trip("STOP"), "OK stopping");
-    assert!(server.wait().1, "msrpctl serve must exit 0 after STOP");
+}
+
+#[test]
+fn connection_storm_is_capped_and_every_admitted_client_is_served() {
+    let dir = StateDir::new("storm");
+    let bytes = dir.create("demo", &["--n", "128"]);
+    let (g, oracle) = ShardedOracle::from_snapshot(&bytes).expect("snapshot boots");
+    let queries =
+        query_mix(&oracle.sources(), 128, &g.edge_vec(), MAX_CONNECTIONS + 1, 31, |s, t| {
+            oracle.shards()[oracle.shard_for(s)?].canonical_path(s, t)
+        });
+    let server = Server::start(&dir, "demo");
+    let mut conns: Vec<Conn> = (0..MAX_CONNECTIONS + 3).map(|_| server.connect()).collect();
+    // The server accepts in connection order, so the first MAX_CONNECTIONS sockets take
+    // every slot and the last three are turned away without being read.
+    for mut turned_away in conns.split_off(MAX_CONNECTIONS) {
+        assert_eq!(turned_away.next_line().as_deref(), Some("ERR busy"));
+        assert_eq!(turned_away.next_line(), None, "a turned-away socket is closed");
+    }
+    for (conn, q) in conns.iter_mut().zip(&queries) {
+        assert_eq!(conn.round_trip(&format_query(q)), format_answer(oracle.query(*q)), "{q:?}");
+    }
+    // One thread per admitted connection, plus the accept loop's.
+    #[cfg(target_os = "linux")]
+    {
+        let status = std::fs::read_to_string(format!("/proc/{}/status", server.child.id()))
+            .expect("read the server's /proc status");
+        let threads: usize = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Threads:"))
+            .and_then(|t| t.trim().parse().ok())
+            .expect("a Threads: line");
+        assert!(threads <= MAX_CONNECTIONS + 1, "{threads} threads for {MAX_CONNECTIONS} clients");
+    }
+    // A slot is released before its socket closes, so once the quitter reads EOF a new
+    // client is admitted at once.
+    let mut quitter = conns.pop().expect("admitted connections");
+    writeln!(quitter.writer, "QUIT").expect("send QUIT");
+    assert_eq!(quitter.next_line(), None);
+    let mut late = server.connect();
+    let q = queries[MAX_CONNECTIONS];
+    assert_eq!(late.round_trip(&format_query(&q)), format_answer(oracle.query(q)));
+    // STOP from one admitted client ends the process while the others are still open.
+    assert_eq!(conns[0].round_trip("STOP"), "OK stopping");
+    let (last, exited_ok) = server.wait();
+    assert!(exited_ok, "msrpctl serve must exit 0 after STOP");
+    assert_eq!(last, format!("stopped after {} queries", MAX_CONNECTIONS + 1));
+    for conn in conns.iter_mut().skip(1).chain([&mut late]) {
+        assert_eq!(conn.next_line(), None, "STOP closes every live connection");
+    }
 }
 
 #[test]

@@ -1,71 +1,45 @@
-//! Head-to-head measurement of the three BFS kernels: the seed top-down [`BfsScratch`],
-//! the direction-optimizing [`DirOptScratch`], and the 64-way bit-parallel
-//! [`MultiBfsScratch`] wave — on a low-diameter sparse-random workload (where dir-opt's
-//! bottom-up levels pay off) and a high-diameter grid (where they cannot, the cost-honest
-//! flip condition never fires, and the only acceptable overhead is the per-level switch
-//! decision itself).
+//! Head-to-head measurement of the two BFS kernels: the top-down [`BfsScratch`] and the
+//! 64-way bit-parallel [`MultiBfsScratch`] wave, on a low-diameter sparse-random workload
+//! and a high-diameter grid.
 //!
-//! Wave timings cover an *entire 64-source wave* — divide by 64 for the per-source figure
-//! the crossover table in `BENCH_large.json` reports. The `avoid_*` pair is the oracle
-//! `build_exact` inner loop's shape: 64 edge-avoiding searches from one source, sequential
-//! versus one wave.
+//! Wave timings cover an *entire 64-source wave*; divide by 64 for the per-source figure.
+//! The `avoid_*` pair is the oracle `build_exact` inner loop's shape: 64 edge-avoiding
+//! searches from one source, sequential versus one wave.
 //!
-//! The default sizes stay CI-friendly; set `MSRP_BENCH_LARGE=1` to extend the sweep into
-//! the memory-bound `--large` tier (n up to 2²⁰). Snapshot into `BENCH_large.json` with
-//! `MSRP_BENCH_LARGE=1 CRITERION_SUMMARY=bench.jsonl cargo bench -p msrp-bench --bench graph_bfs_kernels`.
+//! `CRITERION_SUMMARY=bench.jsonl cargo bench -p msrp-bench --bench graph_bfs_kernels`
+//! appends one JSON line per benchmark.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use msrp_bench::workloads::{evenly_spaced_sources, standard_graph, WorkloadKind};
-use msrp_graph::{bfs_trees_wave, BfsScratch, DirOptScratch, Edge, MultiBfsScratch, WAVE_LANES};
-
-/// Default sizes plus, under `MSRP_BENCH_LARGE=1`, the memory-bound tier.
-fn sizes() -> Vec<usize> {
-    let mut sizes = vec![16_384usize, 65_536];
-    if std::env::var("MSRP_BENCH_LARGE").is_ok_and(|v| v == "1") {
-        sizes.extend([262_144, 1_048_576]);
-    }
-    sizes
-}
+use msrp_graph::{bfs_trees_wave, BfsScratch, Edge, MultiBfsScratch, WAVE_LANES};
 
 fn bench_kernels(c: &mut Criterion) {
-    let large = std::env::var("MSRP_BENCH_LARGE").is_ok_and(|v| v == "1");
     let mut group = c.benchmark_group("graph_bfs_kernels");
-    // The large tier's slowest routine (64 sequential avoiding BFS at n = 2²⁰) runs ~10 s
-    // per iteration; fewer samples keep the whole recorded sweep under half an hour.
     group
-        .sample_size(if large { 5 } else { 10 })
-        .measurement_time(Duration::from_secs(if large { 1 } else { 2 }))
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
 
     for kind in [WorkloadKind::SparseRandom, WorkloadKind::Grid] {
-        for &n in &sizes() {
+        for n in [16_384usize, 65_536] {
             let csr = standard_graph(kind, n, 3).freeze();
             let n = csr.vertex_count();
             let label = |k: &str| format!("{}/{k}", kind.label());
             let sources = evenly_spaced_sources(n, WAVE_LANES);
             let mut td = BfsScratch::new();
-            let mut dopt = DirOptScratch::new();
             let mut wave = MultiBfsScratch::new();
-            // Sanity at bench time: the three kernels must agree before being compared.
+            // Sanity at bench time: the two kernels must agree before being compared.
             td.run(&csr, 0);
-            dopt.run(&csr, 0);
             wave.run_wave(&csr, &sources);
-            assert_eq!(td.dist(), dopt.dist());
             assert_eq!(wave.lane_dist_vec(0), td.dist());
 
             group.bench_with_input(BenchmarkId::new(label("top_down"), n), &n, |b, _| {
                 b.iter(|| {
                     td.run(&csr, 0);
                     td.dist()[n / 2]
-                })
-            });
-            group.bench_with_input(BenchmarkId::new(label("dir_opt"), n), &n, |b, _| {
-                b.iter(|| {
-                    dopt.run(&csr, 0);
-                    dopt.dist()[n / 2]
                 })
             });
             group.bench_with_input(BenchmarkId::new(label("wave64"), n), &n, |b, _| {

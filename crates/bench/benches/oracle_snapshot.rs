@@ -1,8 +1,8 @@
 //! The payoff measurement for snapshot persistence: booting a serving oracle from a
 //! `msrp-snap` buffer (`ShardedOracle::from_snapshot` — checksum walk + validated table
 //! adoption) against re-running the Bernstein–Karger construction from the frozen graph
-//! (`ShardedOracle::build_bk_csr`), on the sparse-random workload at the `--large`-tier
-//! size `n = 2^17` (plus a smaller point for the scaling shape).
+//! (`ShardedOracle::build_bk_csr`), on the sparse-random workload at `n = 2^17` (plus a
+//! smaller point for the scaling shape).
 //!
 //! The booted oracle is asserted **bit-identical** before anything is timed: re-encoding
 //! it must reproduce the snapshot buffer byte-for-byte, so both routes answer the same
@@ -26,9 +26,9 @@ fn bench_boot(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(8))
         .warm_up_time(Duration::from_millis(300));
 
-    // n = 2^14 shows the shape; n = 2^17 is the acceptance point (the `--large`
-    // experiment tier), where the BK build walks ~n log n edge-touches per source while
-    // the snapshot boot is one linear checksum + copy pass over the buffer.
+    // n = 2^14 shows the shape; n = 2^17 is the acceptance point, where the BK build walks
+    // ~n log n edge-touches per source while the snapshot boot is one linear checksum +
+    // copy pass over the buffer.
     // σ = 4 matches the `msrpctl create` default.
     for n in [1usize << 14, 1 << 17] {
         let csr = standard_graph(WorkloadKind::SparseRandom, n, 7).freeze();

@@ -3,14 +3,13 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run -p msrp-bench --release --bin experiments -- [e1|...|e15|all] [--quick] [--large] [--list]
+//! cargo run -p msrp-bench --release --bin experiments -- [e1|...|e15|all] [--quick] [--list]
 //! ```
 //!
 //! `--quick` shrinks the instance sizes so that every experiment finishes in a few seconds
 //! (used by the CI-style smoke run); without it the sizes match the numbers reported in
-//! `EXPERIMENTS.md`. `--large` switches E13 to the opt-in million-vertex tier (n up to
-//! 2²⁰; never run in CI — see the `BENCH_large.json` provenance note). `--list` prints
-//! every experiment id with a one-line description and exits. E14 (model-checker
+//! `EXPERIMENTS.md`. `--list` prints every experiment id with a one-line description and
+//! exits; any other `--flag` is rejected with exit status 2. E14 (model-checker
 //! exploration stats) additionally needs `--features model-stats`, which swaps the
 //! workspace atomics onto the `msrp-check` shim facade — without the feature it prints
 //! the rerun instructions and exits successfully, so `all` stays feature-agnostic.
@@ -19,8 +18,7 @@ use std::env;
 use std::time::{Duration, Instant};
 
 use msrp_bench::{
-    csr_bytes_per_edge, evenly_spaced_sources, peak_rss_bytes, standard_graph,
-    standard_weighted_graph, time_secs, Table, WorkloadKind,
+    evenly_spaced_sources, standard_graph, standard_weighted_graph, time_secs, Table, WorkloadKind,
 };
 use msrp_bmm::{multiply_via_msrp, BoolMatrix};
 use msrp_core::{
@@ -28,7 +26,7 @@ use msrp_core::{
     MsrpParams, SourceToLandmarkStrategy,
 };
 use msrp_graph::{
-    bfs_avoiding_edge, BfsScratch, DijkstraScratch, DirOptScratch, Graph, MultiBfsScratch,
+    bfs_avoiding_edge, bfs_trees_wave, BfsScratch, DijkstraScratch, Graph, MultiBfsScratch,
     ShortestPathTree, WAVE_LANES,
 };
 use msrp_netsim::{
@@ -59,13 +57,19 @@ const EXPERIMENTS: [(&str, &str); 15] = [
     ("e10", "Bernstein-Karger preprocessing vs per-tree-edge brute force, tables compared"),
     ("e11", "live churn: epoch-swap serving, incremental vs full rebuild, zero mismatches"),
     ("e12", "build/rebuild stage profile: where BK preprocessing and ladder time goes"),
-    ("e13", "traversal kernels at scale: dir-opt + 64-way wave BFS, --large memory tier"),
+    ("e13", "traversal kernels at scale: top-down vs 64-way wave BFS, BK scaling check"),
     ("e14", "model-checker exploration: schedules/steps per lock-free structure + lint wall"),
     ("e15", "snapshot persistence: boot-from-snapshot vs rebuilding the oracle from scratch"),
 ];
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
+    if let Some(flag) =
+        args.iter().find(|a| a.starts_with("--") && !["--quick", "--list"].contains(&a.as_str()))
+    {
+        eprintln!("error: unknown flag `{flag}` (expected --quick or --list)");
+        std::process::exit(2);
+    }
     if args.iter().any(|a| a == "--list") {
         for (id, description) in EXPERIMENTS {
             println!("{id}  {description}");
@@ -73,7 +77,6 @@ fn main() {
         return;
     }
     let quick = args.iter().any(|a| a == "--quick");
-    let large = args.iter().any(|a| a == "--large");
     let which: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
     if let Some(unknown) =
@@ -126,7 +129,7 @@ fn main() {
         experiment_e12(quick);
     }
     if run("e13") {
-        experiment_e13(quick, large);
+        experiment_e13(quick);
     }
     if run("e14") {
         experiment_e14(quick);
@@ -703,120 +706,73 @@ fn experiment_e12(quick: bool) {
     ladder_table.print();
 }
 
-/// E13 — traversal kernels at scale: the direction-optimizing kernel and the 64-way
-/// bit-parallel wave against the seed top-down BFS, on a low-diameter sparse-random
-/// workload and a high-diameter grid, plus the Õ(m√(nσ)) scaling check on the
-/// wave-powered `build_bk_csr`.
+/// E13 — traversal kernels at scale: the 64-way bit-parallel wave against the top-down
+/// BFS, on a low-diameter sparse-random workload and a high-diameter grid, plus the
+/// Õ(m√(nσ)) scaling check on the wave-powered `build_bk_csr`.
 ///
-/// Three tiers share this body: `--quick` (CI; doubles as a kernel differential, because
-/// every row *asserts* the three kernels' distance arrays are bit-identical before it is
-/// printed), the default (desk-side sizes), and `--large` (opt-in, n up to 2²⁰,
-/// memory-bound — the regime the kernels were written for). Each row records the peak
-/// process RSS and the CSR bytes-per-edge footprint alongside wall time, because at the
-/// large tier bandwidth, not instruction count, is what the columns move with.
-fn experiment_e13(quick: bool, large: bool) {
-    println!("\n=== E13: traversal kernels at scale — dir-opt and 64-way bit-parallel BFS ===");
-    let sizes: &[usize] = if large {
-        &[131_072, 524_288, 1_048_576]
-    } else if quick {
-        &[2_048, 8_192]
-    } else {
-        &[16_384, 65_536]
-    };
-    let mb = |bytes: Option<u64>| {
-        bytes.map_or_else(|| "n/a".into(), |b| format!("{:.0}", b as f64 / (1024.0 * 1024.0)))
-    };
-    let mut kernel_table = Table::new([
-        "kind",
-        "n",
-        "m",
-        "top-down (ms)",
-        "dir-opt (ms)",
-        "wave/src (ms)",
-        "dir-opt x",
-        "wave x",
-        "bytes/edge",
-        "peak RSS (MB)",
-    ]);
+/// `--quick` (CI) doubles as a kernel differential: every row *asserts* that each wave
+/// lane's distances and each wave-built tree equal the top-down kernel's before the row is
+/// printed. Without it the sizes are the desk-side ones.
+fn experiment_e13(quick: bool) {
+    println!("\n=== E13: traversal kernels at scale — top-down and 64-way bit-parallel BFS ===");
+    let sizes: &[usize] = if quick { &[2_048, 8_192] } else { &[16_384, 65_536] };
+    let mut kernel_table =
+        Table::new(["kind", "n", "m", "top-down (ms)", "wave/src (ms)", "wave x"]);
     for kind in [WorkloadKind::SparseRandom, WorkloadKind::Grid] {
         for &n in sizes {
             let csr = standard_graph(kind, n, 29).freeze();
             let n = csr.vertex_count();
             let m = csr.edge_count();
             let sources = evenly_spaced_sources(n, WAVE_LANES);
-            // The sequential kernels are timed over a probe subset; the wave runs all 64
-            // lanes at once and is reported per source.
+            // The top-down kernel is timed over a probe subset; the wave runs all 64 lanes
+            // at once and is reported per source.
             let probe: Vec<usize> = sources.iter().copied().step_by(8).collect();
             let mut td = BfsScratch::new();
-            let mut dopt = DirOptScratch::new();
             let mut wave = MultiBfsScratch::new();
             // One untimed run per kernel: buffer allocation and first-touch page faults
             // happen here, so the timed loops measure the steady state (the regime every
             // oracle build and serving rebuild actually runs in).
             td.run(&csr, probe[0]);
-            dopt.run(&csr, probe[0]);
             wave.run_wave(&csr, &sources);
             let (_, td_secs) = time_secs(|| {
                 for &s in &probe {
                     td.run(&csr, s);
                 }
             });
-            let (_, dopt_secs) = time_secs(|| {
-                for &s in &probe {
-                    dopt.run(&csr, s);
-                }
-            });
             let (_, wave_secs) = time_secs(|| wave.run_wave(&csr, &sources));
             // The differential half of the experiment: every row is only printed after the
-            // three kernels are proven bit-identical on its instance (this is the step the
+            // two kernels are proven bit-identical on its instance (this is the step the
             // CI `--quick` run relies on).
             for (lane, &s) in sources.iter().enumerate() {
                 td.run(&csr, s);
-                dopt.run(&csr, s);
-                assert_eq!(dopt.dist(), td.dist(), "{} n={n} s={s}: dist", kind.label());
-                assert_eq!(dopt.parent_raw(), td.parent_raw(), "{} n={n} s={s}", kind.label());
-                assert_eq!(dopt.order(), td.order(), "{} n={n} s={s}: order", kind.label());
                 assert_eq!(wave.lane_dist_vec(lane), td.dist(), "{} n={n} s={s}", kind.label());
             }
+            for (tree, &s) in bfs_trees_wave(&csr, &sources, &mut wave).iter().zip(&sources) {
+                let reference = ShortestPathTree::build_with_scratch(&csr, s, &mut td);
+                assert_eq!(tree, &reference, "{} n={n} s={s}: tree", kind.label());
+            }
             let td_ms = td_secs / probe.len() as f64 * 1e3;
-            let dopt_ms = dopt_secs / probe.len() as f64 * 1e3;
             let wave_ms = wave_secs / sources.len() as f64 * 1e3;
             kernel_table.add_row([
                 kind.label().to_string(),
                 n.to_string(),
                 m.to_string(),
                 format!("{td_ms:.3}"),
-                format!("{dopt_ms:.3}"),
                 format!("{wave_ms:.3}"),
-                format!("{:.2}", td_ms / dopt_ms.max(1e-9)),
                 format!("{:.2}", td_ms / wave_ms.max(1e-9)),
-                format!("{:.1}", csr_bytes_per_edge(&csr)),
-                mb(peak_rss_bytes()),
             ]);
         }
     }
-    println!("\nkernel crossover (per-source BFS wall time; speedups are vs top-down):");
+    println!("\nkernel crossover (per-source BFS wall time; speedup is vs top-down):");
     kernel_table.print();
 
-    // The product-side payoff: `build_bk_csr` now runs its tree stage through the wave, so
-    // the Õ(m√(nσ)) preprocessing bound (Theorem 26 regime) is checked with the kernels in
+    // The product-side payoff: `build_bk_csr` runs its tree stage through the wave, so the
+    // Õ(m√(nσ)) preprocessing bound (Theorem 26 regime) is checked with the kernels in
     // place. The normalized column should drift only logarithmically if the bound holds.
-    let (oracle_sizes, sigma): (&[usize], usize) = if large {
-        (&[131_072, 262_144], 16)
-    } else if quick {
-        (&[1_024, 2_048], 8)
-    } else {
-        (&[16_384, 32_768], 16)
-    };
-    let mut oracle_table = Table::new([
-        "kind",
-        "n",
-        "m",
-        "sigma",
-        "build_bk (s)",
-        "t/(m·sqrt(n·σ)) (ns)",
-        "peak RSS (MB)",
-    ]);
+    let (oracle_sizes, sigma): (&[usize], usize) =
+        if quick { (&[1_024, 2_048], 8) } else { (&[16_384, 32_768], 16) };
+    let mut oracle_table =
+        Table::new(["kind", "n", "m", "sigma", "build_bk (s)", "t/(m·sqrt(n·σ)) (ns)"]);
     for &n in oracle_sizes {
         let csr = standard_graph(WorkloadKind::SparseRandom, n, 29).freeze();
         let m = csr.edge_count();
@@ -832,7 +788,6 @@ fn experiment_e13(quick: bool, large: bool) {
             sigma.to_string(),
             format!("{secs:.3}"),
             format!("{:.2}", secs * 1e9 / normalizer),
-            mb(peak_rss_bytes()),
         ]);
     }
     println!("\nwave-powered BK preprocessing (Õ(m·sqrt(nσ)) scaling check):");

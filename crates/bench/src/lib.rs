@@ -10,12 +10,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod resources;
 pub mod table;
 pub mod timing;
 pub mod workloads;
 
-pub use resources::{csr_bytes, csr_bytes_per_edge, peak_rss_bytes};
 pub use table::Table;
 pub use timing::{time, time_secs};
 pub use workloads::{

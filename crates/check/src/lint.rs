@@ -1,6 +1,6 @@
 //! The repo lint wall: hand-rolled line/token scanning enforcing the workspace's
-//! concurrency-hygiene rules (the container builds offline, so no `syn`, no registry —
-//! the scanner works on raw source lines the way `large_tier_guard` walks files).
+//! concurrency-hygiene rules (the workspace builds offline, so no `syn`, no registry —
+//! the scanner works on raw source lines).
 //!
 //! # Rules
 //!

@@ -1,7 +1,6 @@
 //! Guard for the model checker's bounded-by-default contract: plain `cargo test -q`
 //! explores at most [`ModelConfig::DEFAULT_BUDGET`] schedules per test, and only a human
 //! exporting `MSRP_MODEL_EXHAUSTIVE=1` lifts the cap — never CI, never a test itself.
-//! (Same shape as `crates/bench/tests/large_tier_guard.rs` for the `--large` tier.)
 
 use std::fs;
 use std::path::{Path, PathBuf};

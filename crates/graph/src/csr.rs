@@ -57,14 +57,11 @@ pub struct CsrGraph {
     targets: Vec<u32>,
     /// Number of undirected edges (`targets.len() / 2`, cached).
     edge_count: usize,
-    /// Largest row length, cached at freeze time (the direction-optimizing kernel's flip
-    /// pre-filter bounds a frontier's total degree by `|frontier| · max_degree`).
-    max_degree: u32,
 }
 
 impl Default for CsrGraph {
     fn default() -> Self {
-        CsrGraph { offsets: vec![0], targets: Vec::new(), edge_count: 0, max_degree: 0 }
+        CsrGraph { offsets: vec![0], targets: Vec::new(), edge_count: 0 }
     }
 }
 
@@ -82,17 +79,16 @@ impl CsrGraph {
             targets.extend(row.iter().map(|&w| w as u32));
             offsets.push(targets.len() as u32);
         }
-        let max_degree = adj.iter().map(Vec::len).max().unwrap_or(0) as u32;
-        CsrGraph { offsets, targets, edge_count, max_degree }
+        CsrGraph { offsets, targets, edge_count }
     }
 
     /// Rebuilds a frozen graph from raw CSR arrays, validating every structural invariant
     /// the freeze path guarantees: `offsets` starts at 0, is monotone, and ends at
     /// `targets.len()`; every target id is in range; each neighbour row is strictly
     /// ascending (sorted, no duplicates, no self-loops); and each undirected edge appears
-    /// as exactly two arcs. `edge_count` and `max_degree` are recomputed, so a graph built
-    /// here is indistinguishable from one built by [`Graph::freeze`] — this is the
-    /// trust boundary the snapshot loader (`msrp-snap`) adopts decoded buffers through.
+    /// as exactly two arcs. `edge_count` is recomputed, so a graph built here is
+    /// indistinguishable from one built by [`Graph::freeze`] — this is the trust boundary
+    /// the snapshot loader (`msrp-snap`) adopts decoded buffers through.
     pub fn from_raw_parts(offsets: Vec<u32>, targets: Vec<u32>) -> Result<Self, GraphError> {
         let malformed = |reason: String| GraphError::MalformedCsr { reason };
         if offsets.is_empty() {
@@ -121,10 +117,8 @@ impl CsrGraph {
                 targets.len()
             )));
         }
-        let mut max_degree = 0u32;
         for v in 0..n {
             let row = &targets[offsets[v] as usize..offsets[v + 1] as usize];
-            max_degree = max_degree.max(row.len() as u32);
             if row.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(malformed(format!("row of vertex {v} is not strictly ascending")));
             }
@@ -133,7 +127,7 @@ impl CsrGraph {
             }
         }
         let edge_count = targets.len() / 2;
-        let graph = CsrGraph { offsets, targets, edge_count, max_degree };
+        let graph = CsrGraph { offsets, targets, edge_count };
         // Arc symmetry: every arc u→v must have its reverse v→u. Rows are sorted, so each
         // check is one binary search; O(m log d) total, paid once at adoption time.
         for u in 0..n {
@@ -178,12 +172,6 @@ impl CsrGraph {
     #[inline]
     pub fn edge_count(&self) -> usize {
         self.edge_count
-    }
-
-    /// The largest degree of any vertex (0 for an empty graph), cached at freeze time.
-    #[inline]
-    pub fn max_degree(&self) -> usize {
-        self.max_degree as usize
     }
 
     /// Returns an iterator over all vertices.

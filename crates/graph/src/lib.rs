@@ -34,7 +34,6 @@ mod connectivity;
 mod csr;
 mod cuckoo;
 mod dijkstra;
-mod dir_opt;
 mod distance;
 mod edge;
 mod error;
@@ -52,7 +51,6 @@ pub use connectivity::{analyze_connectivity, analyze_connectivity_csr, Connectiv
 pub use csr::{bfs_csr, bfs_csr_avoiding_edge, BfsScratch, CsrGraph, NO_PARENT};
 pub use cuckoo::CuckooHashMap;
 pub use dijkstra::{DijkstraResult, Weight, WeightedCsr, WeightedDigraph, INFINITE_WEIGHT};
-pub use dir_opt::{DirOptScratch, DIR_OPT_ALPHA, DIR_OPT_BETA};
 pub use distance::{dist_add, dist_add3, dist_min, is_finite, Distance, INFINITE_DISTANCE};
 pub use edge::Edge;
 pub use error::GraphError;

@@ -17,7 +17,7 @@
 //! The kernel produces *distances only*. BFS distances are unique, so each lane's distance
 //! plane is trivially bit-identical to a [`BfsScratch`](crate::BfsScratch) run — but the
 //! canonical tree's `parent`/`order` are not derivable from distances for free (the parent
-//! rule minimizes the frontier *position*, see [`dir_opt`](crate::DirOptScratch)). When
+//! rule minimizes the frontier *position*, not the vertex id). When
 //! trees are needed, [`bfs_trees_wave`] reruns a cheap *guided* pass per lane over the
 //! finished distance plane: `w` is adopted by the first in-order vertex `v` with
 //! `dist[w] == dist[v] + 1`, which reproduces the top-down parent/order exactly (first in

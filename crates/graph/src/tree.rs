@@ -87,29 +87,6 @@ impl ShortestPathTree {
         )
     }
 
-    /// Builds the BFS tree rooted at `source` with the direction-optimizing kernel —
-    /// bit-for-bit the same tree as [`build_with_scratch`](Self::build_with_scratch)
-    /// (the kernel reproduces the top-down parent and order rules exactly), usually faster
-    /// on large low-diameter graphs. The incremental oracle rebuild runs its from-scratch
-    /// rung through this.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range for `g`.
-    pub fn build_with_dir_opt(
-        g: &CsrGraph,
-        source: Vertex,
-        scratch: &mut crate::DirOptScratch,
-    ) -> Self {
-        scratch.run(g, source);
-        Self::from_raw(
-            source,
-            scratch.dist().to_vec(),
-            scratch.parent_raw().to_vec(),
-            scratch.order().iter().map(|&v| v as u32).collect(),
-        )
-    }
-
     /// Builds the tree from an adjacency-list [`BfsResult`] (the adapter for
     /// [`bfs`](crate::bfs())); the CSR kernels hand their flat buffers to
     /// [`from_raw`](Self::from_raw) instead.
@@ -576,7 +553,7 @@ pub(crate) mod tests {
     fn raw_constructors_match_the_adjacency_list_adapter() {
         // Every CSR kernel hands its u32 buffers to `from_raw`; each tree must equal the
         // one `from_bfs` adapts from the adjacency-list BFS.
-        let (mut td, mut dopt) = (BfsScratch::new(), crate::DirOptScratch::new());
+        let mut td = BfsScratch::new();
         let mut wave = crate::MultiBfsScratch::new();
         for g in &preorder_graphs() {
             let csr = g.freeze();
@@ -587,7 +564,6 @@ pub(crate) mod tests {
                 let reference = ShortestPathTree::from_bfs(bfs(g, s));
                 let built = [
                     ("scratch", ShortestPathTree::build_with_scratch(&csr, s, &mut td)),
-                    ("dir-opt", ShortestPathTree::build_with_dir_opt(&csr, s, &mut dopt)),
                     ("wave", waved[k].clone()),
                 ];
                 for (kernel, t) in &built {

@@ -205,7 +205,7 @@ pub fn run_simulation_with_service(
     shards: usize,
     workers: usize,
 ) -> SimulationReport {
-    use msrp_serve::{Query, QueryService, ServiceConfig};
+    use msrp_serve::{Query, QueryService, ServiceConfig, ShardedOracle};
 
     assert!(!config.gateways.is_empty(), "at least one gateway is required");
     assert!(g.edge_count() > 0, "the network must have links");
@@ -215,11 +215,8 @@ pub fn run_simulation_with_service(
     let mut scratch = BfsScratch::new();
 
     let build_start = Instant::now();
-    let service = QueryService::build_and_start_csr(
-        &csr,
-        &config.gateways,
-        &config.params,
-        shards,
+    let service = QueryService::start(
+        ShardedOracle::build_csr(&csr, &config.gateways, &config.params, shards),
         &ServiceConfig { workers },
     );
     let oracle_build_time = build_start.elapsed();

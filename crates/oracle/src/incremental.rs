@@ -48,7 +48,7 @@
 
 use std::time::{Duration, Instant};
 
-use msrp_graph::{CsrGraph, DirOptScratch, Edge, ShortestPathTree, Vertex};
+use msrp_graph::{BfsScratch, CsrGraph, Edge, ShortestPathTree, Vertex};
 
 use crate::bk::{bk_replacement_distances, solve_cut_into, BkScratch};
 use crate::ReplacementPathOracle;
@@ -165,11 +165,10 @@ impl ReplacementPathOracle {
         let n = g_new.vertex_count();
         assert_eq!(n, self.vertex_count(), "churn must not change the vertex set");
         assert!(changed.hi() < n, "changed edge {changed:?} out of range");
-        // The per-source probe BFS takes the direction-optimizing kernel: a rebuild visits
-        // every source, most of which land in rung 2 where the tree BFS *is* the cost, and
-        // dir-opt is bit-identical to the top-down kernel (so `same_forest` and the pinned
-        // row-for-row equality with `build_bk_csr` are unaffected).
-        let mut bfs = DirOptScratch::new();
+        // The per-source probe runs the top-down kernel, one source at a time. It is
+        // bit-identical to the wave `build_bk_csr` builds its trees with, so `same_forest`
+        // and the row-for-row equality with a fresh `build_bk_csr` are untouched.
+        let mut bfs = BfsScratch::new();
         let mut scratch = BkScratch::new();
         let mut stats = RebuildStats { sources_total: self.sources.len(), ..Default::default() };
         let mut trees = Vec::with_capacity(self.trees.len());
@@ -188,7 +187,7 @@ impl ReplacementPathOracle {
                 stats.reuse_time += rung_start.elapsed();
                 continue;
             }
-            let new_tree = ShortestPathTree::build_with_dir_opt(g_new, old_tree.source(), &mut bfs);
+            let new_tree = ShortestPathTree::build_with_scratch(g_new, old_tree.source(), &mut bfs);
             stats.cuts_total += new_tree.order().len().saturating_sub(1);
             if same_forest(&new_tree, old_tree) {
                 // Rung 2: same forest ⇒ same canonical paths, same row layout, same subtree

@@ -305,17 +305,6 @@ impl ReplacementPathOracle {
         Self::from_shards(build_shards(g, sources, params, threads))
     }
 
-    /// CSR entry point of [`build_parallel`](Self::build_parallel): all shard workers traverse
-    /// the caller's frozen view (no per-shard copy of the adjacency structure).
-    pub fn build_parallel_csr(
-        g: &CsrGraph,
-        sources: &[Vertex],
-        params: &MsrpParams,
-        threads: usize,
-    ) -> Self {
-        Self::from_shards(build_shards_csr(g, sources, params, threads))
-    }
-
     /// Wraps an existing solver output.
     pub fn from_msrp_output(out: MsrpOutput) -> Self {
         Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")

@@ -715,30 +715,6 @@ impl QueryService {
     ) -> Self {
         Self::start(ShardedOracle::build(g, sources, params, shards), config)
     }
-
-    /// Convenience constructor over an already-frozen CSR view (the graph is shared across
-    /// every shard construction worker, never copied).
-    pub fn build_and_start_csr(
-        g: &CsrGraph,
-        sources: &[Vertex],
-        params: &MsrpParams,
-        shards: usize,
-        config: &ServiceConfig,
-    ) -> Self {
-        Self::start(ShardedOracle::build_csr(g, sources, params, shards), config)
-    }
-
-    /// Convenience constructor serving from Bernstein–Karger-built shards
-    /// ([`ShardedOracle::build_bk_csr`]): same pool, queue, metrics, and answers as the
-    /// other routes — only the shard preprocessing differs.
-    pub fn build_and_start_bk_csr(
-        g: &CsrGraph,
-        sources: &[Vertex],
-        shards: usize,
-        config: &ServiceConfig,
-    ) -> Self {
-        Self::start(ShardedOracle::build_bk_csr(g, sources, shards), config)
-    }
 }
 
 impl QueryService<WeightedShardedOracle> {

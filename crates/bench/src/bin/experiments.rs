@@ -921,11 +921,14 @@ fn experiment_e14(quick: bool) {
 /// from the frozen graph. The booted oracle is proven **bit-identical** before any row
 /// is printed: re-encoding it must reproduce the snapshot byte-for-byte (the canonical
 /// round trip the snapshot fuzz battery pins), so the speedup column compares two
-/// routes to the same answers.
+/// routes to the same answers. Besides the σ = 2 scaling rows, one serving-shape row
+/// (σ = 512, the `batch_sigma512` benchmark's shape) times a snapshot dominated by
+/// per-source trees and rows, where the decoder's parallel per-source work shows.
 fn experiment_e15(quick: bool) {
     println!("\n=== E15: snapshot persistence — boot-from-snapshot vs rebuild ===");
     let sizes: &[usize] = if quick { &[512, 1024] } else { &[1 << 12, 1 << 14, 1 << 16] };
     let sigma = 2;
+    let serving_n = if quick { 1024 } else { 2048 };
     let mut table = Table::new([
         "metric",
         "n",
@@ -938,7 +941,7 @@ fn experiment_e15(quick: bool) {
         "speedup",
         "bit-identical",
     ]);
-    for &n in sizes {
+    for (n, sigma) in sizes.iter().map(|&n| (n, sigma)).chain([(serving_n, 512)]) {
         let g = standard_graph(WorkloadKind::SparseRandom, n, 7).freeze();
         let sources = evenly_spaced_sources(n, sigma);
         let (oracle, build_secs) = time_secs(|| ShardedOracle::build_bk_csr(&g, &sources, 2));
@@ -946,6 +949,7 @@ fn experiment_e15(quick: bool) {
         let ((g2, booted), boot_secs) =
             time_secs(|| ShardedOracle::from_snapshot(&bytes).expect("pristine snapshot"));
         let identical = g2 == g && booted.to_snapshot(&g2) == bytes;
+        assert!(identical, "hop n={n} σ={sigma}: the booted oracle must re-encode bit-identically");
         table.add_row([
             "hop".to_string(),
             n.to_string(),
@@ -969,6 +973,7 @@ fn experiment_e15(quick: bool) {
     let ((g2, booted), boot_secs) =
         time_secs(|| WeightedShardedOracle::from_snapshot(&bytes).expect("pristine snapshot"));
     let identical = g2 == g && booted.to_snapshot(&g2) == bytes;
+    assert!(identical, "weighted n={n}: the booted oracle must re-encode bit-identically");
     table.add_row([
         "weighted".to_string(),
         n.to_string(),

@@ -43,15 +43,15 @@ impl<M: Metric> ReplacementDistances<M> {
 
     /// Builds the table directly from a flat row stream: row `t` takes the next
     /// `tree.depth(t)` entries (empty for unreachable targets), in vertex order.
-    /// The snapshot boot path uses this instead of [`new`](Self::new) followed by
-    /// per-entry [`set`](Self::set), which initialised and then overwrote every entry;
-    /// the stream is the table's own buffer layout, so this is one copy.
+    /// The stream is the table's own buffer layout, so the table adopts `flat` as it is:
+    /// the snapshot boot path decodes each source's rows straight into the `Vec` it hands
+    /// over here, instead of [`new`](Self::new) followed by per-entry [`set`](Self::set).
     ///
     /// # Panics
     ///
     /// Panics if `flat` does not hold exactly the entries the tree's row shapes
     /// require — callers (the snapshot decoder) prove the total first.
-    pub fn from_flat_rows(tree: &CanonicalTree<M>, flat: &[M::Dist]) -> Self {
+    pub fn from_flat_rows(tree: &CanonicalTree<M>, flat: Vec<M::Dist>) -> Self {
         ReplacementDistances {
             source: tree.source(),
             base: tree.distances().to_vec(),
@@ -120,6 +120,12 @@ impl<M: Metric> ReplacementDistances<M> {
             Some(i) => self.rows.row(t)[i],
             None => self.base[t],
         }
+    }
+
+    /// Every entry, row after row (row 0, row 1, …): the snapshot's row stream for this
+    /// source.
+    pub fn values(&self) -> &[M::Dist] {
+        self.rows.values()
     }
 
     /// Total number of `(target, edge)` entries stored.
@@ -239,13 +245,14 @@ mod tests {
         let (tree, d) = filled_table();
         // The snapshot encoder's row stream: row 0, row 1, … concatenated.
         let stream: Vec<Distance> = (0..d.vertex_count()).flat_map(|t| d.row(t).to_vec()).collect();
-        let booted = SourceReplacementDistances::from_flat_rows(&tree, &stream);
+        let booted = SourceReplacementDistances::from_flat_rows(&tree, stream.clone());
         let fresh = SourceReplacementDistances::new(&tree);
         for t in 0..d.vertex_count() {
             assert_eq!(booted.row(t).len(), fresh.row(t).len(), "t={t}");
         }
         assert_eq!(booted, d);
         assert_eq!(booted.entry_count(), stream.len());
+        assert_eq!(d.values(), stream);
         // `iter` walks the same stream: targets ascending, edge positions ascending.
         let entries: Vec<_> = d.iter().collect();
         assert_eq!(entries.iter().map(|&(_, _, x)| x).collect::<Vec<_>>(), stream);
@@ -256,7 +263,7 @@ mod tests {
     #[should_panic(expected = "row shapes")]
     fn short_row_streams_are_rejected() {
         let (tree, d) = filled_table();
-        let _ = SourceReplacementDistances::from_flat_rows(&tree, &vec![0; d.entry_count() - 1]);
+        let _ = SourceReplacementDistances::from_flat_rows(&tree, vec![0; d.entry_count() - 1]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use msrp_graph::Vertex;
 /// tree fixes: hop distance for the hop metric, hop depth for the weighted one. A lookup
 /// is two adjacent offset loads and one load from `values`, with no per-row allocation and
 /// no pointer chase through a `Vec<Vec<_>>`. The concatenated `values` are exactly the
-/// snapshot's row stream for that source, so booting one is a single copy.
+/// snapshot's row stream for that source, so a boot decodes the stream straight into them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FlatRows<T> {
     offsets: Vec<usize>,
@@ -23,15 +23,16 @@ impl<T: Copy> FlatRows<T> {
         FlatRows { offsets, values }
     }
 
-    /// `n` rows of lengths `len(t)` cut from `flat`, in vertex order.
+    /// `n` rows of lengths `len(t)` cut from `flat`, in vertex order; `flat` becomes the
+    /// buffer as it is.
     ///
     /// # Panics
     ///
     /// Panics if `flat` does not hold exactly the entries the row lengths add up to.
-    pub(crate) fn from_flat(n: usize, len: impl Fn(Vertex) -> usize, flat: &[T]) -> Self {
+    pub(crate) fn from_flat(n: usize, len: impl Fn(Vertex) -> usize, flat: Vec<T>) -> Self {
         let offsets = prefix_sum(n, len);
         assert_eq!(offsets[n], flat.len(), "flat row stream does not match the tree's row shapes");
-        FlatRows { offsets, values: flat.to_vec() }
+        FlatRows { offsets, values: flat }
     }
 
     /// Number of rows (the vertex count).

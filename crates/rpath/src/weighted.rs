@@ -194,7 +194,7 @@ mod tests {
     fn flat_rows_round_trip_in_row_stream_order() {
         let (tree, d) = filled_table();
         let stream: Vec<Weight> = (0..d.vertex_count()).flat_map(|t| d.row(t).to_vec()).collect();
-        let booted = WeightedReplacementDistances::from_flat_rows(&tree, &stream);
+        let booted = WeightedReplacementDistances::from_flat_rows(&tree, stream.clone());
         let fresh = WeightedReplacementDistances::new(&tree);
         for t in 0..d.vertex_count() {
             assert_eq!(booted.row(t).len(), fresh.row(t).len(), "t={t}");

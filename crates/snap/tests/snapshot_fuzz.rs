@@ -16,7 +16,8 @@ use msrp_graph::generators::{
 };
 use msrp_graph::{Graph, Hop, Metric, Weighted, WeightedGraph, NO_PARENT};
 use msrp_oracle::{
-    build_bk_shards, ReplacementOracle, ReplacementPathOracle, WeightedReplacementOracle,
+    build_bk_shards, shard_sources, ReplacementOracle, ReplacementPathOracle,
+    WeightedReplacementOracle,
 };
 use msrp_snap::{
     decode_snapshot, encode_snapshot, fnv1a64_lanes, inspect, SnapError, SnapMetric, SNAP_VERSION,
@@ -73,6 +74,28 @@ fn weighted_reference_snapshot() -> Vec<u8> {
     encode_snapshot(&g, &shards)
 }
 
+/// A many-source, multi-shard hop snapshot: σ = 64 BK-built sources over n = 96 in 4
+/// shards.
+fn multi_shard_snapshot() -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(404);
+    let g = connected_gnm(96, 256, &mut rng).unwrap();
+    let sources = spread_sources(96, 64);
+    encode_snapshot(&g.freeze(), &build_bk_shards(&g, &sources, 4))
+}
+
+/// The weighted twin of [`multi_shard_snapshot`]: σ = 64 exact-built sources over n = 80
+/// in 4 shards.
+fn weighted_multi_shard_snapshot() -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(505);
+    let g = weighted_connected_gnm(80, 200, 1000, &mut rng).unwrap().freeze();
+    let sources = spread_sources(80, 64);
+    let shards: Vec<WeightedReplacementOracle> = shard_sources(&sources, 4)
+        .into_iter()
+        .map(|chunk| WeightedReplacementOracle::build_exact(&g, chunk))
+        .collect();
+    encode_snapshot(&g, &shards)
+}
+
 #[test]
 fn reference_snapshot_bytes_are_pinned() {
     // Length and file-checksum word of both reference snapshots, recorded from an earlier
@@ -83,6 +106,19 @@ fn reference_snapshot_bytes_are_pinned() {
     assert_eq!((hop.len(), stored(&hop)), (5888, 0x2df7_1074_4e09_fc6e));
     let weighted = weighted_reference_snapshot();
     assert_eq!((weighted.len(), stored(&weighted)), (8432, 0x1eb6_904a_c913_37d0));
+}
+
+#[test]
+fn multi_shard_snapshot_bytes_are_pinned() {
+    // The same pin for many sources over several shards, where every tree and row section
+    // is the concatenation of 64 per-source runs written shard after shard: a layout or
+    // offset slip between sources moves these values. Recorded from the encoder that still
+    // assembled each section in its own buffer before copying it into the file.
+    let stored = |bytes: &[u8]| u64::from_le_bytes(bytes[32..40].try_into().unwrap());
+    let hop = multi_shard_snapshot();
+    assert_eq!((hop.len(), stored(&hop)), (145_352, 0x329c_ccd6_893c_665c));
+    let weighted = weighted_multi_shard_snapshot();
+    assert_eq!((weighted.len(), stored(&weighted)), (259_824, 0x5db4_7a61_7b64_d790));
 }
 
 /// Asserts two oracle sets answer identically, row for row, via their public tables, and
@@ -197,6 +233,39 @@ fn trailing_garbage_fails_closed() {
     assert!(matches!(decode_snapshot::<Hop>(&bytes), Err(SnapError::LengthMismatch { .. })));
 }
 
+/// The section table as `(id, offset, len)` triples, in table order.
+fn section_table(bytes: &[u8]) -> Vec<(u32, usize, usize)> {
+    let section_count = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
+    (0..section_count)
+        .map(|i| {
+            let entry = 40 + 32 * i;
+            let id = u32::from_le_bytes(bytes[entry..entry + 4].try_into().unwrap());
+            let off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
+            let len =
+                u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
+            (id, off, len)
+        })
+        .collect()
+}
+
+/// Points table entry `id` at `[offset, offset + len)`.
+fn move_section(bytes: &mut [u8], id: u32, offset: usize, len: usize) {
+    let i = section_table(bytes).iter().position(|&(sid, _, _)| sid == id).unwrap();
+    let entry = 40 + 32 * i;
+    bytes[entry + 8..entry + 16].copy_from_slice(&(offset as u64).to_le_bytes());
+    bytes[entry + 16..entry + 24].copy_from_slice(&(len as u64).to_le_bytes());
+}
+
+/// Re-stamps every section checksum from the table as it stands, then the file checksum,
+/// so only the table and structural validators stand between a lie and a booted oracle.
+fn restamp_all(bytes: &mut [u8]) {
+    for (i, (_, off, len)) in section_table(bytes).into_iter().enumerate() {
+        let sum = fnv1a64_lanes(&bytes[off..off + len]);
+        bytes[40 + 32 * i + 24..40 + 32 * i + 32].copy_from_slice(&sum.to_le_bytes());
+    }
+    restamp(bytes);
+}
+
 /// Recomputes and re-stamps the whole-file checksum after a targeted mutation, so the
 /// mutation reaches the validation layer it is aimed at instead of tripping the checksum.
 fn restamp(bytes: &mut [u8]) {
@@ -298,6 +367,89 @@ fn section_offset_lies_fail_closed() {
     mutated[16..20].copy_from_slice(&u32::MAX.to_le_bytes());
     restamp(&mut mutated);
     assert!(matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::SectionTable { .. })));
+}
+
+#[test]
+fn overlapping_section_extents_fail_closed() {
+    // Both checksum layers re-stamped, so only the table check can catch the overlap: the
+    // settle-order entry pointed at the parent payload (same start), then straddling the
+    // end of the parent payload. Either window checksums fine once re-stamped, and the
+    // decoder would read parent words as settle-order words.
+    const TREE_PARENT_ID: u32 = 8;
+    const TREE_ORDER_ID: u32 = 9;
+    let bytes = reference_snapshot();
+    let table = section_table(&bytes);
+    let find = |id: u32| table.iter().find(|&&(sid, _, _)| sid == id).copied().unwrap();
+    let (_, parent_off, parent_len) = find(TREE_PARENT_ID);
+    let (_, _, order_len) = find(TREE_ORDER_ID);
+    for offset in [parent_off, parent_off + parent_len - 8] {
+        let mut mutated = bytes.clone();
+        move_section(&mut mutated, TREE_ORDER_ID, offset, order_len);
+        // Until the checksums are forged, the corrupted table is reported as corruption.
+        assert!(matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::FileChecksum { .. })));
+        restamp_all(&mut mutated);
+        for err in [decode_snapshot::<Hop>(&mutated).err(), inspect(&mutated).err()] {
+            assert!(
+                matches!(err, Some(SnapError::SectionTable { .. })),
+                "order section at {offset}: expected a section-table error, got {err:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn sixty_four_one_source_shards_round_trip() {
+    // More shards than decode workers: the decoder runs one worker per core, not per
+    // shard, so on a multi-core machine each chunk spans many one-source shards.
+    let mut rng = StdRng::seed_from_u64(606);
+    let g = connected_gnm(70, 160, &mut rng).unwrap();
+    let shards: Vec<ReplacementPathOracle> = spread_sources(70, 64)
+        .into_iter()
+        .map(|s| ReplacementPathOracle::build_exact(&g, &[s]))
+        .collect();
+    let frozen = g.freeze();
+    let bytes = encode_snapshot(&frozen, &shards);
+    let snap = decode_snapshot::<Hop>(&bytes).expect("64-shard round trip");
+    assert_eq!(snap.graph, frozen);
+    assert_same_tables(&snap.shards, &shards);
+    assert_eq!(
+        encode_snapshot(&snap.graph, &snap.shards),
+        bytes,
+        "re-encode must be bit-identical"
+    );
+}
+
+#[test]
+fn independent_lies_fail_with_the_first_source_s_error_every_time() {
+    // Two lies at the two ends of source order, so whenever the machine has more than
+    // one core they land in the first and the last worker chunk: the ROWS section cut to
+    // half of source 0's rows (META's entry total cut to match), and a self-parent lie in
+    // the last source's tree. The sequential decoder reported source 0's row overrun
+    // first; the chunked one must report the same error on every run, not whichever
+    // worker finishes first. The crate's unit tests pin the same case on 0–11 workers.
+    const META_ID: u32 = 1;
+    const ROWS_ID: u32 = 10;
+    let bytes = multi_shard_snapshot();
+    let snap = decode_snapshot::<Hop>(&bytes).expect("pristine decode");
+    let n = snap.graph.vertex_count();
+    let trees: Vec<_> = snap.shards.iter().flat_map(|s| s.trees()).collect();
+    let last = trees.len() - 1;
+    let v = (0..n).find(|&v| trees[last].parent(v).is_some()).unwrap();
+    let mut mutated = lie_about_parent(&bytes, n, last, v, v as u32);
+    let first_rows = snap.shards[0].per_source()[0].entry_count();
+    let kept = first_rows / 2;
+    let table = section_table(&mutated);
+    let (_, rows_off, _) = *table.iter().find(|&&(id, _, _)| id == ROWS_ID).unwrap();
+    let (_, meta_off, _) = *table.iter().find(|&&(id, _, _)| id == META_ID).unwrap();
+    move_section(&mut mutated, ROWS_ID, rows_off, 4 * kept);
+    mutated[meta_off + 24..meta_off + 32].copy_from_slice(&(kept as u64).to_le_bytes());
+    restamp_all(&mut mutated);
+    let expected = SnapError::Structure {
+        reason: format!("rows of source {} overrun their section", trees[0].source()),
+    };
+    for run in 0..20 {
+        assert_eq!(decode_snapshot::<Hop>(&mutated).err(), Some(expected.clone()), "run {run}");
+    }
 }
 
 #[test]

@@ -17,7 +17,7 @@ fn bench_ablation(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300));
     let n = 192;
     let sigma = 8;
-    let g = standard_graph(WorkloadKind::SparseRandom, n, 23);
+    let g = standard_graph(WorkloadKind::SparseRandom, n, 23).freeze();
     let sources = evenly_spaced_sources(n, sigma);
 
     let configs: Vec<(&str, MsrpParams)> = vec![

@@ -77,7 +77,7 @@ fn seed_build_exact(g: &Graph, sources: &[Vertex]) -> Vec<SourceReplacementDista
     sources
         .iter()
         .map(|&s| {
-            let tree = ShortestPathTree::build(g, s);
+            let tree = ShortestPathTree::from_bfs(bfs(g, s));
             let mut out = SourceReplacementDistances::new(&tree);
             for c in 0..n {
                 let p = match tree.parent(c) {
@@ -213,14 +213,15 @@ fn bench_build_exact(c: &mut Criterion) {
 
     for n in [256usize, 512] {
         let g = standard_graph(WorkloadKind::SparseRandom, n, 3);
+        let csr = g.freeze();
         let sources = evenly_spaced_sources(g.vertex_count(), 2);
         // Sanity: the CSR construction must agree with the seed construction entry-for-entry
         // (a handful of targets per source is plenty for a bench-time check).
         {
             let seed_out = seed_build_exact(&g, &sources);
-            let oracle = ReplacementPathOracle::build_exact(&g, &sources);
+            let oracle = ReplacementPathOracle::build_exact(&csr, &sources);
             for (s_idx, &s) in sources.iter().enumerate() {
-                let tree = ShortestPathTree::build(&g, s);
+                let tree = ShortestPathTree::build(&csr, s);
                 for t in (0..g.vertex_count()).step_by(g.vertex_count() / 8) {
                     if !tree.is_reachable(t) {
                         continue;
@@ -241,7 +242,7 @@ fn bench_build_exact(c: &mut Criterion) {
             |b, _| b.iter(|| seed_build_exact(&g, &sources)),
         );
         group.bench_with_input(BenchmarkId::new("build_exact_csr_scratch", n), &n, |b, _| {
-            b.iter(|| ReplacementPathOracle::build_exact(&g, &sources))
+            b.iter(|| ReplacementPathOracle::build_exact(&csr, &sources))
         });
     }
     group.finish();

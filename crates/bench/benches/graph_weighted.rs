@@ -25,7 +25,7 @@ use msrp_bench::workloads::{evenly_spaced_sources, standard_weighted_graph, Work
 use msrp_core::solve_msrp_weighted;
 use msrp_graph::{DijkstraScratch, WeightedTree};
 use msrp_oracle::WeightedReplacementOracle;
-use msrp_rpath::single_source_brute_force_weighted;
+use msrp_rpath::single_source_brute_force_weighted_with_scratch;
 
 const MAX_WEIGHT: u64 = 1000;
 
@@ -79,7 +79,7 @@ fn bench_weighted_msrp(c: &mut Criterion) {
             let out = solve_msrp_weighted(&g, &sources);
             let mut scratch = DijkstraScratch::new();
             for (tree, solved) in out.trees.iter().zip(&out.per_source) {
-                let truth = single_source_brute_force_weighted(&g, tree, &mut scratch);
+                let truth = single_source_brute_force_weighted_with_scratch(&g, tree, &mut scratch);
                 assert_eq!(*solved, truth, "source {}", tree.source());
             }
         }

@@ -18,7 +18,7 @@ fn bench_msrp_sigma(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
     let n = 256;
-    let g = standard_graph(WorkloadKind::SparseRandom, n, 7);
+    let g = standard_graph(WorkloadKind::SparseRandom, n, 7).freeze();
     for &sigma in &[1usize, 2, 4, 8] {
         let sources = evenly_spaced_sources(n, sigma);
         let cover = MsrpParams::scaled_for_benchmarks();

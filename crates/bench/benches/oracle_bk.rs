@@ -35,16 +35,16 @@ fn bench_build(c: &mut Criterion) {
         let sources = evenly_spaced_sources(n, 2);
         // Identical tables, asserted before timing.
         {
-            let bk = ReplacementPathOracle::build_bk_csr(&csr, &sources);
-            let exact = ReplacementPathOracle::build_exact_csr(&csr, &sources);
+            let bk = ReplacementPathOracle::build_bk(&csr, &sources);
+            let exact = ReplacementPathOracle::build_exact(&csr, &sources);
             assert_eq!(bk.per_source(), exact.per_source(), "n={n}");
         }
         group.bench_with_input(BenchmarkId::new("build_exact_per_edge_bfs", n), &n, |b, _| {
-            b.iter(|| ReplacementPathOracle::build_exact_csr(&csr, &sources))
+            b.iter(|| ReplacementPathOracle::build_exact(&csr, &sources))
         });
         // The id predates the removal of the heavy-path cover; `BENCH_bk.json` rows key on it.
         group.bench_with_input(BenchmarkId::new("build_bk_path_cover", n), &n, |b, _| {
-            b.iter(|| ReplacementPathOracle::build_bk_csr(&csr, &sources))
+            b.iter(|| ReplacementPathOracle::build_bk(&csr, &sources))
         });
     }
     group.finish();
@@ -63,9 +63,9 @@ fn bench_queries(c: &mut Criterion) {
     let g = standard_graph(WorkloadKind::SparseRandom, n, 11);
     let csr = g.freeze();
     let sources = evenly_spaced_sources(n, 8);
-    let oracle = ReplacementPathOracle::build_bk_csr(&csr, &sources);
+    let oracle = ReplacementPathOracle::build_bk(&csr, &sources);
     {
-        let exact = ReplacementPathOracle::build_exact_csr(&csr, &sources);
+        let exact = ReplacementPathOracle::build_exact(&csr, &sources);
         assert_eq!(oracle.per_source(), exact.per_source());
     }
     let mut rng = StdRng::seed_from_u64(5);

@@ -21,7 +21,8 @@ fn bench_oracle(c: &mut Criterion) {
     let n = 256;
     let g = standard_graph(WorkloadKind::SparseRandom, n, 11);
     let sources = evenly_spaced_sources(n, 8);
-    let oracle = ReplacementPathOracle::build(&g, &sources, &MsrpParams::scaled_for_benchmarks());
+    let oracle =
+        ReplacementPathOracle::build(&g.freeze(), &sources, &MsrpParams::scaled_for_benchmarks());
     let flat = oracle.flatten();
     let mut rng = StdRng::seed_from_u64(5);
     let edges = g.edge_vec();

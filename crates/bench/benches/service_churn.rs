@@ -23,7 +23,7 @@ const SIGMA: usize = 8;
 /// Picks a tree edge of the first source's BFS tree and a non-tree edge (if any).
 fn toggle_edges(g: &msrp_graph::Graph, sources: &[usize]) -> (msrp_graph::Edge, msrp_graph::Edge) {
     let csr = g.freeze();
-    let tree = msrp_graph::ShortestPathTree::build_csr(&csr, sources[0]);
+    let tree = msrp_graph::ShortestPathTree::build(&csr, sources[0]);
     let mut tree_edge = None;
     let mut nontree_edge = None;
     for e in g.edges() {

@@ -2,7 +2,7 @@
 //!
 //! Two questions, matching `EXPERIMENTS.md` §E8 and the `BENCH_service.json` snapshot:
 //!
-//! * does sharded oracle *construction* (`build_parallel`) scale with the thread count?
+//! * does sharded oracle *construction* (`build_shards`) scale with the thread count?
 //! * does concurrent *querying* through the `QueryService` worker pool scale with the worker
 //!   count, and what does the pool cost over a direct in-process query loop?
 
@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use msrp_bench::{evenly_spaced_sources, standard_graph, WorkloadKind};
 use msrp_core::MsrpParams;
-use msrp_oracle::ReplacementPathOracle;
+use msrp_oracle::{build_shards, ReplacementPathOracle};
 use msrp_serve::{random_queries, PendingBatch, Query, QueryService, ServiceConfig, ShardedOracle};
 
 const SIGMA: usize = 8;
@@ -27,7 +27,7 @@ fn bench_parallel_build(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3))
         .warm_up_time(Duration::from_millis(300));
     let n = 192;
-    let g = standard_graph(WorkloadKind::SparseRandom, n, 11);
+    let g = standard_graph(WorkloadKind::SparseRandom, n, 11).freeze();
     let sources = evenly_spaced_sources(n, SIGMA);
     let params = MsrpParams::scaled_for_benchmarks();
     for threads in [1usize, 2, 4] {
@@ -35,7 +35,9 @@ fn bench_parallel_build(c: &mut Criterion) {
             BenchmarkId::new("build_parallel_threads", threads),
             &threads,
             |b, &threads| {
-                b.iter(|| ReplacementPathOracle::build_parallel(&g, &sources, &params, threads))
+                b.iter(|| {
+                    ReplacementPathOracle::from_shards(build_shards(&g, &sources, &params, threads))
+                })
             },
         );
     }
@@ -56,7 +58,8 @@ fn bench_concurrent_queries(c: &mut Criterion) {
     let queries = random_queries(&g, &sources, QUERIES, &mut rng);
 
     // Baseline: the same query set answered by a direct in-process loop (no queue, no pool).
-    let direct = ShardedOracle::build(&g, &sources, &params, 1);
+    let csr = g.freeze();
+    let direct = ShardedOracle::build(&csr, &sources, &params, 1);
     group.bench_function("direct_oracle_loop_16k", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -68,13 +71,8 @@ fn bench_concurrent_queries(c: &mut Criterion) {
     });
 
     for workers in [1usize, 2, 4] {
-        let service = QueryService::build_and_start(
-            &g,
-            &sources,
-            &params,
-            workers,
-            &ServiceConfig { workers },
-        );
+        let oracle = ShardedOracle::build(&csr, &sources, &params, workers);
+        let service = QueryService::start(oracle, &ServiceConfig { workers });
         // Split the workload into one in-flight batch per worker so the pool actually runs
         // concurrently; a single answer_batch call would serialize on one worker.
         let batches: Vec<&[Query]> = queries.chunks(QUERIES / workers).collect();

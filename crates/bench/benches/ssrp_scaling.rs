@@ -17,7 +17,7 @@ fn bench_ssrp(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2))
         .warm_up_time(Duration::from_millis(300));
     for &n in &[128usize, 256, 512] {
-        let g = standard_graph(WorkloadKind::SparseRandom, n, 42);
+        let g = standard_graph(WorkloadKind::SparseRandom, n, 42).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         group.bench_with_input(BenchmarkId::new("brute_force", n), &n, |b, _| {
             b.iter(|| single_source_brute_force(&g, &tree))

@@ -18,11 +18,13 @@ fn bench_substrate(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(300));
     let g = standard_graph(WorkloadKind::SparseRandom, 1024, 3);
     let csr = g.freeze();
-    let tree = ShortestPathTree::build(&g, 0);
+    let tree = ShortestPathTree::build(&csr, 0);
     let dist_to_target = bfs_distances(&g, 777);
 
     group.bench_function("bfs_n1024", |b| b.iter(|| bfs(&g, 0)));
-    group.bench_function("shortest_path_tree_n1024", |b| b.iter(|| ShortestPathTree::build(&g, 0)));
+    group.bench_function("shortest_path_tree_n1024", |b| {
+        b.iter(|| ShortestPathTree::from_bfs(bfs(&g, 0)))
+    });
     group.bench_function("classical_single_pair_n1024", |b| {
         b.iter(|| single_pair_replacement_paths(&csr, &tree, 777, &dist_to_target))
     });

@@ -35,7 +35,8 @@ use msrp_netsim::{
 use msrp_obs::{timed, StageProfile};
 use msrp_oracle::{shard_sources, ReplacementPathOracle, BK_STAGES};
 use msrp_rpath::{
-    single_source_brute_force, single_source_brute_force_weighted, single_source_via_single_pair,
+    single_source_brute_force, single_source_brute_force_weighted_with_scratch,
+    single_source_via_single_pair,
 };
 use msrp_serve::{
     run_closed_loop, LoadConfig, QueryService, ServiceConfig, ShardedOracle, WeightedShardedOracle,
@@ -156,7 +157,7 @@ fn experiment_e1(quick: bool) {
         "speedup vs classical",
     ]);
     for &n in sizes {
-        let g = standard_graph(WorkloadKind::SparseRandom, n, 42);
+        let g = standard_graph(WorkloadKind::SparseRandom, n, 42).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let (_, brute) = time_secs(|| single_source_brute_force(&g, &tree));
         let (_, classical) = time_secs(|| single_source_via_single_pair(&g, &tree));
@@ -178,7 +179,7 @@ fn experiment_e2(quick: bool) {
     println!("\n=== E2: multi-source scaling in sigma (Theorem 1/26) ===");
     let n = if quick { 192 } else { 512 };
     let sigmas: &[usize] = if quick { &[1, 2, 4] } else { &[1, 2, 4, 8, 16, 32] };
-    let g = standard_graph(WorkloadKind::SparseRandom, n, 7);
+    let g = standard_graph(WorkloadKind::SparseRandom, n, 7).freeze();
     let mut table = Table::new([
         "sigma",
         "paper MSRP path-cover (s)",
@@ -220,7 +221,7 @@ fn experiment_e3(quick: bool) {
             let mut good = 0usize;
             let mut under = 0usize;
             for trial in 0..trials {
-                let g = standard_graph(kind, n, 100 + trial as u64);
+                let g = standard_graph(kind, n, 100 + trial as u64).freeze();
                 let sources = evenly_spaced_sources(g.vertex_count(), 3);
                 let out = solve_msrp(&g, &sources, &params.clone().with_seed(trial as u64));
                 let reports = verify_msrp(&g, &out);
@@ -229,6 +230,9 @@ fn experiment_e3(quick: bool) {
                 total += g_total;
                 under += reports.iter().map(|r| r.under_estimates).sum::<usize>();
             }
+            // Every reported value is the length of a real path, whatever the sampling
+            // drew; an under-estimate is a solver soundness bug, not bad luck.
+            assert_eq!(under, 0, "E3: {label} constants under-estimated on {}", kind.label());
             table.add_row([
                 label.to_string(),
                 kind.label().to_string(),
@@ -253,6 +257,10 @@ fn experiment_e4(quick: bool) {
         let b = BoolMatrix::random(n, density, &mut rng);
         let (expected, naive) = time_secs(|| a.multiply_naive(&b));
         let (got, reduced) = time_secs(|| multiply_via_msrp(&a, &b, 2, &MsrpParams::default()));
+        assert_eq!(
+            expected, got,
+            "E4: the product via MSRP differs from the naive product (n = {n})"
+        );
         table.add_row([
             n.to_string(),
             format!("{density:.2}"),
@@ -269,6 +277,7 @@ fn experiment_e5(quick: bool) {
     println!("\n=== E5: fault-tolerant oracle build and query latency ===");
     let n = if quick { 128 } else { 384 };
     let g = standard_graph(WorkloadKind::SparseRandom, n, 11);
+    let csr = g.freeze();
     let mut table = Table::new([
         "sigma",
         "build via MSRP (s)",
@@ -279,8 +288,8 @@ fn experiment_e5(quick: bool) {
     for &sigma in &[2usize, 8, 32] {
         let sources = evenly_spaced_sources(n, sigma);
         let (oracle, build_fast) =
-            time_secs(|| ReplacementPathOracle::build(&g, &sources, &bench_params()));
-        let (_, build_exact) = time_secs(|| ReplacementPathOracle::build_exact(&g, &sources));
+            time_secs(|| ReplacementPathOracle::build(&csr, &sources, &bench_params()));
+        let (_, build_exact) = time_secs(|| ReplacementPathOracle::build_exact(&csr, &sources));
         // Query workload.
         let mut rng = StdRng::seed_from_u64(5);
         let edges = g.edge_vec();
@@ -323,7 +332,7 @@ fn experiment_e6(quick: bool) {
     println!("\n=== E6: ablations ===");
     let n = if quick { 128 } else { 320 };
     let sigma = 8;
-    let g = standard_graph(WorkloadKind::SparseRandom, n, 23);
+    let g = standard_graph(WorkloadKind::SparseRandom, n, 23).freeze();
     let sources = evenly_spaced_sources(n, sigma);
     let mut table = Table::new([
         "configuration",
@@ -398,6 +407,7 @@ fn experiment_e8(quick: bool) {
     let n = if quick { 128 } else { 256 };
     let sigma = 8;
     let g = standard_graph(WorkloadKind::SparseRandom, n, 11);
+    let csr = g.freeze();
     let sources = evenly_spaced_sources(n, sigma);
     let params = bench_params();
 
@@ -413,7 +423,7 @@ fn experiment_e8(quick: bool) {
     let mut base_build = None;
     for &k in &[1usize, 2, 4] {
         // One timed sharded construction per row; the k = 1 row is the speedup baseline.
-        let (oracle, build) = time_secs(|| ShardedOracle::build(&g, &sources, &params, k));
+        let (oracle, build) = time_secs(|| ShardedOracle::build(&csr, &sources, &params, k));
         let base_build = *base_build.get_or_insert(build);
         let service = QueryService::start(oracle, &ServiceConfig { workers: k });
         let load = LoadConfig {
@@ -483,7 +493,7 @@ fn experiment_e9(quick: bool) {
                 let mut scratch = DijkstraScratch::new();
                 out.trees
                     .iter()
-                    .map(|t| single_source_brute_force_weighted(&g, t, &mut scratch))
+                    .map(|t| single_source_brute_force_weighted_with_scratch(&g, t, &mut scratch))
                     .collect::<Vec<_>>()
             });
             let all_equal = out.per_source == truth;
@@ -525,9 +535,9 @@ fn experiment_e10(quick: bool) {
         for &n in sizes {
             let g = standard_graph(kind, n, 13).freeze();
             let sources = evenly_spaced_sources(g.vertex_count(), sigma);
-            let (bk, bk_secs) = time_secs(|| ReplacementPathOracle::build_bk_csr(&g, &sources));
+            let (bk, bk_secs) = time_secs(|| ReplacementPathOracle::build_bk(&g, &sources));
             let (exact, exact_secs) =
-                time_secs(|| ReplacementPathOracle::build_exact_csr(&g, &sources));
+                time_secs(|| ReplacementPathOracle::build_exact(&g, &sources));
             let all_equal = bk.per_source() == exact.per_source();
             table.add_row([
                 kind.label().to_string(),
@@ -708,7 +718,7 @@ fn experiment_e12(quick: bool) {
 
 /// E13 — traversal kernels at scale: the 64-way bit-parallel wave against the top-down
 /// BFS, on a low-diameter sparse-random workload and a high-diameter grid, plus the
-/// Õ(m√(nσ)) scaling check on the wave-powered `build_bk_csr`.
+/// Õ(m√(nσ)) scaling check on the wave-powered `build_bk`.
 ///
 /// `--quick` (CI) doubles as a kernel differential: every row *asserts* that each wave
 /// lane's distances and each wave-built tree equal the top-down kernel's before the row is
@@ -766,7 +776,7 @@ fn experiment_e13(quick: bool) {
     println!("\nkernel crossover (per-source BFS wall time; speedup is vs top-down):");
     kernel_table.print();
 
-    // The product-side payoff: `build_bk_csr` runs its tree stage through the wave, so the
+    // The product-side payoff: `build_bk` runs its tree stage through the wave, so the
     // Õ(m√(nσ)) preprocessing bound (Theorem 26 regime) is checked with the kernels in
     // place. The normalized column should drift only logarithmically if the bound holds.
     let (oracle_sizes, sigma): (&[usize], usize) =
@@ -778,7 +788,7 @@ fn experiment_e13(quick: bool) {
         let m = csr.edge_count();
         let sources = evenly_spaced_sources(csr.vertex_count(), sigma);
         let (oracle, secs) =
-            time_secs(|| msrp_oracle::ReplacementPathOracle::build_bk_csr(&csr, &sources));
+            time_secs(|| msrp_oracle::ReplacementPathOracle::build_bk(&csr, &sources));
         assert_eq!(oracle.sources().len(), sigma);
         let normalizer = m as f64 * ((csr.vertex_count() * sigma) as f64).sqrt();
         oracle_table.add_row([

@@ -202,7 +202,7 @@ pub fn multiply_via_msrp(
     let mut batch_start = 0;
     while batch_start < n {
         let gadget = GadgetGraph::build(a, b, batch_start, &plan);
-        let out = solve_msrp(&gadget.graph, &gadget.sources, params);
+        let out = solve_msrp(&gadget.graph.freeze(), &gadget.sources, params);
         gadget.decode(&out, &mut c);
         batch_start += plan.rows_per_batch();
     }

@@ -80,14 +80,14 @@ mod tests {
         let g = cycle_graph(48);
         let csr = g.freeze();
         let params = tiny_params();
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&csr, 0);
         let sources = [0usize];
         let landmarks =
             SampledLevels::sample_seeded(g.vertex_count(), 1, &params, params.seed, &sources);
         let landmark_index = BfsIndex::build(&csr, landmarks.all());
         let table = SourceLandmarkTable::exact(&csr, std::slice::from_ref(&tree), &landmark_index);
         let view = table.view(0, &tree, &landmark_index);
-        let truth = single_source_brute_force(&g, &tree);
+        let truth = single_source_brute_force(&csr, &tree);
 
         let mut out = SourceReplacementDistances::new(&tree);
         let mut far_edges_seen = 0;
@@ -123,7 +123,7 @@ mod tests {
         let csr = g.freeze();
         // Paper constants: every edge of such a short path is near, so Algorithm 3 is a no-op.
         let params = MsrpParams::default();
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&csr, 0);
         let landmarks = SampledLevels::sample_seeded(10, 1, &params, 1, &[0]);
         let landmark_index = BfsIndex::build(&csr, landmarks.all());
         let table = SourceLandmarkTable::exact(&csr, std::slice::from_ref(&tree), &landmark_index);
@@ -138,7 +138,7 @@ mod tests {
         let g = cycle_graph(64);
         let csr = g.freeze();
         let params = MsrpParams { sampling_constant: 0.3, ..tiny_params() };
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&csr, 0);
         let landmarks = SampledLevels::sample_seeded(64, 1, &params, 3, &[0]);
         let landmark_index = BfsIndex::build(&csr, landmarks.all());
         let table = SourceLandmarkTable::exact(&csr, std::slice::from_ref(&tree), &landmark_index);

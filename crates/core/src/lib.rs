@@ -29,7 +29,7 @@
 //! use msrp_graph::generators::grid_graph;
 //! use msrp_graph::Edge;
 //!
-//! let g = grid_graph(4, 4);
+//! let g = grid_graph(4, 4).freeze();
 //! let out = solve_msrp(&g, &[0, 15], &MsrpParams::default());
 //! // Losing the first edge of the canonical path from 0 to 3 costs a detour of 2.
 //! let d = out.distance_avoiding(0, 3, Edge::new(0, 1)).unwrap();
@@ -54,11 +54,11 @@ pub mod stats;
 pub mod verify;
 pub mod weighted;
 
-pub use msrp::{solve_msrp, solve_msrp_csr};
+pub use msrp::solve_msrp;
 pub use output::{MsrpOutput, SsrpOutput};
 pub use params::{MsrpParams, SourceToLandmarkStrategy};
 pub use sampling::SampledLevels;
 pub use source_landmark::SourceLandmarkTable;
-pub use ssrp::{solve_ssrp, solve_ssrp_csr};
+pub use ssrp::solve_ssrp;
 pub use stats::AlgorithmStats;
 pub use weighted::{solve_msrp_weighted, WeightedMsrpOutput};

@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use msrp_graph::{CsrGraph, Graph, ShortestPathTree, Vertex};
+use msrp_graph::{CsrGraph, ShortestPathTree, Vertex};
 
 use crate::multi_source::{build_path_cover_table, PathCoverInputs};
 use crate::near_small::build_near_small;
@@ -30,22 +30,11 @@ use crate::stats::AlgorithmStats;
 /// use msrp_core::{solve_msrp, MsrpParams};
 /// use msrp_graph::generators::cycle_graph;
 ///
-/// let g = cycle_graph(10);
+/// let g = cycle_graph(10).freeze();
 /// let out = solve_msrp(&g, &[0, 5], &MsrpParams::default());
 /// assert_eq!(out.per_source[1].get(7, 0), Some(8));
 /// ```
-pub fn solve_msrp(g: &Graph, sources: &[Vertex], params: &MsrpParams) -> MsrpOutput {
-    solve_msrp_csr(&g.freeze(), sources, params)
-}
-
-/// CSR entry point of [`solve_msrp`]: every phase traverses the frozen view. The oracle's
-/// parallel shard build shares one `CsrGraph` across all its worker threads instead of
-/// cloning the adjacency structure per shard.
-///
-/// # Panics
-///
-/// Panics if `sources` is empty, contains duplicates, or contains an out-of-range vertex.
-pub fn solve_msrp_csr(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) -> MsrpOutput {
+pub fn solve_msrp(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) -> MsrpOutput {
     let n = g.vertex_count();
     assert!(!sources.is_empty(), "at least one source is required");
     for &s in sources {
@@ -61,7 +50,7 @@ pub fn solve_msrp_csr(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) -> 
 
     let start = Instant::now();
     let trees: Vec<ShortestPathTree> =
-        sources.iter().map(|&s| ShortestPathTree::build_csr(g, s)).collect();
+        sources.iter().map(|&s| ShortestPathTree::build(g, s)).collect();
     stats.record_phase("source BFS trees", start.elapsed());
 
     let start = Instant::now();
@@ -136,7 +125,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn assert_exact(g: &Graph, sources: &[Vertex], params: &MsrpParams) {
+    fn assert_exact(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) {
         let out = solve_msrp(g, sources, params);
         let reports = verify_msrp(g, &out);
         let (good, total) = exactness(&reports);
@@ -151,16 +140,16 @@ mod tests {
     #[test]
     fn exact_on_structured_graphs_path_cover() {
         let params = MsrpParams::default();
-        assert_exact(&cycle_graph(16), &[0, 5, 11], &params);
-        assert_exact(&grid_graph(4, 5), &[0, 19], &params);
-        assert_exact(&torus_graph(4, 4), &[0, 7, 9], &params);
+        assert_exact(&cycle_graph(16).freeze(), &[0, 5, 11], &params);
+        assert_exact(&grid_graph(4, 5).freeze(), &[0, 19], &params);
+        assert_exact(&torus_graph(4, 4).freeze(), &[0, 7, 9], &params);
     }
 
     #[test]
     fn exact_on_random_graphs_path_cover() {
         let mut rng = StdRng::seed_from_u64(4242);
         for n in [20usize, 30] {
-            let g = connected_gnm(n, 2 * n, &mut rng).unwrap();
+            let g = connected_gnm(n, 2 * n, &mut rng).unwrap().freeze();
             assert_exact(&g, &[0, n / 2, n - 1], &MsrpParams::default());
         }
     }
@@ -168,7 +157,7 @@ mod tests {
     #[test]
     fn exact_with_exact_strategy() {
         let mut rng = StdRng::seed_from_u64(99);
-        let g = connected_gnm(30, 70, &mut rng).unwrap();
+        let g = connected_gnm(30, 70, &mut rng).unwrap().freeze();
         let params = MsrpParams::default().with_strategy(SourceToLandmarkStrategy::Exact);
         assert_exact(&g, &[1, 7, 20, 29], &params);
     }
@@ -176,7 +165,7 @@ mod tests {
     #[test]
     fn strategies_agree_on_the_answer() {
         let mut rng = StdRng::seed_from_u64(123);
-        let g = connected_gnm(24, 60, &mut rng).unwrap();
+        let g = connected_gnm(24, 60, &mut rng).unwrap().freeze();
         let sources = [2usize, 13, 21];
         let a = solve_msrp(&g, &sources, &MsrpParams::default());
         let b = solve_msrp(
@@ -191,7 +180,7 @@ mod tests {
 
     #[test]
     fn single_source_msrp_matches_ssrp() {
-        let g = grid_graph(4, 4);
+        let g = grid_graph(4, 4).freeze();
         let msrp = solve_msrp(&g, &[5], &MsrpParams::default());
         let ssrp = crate::solve_ssrp(&g, 5, &MsrpParams::default());
         assert_eq!(msrp.per_source[0], ssrp.distances);
@@ -199,7 +188,7 @@ mod tests {
 
     #[test]
     fn sigma_equal_n_works() {
-        let g = cycle_graph(9);
+        let g = cycle_graph(9).freeze();
         let sources: Vec<usize> = (0..9).collect();
         assert_exact(&g, &sources, &MsrpParams::default());
     }
@@ -207,21 +196,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct")]
     fn duplicate_sources_panic() {
-        let g = cycle_graph(5);
+        let g = cycle_graph(5).freeze();
         let _ = solve_msrp(&g, &[1, 1], &MsrpParams::default());
     }
 
     #[test]
     #[should_panic(expected = "at least one source")]
     fn empty_sources_panic() {
-        let g = cycle_graph(5);
+        let g = cycle_graph(5).freeze();
         let _ = solve_msrp(&g, &[], &MsrpParams::default());
     }
 
     #[test]
     fn never_under_estimates_with_scaled_constants() {
         let mut rng = StdRng::seed_from_u64(17);
-        let g = connected_gnm(40, 90, &mut rng).unwrap();
+        let g = connected_gnm(40, 90, &mut rng).unwrap().freeze();
         let out = solve_msrp(&g, &[0, 10, 20, 30], &MsrpParams::scaled_for_benchmarks());
         let reports = verify_msrp(&g, &out);
         for r in &reports {

@@ -176,7 +176,7 @@ mod tests {
         let centers = SampledLevels::sample_seeded(n, sigma, params, params.seed ^ 1, &forced);
         let center_index = BfsIndex::build(&csr, centers.all());
         let source_trees: Vec<_> =
-            sources.iter().map(|&s| ShortestPathTree::build(&g, s)).collect();
+            sources.iter().map(|&s| ShortestPathTree::build(&csr, s)).collect();
         let near_small: Vec<_> =
             source_trees.iter().map(|t| build_near_small(&csr, t, params, sigma)).collect();
         let small_through =

@@ -438,7 +438,7 @@ mod tests {
         params: &MsrpParams,
     ) -> (Vec<ShortestPathTree>, SampledLevels, BfsIndex, Vec<NearSmallResult>) {
         let sigma = sources.len();
-        let trees: Vec<_> = sources.iter().map(|&s| ShortestPathTree::build_csr(g, s)).collect();
+        let trees: Vec<_> = sources.iter().map(|&s| ShortestPathTree::build(g, s)).collect();
         let landmarks =
             SampledLevels::sample_seeded(g.vertex_count(), sigma, params, params.seed, sources);
         let landmark_index = BfsIndex::build(g, landmarks.all());

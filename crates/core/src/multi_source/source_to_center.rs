@@ -135,7 +135,7 @@ mod tests {
         sigma: usize,
     ) -> (ShortestPathTree, SourceCenterMap) {
         let csr = g.freeze();
-        let tree = ShortestPathTree::build(g, s);
+        let tree = ShortestPathTree::build(&csr, s);
         let centers =
             SampledLevels::sample_seeded(g.vertex_count(), sigma, params, params.seed ^ 1, &[s]);
         let center_index = BfsIndex::build(&csr, centers.all());

@@ -75,10 +75,11 @@ mod tests {
         source: Vertex,
         params: &MsrpParams,
     ) -> (ShortestPathTree, SampledLevels, BfsIndex) {
-        let tree = ShortestPathTree::build(g, source);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, source);
         let landmarks =
             SampledLevels::sample_seeded(g.vertex_count(), 1, params, params.seed, &[source]);
-        let index = BfsIndex::build(&g.freeze(), landmarks.all());
+        let index = BfsIndex::build(&csr, landmarks.all());
         (tree, landmarks, index)
     }
 
@@ -92,7 +93,7 @@ mod tests {
         let csr = g.freeze();
         let table = SourceLandmarkTable::exact(&csr, std::slice::from_ref(&tree), &index);
         let view = table.view(0, &tree, &index);
-        let truth = single_source_brute_force(&g, &tree);
+        let truth = single_source_brute_force(&csr, &tree);
         let mut out = SourceReplacementDistances::new(&tree);
         for t in 1..12 {
             relax_near_large(&csr, &tree, t, &landmarks, &index, &view, &params, 1, &mut out);

@@ -226,9 +226,10 @@ mod tests {
         // replacement path is small, so the Section 7.1 graph alone already solves SSRP.
         let mut rng = StdRng::seed_from_u64(9);
         let g = connected_gnm(30, 75, &mut rng).unwrap();
-        let tree = ShortestPathTree::build(&g, 0);
-        let truth = single_source_brute_force(&g, &tree);
-        let near = build_near_small(&g.freeze(), &tree, &params(), 1);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
+        let truth = single_source_brute_force(&csr, &tree);
+        let near = build_near_small(&csr, &tree, &params(), 1);
         let mut out = SourceReplacementDistances::new(&tree);
         near.apply_to(&tree, &mut out);
         for (t, i, d) in truth.iter() {
@@ -243,8 +244,9 @@ mod tests {
     #[test]
     fn candidates_are_always_valid_paths() {
         let g = grid_graph(4, 4);
-        let tree = ShortestPathTree::build(&g, 0);
-        let near = build_near_small(&g.freeze(), &tree, &params(), 1);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
+        let near = build_near_small(&csr, &tree, &params(), 1);
         for (t, child, w) in near.iter() {
             let parent = tree.parent(child).unwrap();
             let truth = replacement_distance(&g, 0, t, Edge::new(parent, child));
@@ -255,8 +257,9 @@ mod tests {
     #[test]
     fn reconstructed_paths_avoid_the_edge_and_have_the_right_length() {
         let g = cycle_graph(9);
-        let tree = ShortestPathTree::build(&g, 0);
-        let near = build_near_small(&g.freeze(), &tree, &params(), 1);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
+        let near = build_near_small(&csr, &tree, &params(), 1);
         for (t, child, w) in near.iter() {
             let parent = tree.parent(child).unwrap();
             let avoided = Edge::new(parent, child);
@@ -275,8 +278,9 @@ mod tests {
     fn bridge_edges_have_no_pair_distance() {
         // In a path graph, removing any edge disconnects the target: no [t, e] label.
         let g = msrp_graph::generators::path_graph(6);
-        let tree = ShortestPathTree::build(&g, 0);
-        let near = build_near_small(&g.freeze(), &tree, &params(), 1);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
+        let near = build_near_small(&csr, &tree, &params(), 1);
         assert_eq!(near.iter().count(), 0);
         assert!(near.distance(3, 2).is_none());
         assert!(near.node_count() > 0);
@@ -289,8 +293,9 @@ mod tests {
         // Without the (v, t) != e guard, the path 0-1 avoiding edge (0, 1) would be "found" with
         // length 1 by stepping from [0] straight over the forbidden edge.
         let g = cycle_graph(5);
-        let tree = ShortestPathTree::build(&g, 0);
-        let near = build_near_small(&g.freeze(), &tree, &params(), 1);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
+        let near = build_near_small(&csr, &tree, &params(), 1);
         assert_eq!(near.distance(1, 1), Some(4));
     }
 }

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn ssrp_output_queries() {
-        let g = cycle_graph(8);
+        let g = cycle_graph(8).freeze();
         let out = solve_ssrp(&g, 0, &MsrpParams::default());
         assert_eq!(out.source, 0);
         assert_eq!(out.distance_avoiding(3, Edge::new(0, 1)), 5);
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn msrp_output_queries() {
-        let g = cycle_graph(8);
+        let g = cycle_graph(8).freeze();
         let out = solve_msrp(&g, &[0, 4], &MsrpParams::default());
         assert_eq!(out.source_count(), 2);
         assert_eq!(out.source_index(4), Some(1));

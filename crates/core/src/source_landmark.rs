@@ -114,7 +114,7 @@ mod tests {
         let sources = [0usize, 5];
         let landmark_vertices: Vec<usize> = vec![2, 7, 11, 19, 23];
         let landmarks = BfsIndex::build(&csr, &landmark_vertices);
-        let trees: Vec<_> = sources.iter().map(|&s| ShortestPathTree::build(&g, s)).collect();
+        let trees: Vec<_> = sources.iter().map(|&s| ShortestPathTree::build(&csr, s)).collect();
         let table = SourceLandmarkTable::exact(&csr, &trees, &landmarks);
         assert_eq!(table.source_count(), 2);
         assert!(table.entry_count() > 0);
@@ -136,7 +136,7 @@ mod tests {
         let g = cycle_graph(8);
         let csr = g.freeze();
         let landmarks = BfsIndex::build(&csr, &[3]);
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&csr, 0);
         let table = SourceLandmarkTable::exact(&csr, std::slice::from_ref(&tree), &landmarks);
         let view = table.view(0, &tree, &landmarks);
         // Edge (5, 6) is not on the canonical path 0-1-2-3.

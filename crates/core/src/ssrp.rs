@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use msrp_graph::{CsrGraph, Graph, ShortestPathTree, Vertex};
+use msrp_graph::{CsrGraph, ShortestPathTree, Vertex};
 use msrp_rpath::SourceReplacementDistances;
 
 use crate::far::relax_far_edges;
@@ -78,31 +78,19 @@ pub(crate) fn complete_source(
 /// use msrp_core::{solve_ssrp, MsrpParams};
 /// use msrp_graph::generators::cycle_graph;
 ///
-/// let g = cycle_graph(10);
+/// let g = cycle_graph(10).freeze();
 /// let out = solve_ssrp(&g, 0, &MsrpParams::default());
 /// // Avoiding the first edge of the path 0-1-2 forces the long way round (length 8).
 /// assert_eq!(out.distances.get(2, 0), Some(8));
 /// ```
-pub fn solve_ssrp(g: &Graph, source: Vertex, params: &MsrpParams) -> SsrpOutput {
-    solve_ssrp_csr(&g.freeze(), source, params)
-}
-
-/// CSR entry point of [`solve_ssrp`]: the whole pipeline (source tree, landmark BFS, the
-/// auxiliary-graph Dijkstra, the completion sweeps) traverses the frozen view, so callers
-/// holding a long-lived [`CsrGraph`] (the oracle's parallel shard build, the serving layer)
-/// freeze once and share it.
-///
-/// # Panics
-///
-/// Panics if `source` is out of range for `g`.
-pub fn solve_ssrp_csr(g: &CsrGraph, source: Vertex, params: &MsrpParams) -> SsrpOutput {
+pub fn solve_ssrp(g: &CsrGraph, source: Vertex, params: &MsrpParams) -> SsrpOutput {
     assert!(source < g.vertex_count(), "source {source} out of range");
     let n = g.vertex_count();
     let sigma = 1;
     let mut stats = AlgorithmStats { sigma, ..Default::default() };
 
     let start = Instant::now();
-    let tree = ShortestPathTree::build_csr(g, source);
+    let tree = ShortestPathTree::build(g, source);
     stats.record_phase("source BFS tree", start.elapsed());
 
     let start = Instant::now();
@@ -146,7 +134,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn assert_exact(g: &Graph, source: Vertex, params: &MsrpParams) {
+    fn assert_exact(g: &CsrGraph, source: Vertex, params: &MsrpParams) {
         let out = solve_ssrp(g, source, params);
         let truth = single_source_brute_force(g, &out.tree);
         let report = compare(&truth, &out.distances);
@@ -161,18 +149,18 @@ mod tests {
     #[test]
     fn exact_on_structured_graphs_with_paper_constants() {
         let params = MsrpParams::default();
-        assert_exact(&cycle_graph(15), 0, &params);
-        assert_exact(&grid_graph(4, 5), 3, &params);
-        assert_exact(&torus_graph(4, 4), 0, &params);
-        assert_exact(&hypercube(4), 5, &params);
-        assert_exact(&path_graph(9), 2, &params);
+        assert_exact(&cycle_graph(15).freeze(), 0, &params);
+        assert_exact(&grid_graph(4, 5).freeze(), 3, &params);
+        assert_exact(&torus_graph(4, 4).freeze(), 0, &params);
+        assert_exact(&hypercube(4).freeze(), 5, &params);
+        assert_exact(&path_graph(9).freeze(), 2, &params);
     }
 
     #[test]
     fn exact_on_random_graphs_with_paper_constants() {
         let mut rng = StdRng::seed_from_u64(1234);
         for n in [20usize, 35, 50] {
-            let g = connected_gnm(n, 2 * n, &mut rng).unwrap();
+            let g = connected_gnm(n, 2 * n, &mut rng).unwrap().freeze();
             assert_exact(&g, 0, &MsrpParams::default());
             assert_exact(&g, n / 2, &MsrpParams::default().with_seed(n as u64));
         }
@@ -181,7 +169,7 @@ mod tests {
     #[test]
     fn exact_on_preferential_attachment() {
         let mut rng = StdRng::seed_from_u64(77);
-        let g = barabasi_albert(60, 2, &mut rng).unwrap();
+        let g = barabasi_albert(60, 2, &mut rng).unwrap().freeze();
         assert_exact(&g, 0, &MsrpParams::default());
     }
 
@@ -190,7 +178,7 @@ mod tests {
         // With an absurdly small sampling constant the answer may be an over-estimate, but it
         // must remain a valid path length (>= the true replacement distance).
         let mut rng = StdRng::seed_from_u64(5);
-        let g = connected_gnm(40, 80, &mut rng).unwrap();
+        let g = connected_gnm(40, 80, &mut rng).unwrap().freeze();
         let params = MsrpParams {
             sampling_constant: 0.05,
             log_scale: 0.1,
@@ -205,7 +193,7 @@ mod tests {
 
     #[test]
     fn stats_are_populated() {
-        let g = grid_graph(5, 5);
+        let g = grid_graph(5, 5).freeze();
         let out = solve_ssrp(&g, 0, &MsrpParams::default());
         assert_eq!(out.stats.sigma, 1);
         assert!(out.stats.landmark_count > 0);
@@ -216,7 +204,7 @@ mod tests {
 
     #[test]
     fn deterministic_for_a_fixed_seed() {
-        let g = grid_graph(4, 6);
+        let g = grid_graph(4, 6).freeze();
         let a = solve_ssrp(&g, 1, &MsrpParams::default());
         let b = solve_ssrp(&g, 1, &MsrpParams::default());
         assert_eq!(a.distances, b.distances);

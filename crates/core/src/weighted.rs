@@ -364,7 +364,7 @@ mod tests {
         cycle_graph, grid_graph, random_weights, weighted_barabasi_albert, weighted_connected_gnm,
     };
     use msrp_graph::WeightedGraph;
-    use msrp_rpath::single_source_brute_force_weighted;
+    use msrp_rpath::single_source_brute_force_weighted_with_scratch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -373,7 +373,7 @@ mod tests {
         let out = solve_msrp_weighted(g, sources);
         let mut scratch = DijkstraScratch::new();
         for (i, tree) in out.trees.iter().enumerate() {
-            let truth = single_source_brute_force_weighted(g, tree, &mut scratch);
+            let truth = single_source_brute_force_weighted_with_scratch(g, tree, &mut scratch);
             assert_eq!(out.per_source[i], truth, "source {}", sources[i]);
         }
     }
@@ -458,7 +458,7 @@ mod tests {
                 cuts.prepare(g, &tree);
                 assert_eq!(
                     prepared_replacement_distances(&tree, &mut cuts),
-                    single_source_brute_force_weighted(g, &tree, &mut brute),
+                    single_source_brute_force_weighted_with_scratch(g, &tree, &mut brute),
                     "n={} s={s}",
                     g.vertex_count()
                 );

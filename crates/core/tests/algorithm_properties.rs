@@ -59,7 +59,7 @@ fn landmark_hierarchy_invariants() {
 fn ssrp_output_shape_and_monotonicity() {
     let mut rng = StdRng::seed_from_u64(0x5542);
     for case in 0..CASES {
-        let g = connected_graph(&mut rng);
+        let g = connected_graph(&mut rng).freeze();
         let seed = rng.gen_range(0u64..50);
         let out = solve_ssrp(&g, 0, &MsrpParams::default().with_seed(seed));
         for t in 0..g.vertex_count() {
@@ -82,7 +82,7 @@ fn ssrp_output_shape_and_monotonicity() {
 fn both_strategies_agree_on_random_graphs() {
     let mut rng = StdRng::seed_from_u64(0x57247);
     for case in 0..CASES {
-        let g = connected_graph(&mut rng);
+        let g = connected_graph(&mut rng).freeze();
         let seed = rng.gen_range(0u64..50);
         let n = g.vertex_count();
         let sources = vec![0, n / 2];
@@ -103,7 +103,7 @@ fn both_strategies_agree_on_random_graphs() {
 fn msrp_is_exact_on_random_graphs() {
     let mut rng = StdRng::seed_from_u64(0xE44C7);
     for case in 0..CASES {
-        let g = connected_graph(&mut rng);
+        let g = connected_graph(&mut rng).freeze();
         let seed = rng.gen_range(0u64..50);
         let n = g.vertex_count();
         let mut sources = vec![0, n / 3, (2 * n) / 3];

@@ -7,7 +7,7 @@
 
 use crate::csr::CsrGraph;
 use crate::edge::Edge;
-use crate::graph::{Graph, Vertex};
+use crate::graph::Vertex;
 
 /// The output of the low-link analysis.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,18 +41,7 @@ impl ConnectivityReport {
 }
 
 /// Runs the iterative low-link DFS over all components of `g`.
-///
-/// Convenience wrapper that freezes `g` and runs [`analyze_connectivity_csr`]; callers that
-/// already hold a [`CsrGraph`] should use that entry point directly.
-pub fn analyze_connectivity(g: &Graph) -> ConnectivityReport {
-    analyze_connectivity_csr(&g.freeze())
-}
-
-/// Runs the iterative low-link DFS over all components of the CSR view of a graph.
-///
-/// Freezing preserves adjacency order, so the report is identical to what the adjacency-list
-/// representation produced.
-pub fn analyze_connectivity_csr(g: &CsrGraph) -> ConnectivityReport {
+pub fn analyze_connectivity(g: &CsrGraph) -> ConnectivityReport {
     let n = g.vertex_count();
     let mut disc = vec![usize::MAX; n];
     let mut low = vec![usize::MAX; n];
@@ -147,6 +136,7 @@ mod tests {
     use crate::bfs::bfs_avoiding_edge;
     use crate::distance::INFINITE_DISTANCE;
     use crate::generators::{connected_gnm, cycle_graph, grid_graph, path_graph, star_graph};
+    use crate::graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -163,7 +153,7 @@ mod tests {
     #[test]
     fn path_graphs_are_all_bridges() {
         let g = path_graph(7);
-        let r = analyze_connectivity(&g);
+        let r = analyze_connectivity(&g.freeze());
         assert_eq!(r.bridges.len(), 6);
         assert_eq!(r.articulation_points, vec![1, 2, 3, 4, 5]);
         assert_eq!(r.two_edge_component_count, 7);
@@ -174,7 +164,7 @@ mod tests {
     #[test]
     fn cycles_have_no_bridges() {
         let g = cycle_graph(9);
-        let r = analyze_connectivity(&g);
+        let r = analyze_connectivity(&g.freeze());
         assert!(r.bridges.is_empty());
         assert!(r.articulation_points.is_empty());
         assert_eq!(r.two_edge_component_count, 1);
@@ -184,7 +174,7 @@ mod tests {
     #[test]
     fn stars_have_a_single_cut_vertex() {
         let g = star_graph(8);
-        let r = analyze_connectivity(&g);
+        let r = analyze_connectivity(&g.freeze());
         assert_eq!(r.bridges.len(), 7);
         assert_eq!(r.articulation_points, vec![0]);
         assert!(r.is_articulation_point(0));
@@ -196,7 +186,7 @@ mod tests {
         // Two triangles connected by a single edge.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)])
             .unwrap();
-        let r = analyze_connectivity(&g);
+        let r = analyze_connectivity(&g.freeze());
         assert_eq!(r.bridges, vec![Edge::new(2, 3)]);
         assert_eq!(r.articulation_points, vec![2, 3]);
         assert_eq!(r.two_edge_component_count, 2);
@@ -206,7 +196,7 @@ mod tests {
 
     #[test]
     fn grids_are_two_edge_connected() {
-        let r = analyze_connectivity(&grid_graph(4, 5));
+        let r = analyze_connectivity(&grid_graph(4, 5).freeze());
         assert!(r.bridges.is_empty());
         assert_eq!(r.two_edge_component_count, 1);
     }
@@ -217,22 +207,15 @@ mod tests {
         for n in [12usize, 20, 30] {
             // Sparse enough that bridges are likely.
             let g = connected_gnm(n, n + 3, &mut rng).unwrap();
-            let r = analyze_connectivity(&g);
+            let r = analyze_connectivity(&g.freeze());
             assert_eq!(r.bridges, brute_force_bridges(&g), "n = {n}");
         }
     }
 
     #[test]
-    fn csr_entry_point_matches_the_graph_one() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let g = connected_gnm(25, 30, &mut rng).unwrap();
-        assert_eq!(analyze_connectivity_csr(&g.freeze()), analyze_connectivity(&g));
-    }
-
-    #[test]
     fn disconnected_graphs_are_supported() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]).unwrap();
-        let r = analyze_connectivity(&g);
+        let r = analyze_connectivity(&g.freeze());
         assert_eq!(r.bridges, vec![Edge::new(3, 4)]);
         assert_eq!(r.two_edge_component_count, 4); // triangle, {3}, {4}, {5}
     }

@@ -18,7 +18,7 @@
 //!
 //! # fn main() -> Result<(), msrp_graph::GraphError> {
 //! // A 5-cycle: 0-1-2-3-4-0.
-//! let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])?;
+//! let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])?.freeze();
 //! let tree = ShortestPathTree::build(&g, 0);
 //! assert_eq!(tree.distance(2), Some(2));
 //! assert_eq!(tree.path_from_source(3), Some(vec![0, 4, 3]));
@@ -47,7 +47,7 @@ mod weighted;
 pub mod generators;
 
 pub use bfs::{bfs, bfs_avoiding_edge, bfs_distances, BfsResult};
-pub use connectivity::{analyze_connectivity, analyze_connectivity_csr, ConnectivityReport};
+pub use connectivity::{analyze_connectivity, ConnectivityReport};
 pub use csr::{bfs_csr, bfs_csr_avoiding_edge, BfsScratch, CsrGraph, NO_PARENT};
 pub use cuckoo::CuckooHashMap;
 pub use dijkstra::{DijkstraResult, Weight, WeightedCsr, WeightedDigraph, INFINITE_WEIGHT};

@@ -7,10 +7,10 @@
 //! One [`CanonicalTree`] type serves both metrics: BFS trees ([`ShortestPathTree`]) and
 //! Dijkstra trees ([`WeightedTree`](crate::WeightedTree)).
 
-use crate::bfs::{bfs, BfsResult};
+use crate::bfs::BfsResult;
 use crate::csr::{BfsScratch, CsrGraph, NO_PARENT};
 use crate::edge::Edge;
-use crate::graph::{Graph, Vertex};
+use crate::graph::Vertex;
 use crate::metric::{Hop, Metric};
 
 /// A rooted canonical shortest-path tree under the metric `M`, annotated for `O(1)` path
@@ -40,7 +40,7 @@ pub struct CanonicalTree<M: Metric> {
 /// use msrp_graph::{Graph, ShortestPathTree, Edge};
 ///
 /// # fn main() -> Result<(), msrp_graph::GraphError> {
-/// let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])?;
+/// let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])?.freeze();
 /// let t = ShortestPathTree::build(&g, 0);
 /// assert_eq!(t.distance(2), Some(2));
 /// assert!(t.path_contains_edge(2, Edge::new(0, 1)));
@@ -56,17 +56,7 @@ impl ShortestPathTree {
     /// # Panics
     ///
     /// Panics if `source` is out of range for `g`.
-    pub fn build(g: &Graph, source: Vertex) -> Self {
-        Self::from_bfs(bfs(g, source))
-    }
-
-    /// Builds the BFS tree rooted at `source` over the CSR view (bit-for-bit the same tree as
-    /// [`build`](Self::build), since freezing preserves adjacency order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is out of range for `g`.
-    pub fn build_csr(g: &CsrGraph, source: Vertex) -> Self {
+    pub fn build(g: &CsrGraph, source: Vertex) -> Self {
         Self::build_with_scratch(g, source, &mut BfsScratch::new())
     }
 
@@ -354,7 +344,9 @@ fn preorder_from_euler(tin: u32, tout: u32, depth: u32) -> (usize, usize) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::bfs::bfs;
     use crate::distance::INFINITE_DISTANCE;
+    use crate::graph::Graph;
 
     fn sample_graph() -> Graph {
         // 0-1-2-3 path plus a shortcut 0-4-3 and a pendant 5 off vertex 2.
@@ -364,7 +356,7 @@ pub(crate) mod tests {
     #[test]
     fn distances_and_parents() {
         let g = sample_graph();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         assert_eq!(t.source(), 0);
         assert_eq!(t.distance(0), Some(0));
         assert_eq!(t.distance(3), Some(2));
@@ -378,7 +370,7 @@ pub(crate) mod tests {
     #[test]
     fn ancestry_queries() {
         let g = sample_graph();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         assert!(t.is_ancestor(0, 5));
         assert!(t.is_ancestor(2, 5));
         assert!(t.is_ancestor(5, 5));
@@ -391,7 +383,7 @@ pub(crate) mod tests {
     #[test]
     fn tree_edges_and_positions() {
         let g = sample_graph();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         let e01 = Edge::new(0, 1);
         let e12 = Edge::new(1, 2);
         let e25 = Edge::new(2, 5);
@@ -412,7 +404,7 @@ pub(crate) mod tests {
     #[test]
     fn canonical_paths() {
         let g = sample_graph();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         assert_eq!(t.path_from_source(5), Some(vec![0, 1, 2, 5]));
         assert_eq!(t.path_from_source(3), Some(vec![0, 4, 3]));
         assert_eq!(t.path_edges(5), vec![Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 5)]);
@@ -426,7 +418,7 @@ pub(crate) mod tests {
     #[test]
     fn unreachable_vertices() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         assert_eq!(t.distance(2), None);
         assert_eq!(t.distance_or_infinite(2), INFINITE_DISTANCE);
         assert!(!t.is_reachable(3));
@@ -440,7 +432,7 @@ pub(crate) mod tests {
     #[test]
     fn path_edges_consistent_with_positions() {
         let g = sample_graph();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         for v in 0..g.vertex_count() {
             let edges = t.path_edges(v);
             for (i, e) in edges.iter().enumerate() {
@@ -453,7 +445,7 @@ pub(crate) mod tests {
     #[test]
     fn single_vertex_graph() {
         let g = Graph::new(1);
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         assert_eq!(t.distance(0), Some(0));
         assert_eq!(t.path_from_source(0), Some(vec![0]));
         assert!(t.path_edges(0).is_empty());
@@ -491,7 +483,7 @@ pub(crate) mod tests {
         ];
         for g in &graphs {
             for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
-                let t = ShortestPathTree::build(g, s);
+                let t = ShortestPathTree::build(&g.freeze(), s);
                 assert_eq!((t.tin.clone(), t.tout.clone()), reference_euler_times(&t), "s={s}");
             }
         }
@@ -541,7 +533,7 @@ pub(crate) mod tests {
     fn hop_preorder_intervals_match_an_explicit_dfs() {
         for g in &preorder_graphs() {
             for s in [0, g.vertex_count() / 2, g.vertex_count() - 1] {
-                let t = ShortestPathTree::build(g, s);
+                let t = ShortestPathTree::build(&g.freeze(), s);
                 let derived: Vec<_> =
                     (0..g.vertex_count()).map(|v| t.preorder_interval(v)).collect();
                 assert_eq!(derived, reference_preorder(s, &t.order, &t.parent), "s={s}");
@@ -588,7 +580,7 @@ pub(crate) mod tests {
             let n = 10 + 7 * case;
             let g = crate::generators::gnm(n, n + 3 * case, &mut rng).unwrap();
             for s in [0, n / 3, n - 1] {
-                let t = ShortestPathTree::build(&g, s);
+                let t = ShortestPathTree::build(&g.freeze(), s);
                 for a in (0..n).filter(|&a| t.is_reachable(a)) {
                     let (pa, sa) = t.preorder_interval(a).unwrap();
                     for v in (0..n).filter(|&v| t.is_reachable(v)) {
@@ -604,7 +596,7 @@ pub(crate) mod tests {
     #[test]
     fn bfs_order_is_exposed() {
         let g = sample_graph();
-        let t = ShortestPathTree::build(&g, 0);
+        let t = ShortestPathTree::build(&g.freeze(), 0);
         assert_eq!(t.order()[0], 0);
         assert_eq!(t.order().len(), 6);
     }

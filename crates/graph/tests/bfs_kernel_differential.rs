@@ -155,7 +155,7 @@ fn avoiding_runs_agree_including_hostile_edges() {
         let csr = g.freeze();
         let n = csr.vertex_count();
         for &s in &sample_sources(n)[..2.min(n)] {
-            let tree = ShortestPathTree::build(&g, s);
+            let tree = ShortestPathTree::from_bfs(bfs(&g, s));
             let edges = avoided_edges(&csr, s, &tree);
             wave.run_avoiding_wave(&csr, s, &edges);
             for (lane, &e) in edges.iter().enumerate() {

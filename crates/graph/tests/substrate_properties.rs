@@ -60,7 +60,7 @@ fn tree_paths_are_real_shortest_paths() {
     let mut rng = StdRng::seed_from_u64(0x7EE5);
     for case in 0..CASES {
         let g = arbitrary_graph(&mut rng);
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&g.freeze(), 0);
         for t in 0..g.vertex_count() {
             if let Some(path) = tree.path_from_source(t) {
                 assert_eq!(path.len() as u32 - 1, tree.distance(t).unwrap(), "case {case}");
@@ -81,7 +81,7 @@ fn bridges_are_exactly_the_disconnecting_edges() {
     let mut rng = StdRng::seed_from_u64(0xB41D6E);
     for case in 0..CASES {
         let g = arbitrary_graph(&mut rng);
-        let report = analyze_connectivity(&g);
+        let report = analyze_connectivity(&g.freeze());
         for e in g.edges() {
             let (u, v) = e.endpoints();
             let disconnects = bfs_avoiding_edge(&g, u, e).dist[v] == INFINITE_DISTANCE;

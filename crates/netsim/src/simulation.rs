@@ -126,7 +126,7 @@ pub fn run_simulation(g: &Graph, config: &SimulationConfig) -> SimulationReport 
     let mut scratch = BfsScratch::new();
 
     let build_start = Instant::now();
-    let oracle = ReplacementPathOracle::build_csr(&csr, &config.gateways, &config.params);
+    let oracle = ReplacementPathOracle::build(&csr, &config.gateways, &config.params);
     let oracle_build_time = build_start.elapsed();
 
     let edges = g.edge_vec();
@@ -216,7 +216,7 @@ pub fn run_simulation_with_service(
 
     let build_start = Instant::now();
     let service = QueryService::start(
-        ShardedOracle::build_csr(&csr, &config.gateways, &config.params, shards),
+        ShardedOracle::build(&csr, &config.gateways, &config.params, shards),
         &ServiceConfig { workers },
     );
     let oracle_build_time = build_start.elapsed();

@@ -74,7 +74,7 @@ mod tests {
 
     #[test]
     fn cycle_prices_equal_the_detour_premium() {
-        let g = cycle_graph(8);
+        let g = cycle_graph(8).freeze();
         let oracle = ReplacementPathOracle::build(&g, &[0], &MsrpParams::default());
         let prices = vickrey_prices(&oracle, 0, 3).unwrap();
         assert_eq!(prices.len(), 3);
@@ -89,7 +89,7 @@ mod tests {
 
     #[test]
     fn bridges_are_critical() {
-        let g = path_graph(4);
+        let g = path_graph(4).freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0]);
         let prices = vickrey_prices(&oracle, 0, 3).unwrap();
         assert_eq!(prices.len(), 3);
@@ -100,7 +100,7 @@ mod tests {
     #[test]
     fn competitive_edges_cost_their_declared_price() {
         // Two parallel length-2 routes: losing an edge of one route costs nothing extra.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap();
+        let g = Graph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]).unwrap().freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0]);
         let prices = vickrey_prices(&oracle, 0, 3).unwrap();
         for p in &prices {
@@ -111,7 +111,7 @@ mod tests {
 
     #[test]
     fn unknown_sources_and_unreachable_targets() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap().freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0]);
         assert!(vickrey_prices(&oracle, 1, 3).is_none());
         assert!(vickrey_prices(&oracle, 0, 3).is_none());

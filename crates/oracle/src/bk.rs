@@ -62,7 +62,7 @@
 //! needs none, because a cut's cost does not depend on the order the cuts run in.
 
 use msrp_graph::{
-    bfs_trees_wave, CsrGraph, Distance, Graph, MultiBfsScratch, ShortestPathTree, Vertex,
+    bfs_trees_wave, CsrGraph, Distance, MultiBfsScratch, ShortestPathTree, Vertex,
     INFINITE_DISTANCE,
 };
 use msrp_obs::{timed, NoProfiler, Profiler, StageProfile};
@@ -322,7 +322,7 @@ pub(crate) fn solve_cut_into(
 ///
 /// The tree must be a BFS tree of `g`. Exposed (rather than private to
 /// [`build_bk`](ReplacementPathOracle::build_bk)) so the differential suite and experiment
-/// E10 can compare rows against `single_source_brute_force_csr` with `==`.
+/// E10 can compare rows against `single_source_brute_force` with `==`.
 ///
 /// # Panics
 ///
@@ -362,38 +362,28 @@ impl ReplacementPathOracle {
     /// subtree BFS per tree-edge cut of every source tree,
     /// instead of [`build_exact`](Self::build_exact)'s full BFS per tree edge. Answers are
     /// bit-for-bit identical to `build_exact`'s (pinned by `tests/bk_differential.rs`);
-    /// only the construction cost differs. Freezes `g` once.
+    /// only the construction cost differs. The source trees are built in 64-way
+    /// bit-parallel waves through one shared [`MultiBfsScratch`] and every cut runs through
+    /// one shared [`BkScratch`], so the whole construction performs no per-cut allocation.
     ///
     /// ```
     /// use msrp_graph::{generators::cycle_graph, Edge};
     /// use msrp_oracle::ReplacementPathOracle;
     ///
-    /// let g = cycle_graph(8);
+    /// let g = cycle_graph(8).freeze();
     /// let oracle = ReplacementPathOracle::build_bk(&g, &[0, 4]);
     /// assert_eq!(oracle.replacement_distance(0, 3, Edge::new(1, 2)), Some(5));
     /// ```
     ///
     /// # Panics
     ///
-    /// Panics on the same inputs as [`build_exact`](Self::build_exact) (an out-of-range
-    /// source).
-    pub fn build_bk(g: &Graph, sources: &[Vertex]) -> Self {
-        Self::build_bk_csr(&g.freeze(), sources)
+    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
+    /// vertex.
+    pub fn build_bk(g: &CsrGraph, sources: &[Vertex]) -> Self {
+        Self::build_bk_impl(g, sources, &mut NoProfiler)
     }
 
-    /// CSR entry point of [`build_bk`](Self::build_bk): the source trees are built in
-    /// 64-way bit-parallel waves through one shared [`MultiBfsScratch`] and every cut runs
-    /// through one shared [`BkScratch`], so the whole construction performs no per-cut
-    /// allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a source is out of range for `g`.
-    pub fn build_bk_csr(g: &CsrGraph, sources: &[Vertex]) -> Self {
-        Self::build_bk_csr_impl(g, sources, &mut NoProfiler)
-    }
-
-    /// Profiled variant of [`build_bk_csr`](Self::build_bk_csr): bit-identical output,
+    /// Profiled variant of [`build_bk`](Self::build_bk): bit-identical output,
     /// with per-stage wall time (`"tree"` BFS trees, `"cover"` the per-source relabel into
     /// preorder positions, `"rows"` table allocation, `"cuts"` the multi-seed cut BFS
     /// solves — timed once per source, not per cut) accumulated into `profile`. Experiment
@@ -401,16 +391,16 @@ impl ReplacementPathOracle {
     ///
     /// # Panics
     ///
-    /// Same as [`build_bk_csr`](Self::build_bk_csr).
+    /// Same as [`build_bk`](Self::build_bk).
     pub fn build_bk_csr_profiled(
         g: &CsrGraph,
         sources: &[Vertex],
         profile: &mut StageProfile,
     ) -> Self {
-        Self::build_bk_csr_impl(g, sources, profile)
+        Self::build_bk_impl(g, sources, profile)
     }
 
-    fn build_bk_csr_impl<P: Profiler>(g: &CsrGraph, sources: &[Vertex], profiler: &mut P) -> Self {
+    fn build_bk_impl<P: Profiler>(g: &CsrGraph, sources: &[Vertex], profiler: &mut P) -> Self {
         let mut wave = MultiBfsScratch::new();
         let mut scratch = BkScratch::new();
         // All source trees come from 64-way bit-parallel waves (bit-identical to the
@@ -427,9 +417,10 @@ impl ReplacementPathOracle {
     }
 }
 
-/// Builds one Bernstein–Karger oracle per shard, in parallel (one scoped worker per shard
-/// over the caller's graph, frozen once) — the BK counterpart of [`build_shards`](crate::build_shards),
-/// consumed by `msrp-serve`'s `ShardedOracle::build_bk_csr`.
+/// Builds one Bernstein–Karger oracle per shard, in parallel (one scoped worker per shard,
+/// every worker traversing the caller's frozen view through a shared reference) — the BK
+/// counterpart of [`build_shards`](crate::build_shards), consumed by `msrp-serve`'s
+/// `ShardedOracle::build_bk_csr`.
 ///
 /// `threads == 0` is treated as 1 (built inline); thread counts above σ are clamped to σ.
 ///
@@ -438,41 +429,27 @@ impl ReplacementPathOracle {
 /// Panics on the inputs [`ReplacementPathOracle::build_bk`] rejects, and if a worker thread
 /// panics.
 pub fn build_bk_shards(
-    g: &Graph,
-    sources: &[Vertex],
-    threads: usize,
-) -> Vec<ReplacementPathOracle> {
-    build_bk_shards_csr(&g.freeze(), sources, threads)
-}
-
-/// CSR entry point of [`build_bk_shards`]: every scoped worker traverses the same frozen
-/// view through a shared reference.
-///
-/// # Panics
-///
-/// Same as [`build_bk_shards`].
-pub fn build_bk_shards_csr(
     g: &CsrGraph,
     sources: &[Vertex],
     threads: usize,
 ) -> Vec<ReplacementPathOracle> {
-    crate::build_sharded(sources, threads, |chunk| ReplacementPathOracle::build_bk_csr(g, chunk))
+    crate::build_sharded(sources, threads, |chunk| ReplacementPathOracle::build_bk(g, chunk))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use msrp_graph::generators::{connected_gnm, cycle_graph, grid_graph, path_graph, star_graph};
-    use msrp_graph::Edge;
+    use msrp_graph::{Edge, Graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn rows_match_brute_force(g: &Graph, s: Vertex) {
-        let csr = g.freeze();
-        let tree = ShortestPathTree::build_csr(&csr, s);
+        let g = &g.freeze();
+        let tree = ShortestPathTree::build(g, s);
         let mut scratch = BkScratch::new();
-        let bk = bk_replacement_distances(&csr, &tree, &mut scratch);
-        let brute = msrp_rpath::single_source_brute_force_csr(&csr, &tree);
+        let bk = bk_replacement_distances(g, &tree, &mut scratch);
+        let brute = msrp_rpath::single_source_brute_force(g, &tree);
         assert_eq!(bk, brute, "source {s}");
     }
 
@@ -511,7 +488,7 @@ mod tests {
     #[test]
     fn bk_oracle_matches_exact_oracle_queries() {
         let mut rng = StdRng::seed_from_u64(5);
-        let g = connected_gnm(26, 60, &mut rng).unwrap();
+        let g = connected_gnm(26, 60, &mut rng).unwrap().freeze();
         let sources = [0usize, 9, 20];
         let bk = ReplacementPathOracle::build_bk(&g, &sources);
         let exact = ReplacementPathOracle::build_exact(&g, &sources);
@@ -531,7 +508,7 @@ mod tests {
 
     #[test]
     fn bk_reports_bridges_as_infinite() {
-        let g = path_graph(6);
+        let g = path_graph(6).freeze();
         let oracle = ReplacementPathOracle::build_bk(&g, &[0]);
         for t in 1..6 {
             for i in 0..t {
@@ -544,7 +521,7 @@ mod tests {
     #[test]
     fn bk_shards_agree_with_the_unsharded_build() {
         let mut rng = StdRng::seed_from_u64(23);
-        let g = connected_gnm(30, 72, &mut rng).unwrap();
+        let g = connected_gnm(30, 72, &mut rng).unwrap().freeze();
         let sources = [0usize, 6, 12, 18, 24];
         let whole = ReplacementPathOracle::build_bk(&g, &sources);
         for threads in [0usize, 1, 2, 5, 16] {
@@ -561,7 +538,7 @@ mod tests {
         let g = connected_gnm(36, 80, &mut rng).unwrap();
         let csr = g.freeze();
         let sources = [0usize, 11, 22, 33];
-        let plain = ReplacementPathOracle::build_bk_csr(&csr, &sources);
+        let plain = ReplacementPathOracle::build_bk(&csr, &sources);
         let mut profile = StageProfile::new();
         let profiled = ReplacementPathOracle::build_bk_csr_profiled(&csr, &sources, &mut profile);
         assert_eq!(plain.per_source(), profiled.per_source());
@@ -580,7 +557,7 @@ mod tests {
     #[should_panic(expected = "scratch prepared for another tree")]
     fn cut_on_a_scratch_prepared_for_another_source_is_caught() {
         let csr = grid_graph(3, 3).freeze();
-        let (t0, t8) = (ShortestPathTree::build_csr(&csr, 0), ShortestPathTree::build_csr(&csr, 8));
+        let (t0, t8) = (ShortestPathTree::build(&csr, 0), ShortestPathTree::build(&csr, 8));
         let mut scratch = BkScratch::new();
         scratch.prepare(&csr, &t0);
         let mut out = SourceReplacementDistances::new(&t8);
@@ -596,12 +573,12 @@ mod tests {
         let mut scratch = BkScratch::new();
         let mut rows = Vec::new();
         for s in [0usize, 12, 24] {
-            let tree = ShortestPathTree::build_csr(&csr, s);
+            let tree = ShortestPathTree::build(&csr, s);
             rows.push(bk_replacement_distances(&csr, &tree, &mut scratch));
         }
         for (i, &s) in [0usize, 12, 24].iter().enumerate() {
-            let tree = ShortestPathTree::build_csr(&csr, s);
-            assert_eq!(rows[i], msrp_rpath::single_source_brute_force_csr(&csr, &tree));
+            let tree = ShortestPathTree::build(&csr, s);
+            assert_eq!(rows[i], msrp_rpath::single_source_brute_force(&csr, &tree));
         }
     }
 }

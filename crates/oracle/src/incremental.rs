@@ -43,8 +43,8 @@
 //! *sets*, and therefore the same table values.
 //!
 //! The differential suite at the bottom of this module drives seeded toggle sequences
-//! through [`ReplacementPathOracle::rebuild_bk_csr`] and pins the result row-for-row against
-//! `build_bk_csr` from scratch.
+//! through [`ReplacementPathOracle::rebuild_bk`] and pins the result row-for-row against
+//! `build_bk` from scratch.
 
 use std::time::{Duration, Instant};
 
@@ -154,20 +154,20 @@ fn same_forest(a: &ShortestPathTree, b: &ShortestPathTree) -> bool {
 impl ReplacementPathOracle {
     /// Rebuilds this oracle for `g_new` — the graph it was built over with the single edge
     /// `changed` added or removed — reusing every per-source table the change provably does
-    /// not touch. The result is bit-for-bit equal to `build_bk_csr(g_new, sources)`; the
+    /// not touch. The result is bit-for-bit equal to `build_bk(g_new, sources)`; the
     /// returned [`RebuildStats`] say how much work that equality cost.
     ///
     /// # Panics
     ///
     /// Panics if `g_new` has a different vertex count than the graph this oracle was built
     /// over, or if an endpoint of `changed` is out of range.
-    pub fn rebuild_bk_csr(&self, g_new: &CsrGraph, changed: Edge) -> (Self, RebuildStats) {
+    pub fn rebuild_bk(&self, g_new: &CsrGraph, changed: Edge) -> (Self, RebuildStats) {
         let n = g_new.vertex_count();
         assert_eq!(n, self.vertex_count(), "churn must not change the vertex set");
         assert!(changed.hi() < n, "changed edge {changed:?} out of range");
         // The per-source probe runs the top-down kernel, one source at a time. It is
-        // bit-identical to the wave `build_bk_csr` builds its trees with, so `same_forest`
-        // and the row-for-row equality with a fresh `build_bk_csr` are untouched.
+        // bit-identical to the wave `build_bk` builds its trees with, so `same_forest`
+        // and the row-for-row equality with a fresh `build_bk` are untouched.
         let mut bfs = BfsScratch::new();
         let mut scratch = BkScratch::new();
         let mut stats = RebuildStats { sources_total: self.sources.len(), ..Default::default() };
@@ -234,7 +234,7 @@ mod tests {
 
     /// Row-for-row equality with a from-scratch build: the oracle's entire answer state.
     fn assert_equals_scratch_build(inc: &ReplacementPathOracle, g: &CsrGraph) {
-        let full = ReplacementPathOracle::build_bk_csr(g, inc.sources());
+        let full = ReplacementPathOracle::build_bk(g, inc.sources());
         assert_eq!(inc.per_source(), full.per_source());
         for (a, b) in inc.trees.iter().zip(&full.trees) {
             assert!(same_forest(a, b), "trees diverged for source {}", a.source());
@@ -253,7 +253,7 @@ mod tests {
 
     fn drive_sequence(mut g: Graph, sources: &[Vertex], seed: u64, steps: usize) -> RebuildStats {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut oracle = ReplacementPathOracle::build_bk_csr(&g.freeze(), sources);
+        let mut oracle = ReplacementPathOracle::build_bk(&g.freeze(), sources);
         let mut removed: Vec<Edge> = Vec::new();
         let mut agg = RebuildStats::default();
         for step in 0..steps {
@@ -271,7 +271,7 @@ mod tests {
             toggle(&mut g, e);
             let csr = g.freeze();
             let wall_start = Instant::now();
-            let (next, stats) = oracle.rebuild_bk_csr(&csr, e);
+            let (next, stats) = oracle.rebuild_bk(&csr, e);
             let wall = wall_start.elapsed();
             assert_eq!(
                 stats.sources_reused + stats.sources_patched + stats.sources_rebuilt,
@@ -324,7 +324,7 @@ mod tests {
         let g0 = connected_gnm(30, 70, &mut rng).unwrap();
         let csr0 = g0.freeze();
         let alone = |s: Vertex, g: &CsrGraph, e: Edge| {
-            ReplacementPathOracle::build_bk_csr(&csr0, &[s]).rebuild_bk_csr(g, e).1
+            ReplacementPathOracle::build_bk(&csr0, &[s]).rebuild_bk(g, e).1
         };
         let mut found = 0;
         for e in g0.edge_vec() {
@@ -334,8 +334,8 @@ mod tests {
             for (a, b) in [(0, 15), (15, 0), (7, 22), (22, 7)] {
                 let (sa, sb) = (alone(a, &csr, e), alone(b, &csr, e));
                 if sa.sources_rebuilt == 1 && sb.sources_patched == 1 && sb.cuts_recomputed > 0 {
-                    let oracle = ReplacementPathOracle::build_bk_csr(&csr0, &[a, b]);
-                    let (next, stats) = oracle.rebuild_bk_csr(&csr, e);
+                    let oracle = ReplacementPathOracle::build_bk(&csr0, &[a, b]);
+                    let (next, stats) = oracle.rebuild_bk(&csr, e);
                     assert_eq!((stats.sources_rebuilt, stats.sources_patched), (1, 1), "{e:?}");
                     assert_equals_scratch_build(&next, &csr);
                     found += 1;
@@ -351,15 +351,15 @@ mod tests {
         // rebuild) and disconnects a suffix; repairing it must restore the original tables.
         let mut g = path_graph(8);
         let csr0 = g.freeze();
-        let oracle0 = ReplacementPathOracle::build_bk_csr(&csr0, &[0, 7]);
+        let oracle0 = ReplacementPathOracle::build_bk(&csr0, &[0, 7]);
         let bridge = Edge::new(3, 4);
         toggle(&mut g, bridge);
-        let (broken, stats) = oracle0.rebuild_bk_csr(&g.freeze(), bridge);
+        let (broken, stats) = oracle0.rebuild_bk(&g.freeze(), bridge);
         assert_equals_scratch_build(&broken, &g.freeze());
         assert_eq!(stats.sources_rebuilt, 2, "a bridge removal reshapes both trees");
         assert_eq!(broken.distance(0, 7), None);
         toggle(&mut g, bridge);
-        let (repaired, _) = broken.rebuild_bk_csr(&g.freeze(), bridge);
+        let (repaired, _) = broken.rebuild_bk(&g.freeze(), bridge);
         assert_equals_scratch_build(&repaired, &g.freeze());
         assert_eq!(repaired.per_source(), oracle0.per_source(), "repair restores the tables");
     }
@@ -372,10 +372,10 @@ mod tests {
         for (u, v) in [(0, 1), (1, 2), (2, 3), (3, 0), (5, 6), (6, 7), (7, 8), (8, 5)] {
             g.add_edge(u, v).unwrap();
         }
-        let oracle = ReplacementPathOracle::build_bk_csr(&g.freeze(), &[0, 2]);
+        let oracle = ReplacementPathOracle::build_bk(&g.freeze(), &[0, 2]);
         let far = Edge::new(5, 7);
         toggle(&mut g, far);
-        let (next, stats) = oracle.rebuild_bk_csr(&g.freeze(), far);
+        let (next, stats) = oracle.rebuild_bk(&g.freeze(), far);
         assert_eq!(stats.sources_reused, 2);
         assert_eq!(stats.cuts_recomputed, 0);
         assert_eq!(stats.patch_time, Duration::ZERO, "no time may be charged to idle rungs");
@@ -389,12 +389,12 @@ mod tests {
         // leaves the BFS tree identical but flips a stored detour to ∞. The patched rung
         // must catch it (a tree-level invalidation rule would not).
         let g0 = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 3), (2, 3)]).unwrap();
-        let oracle = ReplacementPathOracle::build_bk_csr(&g0.freeze(), &[0]);
+        let oracle = ReplacementPathOracle::build_bk(&g0.freeze(), &[0]);
         assert_eq!(oracle.replacement_distance(0, 2, Edge::new(1, 2)), Some(2));
         let mut g = g0.clone();
         let nontree = Edge::new(2, 3);
         toggle(&mut g, nontree);
-        let (next, stats) = oracle.rebuild_bk_csr(&g.freeze(), nontree);
+        let (next, stats) = oracle.rebuild_bk(&g.freeze(), nontree);
         // (The graph is so small that both endpoints' ancestor chains cover every cut, so
         // no cut is spared here — the saving shows on real workloads; what this test pins
         // is that the *patched* rung, not a tree-level skip, handles non-tree edges.)
@@ -421,7 +421,7 @@ mod tests {
         for g in &graphs {
             let n = g.vertex_count();
             for s in [0, n / 2, n - 1] {
-                let tree = ShortestPathTree::build(g, s);
+                let tree = ShortestPathTree::build(&g.freeze(), s);
                 for e in g.edges() {
                     let expected: Vec<Vertex> = (0..n)
                         .filter(|&c| c != s && tree.is_reachable(c))
@@ -437,7 +437,7 @@ mod tests {
     #[should_panic(expected = "vertex set")]
     fn vertex_count_mismatch_is_rejected() {
         let g = path_graph(5);
-        let oracle = ReplacementPathOracle::build_bk_csr(&g.freeze(), &[0]);
-        let _ = oracle.rebuild_bk_csr(&path_graph(6).freeze(), Edge::new(0, 1));
+        let oracle = ReplacementPathOracle::build_bk(&g.freeze(), &[0]);
+        let _ = oracle.rebuild_bk(&path_graph(6).freeze(), Edge::new(0, 1));
     }
 }

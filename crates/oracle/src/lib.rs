@@ -28,19 +28,17 @@
 pub mod bk;
 pub mod incremental;
 
-pub use bk::{
-    bk_replacement_distances, build_bk_shards, build_bk_shards_csr, BkScratch, BK_STAGES,
-};
+pub use bk::{bk_replacement_distances, build_bk_shards, BkScratch, BK_STAGES};
 pub use incremental::RebuildStats;
 
-use msrp_core::{solve_msrp_csr, solve_msrp_weighted, MsrpOutput, MsrpParams, WeightedMsrpOutput};
+use msrp_core::{solve_msrp, solve_msrp_weighted, MsrpOutput, MsrpParams, WeightedMsrpOutput};
 use msrp_graph::{
-    bfs_trees_wave, CanonicalTree, CsrGraph, CuckooHashMap, DijkstraScratch, Distance, Edge, Graph,
-    Hop, Metric, MultiBfsScratch, Vertex, Weighted, WeightedCsrGraph, WeightedTree,
-    INFINITE_DISTANCE,
+    bfs_trees_wave, CanonicalTree, CsrGraph, CuckooHashMap, DijkstraScratch, Distance, Edge, Hop,
+    Metric, MultiBfsScratch, Vertex, Weighted, WeightedCsrGraph, WeightedTree, INFINITE_DISTANCE,
 };
 use msrp_rpath::{
-    single_source_brute_force_wave, single_source_brute_force_weighted, ReplacementDistances,
+    single_source_brute_force_wave, single_source_brute_force_weighted_with_scratch,
+    ReplacementDistances,
 };
 
 /// A dense `vertex → slot` table: one `u32` per vertex of the graph, `u32::MAX` for a vertex
@@ -101,7 +99,7 @@ pub struct ReplacementOracle<M: Metric> {
 /// use msrp_oracle::ReplacementPathOracle;
 /// use msrp_core::MsrpParams;
 ///
-/// let g = cycle_graph(8);
+/// let g = cycle_graph(8).freeze();
 /// let oracle = ReplacementPathOracle::build(&g, &[0, 4], &MsrpParams::default());
 /// assert_eq!(oracle.distance(0, 3), Some(3));
 /// assert_eq!(oracle.replacement_distance(0, 3, Edge::new(1, 2)), Some(5));
@@ -131,9 +129,9 @@ impl<M: Metric> ReplacementOracle<M> {
     /// Merges per-shard oracles (each covering a disjoint slice of the sources) into one
     /// oracle, concatenating the per-source rows in shard order.
     ///
-    /// This is the merge half of [`build_parallel`](ReplacementPathOracle::build_parallel);
-    /// it is public so that serving layers (`msrp-serve`) can build shards on their own
-    /// schedule and still recover a single-oracle view.
+    /// This is the merge half of every sharded build ([`build_shards`], [`build_bk_shards`],
+    /// [`build_weighted_shards`]); serving layers (`msrp-serve`) build shards on their own
+    /// schedule and still recover a single-oracle view through it.
     ///
     /// # Panics
     ///
@@ -152,13 +150,15 @@ impl<M: Metric> ReplacementOracle<M> {
     }
 
     /// The constructor every route ends in: indexes the sources densely ([`SourceSlots`]).
-    /// Panics with `duplicate` if two entries cover the same source.
+    /// Panics if there are no sources, and with `duplicate` if two entries cover the same
+    /// source.
     fn assemble(
         sources: Vec<Vertex>,
         trees: Vec<CanonicalTree<M>>,
         distances: Vec<ReplacementDistances<M>>,
         duplicate: &str,
     ) -> Self {
+        assert!(!sources.is_empty(), "at least one source is required");
         let n = trees.first().map_or(0, |t| t.vertex_count());
         let slots =
             SourceSlots::new(n, sources.iter().enumerate().map(|(i, &s)| (s, i))).expect(duplicate);
@@ -184,7 +184,6 @@ impl<M: Metric> ReplacementOracle<M> {
         trees: Vec<CanonicalTree<M>>,
         distances: Vec<ReplacementDistances<M>>,
     ) -> Self {
-        assert!(!sources.is_empty(), "at least one source is required");
         assert_eq!(sources.len(), trees.len(), "one tree per source");
         assert_eq!(sources.len(), distances.len(), "one replacement table per source");
         for (i, &s) in sources.iter().enumerate() {
@@ -267,42 +266,14 @@ impl<M: Metric> ReplacementOracle<M> {
 }
 
 impl ReplacementPathOracle {
-    /// Builds the oracle by running the paper's MSRP algorithm (freezes `g` once and runs
-    /// every traversal over the CSR view).
-    pub fn build(g: &Graph, sources: &[Vertex], params: &MsrpParams) -> Self {
-        Self::build_csr(&g.freeze(), sources, params)
-    }
-
-    /// CSR entry point of [`build`](Self::build) for callers that already hold a frozen view.
-    pub fn build_csr(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) -> Self {
-        let out = solve_msrp_csr(g, sources, params);
-        Self::from_msrp_output(out)
-    }
-
-    /// Builds the oracle in parallel by sharding the σ sources across `threads` workers.
-    ///
-    /// The per-source solves of `msrp_core` are independent, so each worker runs the full MSRP
-    /// solver on a contiguous shard of the sources (see [`shard_sources`]) and the per-source
-    /// rows are merged back in input order with [`from_shards`](Self::from_shards). The sharding is a pure
-    /// function of `(sources, threads)`, so a given `(graph, sources, params, threads)` tuple
-    /// always reproduces the same oracle; and because every construction route computes the
-    /// same replacement *distances*, answers agree across thread counts whenever the solver is
-    /// exact (always, under `MsrpParams::default()` on the seeds the test-suite pins — see
-    /// `DESIGN.md`, "Determinism policy").
-    ///
-    /// `threads == 0` is treated as 1; thread counts above σ are clamped to σ.
+    /// Builds the oracle by running the paper's MSRP algorithm.
     ///
     /// # Panics
     ///
-    /// Panics on the same inputs as [`build`](Self::build) (empty, duplicate, or out-of-range
-    /// sources), and if a worker thread panics.
-    pub fn build_parallel(
-        g: &Graph,
-        sources: &[Vertex],
-        params: &MsrpParams,
-        threads: usize,
-    ) -> Self {
-        Self::from_shards(build_shards(g, sources, params, threads))
+    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
+    /// vertex.
+    pub fn build(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) -> Self {
+        Self::from_msrp_output(solve_msrp(g, sources, params))
     }
 
     /// Wraps an existing solver output.
@@ -311,18 +282,18 @@ impl ReplacementPathOracle {
     }
 
     /// Builds the oracle by brute force (one BFS per tree edge per source); exact, used as the
-    /// comparator in tests and experiment E5. Freezes `g` once.
-    pub fn build_exact(g: &Graph, sources: &[Vertex]) -> Self {
-        Self::build_exact_csr(&g.freeze(), sources)
-    }
-
-    /// CSR entry point of [`build_exact`](Self::build_exact): both stages are bit-parallel.
-    /// The source trees come from one [`bfs_trees_wave`] call (up to 64 sources per wave),
-    /// and each source's edge-removal loop batches its tree edges into avoiding waves of up
-    /// to 64 searches through one shared [`MultiBfsScratch`] — bit-identical to the
-    /// sequential per-edge route (pinned by the wave differential tests), just far fewer
-    /// passes over the CSR arrays.
-    pub fn build_exact_csr(g: &CsrGraph, sources: &[Vertex]) -> Self {
+    /// comparator in tests and experiment E5. Both stages are bit-parallel: the source trees
+    /// come from one [`bfs_trees_wave`] call (up to 64 sources per wave), and each source's
+    /// edge-removal loop batches its tree edges into avoiding waves of up to 64 searches
+    /// through one shared [`MultiBfsScratch`] — bit-identical to the sequential per-edge
+    /// route (pinned by the wave differential tests), just far fewer passes over the CSR
+    /// arrays.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
+    /// vertex.
+    pub fn build_exact(g: &CsrGraph, sources: &[Vertex]) -> Self {
         let mut wave = MultiBfsScratch::new();
         let trees = bfs_trees_wave(g, sources, &mut wave);
         let distances =
@@ -374,12 +345,19 @@ impl WeightedReplacementOracle {
     /// Builds the oracle by brute force (one Dijkstra per tree edge per source, all through
     /// one shared [`DijkstraScratch`]); exact, the comparator of the weighted solver in
     /// tests and experiment E9.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
+    /// vertex.
     pub fn build_exact(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
         let mut scratch = DijkstraScratch::new();
         let trees: Vec<_> =
             sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
-        let distances =
-            trees.iter().map(|t| single_source_brute_force_weighted(g, t, &mut scratch)).collect();
+        let distances = trees
+            .iter()
+            .map(|t| single_source_brute_force_weighted_with_scratch(g, t, &mut scratch))
+            .collect();
         Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
     }
 }
@@ -486,7 +464,7 @@ pub fn shard_sources(sources: &[Vertex], shards: usize) -> Vec<&[Vertex]> {
 
 /// Builds one oracle per shard of `sources` with `build`, in parallel: one scoped worker per
 /// shard, every worker traversing the caller's graph through a shared reference. Every
-/// sharded construction ([`build_shards_csr`], [`build_bk_shards_csr`],
+/// sharded construction ([`build_shards`], [`build_bk_shards`],
 /// [`build_weighted_shards`]) runs through this.
 ///
 /// `threads == 0` is treated as 1 (built inline, no thread spawned); thread counts above σ
@@ -514,42 +492,24 @@ pub(crate) fn build_sharded<M: Metric>(
     })
 }
 
-/// Builds one [`ReplacementPathOracle`] per shard with the MSRP solver, in parallel. This is
-/// the construction half of [`ReplacementPathOracle::build_parallel`]; it is public so that
-/// serving layers (`msrp-serve`'s `ShardedOracle`) can keep the shards separate instead of
-/// merging them.
+/// Builds one [`ReplacementPathOracle`] per shard with the MSRP solver, in parallel, every
+/// worker sharing the caller's frozen view. Serving layers (`msrp-serve`'s `ShardedOracle`)
+/// keep the shards separate; [`ReplacementPathOracle::from_shards`] merges them.
 ///
-/// Freezes `g` into a [`CsrGraph`] once and hands every worker the same frozen view; see
-/// [`build_shards_csr`]. `threads == 0` is treated as 1 (built inline, no thread spawned);
-/// thread counts above σ are clamped to σ.
+/// `threads == 0` is treated as 1 (built inline, no thread spawned); thread counts above σ
+/// are clamped to σ.
 ///
 /// # Panics
 ///
 /// Panics on the inputs [`ReplacementPathOracle::build`] rejects (empty, duplicate, or
 /// out-of-range sources), and if a worker thread panics.
 pub fn build_shards(
-    g: &Graph,
-    sources: &[Vertex],
-    params: &MsrpParams,
-    threads: usize,
-) -> Vec<ReplacementPathOracle> {
-    build_shards_csr(&g.freeze(), sources, params, threads)
-}
-
-/// CSR entry point of [`build_shards`]: the adjacency structure is built exactly once, no
-/// matter how many shards are constructed (an `Arc<CsrGraph>` gives the same sharing to
-/// non-scoped callers).
-///
-/// # Panics
-///
-/// Same as [`build_shards`].
-pub fn build_shards_csr(
     g: &CsrGraph,
     sources: &[Vertex],
     params: &MsrpParams,
     threads: usize,
 ) -> Vec<ReplacementPathOracle> {
-    build_sharded(sources, threads, |chunk| ReplacementPathOracle::build_csr(g, chunk, params))
+    build_sharded(sources, threads, |chunk| ReplacementPathOracle::build(g, chunk, params))
 }
 
 /// Builds one [`WeightedReplacementOracle`] per shard with the weighted solver, in parallel
@@ -589,7 +549,7 @@ mod tests {
     #[test]
     fn oracle_matches_exact_construction() {
         let mut rng = StdRng::seed_from_u64(3);
-        let g = connected_gnm(28, 64, &mut rng).unwrap();
+        let g = connected_gnm(28, 64, &mut rng).unwrap().freeze();
         let sources = [0usize, 9, 17];
         let fast = ReplacementPathOracle::build(&g, &sources, &MsrpParams::default());
         let exact = ReplacementPathOracle::build_exact(&g, &sources);
@@ -609,7 +569,7 @@ mod tests {
 
     #[test]
     fn queries_for_non_sources_return_none() {
-        let g = cycle_graph(6);
+        let g = cycle_graph(6).freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0]);
         assert_eq!(oracle.replacement_distance(3, 5, Edge::new(0, 1)), None);
         assert_eq!(oracle.distance(3, 5), None);
@@ -619,7 +579,7 @@ mod tests {
 
     #[test]
     fn disconnections_are_reported_as_infinite() {
-        let g = path_graph(5);
+        let g = path_graph(5).freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0]);
         assert_eq!(oracle.replacement_distance(0, 4, Edge::new(2, 3)), Some(INFINITE_DISTANCE));
         let costs = oracle.detour_costs(0, 4).unwrap();
@@ -629,7 +589,7 @@ mod tests {
     #[test]
     fn detour_costs_match_definition() {
         let g = cycle_graph(8);
-        let oracle = ReplacementPathOracle::build_exact(&g, &[0]);
+        let oracle = ReplacementPathOracle::build_exact(&g.freeze(), &[0]);
         let costs = oracle.detour_costs(0, 3).unwrap();
         assert_eq!(costs.len(), 3);
         for (e, c) in costs {
@@ -640,7 +600,7 @@ mod tests {
 
     #[test]
     fn flat_oracle_agrees_with_structured_oracle() {
-        let g = grid_graph(4, 4);
+        let g = grid_graph(4, 4).freeze();
         let oracle = ReplacementPathOracle::build(&g, &[0, 15], &MsrpParams::default());
         let flat = oracle.flatten();
         assert_eq!(flat.len(), oracle.entry_count());
@@ -679,16 +639,16 @@ mod tests {
     #[test]
     fn parallel_build_agrees_with_sequential_build() {
         let mut rng = StdRng::seed_from_u64(77);
-        let g = connected_gnm(30, 70, &mut rng).unwrap();
+        let g = connected_gnm(30, 70, &mut rng).unwrap().freeze();
         let sources = [0usize, 5, 11, 17, 23, 29];
         let sequential = ReplacementPathOracle::build(&g, &sources, &MsrpParams::default());
         for threads in [0usize, 1, 2, 3, 4, 16] {
-            let parallel = ReplacementPathOracle::build_parallel(
+            let parallel = ReplacementPathOracle::from_shards(build_shards(
                 &g,
                 &sources,
                 &MsrpParams::default(),
                 threads,
-            );
+            ));
             assert_eq!(parallel.sources(), &sources);
             for &s in &sources {
                 for t in 0..g.vertex_count() {
@@ -707,7 +667,7 @@ mod tests {
 
     #[test]
     fn from_shards_preserves_source_order() {
-        let g = cycle_graph(10);
+        let g = cycle_graph(10).freeze();
         let shards = vec![
             ReplacementPathOracle::build_exact(&g, &[4, 1]),
             ReplacementPathOracle::build_exact(&g, &[7]),
@@ -730,7 +690,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "disjoint")]
     fn overlapping_shards_panic() {
-        let g = cycle_graph(6);
+        let g = cycle_graph(6).freeze();
         let shards = vec![
             ReplacementPathOracle::build_exact(&g, &[0, 2]),
             ReplacementPathOracle::build_exact(&g, &[2]),
@@ -740,14 +700,14 @@ mod tests {
 
     #[test]
     fn canonical_paths_are_exposed() {
-        let g = cycle_graph(7);
+        let g = cycle_graph(7).freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[2]);
         assert_eq!(oracle.canonical_path(2, 4), Some(vec![2, 3, 4]));
     }
 
     #[test]
     fn vertex_count_is_exposed_for_boundary_validation() {
-        let g = cycle_graph(9);
+        let g = cycle_graph(9).freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0, 4]);
         assert_eq!(oracle.vertex_count(), 9);
     }
@@ -758,7 +718,7 @@ mod tests {
         // source membership through the cuckoo set (worst-case O(1) probes, Lemma 5), and
         // the answers must stay identical to the structured oracle's.
         let mut rng = StdRng::seed_from_u64(31);
-        let g = connected_gnm(40, 100, &mut rng).unwrap();
+        let g = connected_gnm(40, 100, &mut rng).unwrap().freeze();
         let sources: Vec<usize> = vec![31, 2, 17, 39, 8, 25, 0, 12, 36, 5, 21, 29];
         let oracle = ReplacementPathOracle::build_exact(&g, &sources);
         let flat = oracle.flatten();
@@ -800,7 +760,7 @@ mod tests {
     #[test]
     fn hostile_sources_answer_none_on_both_oracles() {
         let mut rng = StdRng::seed_from_u64(41);
-        let g = connected_gnm(40, 100, &mut rng).unwrap();
+        let g = connected_gnm(40, 100, &mut rng).unwrap().freeze();
         let wg =
             msrp_graph::generators::weighted_connected_gnm(40, 100, 50, &mut rng).unwrap().freeze();
         let sources = [31usize, 2, 17, 39, 8, 25, 0, 12];
@@ -836,7 +796,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "distinct")]
     fn duplicate_parts_panic() {
-        let g = cycle_graph(6);
+        let g = cycle_graph(6).freeze();
         let oracle = ReplacementPathOracle::build_exact(&g, &[0, 2]);
         let tree = oracle.trees()[0].clone();
         let rows = oracle.per_source()[0].clone();
@@ -845,6 +805,19 @@ mod tests {
             vec![tree.clone(), tree],
             vec![rows.clone(), rows],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one source is required")]
+    fn hop_build_exact_rejects_an_empty_source_list() {
+        let _ = ReplacementPathOracle::build_exact(&cycle_graph(8).freeze(), &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one source is required")]
+    fn weighted_build_exact_rejects_an_empty_source_list() {
+        let g = msrp_graph::WeightedGraph::from_graph(&cycle_graph(8), |_| 1).freeze();
+        let _ = WeightedReplacementOracle::build_exact(&g, &[]);
     }
 
     #[test]

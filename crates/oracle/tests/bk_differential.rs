@@ -1,7 +1,7 @@
 //! Differential battery for the Bernstein–Karger preprocessing: on every seeded workload
 //! family, the BK construction, the per-tree-edge brute force behind
 //! [`ReplacementPathOracle::build_exact`], and the independent
-//! [`single_source_brute_force_csr`] rows must agree **bit for bit** — same rows, same query
+//! [`single_source_brute_force`] rows must agree **bit for bit** — same rows, same query
 //! answers, for every source-set size σ ∈ {1, ⌈√n⌉, n/4}.
 //!
 //! Everything is seed-pinned (`DESIGN.md`, "Determinism policy"): a failure reproduces
@@ -15,7 +15,7 @@ use msrp_graph::generators::{
 };
 use msrp_graph::{CsrGraph, Graph, ShortestPathTree, Vertex};
 use msrp_oracle::{bk_replacement_distances, BkScratch, ReplacementPathOracle};
-use msrp_rpath::single_source_brute_force_csr;
+use msrp_rpath::single_source_brute_force;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -48,8 +48,8 @@ fn differential_battery(name: &str, g: &Graph, seed: u64) {
     let edges = g.edge_vec();
     for (i, &sigma) in sigma_ladder(n).iter().enumerate() {
         let sources = seeded_sources(n, sigma, seed ^ (i as u64).wrapping_mul(0x9E37));
-        let bk = ReplacementPathOracle::build_bk_csr(&csr, &sources);
-        let exact = ReplacementPathOracle::build_exact_csr(&csr, &sources);
+        let bk = ReplacementPathOracle::build_bk(&csr, &sources);
+        let exact = ReplacementPathOracle::build_exact(&csr, &sources);
         // Layer 1: the whole answer state, row for row, bit for bit.
         assert_eq!(bk.per_source(), exact.per_source(), "{name}: sigma={sigma}");
         assert_eq!(bk.entry_count(), exact.entry_count(), "{name}: sigma={sigma}");
@@ -57,8 +57,8 @@ fn differential_battery(name: &str, g: &Graph, seed: u64) {
         // so the equality above cannot be satisfied by a shared bug.
         let mut scratch = BkScratch::new();
         for (idx, &s) in sources.iter().enumerate() {
-            let tree = ShortestPathTree::build_csr(&csr, s);
-            let brute = single_source_brute_force_csr(&csr, &tree);
+            let tree = ShortestPathTree::build(&csr, s);
+            let brute = single_source_brute_force(&csr, &tree);
             assert_eq!(
                 bk_replacement_distances(&csr, &tree, &mut scratch),
                 brute,
@@ -141,10 +141,10 @@ fn differential_disconnected() {
 fn rows_match_brute_force(name: &str, g: &Graph, sources: &[Vertex], scratch: &mut BkScratch) {
     let csr = g.freeze();
     for &s in sources {
-        let tree = ShortestPathTree::build_csr(&csr, s);
+        let tree = ShortestPathTree::build(&csr, s);
         assert_eq!(
             bk_replacement_distances(&csr, &tree, scratch),
-            single_source_brute_force_csr(&csr, &tree),
+            single_source_brute_force(&csr, &tree),
             "{name}: s={s}"
         );
     }
@@ -217,9 +217,9 @@ fn bk_sharded_parallel_builds_stay_bit_identical() {
     let g = connected_gnm(40, 100, &mut rng).unwrap();
     let csr = g.freeze();
     let sources = seeded_sources(40, 10, 11);
-    let whole = ReplacementPathOracle::build_bk_csr(&csr, &sources);
+    let whole = ReplacementPathOracle::build_bk(&csr, &sources);
     for threads in [1usize, 2, 3, 10] {
-        let merged = ReplacementPathOracle::from_shards(msrp_oracle::build_bk_shards_csr(
+        let merged = ReplacementPathOracle::from_shards(msrp_oracle::build_bk_shards(
             &csr, &sources, threads,
         ));
         assert_eq!(merged.per_source(), whole.per_source(), "threads={threads}");
@@ -231,7 +231,7 @@ fn bk_sharded_parallel_builds_stay_bit_identical() {
 fn bk_flattened_oracle_agrees_with_exact_flattened_oracle() {
     // The cuckoo-flattened view built from BK tables must behave exactly like the one built
     // from the brute-force tables (same keys, same values, same misses).
-    let g = grid_graph(5, 5);
+    let g = grid_graph(5, 5).freeze();
     let sources = [0usize, 12, 24];
     let bk = ReplacementPathOracle::build_bk(&g, &sources).flatten();
     let exact = ReplacementPathOracle::build_exact(&g, &sources).flatten();

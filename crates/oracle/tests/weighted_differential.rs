@@ -16,7 +16,7 @@ use msrp_graph::generators::{
 };
 use msrp_graph::{DijkstraScratch, Graph, Vertex, Weight, WeightedGraph, WeightedTree};
 use msrp_oracle::{build_weighted_shards, WeightedReplacementOracle};
-use msrp_rpath::{single_source_brute_force_weighted, WeightedReplacementDistances};
+use msrp_rpath::{single_source_brute_force_weighted_with_scratch, WeightedReplacementDistances};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -56,7 +56,11 @@ fn brute_force_rows(g: &WeightedGraph, sources: &[Vertex]) -> Vec<WeightedReplac
     sources
         .iter()
         .map(|&s| {
-            single_source_brute_force_weighted(&csr, &WeightedTree::build(&csr, s), &mut scratch)
+            single_source_brute_force_weighted_with_scratch(
+                &csr,
+                &WeightedTree::build(&csr, s),
+                &mut scratch,
+            )
         })
         .collect()
 }

@@ -31,22 +31,12 @@ pub fn replacement_distance(g: &Graph, s: Vertex, t: Vertex, e: Edge) -> Distanc
 /// the canonical `s–t` path, the exact value of `|st ⋄ e_i|`.
 ///
 /// Runs one BFS per tree edge of `tree` (so `O(n·(m + n))` time), then distributes the result to
-/// every target whose canonical path uses that edge. Convenience wrapper that freezes `g` once
-/// and runs [`single_source_brute_force_csr`] over the CSR view.
+/// every target whose canonical path uses that edge. Allocates one private scratch.
 ///
 /// # Panics
 ///
 /// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force(g: &Graph, tree: &ShortestPathTree) -> SourceReplacementDistances {
-    single_source_brute_force_csr(&g.freeze(), tree)
-}
-
-/// CSR entry point of [`single_source_brute_force`] (allocates one private scratch).
-///
-/// # Panics
-///
-/// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force_csr(
+pub fn single_source_brute_force(
     g: &CsrGraph,
     tree: &ShortestPathTree,
 ) -> SourceReplacementDistances {
@@ -139,7 +129,7 @@ mod tests {
 
     #[test]
     fn cycle_replacements_go_the_long_way() {
-        let g = cycle_graph(8);
+        let g = cycle_graph(8).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let out = single_source_brute_force(&g, &tree);
         // Path 0-1-2-3: avoiding any edge on it forces the complementary arc of length 8 - d.
@@ -151,7 +141,7 @@ mod tests {
 
     #[test]
     fn bridges_have_no_replacement() {
-        let g = path_graph(5);
+        let g = path_graph(5).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let out = single_source_brute_force(&g, &tree);
         for t in 1..5 {
@@ -163,7 +153,7 @@ mod tests {
 
     #[test]
     fn grid_replacements_detour_by_two() {
-        let g = grid_graph(3, 3);
+        let g = grid_graph(3, 3).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let out = single_source_brute_force(&g, &tree);
         // Distances in a grid detour around a single missing edge with +2 at most
@@ -176,8 +166,9 @@ mod tests {
     #[test]
     fn matches_per_query_brute_force() {
         let g = grid_graph(3, 4);
-        let tree = ShortestPathTree::build(&g, 0);
-        let out = single_source_brute_force(&g, &tree);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
+        let out = single_source_brute_force(&csr, &tree);
         for t in 0..g.vertex_count() {
             let edges = tree.path_edges(t);
             for (i, e) in edges.iter().enumerate() {
@@ -195,7 +186,7 @@ mod tests {
 
     #[test]
     fn disconnected_graph_rows_are_empty() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap();
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (3, 4)]).unwrap().freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let out = single_source_brute_force(&g, &tree);
         assert!(out.row(3).is_empty());
@@ -224,10 +215,10 @@ mod tests {
     fn wave_route_handles_bridges_and_disconnection() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (4, 5)]).unwrap();
         let csr = g.freeze();
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&csr, 0);
         let mut wave = MultiBfsScratch::new();
         let waved = single_source_brute_force_wave(&csr, &tree, &mut wave);
-        assert_eq!(waved, single_source_brute_force(&g, &tree));
+        assert_eq!(waved, single_source_brute_force(&csr, &tree));
         assert_eq!(waved.get(3, 1), Some(INFINITE_DISTANCE));
         assert!(waved.row(5).is_empty());
     }

@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn identical_tables_are_exact() {
-        let g = cycle_graph(8);
+        let g = cycle_graph(8).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let a = single_source_brute_force(&g, &tree);
         let b = a.clone();
@@ -110,7 +110,7 @@ mod tests {
 
     #[test]
     fn over_and_under_estimates_are_classified() {
-        let g = cycle_graph(8);
+        let g = cycle_graph(8).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let expected = single_source_brute_force(&g, &tree);
         let mut actual = expected.clone();
@@ -129,7 +129,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "different sources")]
     fn mismatched_sources_panic() {
-        let g = cycle_graph(6);
+        let g = cycle_graph(6).freeze();
         let a = single_source_brute_force(&g, &ShortestPathTree::build(&g, 0));
         let b = single_source_brute_force(&g, &ShortestPathTree::build(&g, 1));
         let _ = compare(&a, &b);

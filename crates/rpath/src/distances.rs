@@ -152,7 +152,7 @@ mod tests {
     use msrp_graph::{Distance, Graph, ShortestPathTree, INFINITE_DISTANCE};
 
     fn tree_of(g: &Graph, s: Vertex) -> ShortestPathTree {
-        ShortestPathTree::build(g, s)
+        ShortestPathTree::build(&g.freeze(), s)
     }
 
     #[test]
@@ -218,7 +218,7 @@ mod tests {
             g.add_edge(u, v).unwrap();
         }
         let tree = tree_of(&g, 3);
-        let table = crate::single_source_brute_force(&g, &tree);
+        let table = crate::single_source_brute_force(&g.freeze(), &tree);
         (tree, table)
     }
 

@@ -19,7 +19,7 @@
 //! use msrp_graph::{generators::cycle_graph, ShortestPathTree};
 //! use msrp_rpath::single_source_brute_force;
 //!
-//! let g = cycle_graph(6);
+//! let g = cycle_graph(6).freeze();
 //! let tree = ShortestPathTree::build(&g, 0);
 //! let truth = single_source_brute_force(&g, &tree);
 //! // Avoiding the first edge on the path 0-1-2 forces the path 0-5-4-3-2 of length 4.
@@ -39,18 +39,17 @@ mod ssrp_baseline;
 mod weighted;
 
 pub use brute_force::{
-    replacement_distance, single_source_brute_force, single_source_brute_force_csr,
-    single_source_brute_force_wave, single_source_brute_force_with_scratch,
+    replacement_distance, single_source_brute_force, single_source_brute_force_wave,
+    single_source_brute_force_with_scratch,
 };
 pub use compare::{compare, ComparisonReport, Mismatch};
 pub use distances::{
     ReplacementDistances, SourceReplacementDistances, WeightedReplacementDistances,
 };
-pub use most_vital::{
-    most_vital_edge, most_vital_edge_csr, most_vital_edges, most_vital_edges_csr, VitalEdge,
-};
+pub use most_vital::{most_vital_edge, most_vital_edges, VitalEdge};
 pub use single_pair::single_pair_replacement_paths;
-pub use ssrp_baseline::{single_source_via_single_pair, single_source_via_single_pair_csr};
+pub use ssrp_baseline::single_source_via_single_pair;
 pub use weighted::{
-    replacement_weight, single_source_brute_force_weighted, single_source_brute_force_weighted_csr,
+    replacement_weight, single_source_brute_force_weighted,
+    single_source_brute_force_weighted_with_scratch,
 };

@@ -6,9 +6,7 @@
 //! single-pair replacement distances in hand the answer is a sort, so this module is a thin,
 //! well-tested layer over [`crate::single_pair_replacement_paths`].
 
-use msrp_graph::{
-    bfs_csr, CsrGraph, Distance, Edge, Graph, ShortestPathTree, Vertex, INFINITE_DISTANCE,
-};
+use msrp_graph::{bfs_csr, CsrGraph, Distance, Edge, ShortestPathTree, Vertex, INFINITE_DISTANCE};
 
 use crate::single_pair::single_pair_replacement_paths;
 
@@ -38,14 +36,7 @@ impl VitalEdge {
 /// (bridges first, then by decreasing replacement distance; ties broken by path position).
 ///
 /// Returns an empty vector when `t` is unreachable from the tree's source or equals it.
-/// Convenience wrapper that freezes `g` and calls [`most_vital_edges_csr`]; callers ranking
-/// many targets should freeze once themselves.
-pub fn most_vital_edges(g: &Graph, tree: &ShortestPathTree, t: Vertex) -> Vec<VitalEdge> {
-    most_vital_edges_csr(&g.freeze(), tree, t)
-}
-
-/// CSR entry point of [`most_vital_edges`].
-pub fn most_vital_edges_csr(g: &CsrGraph, tree: &ShortestPathTree, t: Vertex) -> Vec<VitalEdge> {
+pub fn most_vital_edges(g: &CsrGraph, tree: &ShortestPathTree, t: Vertex) -> Vec<VitalEdge> {
     let dist_to_t = bfs_csr(g, t).dist;
     let replacements = single_pair_replacement_paths(g, tree, t, &dist_to_t);
     let mut out: Vec<VitalEdge> = tree
@@ -65,19 +56,15 @@ pub fn most_vital_edges_csr(g: &CsrGraph, tree: &ShortestPathTree, t: Vertex) ->
 }
 
 /// The single most vital edge of the `s–t` pair, if the path has any edge.
-pub fn most_vital_edge(g: &Graph, tree: &ShortestPathTree, t: Vertex) -> Option<VitalEdge> {
+pub fn most_vital_edge(g: &CsrGraph, tree: &ShortestPathTree, t: Vertex) -> Option<VitalEdge> {
     most_vital_edges(g, tree, t).into_iter().next()
-}
-
-/// CSR entry point of [`most_vital_edge`].
-pub fn most_vital_edge_csr(g: &CsrGraph, tree: &ShortestPathTree, t: Vertex) -> Option<VitalEdge> {
-    most_vital_edges_csr(g, tree, t).into_iter().next()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use msrp_graph::generators::{connected_gnm, cycle_graph, path_graph};
+    use msrp_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -85,7 +72,7 @@ mod tests {
     fn bridges_rank_first() {
         // A triangle 0-1-2 followed by a bridge 2-3: the bridge must be the most vital edge on
         // the path from 0 to 3.
-        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap();
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).unwrap().freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let vital = most_vital_edges(&g, &tree, 3);
         assert_eq!(vital[0].edge, Edge::new(2, 3));
@@ -96,7 +83,7 @@ mod tests {
 
     #[test]
     fn cycle_edges_are_equally_vital() {
-        let g = cycle_graph(10);
+        let g = cycle_graph(10).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let vital = most_vital_edges(&g, &tree, 4);
         assert_eq!(vital.len(), 4);
@@ -109,7 +96,7 @@ mod tests {
 
     #[test]
     fn path_graphs_are_all_bridges() {
-        let g = path_graph(5);
+        let g = path_graph(5).freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let vital = most_vital_edges(&g, &tree, 4);
         assert_eq!(vital.len(), 4);
@@ -118,7 +105,7 @@ mod tests {
 
     #[test]
     fn unreachable_targets_have_no_vital_edges() {
-        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap().freeze();
         let tree = ShortestPathTree::build(&g, 0);
         assert!(most_vital_edges(&g, &tree, 3).is_empty());
         assert!(most_vital_edge(&g, &tree, 3).is_none());
@@ -126,24 +113,13 @@ mod tests {
     }
 
     #[test]
-    fn csr_entry_points_match_the_graph_ones() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let g = connected_gnm(30, 60, &mut rng).unwrap();
-        let csr = g.freeze();
-        let tree = ShortestPathTree::build(&g, 0);
-        for t in 1..30 {
-            assert_eq!(most_vital_edges_csr(&csr, &tree, t), most_vital_edges(&g, &tree, t));
-        }
-        assert_eq!(most_vital_edge_csr(&csr, &tree, 5), most_vital_edge(&g, &tree, 5));
-    }
-
-    #[test]
     fn ranking_agrees_with_replacement_distances() {
         let mut rng = StdRng::seed_from_u64(6);
         let g = connected_gnm(30, 60, &mut rng).unwrap();
-        let tree = ShortestPathTree::build(&g, 0);
+        let csr = g.freeze();
+        let tree = ShortestPathTree::build(&csr, 0);
         for t in 1..30 {
-            let vital = most_vital_edges(&g, &tree, t);
+            let vital = most_vital_edges(&csr, &tree, t);
             for pair in vital.windows(2) {
                 assert!(pair[0].replacement_distance >= pair[1].replacement_distance);
             }

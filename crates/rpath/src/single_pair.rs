@@ -155,8 +155,8 @@ mod tests {
 
     fn check_against_brute_force(g: &Graph, s: Vertex) {
         let csr = g.freeze();
-        let tree = ShortestPathTree::build(g, s);
-        let truth = single_source_brute_force(g, &tree);
+        let tree = ShortestPathTree::build(&csr, s);
+        let truth = single_source_brute_force(&csr, &tree);
         for t in 0..g.vertex_count() {
             let dist_to_t = bfs_distances(g, t);
             let fast = single_pair_replacement_paths(&csr, &tree, t, &dist_to_t);
@@ -205,7 +205,7 @@ mod tests {
     #[test]
     fn unreachable_target_yields_empty_vector() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&g.freeze(), 0);
         let dist_to_2 = bfs_distances(&g, 2);
         assert!(single_pair_replacement_paths(&g.freeze(), &tree, 2, &dist_to_2).is_empty());
     }
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn target_equal_to_source_yields_empty_vector() {
         let g = cycle_graph(5);
-        let tree = ShortestPathTree::build(&g, 1);
+        let tree = ShortestPathTree::build(&g.freeze(), 1);
         let dist = bfs_distances(&g, 1);
         assert!(single_pair_replacement_paths(&g.freeze(), &tree, 1, &dist).is_empty());
     }
@@ -223,7 +223,7 @@ mod tests {
         // Two triangles joined by a bridge 2-3.
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
             .unwrap();
-        let tree = ShortestPathTree::build(&g, 0);
+        let tree = ShortestPathTree::build(&g.freeze(), 0);
         let dist_to_5 = bfs_distances(&g, 5);
         let r = single_pair_replacement_paths(&g.freeze(), &tree, 5, &dist_to_5);
         // Canonical path 0-1? depends on tree; use positions via path edges.

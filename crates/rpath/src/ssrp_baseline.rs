@@ -4,24 +4,15 @@
 //! This is the strongest *simple* baseline for the single-source problem and the one the paper's
 //! `Õ(m√n + n²)` algorithm is designed to beat; experiment E1 plots both.
 
-use msrp_graph::{BfsScratch, CsrGraph, Graph, ShortestPathTree};
+use msrp_graph::{BfsScratch, CsrGraph, ShortestPathTree};
 
 use crate::distances::SourceReplacementDistances;
 use crate::single_pair::single_pair_replacement_paths;
 
 /// Computes all single-source replacement paths by invoking the classical `Õ(m + n)` single-pair
-/// routine once per target (`Õ(mn)` total). Freezes `g` once and runs
-/// [`single_source_via_single_pair_csr`] over the CSR view.
+/// routine once per target (`Õ(mn)` total). The per-target BFS runs through one shared
+/// [`BfsScratch`], so the loop performs no per-target allocation.
 pub fn single_source_via_single_pair(
-    g: &Graph,
-    tree: &ShortestPathTree,
-) -> SourceReplacementDistances {
-    single_source_via_single_pair_csr(&g.freeze(), tree)
-}
-
-/// CSR entry point of [`single_source_via_single_pair`]: the per-target BFS runs through one
-/// shared [`BfsScratch`], so the `Õ(mn)` loop performs no per-target allocation.
-pub fn single_source_via_single_pair_csr(
     g: &CsrGraph,
     tree: &ShortestPathTree,
 ) -> SourceReplacementDistances {
@@ -46,10 +37,12 @@ mod tests {
     use crate::brute_force::single_source_brute_force;
     use crate::compare::compare;
     use msrp_graph::generators::{connected_gnm, cycle_graph, grid_graph, torus_graph};
+    use msrp_graph::Graph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn assert_matches_truth(g: &Graph, s: usize) {
+        let g = &g.freeze();
         let tree = ShortestPathTree::build(g, s);
         let truth = single_source_brute_force(g, &tree);
         let fast = single_source_via_single_pair(g, &tree);
@@ -80,7 +73,7 @@ mod tests {
 
     #[test]
     fn disconnected_components_are_skipped() {
-        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]).unwrap();
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5)]).unwrap().freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let out = single_source_via_single_pair(&g, &tree);
         assert!(out.row(3).is_empty());

@@ -21,18 +21,18 @@ pub fn replacement_weight(g: &WeightedCsrGraph, s: Vertex, t: Vertex, e: Edge) -
 
 /// Ground-truth weighted single-source replacement paths: one edge-avoiding Dijkstra per
 /// tree edge, distributed to every target whose canonical path uses that edge (the weighted
-/// twin of [`single_source_brute_force_csr`](crate::single_source_brute_force_csr);
-/// allocates one private scratch).
+/// twin of [`single_source_brute_force`](crate::single_source_brute_force); allocates one
+/// private scratch).
 ///
 /// # Panics
 ///
 /// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force_weighted_csr(
+pub fn single_source_brute_force_weighted(
     g: &WeightedCsrGraph,
     tree: &WeightedTree,
 ) -> WeightedReplacementDistances {
     let mut scratch = DijkstraScratch::new();
-    single_source_brute_force_weighted(g, tree, &mut scratch)
+    single_source_brute_force_weighted_with_scratch(g, tree, &mut scratch)
 }
 
 /// The weighted brute-force inner loop, running every edge-avoiding Dijkstra through the
@@ -42,7 +42,7 @@ pub fn single_source_brute_force_weighted_csr(
 /// # Panics
 ///
 /// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force_weighted(
+pub fn single_source_brute_force_weighted_with_scratch(
     g: &WeightedCsrGraph,
     tree: &WeightedTree,
     scratch: &mut DijkstraScratch,
@@ -90,7 +90,7 @@ mod tests {
     fn cycle_replacements_take_the_complementary_arc() {
         let g = weighted_cycle().freeze();
         let tree = WeightedTree::build(&g, 0);
-        let out = single_source_brute_force_weighted_csr(&g, &tree);
+        let out = single_source_brute_force_weighted(&g, &tree);
         // d(0, 2) = 1 + 2 = 3 via 0-1-2; avoiding either path edge forces the arc
         // 0-5-4-3-2 of weight 6 + 5 + 4 + 3 = 18.
         assert_eq!(tree.distance(2), Some(3));
@@ -110,7 +110,7 @@ mod tests {
         g.add_edge(2, 3, 4).unwrap();
         let csr = g.freeze();
         let tree = WeightedTree::build(&csr, 0);
-        let out = single_source_brute_force_weighted_csr(&csr, &tree);
+        let out = single_source_brute_force_weighted(&csr, &tree);
         for t in 1..4 {
             for i in 0..out.row(t).len() {
                 assert_eq!(out.get(t, i), Some(INFINITE_WEIGHT));
@@ -124,7 +124,7 @@ mod tests {
     fn distance_avoiding_matches_per_query_recomputation() {
         let g = weighted_cycle().freeze();
         let tree = WeightedTree::build(&g, 0);
-        let out = single_source_brute_force_weighted_csr(&g, &tree);
+        let out = single_source_brute_force_weighted(&g, &tree);
         for t in 0..6 {
             for (e, _) in g.edge_vec() {
                 assert_eq!(
@@ -141,7 +141,8 @@ mod tests {
         let topo = cycle_graph(8);
         let weighted = WeightedGraph::from_graph(&topo, |_| 1).freeze();
         let wtree = WeightedTree::build(&weighted, 0);
-        let wout = single_source_brute_force_weighted_csr(&weighted, &wtree);
+        let wout = single_source_brute_force_weighted(&weighted, &wtree);
+        let topo = topo.freeze();
         let utree = msrp_graph::ShortestPathTree::build(&topo, 0);
         let uout = crate::single_source_brute_force(&topo, &utree);
         for t in 0..8 {
@@ -171,7 +172,7 @@ mod tests {
         }
         let csr = g.freeze();
         let tree = WeightedTree::build(&csr, 3);
-        let table = single_source_brute_force_weighted_csr(&csr, &tree);
+        let table = single_source_brute_force_weighted(&csr, &tree);
         (tree, table)
     }
 

@@ -44,7 +44,7 @@
 //! use msrp_graph::{generators::cycle_graph, Edge};
 //! use msrp_serve::{Query, QueryService, ServiceConfig, ShardedOracle};
 //!
-//! let g = cycle_graph(8);
+//! let g = cycle_graph(8).freeze();
 //! let oracle = ShardedOracle::build(&g, &[0, 4], &MsrpParams::default(), 2);
 //! let service = QueryService::start(oracle, &ServiceConfig::default());
 //! let answers = service.answer_batch(&[Query::new(0, 3, Edge::new(1, 2))]);

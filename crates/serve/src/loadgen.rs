@@ -165,7 +165,7 @@ pub fn run_closed_loop_on<O: RouteOracle<Answer = Distance>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::service::ServiceConfig;
+    use crate::service::{ServiceConfig, ShardedOracle};
     use msrp_core::MsrpParams;
     use msrp_graph::generators::grid_graph;
 
@@ -187,13 +187,8 @@ mod tests {
         let config = LoadConfig { clients: 3, batches_per_client: 5, batch_size: 8, seed: 42 };
         let mut checksums = Vec::new();
         for workers in [1usize, 4] {
-            let service = QueryService::build_and_start(
-                &g,
-                &sources,
-                &MsrpParams::default(),
-                2,
-                &ServiceConfig { workers },
-            );
+            let oracle = ShardedOracle::build(&g.freeze(), &sources, &MsrpParams::default(), 2);
+            let service = QueryService::start(oracle, &ServiceConfig { workers });
             let report = run_closed_loop(&service, &g, &config);
             assert_eq!(report.total_queries, 3 * 5 * 8);
             assert_eq!(report.latency.count, 3 * 5);
@@ -208,7 +203,6 @@ mod tests {
     #[test]
     fn closed_loop_drives_an_epoch_service_through_a_live_swap() {
         use crate::epoch::EpochOracle;
-        use crate::service::ShardedOracle;
         let g = grid_graph(5, 5);
         let sources = [0usize, 12, 24];
         let oracle0 = ShardedOracle::build_bk_csr(&g.freeze(), &sources, 2);

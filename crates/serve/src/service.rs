@@ -22,13 +22,10 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use msrp_core::MsrpParams;
-use msrp_graph::{
-    CsrGraph, Distance, Edge, Graph, Hop, Metric, Vertex, Weighted, WeightedCsrGraph,
-};
+use msrp_graph::{CsrGraph, Distance, Edge, Hop, Metric, Vertex, Weighted, WeightedCsrGraph};
 use msrp_obs::{JournalSnapshot, SlowEntry, SlowLog, SpanJournal, TraceIdGen};
 use msrp_oracle::{
-    build_shards, build_shards_csr, build_weighted_shards, RebuildStats, ReplacementOracle,
-    SourceSlots,
+    build_shards, build_weighted_shards, RebuildStats, ReplacementOracle, SourceSlots,
 };
 
 use crate::exposition::{render_exposition, ObsReport};
@@ -90,9 +87,9 @@ pub trait RouteOracle: Send + Sync + 'static {
 /// Immutable oracle shards under the metric `M` plus a dense source → shard routing table.
 ///
 /// Each shard is a [`ReplacementOracle`] covering a contiguous slice of the sources (the
-/// same partition `msrp_oracle::shard_sources` and `build_parallel` use), so shards share
-/// nothing and can be queried from any number of threads concurrently — the `Send + Sync`
-/// assertions in `msrp-oracle` guarantee this stays true.
+/// partition of `msrp_oracle::shard_sources`, which every sharded build uses), so shards
+/// share nothing and can be queried from any number of threads concurrently — the
+/// `Send + Sync` assertions in `msrp-oracle` guarantee this stays true.
 #[derive(Clone, Debug)]
 pub struct Sharded<M: Metric> {
     shards: Vec<ReplacementOracle<M>>,
@@ -194,52 +191,41 @@ impl<M: Metric> Sharded<M> {
 }
 
 impl ShardedOracle {
-    /// Builds `shard_count` shards in parallel (one construction worker per shard) and wires
-    /// up the routing table. `shard_count` is clamped to `[1, σ]`.
+    /// Builds `shard_count` shards in parallel (one construction worker per shard, every
+    /// worker traversing the caller's frozen view through a shared reference) and wires up
+    /// the routing table. `shard_count` is clamped to `[1, σ]`.
     ///
     /// # Panics
     ///
     /// Panics on the inputs [`ReplacementPathOracle::build`](msrp_oracle::ReplacementPathOracle::build) rejects (empty, duplicate, or
     /// out-of-range sources) and if a construction worker panics.
-    pub fn build(g: &Graph, sources: &[Vertex], params: &MsrpParams, shard_count: usize) -> Self {
-        Self::from_shards(build_shards(g, sources, params, shard_count))
-    }
-
-    /// Like [`build`](Self::build), but over an already-frozen CSR view: every construction
-    /// worker traverses the caller's `CsrGraph` through a shared reference, so the adjacency
-    /// structure exists exactly once no matter how many shards are built.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`build`](Self::build).
-    pub fn build_csr(
+    pub fn build(
         g: &CsrGraph,
         sources: &[Vertex],
         params: &MsrpParams,
         shard_count: usize,
     ) -> Self {
-        Self::from_shards(build_shards_csr(g, sources, params, shard_count))
+        Self::from_shards(build_shards(g, sources, params, shard_count))
     }
 
     /// Builds `shard_count` shards with the real Bernstein–Karger preprocessing
-    /// (`msrp_oracle::build_bk_shards_csr`: one multi-seed subtree search per tree-edge cut,
+    /// (`msrp_oracle::build_bk_shards`: one multi-seed subtree search per tree-edge cut,
     /// one construction worker per shard over the caller's frozen view) and wires up the
-    /// routing table. Serves bit-for-bit the same answers as [`build_csr`](Self::build_csr)
+    /// routing table. Serves bit-for-bit the same answers as [`build`](Self::build)
     /// and the `build_exact` route — only the preprocessing cost differs. `shard_count` is
     /// clamped to `[1, σ]`.
     ///
     /// # Panics
     ///
-    /// Panics on the inputs [`ReplacementPathOracle::build_bk`](msrp_oracle::ReplacementPathOracle::build_bk) rejects (an out-of-range
-    /// source; duplicates are rejected by the routing table) and if a construction worker
-    /// panics.
+    /// Panics on the inputs [`ReplacementPathOracle::build_bk`](msrp_oracle::ReplacementPathOracle::build_bk) rejects (empty, duplicate,
+    /// or out-of-range sources) and if a construction worker panics.
     pub fn build_bk_csr(g: &CsrGraph, sources: &[Vertex], shard_count: usize) -> Self {
-        Self::from_shards(msrp_oracle::build_bk_shards_csr(g, sources, shard_count))
+        Self::from_shards(msrp_oracle::build_bk_shards(g, sources, shard_count))
     }
 
     /// Rebuilds every shard for `g_new` — the served graph with the single edge `changed`
     /// added or removed — through the incremental Bernstein–Karger path
-    /// ([`ReplacementPathOracle::rebuild_bk_csr`](msrp_oracle::ReplacementPathOracle::rebuild_bk_csr)), reusing every per-source table the
+    /// ([`ReplacementPathOracle::rebuild_bk`](msrp_oracle::ReplacementPathOracle::rebuild_bk)), reusing every per-source table the
     /// change provably does not touch. Routing is unchanged (the sources are the same); the
     /// merged [`RebuildStats`] quantify the work saved over a from-scratch
     /// [`build_bk_csr`](Self::build_bk_csr).
@@ -253,7 +239,7 @@ impl ShardedOracle {
             .shards
             .iter()
             .map(|shard| {
-                let (next, s) = shard.rebuild_bk_csr(g_new, changed);
+                let (next, s) = shard.rebuild_bk(g_new, changed);
                 stats.merge(&s);
                 next
             })
@@ -704,32 +690,6 @@ impl<O: RouteOracle> QueryService<O> {
     }
 }
 
-impl QueryService {
-    /// Convenience constructor: builds the shards in parallel and starts the pool.
-    pub fn build_and_start(
-        g: &Graph,
-        sources: &[Vertex],
-        params: &MsrpParams,
-        shards: usize,
-        config: &ServiceConfig,
-    ) -> Self {
-        Self::start(ShardedOracle::build(g, sources, params, shards), config)
-    }
-}
-
-impl QueryService<WeightedShardedOracle> {
-    /// Convenience constructor for the weighted metric: builds the weighted shards in
-    /// parallel over the caller's frozen weighted view and starts the pool.
-    pub fn build_and_start_weighted(
-        g: &WeightedCsrGraph,
-        sources: &[Vertex],
-        shards: usize,
-        config: &ServiceConfig,
-    ) -> Self {
-        Self::start(WeightedShardedOracle::build(g, sources, shards), config)
-    }
-}
-
 impl<O: RouteOracle> Drop for QueryService<O> {
     fn drop(&mut self) {
         self.stop_workers();
@@ -743,21 +703,15 @@ mod tests {
     use msrp_graph::INFINITE_DISTANCE;
     use msrp_oracle::ReplacementPathOracle;
 
-    fn demo_service(workers: usize, shards: usize) -> (Graph, QueryService) {
-        let g = grid_graph(4, 4);
-        let service = QueryService::build_and_start(
-            &g,
-            &[0, 5, 15],
-            &MsrpParams::default(),
-            shards,
-            &ServiceConfig { workers },
-        );
-        (g, service)
+    fn demo_service(workers: usize, shards: usize) -> (CsrGraph, QueryService) {
+        let g = grid_graph(4, 4).freeze();
+        let oracle = ShardedOracle::build(&g, &[0, 5, 15], &MsrpParams::default(), shards);
+        (g, QueryService::start(oracle, &ServiceConfig { workers }))
     }
 
     #[test]
     fn sharded_oracle_routes_to_the_owning_shard() {
-        let g = cycle_graph(9);
+        let g = cycle_graph(9).freeze();
         let oracle = ShardedOracle::build(&g, &[0, 3, 6], &MsrpParams::default(), 3);
         assert_eq!(oracle.shard_count(), 3);
         assert_eq!(oracle.sources(), vec![0, 3, 6]);
@@ -773,7 +727,7 @@ mod tests {
 
     #[test]
     fn shard_count_is_clamped_to_sigma() {
-        let g = cycle_graph(6);
+        let g = cycle_graph(6).freeze();
         let oracle = ShardedOracle::build(&g, &[0, 2], &MsrpParams::default(), 64);
         assert_eq!(oracle.shard_count(), 2);
         let oracle = ShardedOracle::build(&g, &[0, 2], &MsrpParams::default(), 0);
@@ -783,7 +737,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "disjoint")]
     fn overlapping_shards_are_rejected() {
-        let g = cycle_graph(6);
+        let g = cycle_graph(6).freeze();
         let a = ReplacementPathOracle::build_exact(&g, &[0, 1]);
         let b = ReplacementPathOracle::build_exact(&g, &[1]);
         let _ = ShardedOracle::from_shards(vec![a, b]);
@@ -827,14 +781,9 @@ mod tests {
 
     #[test]
     fn unroutable_and_disconnected_queries_are_distinguished() {
-        let g = msrp_graph::generators::path_graph(6);
-        let service = QueryService::build_and_start(
-            &g,
-            &[0],
-            &MsrpParams::default(),
-            1,
-            &ServiceConfig::default(),
-        );
+        let g = msrp_graph::generators::path_graph(6).freeze();
+        let oracle = ShardedOracle::build(&g, &[0], &MsrpParams::default(), 1);
+        let service = QueryService::start(oracle, &ServiceConfig::default());
         let answers = service.answer_batch(&[
             Query::new(0, 5, Edge::new(2, 3)), // bridge: disconnects
             Query::new(3, 5, Edge::new(2, 3)), // 3 is not a source
@@ -893,7 +842,7 @@ mod tests {
         // Regression: the unweighted `distance` used to forward an unchecked `target` into
         // the tree's `dist[t]` indexing — the same shape as the PR 4 headline panic, which
         // only the weighted twin had the guard for.
-        let g = cycle_graph(9);
+        let g = cycle_graph(9).freeze();
         let oracle = ShardedOracle::build(&g, &[0, 3], &MsrpParams::default(), 2);
         assert_eq!(oracle.distance(0, usize::MAX), None);
         assert_eq!(oracle.distance(0, 9), None);
@@ -950,8 +899,10 @@ mod tests {
     fn weighted_service_answers_match_the_weighted_oracle() {
         let (g, sources) = weighted_demo();
         let reference = msrp_oracle::WeightedReplacementOracle::build(&g, &sources);
-        let service =
-            QueryService::build_and_start_weighted(&g, &sources, 2, &ServiceConfig { workers: 3 });
+        let service = QueryService::start(
+            WeightedShardedOracle::build(&g, &sources, 2),
+            &ServiceConfig { workers: 3 },
+        );
         let edges = g.edge_vec();
         let queries: Vec<Query> = sources
             .iter()
@@ -989,8 +940,10 @@ mod tests {
 
         let (wg, sources) = weighted_demo();
         let reference = msrp_oracle::WeightedReplacementOracle::build(&wg, &sources);
-        let weighted =
-            QueryService::build_and_start_weighted(&wg, &sources, 2, &ServiceConfig { workers: 0 });
+        let weighted = QueryService::start(
+            WeightedShardedOracle::build(&wg, &sources, 2),
+            &ServiceConfig { workers: 0 },
+        );
         assert_eq!(weighted.worker_count(), 0);
         let wqueries: Vec<Query> = sources
             .iter()
@@ -1022,7 +975,7 @@ mod tests {
 
     #[test]
     fn zero_worker_spans_are_journaled_before_answer_batch_returns() {
-        let g = grid_graph(4, 4);
+        let g = grid_graph(4, 4).freeze();
         let obs = ObsConfig {
             journal_capacity: 256,
             slow_query_threshold: Some(Duration::ZERO),

@@ -29,7 +29,7 @@ const SOURCES: [usize; 3] = [0, 16, 32];
 
 fn service_under_test() -> QueryService {
     let mut rng = StdRng::seed_from_u64(71);
-    let g = connected_gnm(N, 120, &mut rng).unwrap();
+    let g = connected_gnm(N, 120, &mut rng).unwrap().freeze();
     QueryService::start(
         ShardedOracle::build(&g, &SOURCES, &MsrpParams::default(), 2),
         &ServiceConfig { workers: 3 },
@@ -157,8 +157,10 @@ fn giant_batch_headers_parse_without_allocation() {
 fn weighted_service_survives_the_same_hostility() {
     let mut rng = StdRng::seed_from_u64(72);
     let g = weighted_connected_gnm(N, 120, 1000, &mut rng).unwrap().freeze();
-    let service =
-        QueryService::build_and_start_weighted(&g, &SOURCES, 2, &ServiceConfig { workers: 2 });
+    let service = QueryService::start(
+        WeightedShardedOracle::build(&g, &SOURCES, 2),
+        &ServiceConfig { workers: 2 },
+    );
     let mut fuzz_rng = StdRng::seed_from_u64(0xBEEF);
     let mut batch = Vec::new();
     for _ in 0..1500 {
@@ -438,7 +440,7 @@ fn bk_built_service_survives_hostility() {
         ShardedOracle::build_bk_csr(&csr, &sources, 2),
         &ServiceConfig { workers: 3 },
     );
-    let reference = msrp_oracle::ReplacementPathOracle::build_exact_csr(&csr, &sources);
+    let reference = msrp_oracle::ReplacementPathOracle::build_exact(&csr, &sources);
 
     // Targeted hostile shapes first: out-of-range ids, non-tree edges, absent edges between
     // components, self-loops (rejected at parse), and queries on isolated vertices.

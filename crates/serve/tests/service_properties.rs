@@ -13,7 +13,9 @@ use msrp_graph::generators::connected_gnm;
 use msrp_graph::{Graph, ShortestPathTree, Vertex, INFINITE_DISTANCE};
 use msrp_oracle::ReplacementPathOracle;
 use msrp_rpath::single_source_brute_force;
-use msrp_serve::{random_queries, run_closed_loop, LoadConfig, Query, QueryService, ServiceConfig};
+use msrp_serve::{
+    random_queries, run_closed_loop, LoadConfig, Query, QueryService, ServiceConfig, ShardedOracle,
+};
 
 /// A random connected instance plus a distinct source set, pinned by `seed`.
 fn random_case(seed: u64) -> (Graph, Vec<Vertex>) {
@@ -37,12 +39,13 @@ fn service_agrees_with_oracle_and_brute_force_on_pinned_seeds() {
     for case in 0..5u64 {
         let (g, sources) = random_case(0xC0FFEE + case);
         let params = MsrpParams::default().with_seed(case);
-        let single = ReplacementPathOracle::build(&g, &sources, &params);
+        let csr = g.freeze();
+        let single = ReplacementPathOracle::build(&csr, &sources, &params);
         let brute: Vec<_> = sources
             .iter()
             .map(|&s| {
-                let tree = ShortestPathTree::build(&g, s);
-                let distances = single_source_brute_force(&g, &tree);
+                let tree = ShortestPathTree::build(&csr, s);
+                let distances = single_source_brute_force(&csr, &tree);
                 (tree, distances)
             })
             .collect();
@@ -50,11 +53,8 @@ fn service_agrees_with_oracle_and_brute_force_on_pinned_seeds() {
         let workload = random_queries(&g, &sources, 300, &mut rng);
 
         for (workers, shards) in [(0usize, 2usize), (1, 1), (2, 2), (4, 3)] {
-            let service = QueryService::build_and_start(
-                &g,
-                &sources,
-                &params,
-                shards,
+            let service = QueryService::start(
+                ShardedOracle::build(&csr, &sources, &params, shards),
                 &ServiceConfig { workers },
             );
             // Split the workload into batches so several jobs are in flight.
@@ -94,11 +94,8 @@ fn answers_and_checksums_are_invariant_across_worker_and_shard_counts() {
     let load = LoadConfig { clients: 3, batches_per_client: 6, batch_size: 16, seed: 99 };
     let mut checksums = Vec::new();
     for (workers, shards) in [(0usize, 2usize), (1, 1), (1, 3), (3, 1), (4, 2)] {
-        let service = QueryService::build_and_start(
-            &g,
-            &sources,
-            &params,
-            shards,
+        let service = QueryService::start(
+            ShardedOracle::build(&g.freeze(), &sources, &params, shards),
             &ServiceConfig { workers },
         );
         let report = run_closed_loop(&service, &g, &load);
@@ -118,11 +115,8 @@ fn answers_and_checksums_are_invariant_across_worker_and_shard_counts() {
 fn non_source_queries_are_unroutable_everywhere() {
     let (g, sources) = random_case(0xBADCAFE);
     let non_source = (0..g.vertex_count()).find(|v| !sources.contains(v)).unwrap();
-    let service = QueryService::build_and_start(
-        &g,
-        &sources,
-        &MsrpParams::default(),
-        2,
+    let service = QueryService::start(
+        ShardedOracle::build(&g.freeze(), &sources, &MsrpParams::default(), 2),
         &ServiceConfig { workers: 2 },
     );
     let e = g.edge_vec()[0];

@@ -1263,7 +1263,8 @@ mod tests {
     use msrp_oracle::{ReplacementPathOracle, WeightedReplacementOracle};
 
     fn demo_shards(g: &Graph, splits: &[&[Vertex]]) -> Vec<ReplacementPathOracle> {
-        splits.iter().map(|s| ReplacementPathOracle::build_exact(g, s)).collect()
+        let g = g.freeze();
+        splits.iter().map(|s| ReplacementPathOracle::build_exact(&g, s)).collect()
     }
 
     #[test]

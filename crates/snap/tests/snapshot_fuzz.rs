@@ -55,10 +55,10 @@ fn spread_sources(n: usize, sigma: usize) -> Vec<usize> {
 /// bit-identical, and BK is what production serving uses).
 fn reference_snapshot() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(101);
-    let g = connected_gnm(48, 120, &mut rng).unwrap();
+    let g = connected_gnm(48, 120, &mut rng).unwrap().freeze();
     let sources = spread_sources(48, 4);
     let shards = build_bk_shards(&g, &sources, 2);
-    encode_snapshot(&g.freeze(), &shards)
+    encode_snapshot(&g, &shards)
 }
 
 /// The weighted reference snapshot: exact shards `[..2]` / `[2..]` over a seeded weighted
@@ -78,9 +78,9 @@ fn weighted_reference_snapshot() -> Vec<u8> {
 /// shards.
 fn multi_shard_snapshot() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(404);
-    let g = connected_gnm(96, 256, &mut rng).unwrap();
+    let g = connected_gnm(96, 256, &mut rng).unwrap().freeze();
     let sources = spread_sources(96, 64);
-    encode_snapshot(&g.freeze(), &build_bk_shards(&g, &sources, 4))
+    encode_snapshot(&g, &build_bk_shards(&g, &sources, 4))
 }
 
 /// The weighted twin of [`multi_shard_snapshot`]: σ = 64 exact-built sources over n = 80
@@ -138,15 +138,15 @@ fn every_family_boots_bit_identical_from_its_snapshot() {
     for (name, g) in families() {
         let n = g.vertex_count();
         let sources = spread_sources(n, 3);
-        let shards = build_bk_shards(&g, &sources, 2);
         let frozen = g.freeze();
+        let shards = build_bk_shards(&frozen, &sources, 2);
         let bytes = encode_snapshot(&frozen, &shards);
         let snap = decode_snapshot::<Hop>(&bytes).unwrap_or_else(|e| panic!("family {name}: {e}"));
         assert_eq!(snap.graph, frozen, "family {name}: graph must round-trip");
         assert_same_tables(&snap.shards, &shards);
         // Exact-built tables equal BK-built tables, so the booted oracle also answers
         // what a from-scratch exact build answers — the full serving-equality claim.
-        let exact = ReplacementPathOracle::build_exact(&g, &sources);
+        let exact = ReplacementPathOracle::build_exact(&frozen, &sources);
         let merged = ReplacementPathOracle::from_shards(snap.shards);
         assert_eq!(merged.per_source(), exact.per_source(), "family {name}");
         // And one canonical serialization: re-encoding reproduces the bytes.
@@ -402,12 +402,11 @@ fn sixty_four_one_source_shards_round_trip() {
     // More shards than decode workers: the decoder runs one worker per core, not per
     // shard, so on a multi-core machine each chunk spans many one-source shards.
     let mut rng = StdRng::seed_from_u64(606);
-    let g = connected_gnm(70, 160, &mut rng).unwrap();
+    let frozen = connected_gnm(70, 160, &mut rng).unwrap().freeze();
     let shards: Vec<ReplacementPathOracle> = spread_sources(70, 64)
         .into_iter()
-        .map(|s| ReplacementPathOracle::build_exact(&g, &[s]))
+        .map(|s| ReplacementPathOracle::build_exact(&frozen, &[s]))
         .collect();
-    let frozen = g.freeze();
     let bytes = encode_snapshot(&frozen, &shards);
     let snap = decode_snapshot::<Hop>(&bytes).expect("64-shard round trip");
     assert_eq!(snap.graph, frozen);
@@ -632,9 +631,9 @@ fn parent_word_lies_fail_closed() {
     // Hop metric: the connected reference snapshot, then a disconnected family so the
     // unreachable-vertex lie has a target.
     let mut rng = StdRng::seed_from_u64(303);
-    let disconnected = gnm(40, 28, &mut rng).unwrap();
+    let disconnected = gnm(40, 28, &mut rng).unwrap().freeze();
     let disconnected_bytes =
-        encode_snapshot(&disconnected.freeze(), &build_bk_shards(&disconnected, &[0, 13, 26], 2));
+        encode_snapshot(&disconnected, &build_bk_shards(&disconnected, &[0, 13, 26], 2));
     for (name, bytes) in [("gnm", reference_snapshot()), ("gnm-disconnected", disconnected_bytes)] {
         let snap = decode_snapshot::<Hop>(&bytes).expect("pristine decode");
         let n = snap.graph.vertex_count();

@@ -5,14 +5,14 @@
 
 use msrp::core::{solve_msrp, solve_ssrp, MsrpParams};
 use msrp::graph::generators::connected_gnm;
-use msrp::graph::{Graph, INFINITE_DISTANCE};
+use msrp::graph::INFINITE_DISTANCE;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
     // A reproducible sparse random network with 64 routers and 160 links.
     let mut rng = StdRng::seed_from_u64(2020);
-    let g: Graph = connected_gnm(64, 160, &mut rng).expect("valid generator parameters");
+    let g = connected_gnm(64, 160, &mut rng).expect("valid generator parameters").freeze();
     println!(
         "network: {} vertices, {} edges, average degree {:.2}",
         g.vertex_count(),

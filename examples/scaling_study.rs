@@ -29,7 +29,7 @@ fn main() {
     );
     for &n in &[128usize, 256, 512, 1024] {
         let mut rng = StdRng::seed_from_u64(n as u64);
-        let g = connected_gnm(n, 4 * n, &mut rng).expect("valid parameters");
+        let g = connected_gnm(n, 4 * n, &mut rng).expect("valid parameters").freeze();
         let tree = ShortestPathTree::build(&g, 0);
         let t_brute = seconds(|| {
             let _ = single_source_brute_force(&g, &tree);
@@ -53,7 +53,7 @@ fn main() {
     println!("\n--- multiple sources, n = 256, m = 1024 ---");
     println!("{:>6} {:>18} {:>22}", "sigma", "paper MSRP (s)", "per-source brute (s)");
     let mut rng = StdRng::seed_from_u64(7);
-    let g = connected_gnm(256, 1024, &mut rng).expect("valid parameters");
+    let g = connected_gnm(256, 1024, &mut rng).expect("valid parameters").freeze();
     for &sigma in &[1usize, 2, 4, 8, 16] {
         let sources: Vec<usize> = (0..sigma).map(|i| i * 256 / sigma).collect();
         let t_paper = seconds(|| {

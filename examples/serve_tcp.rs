@@ -164,7 +164,7 @@ fn check_metric(
 /// local single-threaded oracle, print what happened, and stop the server.
 fn run_client(addr: &str) {
     let g = demo_graph();
-    let reference = ReplacementPathOracle::build(&g, &SOURCES, &MsrpParams::default());
+    let reference = ReplacementPathOracle::build(&g.freeze(), &SOURCES, &MsrpParams::default());
     let queries = random_queries(&g, &SOURCES, 64, &mut StdRng::seed_from_u64(7));
     let wg = weighted_demo_graph();
     let wreference = WeightedReplacementOracle::build(&wg, &WSOURCES);

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(7);
-    let g = connected_gnm(80, 140, &mut rng).expect("valid generator parameters");
+    let g = connected_gnm(80, 140, &mut rng).expect("valid generator parameters").freeze();
     let gateways = [0usize, 40];
     let oracle = ReplacementPathOracle::build(&g, &gateways, &MsrpParams::default());
 

@@ -19,7 +19,7 @@
 //! use msrp::core::{solve_ssrp, MsrpParams};
 //! use msrp::graph::generators::cycle_graph;
 //!
-//! let g = cycle_graph(8);
+//! let g = cycle_graph(8).freeze();
 //! let out = solve_ssrp(&g, 0, &MsrpParams::default());
 //! // Avoiding the first edge of the canonical path from 0 to 2 forces the long way round.
 //! assert_eq!(out.distances.get(2, 0), Some(6));

@@ -62,7 +62,7 @@ fn simulation_answers_are_consistent_on_every_family() {
 #[test]
 fn vickrey_prices_are_consistent_with_oracle_distances() {
     let mut rng = StdRng::seed_from_u64(4);
-    let g = connected_gnm(30, 70, &mut rng).unwrap();
+    let g = connected_gnm(30, 70, &mut rng).unwrap().freeze();
     let oracle = ReplacementPathOracle::build(&g, &[0], &MsrpParams::default());
     for t in 1..g.vertex_count() {
         let base = oracle.distance(0, t).unwrap();
@@ -82,7 +82,7 @@ fn vickrey_prices_are_consistent_with_oracle_distances() {
 
 #[test]
 fn oracle_entry_counts_scale_with_sources() {
-    let g = grid_graph(5, 5);
+    let g = grid_graph(5, 5).freeze();
     let one = ReplacementPathOracle::build(&g, &[0], &MsrpParams::default());
     let three = ReplacementPathOracle::build(&g, &[0, 12, 24], &MsrpParams::default());
     assert!(three.entry_count() > one.entry_count());

@@ -31,6 +31,7 @@ fn ssrp_is_exact_on_a_suite_of_graph_families() {
         ("geometric", random_geometric(60, 0.25, true, &mut rng)),
     ];
     for (name, g) in graphs {
+        let g = g.freeze();
         let out = solve_ssrp(&g, 0, &params);
         let report = verify_ssrp(&g, &out);
         assert!(report.is_exact(), "{name}: {:?}", report.mismatches.first());
@@ -40,7 +41,7 @@ fn ssrp_is_exact_on_a_suite_of_graph_families() {
 #[test]
 fn msrp_is_exact_across_sigma_values() {
     let mut rng = StdRng::seed_from_u64(2);
-    let g = connected_gnm(48, 120, &mut rng).unwrap();
+    let g = connected_gnm(48, 120, &mut rng).unwrap().freeze();
     for sigma in [1usize, 2, 4, 8, 16, 48] {
         let sources = sources_for(48, sigma);
         let out = solve_msrp(&g, &sources, &MsrpParams::default());
@@ -54,7 +55,7 @@ fn msrp_is_exact_across_sigma_values() {
 #[test]
 fn all_algorithms_agree_with_each_other() {
     let mut rng = StdRng::seed_from_u64(3);
-    let g = connected_gnm(40, 100, &mut rng).unwrap();
+    let g = connected_gnm(40, 100, &mut rng).unwrap().freeze();
     let tree = ShortestPathTree::build(&g, 7);
     let brute = single_source_brute_force(&g, &tree);
     let classical = single_source_via_single_pair(&g, &tree);
@@ -69,7 +70,7 @@ fn all_algorithms_agree_with_each_other() {
 fn path_cover_and_exact_strategies_agree() {
     let mut rng = StdRng::seed_from_u64(4);
     for trial in 0..3u64 {
-        let g = connected_gnm(32, 80, &mut rng).unwrap();
+        let g = connected_gnm(32, 80, &mut rng).unwrap().freeze();
         let sources = sources_for(32, 4);
         let pc = solve_msrp(&g, &sources, &MsrpParams::default().with_seed(trial));
         let ex = solve_msrp(
@@ -88,7 +89,7 @@ fn oracle_round_trip_through_the_full_stack() {
     let mut rng = StdRng::seed_from_u64(5);
     let g = connected_gnm(36, 90, &mut rng).unwrap();
     let sources = sources_for(36, 3);
-    let oracle = ReplacementPathOracle::build(&g, &sources, &MsrpParams::default());
+    let oracle = ReplacementPathOracle::build(&g.freeze(), &sources, &MsrpParams::default());
     let flat = oracle.flatten();
     for &s in &sources {
         for t in 0..g.vertex_count() {
@@ -117,7 +118,7 @@ fn disconnected_graphs_are_handled_throughout() {
     // Two components: a cycle and a path; sources in both.
     let mut edges = vec![(0, 1), (1, 2), (2, 3), (3, 0)];
     edges.extend_from_slice(&[(4, 5), (5, 6)]);
-    let g = Graph::from_edges(7, &edges).unwrap();
+    let g = Graph::from_edges(7, &edges).unwrap().freeze();
     let out = solve_msrp(&g, &[0, 4], &MsrpParams::default());
     let reports = verify_msrp(&g, &out);
     let (good, total) = exactness(&reports);
@@ -129,7 +130,7 @@ fn disconnected_graphs_are_handled_throughout() {
 #[test]
 fn outputs_are_reproducible_across_runs() {
     let mut rng = StdRng::seed_from_u64(6);
-    let g = connected_gnm(50, 130, &mut rng).unwrap();
+    let g = connected_gnm(50, 130, &mut rng).unwrap().freeze();
     let sources = sources_for(50, 5);
     let params = MsrpParams::default().with_seed(77);
     let a = solve_msrp(&g, &sources, &params);

@@ -6,7 +6,7 @@
 //! to rely on `proptest`, whose default configuration reruns with fresh entropy).
 
 use msrp::core::{solve_msrp, solve_ssrp, MsrpParams};
-use msrp::graph::{Graph, ShortestPathTree, INFINITE_DISTANCE};
+use msrp::graph::{CsrGraph, Graph, ShortestPathTree, INFINITE_DISTANCE};
 use msrp::rpath::{compare, single_source_brute_force, single_source_via_single_pair};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,7 +15,7 @@ const CASES: usize = 24;
 
 /// A connected graph with `n ∈ [4, 28)` vertices built from a random spanning tree plus
 /// random extra edges, together with a vertex index usable as a source.
-fn connected_graph(rng: &mut StdRng) -> (Graph, usize) {
+fn connected_graph(rng: &mut StdRng) -> (CsrGraph, usize) {
     let n = rng.gen_range(4usize..28);
     let mut g = Graph::new(n);
     for child in 1..n {
@@ -30,7 +30,7 @@ fn connected_graph(rng: &mut StdRng) -> (Graph, usize) {
         }
     }
     let source = rng.gen_range(0..n);
-    (g, source)
+    (g.freeze(), source)
 }
 
 #[test]

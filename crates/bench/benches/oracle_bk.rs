@@ -37,6 +37,7 @@ fn bench_build(c: &mut Criterion) {
         {
             let bk = ReplacementPathOracle::build_bk(&csr, &sources);
             let exact = ReplacementPathOracle::build_exact(&csr, &sources);
+            assert_eq!(bk.trees(), exact.trees(), "n={n}");
             assert_eq!(bk.per_source(), exact.per_source(), "n={n}");
         }
         group.bench_with_input(BenchmarkId::new("build_exact_per_edge_bfs", n), &n, |b, _| {
@@ -66,6 +67,7 @@ fn bench_queries(c: &mut Criterion) {
     let oracle = ReplacementPathOracle::build_bk(&csr, &sources);
     {
         let exact = ReplacementPathOracle::build_exact(&csr, &sources);
+        assert_eq!(oracle.trees(), exact.trees());
         assert_eq!(oracle.per_source(), exact.per_source());
     }
     let mut rng = StdRng::seed_from_u64(5);

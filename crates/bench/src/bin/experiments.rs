@@ -26,8 +26,8 @@ use msrp_core::{
     MsrpParams, SourceToLandmarkStrategy,
 };
 use msrp_graph::{
-    bfs_avoiding_edge, bfs_trees_wave, BfsScratch, DijkstraScratch, Graph, MultiBfsScratch,
-    ShortestPathTree, WAVE_LANES,
+    bfs_trees_wave, BfsScratch, DijkstraScratch, Graph, MultiBfsScratch, ShortestPathTree,
+    WAVE_LANES,
 };
 use msrp_netsim::{
     run_churn, run_simulation, run_simulation_with_service, ChurnConfig, SimulationConfig,
@@ -309,10 +309,12 @@ fn experiment_e5(quick: bool) {
             }
             acc
         });
+        let mut bfs = BfsScratch::new();
         let (_, bfs_time) = time_secs(|| {
             let mut acc = 0u64;
             for &(s, t, e) in queries.iter().take(200) {
-                acc = acc.wrapping_add(bfs_avoiding_edge(&g, s, e).dist[t] as u64);
+                bfs.run_avoiding(&csr, s, e);
+                acc = acc.wrapping_add(bfs.dist()[t] as u64);
             }
             acc
         });
@@ -538,7 +540,7 @@ fn experiment_e10(quick: bool) {
             let (bk, bk_secs) = time_secs(|| ReplacementPathOracle::build_bk(&g, &sources));
             let (exact, exact_secs) =
                 time_secs(|| ReplacementPathOracle::build_exact(&g, &sources));
-            let all_equal = bk.per_source() == exact.per_source();
+            let all_equal = bk.trees() == exact.trees() && bk.per_source() == exact.per_source();
             table.add_row([
                 kind.label().to_string(),
                 g.vertex_count().to_string(),

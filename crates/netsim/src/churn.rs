@@ -264,9 +264,9 @@ pub fn run_churn(g0: &Graph, config: &ChurnConfig) -> ChurnReport {
             full_rebuild_time += full_at.elapsed();
             let current = service.oracle().current();
             for (inc_shard, full_shard) in current.oracle.shards().iter().zip(full.shards()) {
-                assert_eq!(
-                    inc_shard.per_source(),
-                    full_shard.per_source(),
+                assert!(
+                    inc_shard.trees() == full_shard.trees()
+                        && inc_shard.per_source() == full_shard.per_source(),
                     "incremental rebuild diverged from the from-scratch build"
                 );
             }

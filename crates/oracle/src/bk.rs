@@ -492,6 +492,7 @@ mod tests {
         let sources = [0usize, 9, 20];
         let bk = ReplacementPathOracle::build_bk(&g, &sources);
         let exact = ReplacementPathOracle::build_exact(&g, &sources);
+        assert_eq!(bk.trees(), exact.trees());
         assert_eq!(bk.per_source(), exact.per_source());
         for &s in &sources {
             for t in 0..g.vertex_count() {
@@ -528,6 +529,7 @@ mod tests {
             let shards = build_bk_shards(&g, &sources, threads);
             let merged = ReplacementPathOracle::from_shards(shards);
             assert_eq!(merged.sources(), &sources);
+            assert_eq!(merged.trees(), whole.trees(), "threads={threads}");
             assert_eq!(merged.per_source(), whole.per_source(), "threads={threads}");
         }
     }
@@ -541,6 +543,7 @@ mod tests {
         let plain = ReplacementPathOracle::build_bk(&csr, &sources);
         let mut profile = StageProfile::new();
         let profiled = ReplacementPathOracle::build_bk_csr_profiled(&csr, &sources, &mut profile);
+        assert_eq!(plain.trees(), profiled.trees());
         assert_eq!(plain.per_source(), profiled.per_source());
         // Trees are batched into 64-way waves (one timed call covers all four sources
         // here); every other stage fires once per source — "cuts" times a source's whole

@@ -232,13 +232,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Row-for-row equality with a from-scratch build: the oracle's entire answer state.
+    /// Tree-for-tree and row-for-row equality with a from-scratch build: the oracle's
+    /// entire answer state.
     fn assert_equals_scratch_build(inc: &ReplacementPathOracle, g: &CsrGraph) {
         let full = ReplacementPathOracle::build_bk(g, inc.sources());
+        assert_eq!(inc.trees(), full.trees());
         assert_eq!(inc.per_source(), full.per_source());
-        for (a, b) in inc.trees.iter().zip(&full.trees) {
-            assert!(same_forest(a, b), "trees diverged for source {}", a.source());
-        }
     }
 
     /// Toggles `e` in `g`: removes it when present, adds it when absent.
@@ -361,6 +360,7 @@ mod tests {
         toggle(&mut g, bridge);
         let (repaired, _) = broken.rebuild_bk(&g.freeze(), bridge);
         assert_equals_scratch_build(&repaired, &g.freeze());
+        assert_eq!(repaired.trees(), oracle0.trees(), "repair restores the trees");
         assert_eq!(repaired.per_source(), oracle0.per_source(), "repair restores the tables");
     }
 

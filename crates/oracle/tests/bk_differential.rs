@@ -5,8 +5,8 @@
 //! answers, for every source-set size σ ∈ {1, ⌈√n⌉, n/4}.
 //!
 //! Everything is seed-pinned (`DESIGN.md`, "Determinism policy"): a failure reproduces
-//! exactly, and the asserted equalities are table equality (`==` on
-//! [`SourceReplacementDistances`]), not sampled spot checks. A second layer re-checks the
+//! exactly, and the asserted equalities are tree and table equality (`==` on the trees and
+//! on [`SourceReplacementDistances`]), not sampled spot checks. A second layer re-checks the
 //! query surface itself (on-path, off-path, non-tree and disconnecting edges) so a future
 //! change to the query algebra cannot pass on table equality alone.
 
@@ -50,7 +50,8 @@ fn differential_battery(name: &str, g: &Graph, seed: u64) {
         let sources = seeded_sources(n, sigma, seed ^ (i as u64).wrapping_mul(0x9E37));
         let bk = ReplacementPathOracle::build_bk(&csr, &sources);
         let exact = ReplacementPathOracle::build_exact(&csr, &sources);
-        // Layer 1: the whole answer state, row for row, bit for bit.
+        // Layer 1: the whole answer state, tree for tree and row for row, bit for bit.
+        assert_eq!(bk.trees(), exact.trees(), "{name}: sigma={sigma}");
         assert_eq!(bk.per_source(), exact.per_source(), "{name}: sigma={sigma}");
         assert_eq!(bk.entry_count(), exact.entry_count(), "{name}: sigma={sigma}");
         // Layer 2: an independent derivation of the same rows (fresh trees, fresh scratch),
@@ -64,6 +65,7 @@ fn differential_battery(name: &str, g: &Graph, seed: u64) {
                 brute,
                 "{name}: sigma={sigma} s={s}"
             );
+            assert_eq!(&bk.trees()[idx], &tree, "{name}: sigma={sigma} s={s}");
             assert_eq!(&bk.per_source()[idx], &brute, "{name}: sigma={sigma} s={s}");
         }
         // Layer 3: the query surface. Every edge (tree or not, on the canonical path or
@@ -222,9 +224,23 @@ fn bk_sharded_parallel_builds_stay_bit_identical() {
         let merged = ReplacementPathOracle::from_shards(msrp_oracle::build_bk_shards(
             &csr, &sources, threads,
         ));
+        assert_eq!(merged.trees(), whole.trees(), "threads={threads}");
         assert_eq!(merged.per_source(), whole.per_source(), "threads={threads}");
         assert_eq!(merged.sources(), whole.sources());
     }
+}
+
+#[test]
+fn bk_equals_exact_at_the_serving_benchmark_shape() {
+    // The benchmark's graph shape (n = 2048, m = 4n sparse random), far above the
+    // batteries' sizes: deep cuts, wide frontiers and long seed spreads all occur here.
+    let mut rng = StdRng::seed_from_u64(2048);
+    let csr = connected_gnm(2048, 8192, &mut rng).unwrap().freeze();
+    let sources: Vec<Vertex> = (0..4).map(|i| i * 512).collect();
+    let bk = ReplacementPathOracle::build_bk(&csr, &sources);
+    let exact = ReplacementPathOracle::build_exact(&csr, &sources);
+    assert_eq!(bk.trees(), exact.trees());
+    assert_eq!(bk.per_source(), exact.per_source());
 }
 
 #[test]

@@ -8,8 +8,8 @@
 //! Each topology runs under three weightings: weights drawn from {0, 1, 2} (zero-weight
 //! edges and many distance ties), all weights equal (many shortest paths of equal length),
 //! and uniform weights in 1..=1000 (the benchmark's distribution). Everything is
-//! seed-pinned, and every asserted equality is table equality (`==` on
-//! [`WeightedReplacementDistances`]), not a sampled spot check.
+//! seed-pinned, and every asserted equality is tree and table equality (`==` on the trees
+//! and on [`WeightedReplacementDistances`]), not a sampled spot check.
 
 use msrp_graph::generators::{
     barabasi_albert, connected_gnm, cycle_graph, gnm, grid_graph, star_graph,
@@ -48,21 +48,20 @@ fn weightings(g: &Graph, seed: u64) -> Vec<(&'static str, WeightedGraph)> {
     vec![("weights{0,1,2}", ties), ("weights=7", equal), ("weights1..=1000", uniform)]
 }
 
-/// Rows from fresh trees and a fresh scratch: an independent derivation, so an equality
-/// against it cannot be satisfied by a bug the oracle's two routes share.
-fn brute_force_rows(g: &WeightedGraph, sources: &[Vertex]) -> Vec<WeightedReplacementDistances> {
+/// Fresh trees and their rows from a fresh scratch: an independent derivation, so an
+/// equality against it cannot be satisfied by a bug the oracle's two routes share.
+fn brute_force(
+    g: &WeightedGraph,
+    sources: &[Vertex],
+) -> (Vec<WeightedTree>, Vec<WeightedReplacementDistances>) {
     let csr = g.freeze();
     let mut scratch = DijkstraScratch::new();
-    sources
+    let trees: Vec<_> = sources.iter().map(|&s| WeightedTree::build(&csr, s)).collect();
+    let rows = trees
         .iter()
-        .map(|&s| {
-            single_source_brute_force_weighted_with_scratch(
-                &csr,
-                &WeightedTree::build(&csr, s),
-                &mut scratch,
-            )
-        })
-        .collect()
+        .map(|t| single_source_brute_force_weighted_with_scratch(&csr, t, &mut scratch))
+        .collect();
+    (trees, rows)
 }
 
 /// The battery: for every weighting and every σ in the ladder, solver rows == brute-force
@@ -78,15 +77,20 @@ fn differential_battery(name: &str, topology: &Graph, seed: u64) {
             let sources = seeded_sources(n, sigma, seed ^ (i as u64).wrapping_mul(0x9E37));
             let solved = WeightedReplacementOracle::build(&csr, &sources);
             let exact = WeightedReplacementOracle::build_exact(&csr, &sources);
-            // Layer 1: the whole answer state, row for row, bit for bit.
+            // Layer 1: the whole answer state, tree for tree and row for row, bit for bit.
+            // Row shapes are hop depths, so equal rows alone do not pin the trees' weights.
+            let (trees, rows) = brute_force(&g, &sources);
+            assert_eq!(solved.trees(), exact.trees(), "{at}");
+            assert_eq!(solved.trees(), &trees[..], "{at}");
             assert_eq!(solved.per_source(), exact.per_source(), "{at}");
-            assert_eq!(solved.per_source(), &brute_force_rows(&g, &sources)[..], "{at}");
+            assert_eq!(solved.per_source(), &rows[..], "{at}");
             // Layer 2: shards merged back in order equal the unsharded build.
             for threads in [0, 1, 2, sigma + 3] {
                 let merged = WeightedReplacementOracle::from_shards(build_weighted_shards(
                     &csr, &sources, threads,
                 ));
                 assert_eq!(merged.sources(), &sources[..], "{at} threads={threads}");
+                assert_eq!(merged.trees(), solved.trees(), "{at} threads={threads}");
                 assert_eq!(merged.per_source(), solved.per_source(), "{at} threads={threads}");
             }
             // Layer 3: the query surface, every kind of edge against a slice of targets.

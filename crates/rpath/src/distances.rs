@@ -16,11 +16,10 @@ use crate::rows::FlatRows;
 /// *on* the `st` path, and the total output size is `Θ(Σ_t depth(t))`, which is the source of
 /// the `σ n²` term in the paper's running time. All rows are stored back to back in one
 /// buffer, cut by the prefix sum of the row lengths, so reading an entry touches no per-row
-/// allocation.
+/// allocation. Fault-free distances are the tree's: `distance_avoiding` takes the tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplacementDistances<M: Metric> {
     source: Vertex,
-    base: Vec<M::Dist>,
     rows: FlatRows<M::Dist>,
 }
 
@@ -36,7 +35,6 @@ impl<M: Metric> ReplacementDistances<M> {
     pub fn new(tree: &CanonicalTree<M>) -> Self {
         ReplacementDistances {
             source: tree.source(),
-            base: tree.distances().to_vec(),
             rows: FlatRows::filled(tree.vertex_count(), |t| tree.depth(t), M::INFINITY),
         }
     }
@@ -54,7 +52,6 @@ impl<M: Metric> ReplacementDistances<M> {
     pub fn from_flat_rows(tree: &CanonicalTree<M>, flat: Vec<M::Dist>) -> Self {
         ReplacementDistances {
             source: tree.source(),
-            base: tree.distances().to_vec(),
             rows: FlatRows::from_flat(tree.vertex_count(), |t| tree.depth(t), flat),
         }
     }
@@ -67,12 +64,6 @@ impl<M: Metric> ReplacementDistances<M> {
     /// Number of vertices in the underlying graph.
     pub fn vertex_count(&self) -> usize {
         self.rows.row_count()
-    }
-
-    /// The ordinary (no-failure) distance from the source to `t`, if `t` is reachable.
-    pub fn base_distance(&self, t: Vertex) -> Option<M::Dist> {
-        let d = self.base[t];
-        (d != M::INFINITY).then_some(d)
     }
 
     /// The replacement distance avoiding the `i`-th edge of the canonical path to `t`.
@@ -114,11 +105,12 @@ impl<M: Metric> ReplacementDistances<M> {
 
     /// Replacement distance for an arbitrary edge: if `e` lies on the canonical path to `t` the
     /// stored entry is returned, otherwise the failure does not affect the canonical path and
-    /// the ordinary distance is returned. This is the query the fault-tolerant oracles expose.
+    /// the tree's distance is returned. This is the query the fault-tolerant oracles expose;
+    /// `tree` must be the one the table was built over.
     pub fn distance_avoiding(&self, tree: &CanonicalTree<M>, t: Vertex, e: Edge) -> M::Dist {
         match tree.edge_position_on_path(t, e) {
             Some(i) => self.rows.row(t)[i],
-            None => self.base[t],
+            None => tree.distance_or_infinite(t),
         }
     }
 
@@ -176,8 +168,8 @@ mod tests {
         let d = SourceReplacementDistances::new(&tree);
         assert!(d.row(2).is_empty());
         assert_eq!(d.get(2, 0), None);
-        assert_eq!(d.base_distance(2), None);
-        assert_eq!(d.base_distance(1), Some(1));
+        assert_eq!(d.distance_avoiding(&tree, 2, Edge::new(0, 1)), INFINITE_DISTANCE);
+        assert_eq!(d.distance_avoiding(&tree, 1, Edge::new(2, 3)), 1);
     }
 
     #[test]

@@ -213,7 +213,7 @@ mod tests {
         let mut d = WeightedReplacementDistances::new(&tree);
         assert_eq!(d.source(), 0);
         assert_eq!(d.vertex_count(), 6);
-        assert_eq!(d.base_distance(2), Some(3));
+        assert_eq!(d.distance_avoiding(&tree, 2, Edge::new(3, 4)), 3);
         assert_eq!(d.get(2, 0), Some(INFINITE_WEIGHT));
         d.set(2, 0, 20);
         assert!(d.relax(2, 0, 18));

@@ -34,8 +34,7 @@
 //! every per-source `dist`, `parent`, `order` and row `Vec` is decoded straight from its
 //! checksum-verified payload sub-slice into the buffer the tree or table adopts, and the
 //! graph's CSR arrays straight into the graph. No flat whole-section copy exists, so a
-//! boot holds the file bytes plus the oracle it is building, nothing more. (Each table
-//! still keeps its own copy of its tree's distances, as on every build path.)
+//! boot holds the file bytes plus the oracle it is building, nothing more.
 //!
 //! The per-source work (decode, validate, adopt; then the rows) runs on scoped workers
 //! over `min(σ, available_parallelism())` contiguous source chunks. No word of the file,
@@ -1068,9 +1067,14 @@ fn decode_with_workers<M: SnapMetric>(
         for (tree, tree_rows) in chunk_trees {
             let start = row_end;
             row_end = row_end.saturating_add(tree_rows);
+            let s = tree.source();
             if row_end > rows.len() as u64 {
-                let s = tree.source();
                 return Err(structure(format!("rows of source {s} overrun their section")));
+            }
+            // A table indexes its rows in `u32`. No test file reaches this: past the gate
+            // above, the ROWS section holds every entry, which here is more than 16 GiB.
+            if tree_rows > u64::from(u32::MAX) {
+                return Err(structure(format!("rows of source {s} exceed u32::MAX entries")));
             }
             row_spans.push(start as usize..row_end as usize);
             trees.push(tree);
@@ -1086,8 +1090,8 @@ fn decode_with_workers<M: SnapMetric>(
         return Err(structure("rows section has trailing entries"));
     }
 
-    // The gate proved each span holds exactly its tree's row total, so the table
-    // constructor's exact-payout panic cannot fire.
+    // The gate proved each span holds exactly its tree's row total, and that the total
+    // fits a `u32`, so neither of the table constructor's panics can fire.
     let mut row_buffers: Vec<Vec<M::Dist>> =
         row_spans.iter().map(|span| Vec::with_capacity(span.len())).collect();
     on_workers(&mut row_buffers, workers, |first, chunk| {
@@ -1277,6 +1281,7 @@ mod tests {
         assert_eq!(decoded.shards.len(), shards.len());
         for (a, b) in decoded.shards.iter().zip(&shards) {
             assert_eq!(a.sources(), b.sources());
+            assert_eq!(a.trees(), b.trees());
             assert_eq!(a.per_source(), b.per_source());
         }
         // And a re-encode is bit-identical: the format has one canonical serialization.
@@ -1290,6 +1295,7 @@ mod tests {
         let bytes = encode_snapshot(&g.freeze(), &shards);
         let decoded = decode_snapshot::<Hop>(&bytes).expect("round trip");
         for (a, b) in decoded.shards.iter().zip(&shards) {
+            assert_eq!(a.trees(), b.trees());
             assert_eq!(a.per_source(), b.per_source());
             for t in 0..9 {
                 assert_eq!(
@@ -1317,6 +1323,7 @@ mod tests {
         assert_eq!(decoded.graph, g);
         for (a, b) in decoded.shards.iter().zip(&shards) {
             assert_eq!(a.sources(), b.sources());
+            assert_eq!(a.trees(), b.trees());
             assert_eq!(a.per_source(), b.per_source());
         }
         assert_eq!(encode_snapshot(&decoded.graph, &decoded.shards), bytes);

@@ -149,6 +149,7 @@ fn every_family_boots_bit_identical_from_its_snapshot() {
         let exact = ReplacementPathOracle::build_exact(&frozen, &sources);
         let merged = ReplacementPathOracle::from_shards(snap.shards);
         assert_eq!(merged.per_source(), exact.per_source(), "family {name}");
+        assert_eq!(merged.trees(), exact.trees(), "family {name}");
         // And one canonical serialization: re-encoding reproduces the bytes.
         assert_eq!(
             encode_snapshot(&snap.graph, &shards),

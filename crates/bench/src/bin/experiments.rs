@@ -935,7 +935,9 @@ fn experiment_e14(quick: bool) {
 /// round trip the snapshot fuzz battery pins), so the speedup column compares two
 /// routes to the same answers. Besides the σ = 2 scaling rows, one serving-shape row
 /// (σ = 512, the `batch_sigma512` benchmark's shape) times a snapshot dominated by
-/// per-source trees and rows, where the decoder's parallel per-source work shows.
+/// per-source trees and rows, where the decoder's parallel per-source work shows. Every
+/// hop file must also match the closed form of its length, so a derivable tree array
+/// written back into the format fails the experiment.
 fn experiment_e15(quick: bool) {
     println!("\n=== E15: snapshot persistence — boot-from-snapshot vs rebuild ===");
     let sizes: &[usize] = if quick { &[512, 1024] } else { &[1 << 12, 1 << 14, 1 << 16] };
@@ -947,6 +949,7 @@ fn experiment_e15(quick: bool) {
         "m",
         "sigma",
         "bytes",
+        "MB",
         "encode (s)",
         "build (s)",
         "boot (s)",
@@ -962,12 +965,21 @@ fn experiment_e15(quick: bool) {
             time_secs(|| ShardedOracle::from_snapshot(&bytes).expect("pristine snapshot"));
         let identical = g2 == g && booted.to_snapshot(&g2) == bytes;
         assert!(identical, "hop n={n} σ={sigma}: the booted oracle must re-encode bit-identically");
+        // A hop file's length: the 40-byte header, a 7-entry section table and META's four
+        // `u64` words, then as `u32` words, each array padded to 8 bytes, the CSR offsets and
+        // targets, the sources, the shard lengths, σ·n tree parents and the row entries.
+        let entries = oracle.shards().iter().map(|s| s.entry_count()).sum();
+        let arrays = [n + 1, 2 * g.edge_count(), sigma, oracle.shard_count(), sigma * n, entries];
+        let padded: usize = arrays.iter().map(|&words| (4 * words).next_multiple_of(8)).sum();
+        let expected = 40 + 32 * 7 + 32 + padded;
+        assert_eq!(bytes.len(), expected, "hop n={n} σ={sigma}: the file holds a derived array");
         table.add_row([
             "hop".to_string(),
             n.to_string(),
             g.edge_count().to_string(),
             sigma.to_string(),
             bytes.len().to_string(),
+            format!("{:.3}", bytes.len() as f64 / 1e6),
             format!("{encode_secs:.4}"),
             format!("{build_secs:.4}"),
             format!("{boot_secs:.4}"),
@@ -992,6 +1004,7 @@ fn experiment_e15(quick: bool) {
         g.edge_count().to_string(),
         sigma.to_string(),
         bytes.len().to_string(),
+        format!("{:.3}", bytes.len() as f64 / 1e6),
         format!("{encode_secs:.4}"),
         format!("{build_secs:.4}"),
         format!("{boot_secs:.4}"),

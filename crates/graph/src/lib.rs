@@ -39,7 +39,6 @@ mod edge;
 mod error;
 mod graph;
 mod metric;
-mod metrics;
 mod multi_bfs;
 mod tree;
 mod weighted;
@@ -56,7 +55,6 @@ pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::{Graph, Vertex};
 pub use metric::{Hop, Metric, Weighted};
-pub use metrics::{diameter_lower_bound, graph_metrics, GraphMetrics};
 pub use multi_bfs::{bfs_trees_wave, MultiBfsScratch, WAVE_LANES};
 pub use tree::{CanonicalTree, ShortestPathTree};
 pub use weighted::{DijkstraScratch, WeightedCsrGraph, WeightedGraph, WeightedTree};

@@ -7,7 +7,7 @@
 //! round-trip halves, [`encode_snapshot`] / [`decode_snapshot`]: one encoder and one decoder,
 //! generic over the metric ([`SnapMetric`]: [`Hop`] or [`Weighted`]), whose per-metric
 //! items are the kind word, the graph arrays, the word width of distances and rows, and
-//! the settle-order key the decoder checks.
+//! which tree arrays are persisted and how a tree is rebuilt and proven from them.
 //!
 //! # Layout
 //!
@@ -17,7 +17,7 @@
 //! ```text
 //! offset  size  field
 //!      0     8  magic "MSRPSNAP"
-//!      8     4  format version (u32, currently 1)
+//!      8     4  format version (u32, currently 2)
 //!     12     4  kind (u32: 0 = hop metric, 1 = weighted)
 //!     16     4  section count k (u32)
 //!     20     4  reserved (0)
@@ -27,36 +27,45 @@
 //!      …     …  section payloads, 8-byte aligned, zero-padded between sections
 //! ```
 //!
-//! The section-table indirection plus the fixed word widths make the format *zero-copy
-//! ready*: a loader may validate the checksums and then reinterpret each payload in place
-//! as a `&[u32]` / `&[u64]` slice. The loader in this crate stays inside the workspace's
-//! `#![forbid(unsafe_code)]` wall, so it copies — but each payload array exactly once:
-//! every per-source `dist`, `parent`, `order` and row `Vec` is decoded straight from its
-//! checksum-verified payload sub-slice into the buffer the tree or table adopts, and the
-//! graph's CSR arrays straight into the graph. No flat whole-section copy exists, so a
-//! boot holds the file bytes plus the oracle it is building, nothing more.
+//! The sections, in file order: META (n, σ, shard count, entry total as `u64`), the graph's
+//! CSR offsets and targets (`u32`), weighted only its edge weights (`u64`), the sources and
+//! the shard lengths (`u32`), then the trees and the rows. A hop file (7 sections) stores
+//! each tree as its σ·n sentinel-encoded `u32` `parent` words only; a weighted file (10
+//! sections) stores `dist` (`u64`), `parent` and the `u32` settle `order` of the reachable
+//! vertices. ROWS holds every source's flat row values (`u32` hop, `u64` weighted).
 //!
-//! The per-source work (decode, validate, adopt; then the rows) runs on scoped workers
-//! over `min(σ, available_parallelism())` contiguous source chunks. No word of the file,
-//! the shard count included, can raise that count, and a worker that cannot be spawned
-//! runs its chunk inline, so a decode never panics for lack of threads. The decoded
-//! buffers (`dist`, `parent`, `order`, rows) are allocated on the calling thread and only
-//! filled by the workers, so they come from one allocator arena and a later boot reuses
-//! their memory; what adoption derives from them (the Euler times and, weighted, the hop
-//! depths) and each worker's scratch are allocated on the worker. Errors are reported in
-//! source order whatever the chunking, so a corrupt file fails with the same
+//! The section-table indirection plus the fixed word widths keep the graph and the rows
+//! *adoptable in place*: a loader may validate the checksums and then reinterpret those
+//! payloads as `&[u32]` / `&[u64]` slices. Hop trees are derived, not adopted. The loader in
+//! this crate stays inside the workspace's `#![forbid(unsafe_code)]` wall, so it copies —
+//! but each payload array exactly once: every per-source tree and row `Vec` is decoded
+//! straight from its checksum-verified payload sub-slice into the buffer the tree or table
+//! adopts, and the graph's CSR arrays straight into the graph. No flat whole-section copy
+//! exists, so a boot holds the file bytes plus the oracle it is building, nothing more.
+//!
+//! The per-source work (decode, derive or validate, adopt; then the rows) runs on scoped
+//! workers over `min(σ, available_parallelism())` contiguous source chunks. No word of the
+//! file, the shard count included, can raise that count, and a worker that cannot be
+//! spawned runs its chunk inline, so a decode never panics for lack of threads. Every tree's
+//! `dist`, `parent` and `order` buffers and every row buffer are allocated on the calling
+//! thread and only filled by the workers, so they come from one allocator arena and a later
+//! boot reuses their memory; what adoption derives from them (the Euler times and, weighted,
+//! the hop depths) and each worker's scratch are allocated on the worker. Errors are
+//! reported in source order whatever the chunking, so a corrupt file fails with the same
 //! [`SnapError`] on every machine.
 //!
-//! What is persisted is deliberately minimal. Trees are stored as the raw buffers they
-//! hold in memory (`dist`, sentinel-encoded `u32` `parent`, `u32` settle `order`), and a
-//! boot adopts each source's validated buffers as they are through
-//! [`CanonicalTree::from_raw`], which only adds the Euler times (and, weighted, the hop
-//! depths); replacement tables are stored as their flat row values only, because the row
+//! What is persisted is deliberately minimal: nothing the decoder can derive from the rest.
+//! A hop tree's `dist` and settle `order` are functions of its parents (`dist[v] =
+//! dist[parent] + 1`, and the BFS queue settles children grouped by their parent's position,
+//! in ascending id), so the decoder rebuilds both. A weighted tree keeps all three arrays:
+//! zero weights are legal, so Dijkstra's settle order is not a function of the parents, and
+//! only the stored `dist` proves a weighted distance. A boot adopts each source's buffers
+//! through [`CanonicalTree::from_raw`], which only adds the Euler times (and, weighted, the
+//! hop depths). Replacement tables are stored as their flat row values only, because the row
 //! *shapes* are a function of the tree (row length = hop depth, which is the hop distance
-//! in the unweighted oracle). The graph is stored
-//! as its raw CSR arrays, which [`CsrGraph::from_raw_parts`] revalidates structurally on
-//! load. The encoder lays the file out from the sizes alone and writes every section
-//! straight into the one output buffer.
+//! in the unweighted oracle). The graph is stored as its raw CSR arrays, which
+//! [`CsrGraph::from_raw_parts`] revalidates structurally on load. The encoder lays the file
+//! out from the sizes alone and writes every section straight into the one output buffer.
 //!
 //! # Fail closed
 //!
@@ -65,21 +74,20 @@
 //! — magic, version, kind, file length, whole-file checksum, section-table bounds (no
 //! overlaps, no duplicates), per-section checksums, then structural validation of every
 //! decoded array. Both checksum layers are computed in one fused pass over the file, and
-//! the whole-file checksum is still reported ahead of any table or section error. For each
-//! tree that last rung proves the root settles first, the settle order names exactly the
-//! reachable vertices and settles every parent before its child (hop: in BFS queue order;
-//! weighted: in non-decreasing distance), unreachable vertices have no parent, and every
-//! reachable non-root vertex hangs off its parent by a graph edge with
-//! `dist[parent] + len(edge) == dist[vertex]`. A parent word that lies (a grandparent,
-//! the vertex itself, a non-neighbour, `NO_PARENT` on a reachable vertex, a parent on an
-//! unreachable one) fails here instead of answering wrongly or looping in a path walk.
-//! Like row values, the choice among equally short parents that keeps the settle order
-//! consistent is content only the checksums guard: proving the first-settled parent would
-//! scan every CSR row once per source, as much work as the rest of the decode. All this
-//! holds so that by the time [`ReplacementOracle::from_parts`] (which asserts) is
-//! called, its preconditions are already proven. The corruption fuzz battery in
-//! `tests/snapshot_fuzz.rs` pins this: every seeded bit flip, truncation, section-offset
-//! lie, and version bump must either round-trip bit-identically or fail closed here.
+//! the whole-file checksum is still reported ahead of any table or section error.
+//!
+//! For each tree that last rung proves the parent words — the root has none, every other
+//! one names a graph neighbour of its child — and then derives a hop tree
+//! (`derive_bfs_tree`; the row-total gate proves its depths) or checks a weighted tree's
+//! stored `dist` and settle order (`validate_dijkstra_tree`). A lied parent word (a
+//! grandparent, the vertex itself, a non-neighbour, a deeper neighbour, a cycle, `NO_PARENT`
+//! on a reachable vertex, a parent on an unreachable one) fails here instead of answering
+//! wrongly or looping in a path walk. Like row values, the choice among equally short
+//! parents is content only the checksums guard: proving the first-settled parent would scan
+//! every CSR row once per source, as much work as the rest of the decode. So by the time
+//! [`ReplacementOracle::from_parts`] (which asserts) is called, its preconditions are
+//! proven. `tests/snapshot_fuzz.rs` pins this: every seeded bit flip, truncation,
+//! section-offset lie, and version bump must round-trip bit-identically or fail closed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,18 +101,19 @@ use std::sync::Mutex;
 use std::thread;
 
 use msrp_graph::{
-    CanonicalTree, CsrGraph, GraphError, Hop, Metric, Vertex, Weighted, WeightedCsrGraph, NO_PARENT,
+    CanonicalTree, CsrGraph, GraphError, Hop, Metric, Vertex, Weighted, WeightedCsrGraph,
+    INFINITE_DISTANCE, INFINITE_WEIGHT, NO_PARENT,
 };
 use msrp_oracle::ReplacementOracle;
 use msrp_rpath::ReplacementDistances;
 
-use codec::{Codec, Envelope, GraphArrays, Word};
+use codec::{Codec, Envelope, GraphArrays, TreeBuffers, Word, Words};
 
 /// The 8-byte file magic.
 pub const SNAP_MAGIC: [u8; 8] = *b"MSRPSNAP";
 /// The current (and only supported) format version. Bump on any layout change: decoding
 /// is exact-match, never "best effort" across versions.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 
 /// Byte offset of the whole-file checksum field (excluded from its own computation).
 const FILE_CHECKSUM_OFFSET: usize = 32;
@@ -113,7 +122,8 @@ const HEADER_BYTES: usize = 40;
 /// Size of one section-table entry in bytes.
 const TABLE_ENTRY_BYTES: usize = 32;
 
-// Section ids. The weighted kind reuses the tree/row ids with wider words.
+// Section ids. Hop files hold no GRAPH_WEIGHTS, TREE_DIST or TREE_ORDER section; the
+// weighted kind stores distances and rows in wider words.
 const SEC_META: u32 = 1;
 const SEC_GRAPH_OFFSETS: u32 = 2;
 const SEC_GRAPH_TARGETS: u32 = 3;
@@ -464,9 +474,9 @@ impl FileWriter {
 /// the exact and the Bernstein–Karger construction routes produce hop tables; the snapshot
 /// does not care which one paid for them.
 ///
-/// Every section size follows from σ, n, the graph arrays, the settle-order lengths and
-/// the entry count, so the file is laid out first and each array is then written once,
-/// straight into its place in the returned buffer.
+/// Every section size follows from σ, n, the graph arrays, the settle-order lengths
+/// (weighted only) and the entry count, so the file is laid out first and each array is
+/// then written once, straight into its place in the returned buffer.
 ///
 /// # Panics
 ///
@@ -490,6 +500,11 @@ pub fn encode_snapshot<M: SnapMetric>(g: &M::Graph, shards: &[ReplacementOracle<
     let order_total: usize = trees().map(|t| t.order().len()).sum();
     let entry_total: usize = tables().map(|t| t.entry_count()).sum();
     let dist_bytes = <M::Dist as Word>::BYTES;
+    let tree_bytes = |id| match id {
+        SEC_TREE_DIST => dist_bytes * sigma * n,
+        SEC_TREE_PARENT => 4 * sigma * n,
+        _ => 4 * order_total,
+    };
 
     let mut layout = vec![
         (SEC_META, 8 * 4),
@@ -499,14 +514,9 @@ pub fn encode_snapshot<M: SnapMetric>(g: &M::Graph, shards: &[ReplacementOracle<
     if let Some(weights) = weights {
         layout.push((SEC_GRAPH_WEIGHTS, 8 * weights.len()));
     }
-    layout.extend([
-        (SEC_SOURCES, 4 * sigma),
-        (SEC_SHARD_LENS, 4 * shards.len()),
-        (SEC_TREE_DIST, dist_bytes * sigma * n),
-        (SEC_TREE_PARENT, 4 * sigma * n),
-        (SEC_TREE_ORDER, 4 * order_total),
-        (SEC_ROWS, dist_bytes * entry_total),
-    ]);
+    layout.extend([(SEC_SOURCES, 4 * sigma), (SEC_SHARD_LENS, 4 * shards.len())]);
+    layout.extend(M::TREE_SECTIONS.iter().map(|&id| (id, tree_bytes(id))));
+    layout.push((SEC_ROWS, dist_bytes * entry_total));
     let mut file = FileWriter::new(M::KIND, &layout);
     let meta = [n as u64, sigma as u64, shards.len() as u64, entry_total as u64];
     put_words(file.payload(SEC_META), &meta);
@@ -517,9 +527,14 @@ pub fn encode_snapshot<M: SnapMetric>(g: &M::Graph, shards: &[ReplacementOracle<
     }
     put_words(file.payload(SEC_SOURCES), &sources);
     put_words(file.payload(SEC_SHARD_LENS), &shard_lens);
-    put_concat(file.payload(SEC_TREE_DIST), trees().map(|t| t.distances()));
-    put_concat(file.payload(SEC_TREE_PARENT), trees().map(|t| t.parents_raw()));
-    put_concat(file.payload(SEC_TREE_ORDER), trees().map(|t| t.order()));
+    for &id in M::TREE_SECTIONS {
+        let payload = file.payload(id);
+        match id {
+            SEC_TREE_DIST => put_concat(payload, trees().map(|t| t.distances())),
+            SEC_TREE_PARENT => put_concat(payload, trees().map(|t| t.parents_raw())),
+            _ => put_concat(payload, trees().map(|t| t.order())),
+        }
+    }
     put_concat(file.payload(SEC_ROWS), tables().map(|t| t.values()));
     file.finish()
 }
@@ -534,46 +549,6 @@ fn u32_le(bytes: &[u8], offset: usize) -> u32 {
 
 fn u64_le(bytes: &[u8], offset: usize) -> u64 {
     u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("8-byte slice"))
-}
-
-/// A checksum-verified payload read as little-endian words of type `W`, decoded on
-/// demand straight into the buffer that keeps them.
-struct Words<'a, W> {
-    bytes: &'a [u8],
-    word: PhantomData<fn() -> W>,
-}
-
-impl<'a, W: Word> Words<'a, W> {
-    /// Section `id` of `envelope`, which must hold a whole number of words.
-    fn of(envelope: &Envelope<'a>, id: u32) -> Result<Self, SnapError> {
-        let bytes = envelope.section(id)?;
-        if !bytes.len().is_multiple_of(W::BYTES) {
-            return Err(structure(format!(
-                "section {id} length {} is not a {}-byte multiple",
-                bytes.len(),
-                W::BYTES
-            )));
-        }
-        Ok(Words { bytes, word: PhantomData })
-    }
-
-    fn len(&self) -> usize {
-        self.bytes.len() / W::BYTES
-    }
-
-    /// Words `range`; panics if it is out of bounds.
-    fn iter(&self, range: Range<usize>) -> impl Iterator<Item = W> + 'a {
-        self.bytes[range.start * W::BYTES..range.end * W::BYTES].chunks_exact(W::BYTES).map(W::get)
-    }
-
-    /// Words `range`, decoded into a new `Vec`; panics if it is out of bounds.
-    fn to_vec(&self, range: Range<usize>) -> Vec<W> {
-        self.iter(range).collect()
-    }
-
-    fn all(&self) -> Vec<W> {
-        self.to_vec(0..self.len())
-    }
 }
 
 /// One validated section-table entry.
@@ -706,30 +681,22 @@ pub struct SnapInfo {
     pub bytes: usize,
 }
 
-/// Validates every checksum layer and reports the snapshot's metadata without
-/// reconstructing trees or tables (what `msrpctl list` prints).
+/// Validates every checksum layer and the metric-independent sections, and reports the
+/// snapshot's metadata without reconstructing the graph, trees or tables (what `msrpctl
+/// list` prints).
 pub fn inspect(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
     let envelope = open(bytes)?;
-    let meta = read_meta(&envelope)?;
+    let common = decode_common(&envelope)?;
     let targets = envelope.section(SEC_GRAPH_TARGETS)?;
     Ok(SnapInfo {
         kind: envelope.kind,
-        vertex_count: usize::try_from(meta[0]).map_err(|_| structure("vertex count overflows"))?,
+        vertex_count: common.n,
         edge_count: targets.len() / 4 / 2,
-        source_count: usize::try_from(meta[1]).map_err(|_| structure("source count overflows"))?,
-        shard_count: usize::try_from(meta[2]).map_err(|_| structure("shard count overflows"))?,
-        entry_count: meta[3],
+        source_count: common.sources.len(),
+        shard_count: common.shard_lens.len(),
+        entry_count: common.entry_total,
         bytes: bytes.len(),
     })
-}
-
-/// The four META words: n, σ, shard count, entry total.
-fn read_meta(envelope: &Envelope<'_>) -> Result<Vec<u64>, SnapError> {
-    let meta = Words::<u64>::of(envelope, SEC_META)?.all();
-    if meta.len() != 4 {
-        return Err(structure(format!("META holds {} words, expected 4", meta.len())));
-    }
-    Ok(meta)
 }
 
 /// META plus the common (metric-independent) sections, structurally validated.
@@ -741,7 +708,10 @@ struct CommonParts {
 }
 
 fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
-    let meta = read_meta(envelope)?;
+    let meta = Words::<u64>::of(envelope, SEC_META)?.all();
+    if meta.len() != 4 {
+        return Err(structure(format!("META holds {} words, expected 4", meta.len())));
+    }
     let n = usize::try_from(meta[0]).map_err(|_| structure("vertex count overflows"))?;
     let sigma = usize::try_from(meta[1]).map_err(|_| structure("source count overflows"))?;
     let shard_count = usize::try_from(meta[2]).map_err(|_| structure("shard count overflows"))?;
@@ -787,46 +757,113 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
     })
 }
 
-/// Validates one tree's raw buffers before the tree adopts them as they are. Proven here:
-///
-/// * the root has distance 0 and no parent, and settles first;
-/// * the settle order names exactly the reachable vertices, each once, and settles every
-///   parent before its child, in non-decreasing settle key (hop: `(parent's position, id)`,
-///   the BFS queue discipline; weighted: distance, Dijkstra's);
-/// * every unreachable vertex has no parent;
-/// * every reachable `v ≠ source` hangs off its parent `p` by a graph edge
-///   ([`Metric::edge_length`], a binary search of `v`'s sorted CSR row) with
-///   `dist[p] + len(p, v) == dist[v]`.
-///
-/// Settling parents first rules out cycles even under zero weights, and it is the order
-/// the depth and Euler-time passes of [`CanonicalTree::from_raw`] rely on; the distance
-/// equation makes every tree path a graph path of the stored length. A lied parent word (a
-/// grandparent, the vertex itself, a non-neighbour, `NO_PARENT` on a reachable vertex, a
-/// parent on an unreachable one) fails here instead of answering wrongly or looping in a
-/// path walk. The order pass follows the settle order; the edge pass runs in vertex order,
-/// so it reads the CSR rows front to back. `pos` is the caller's scratch, reused across
-/// the trees one worker validates.
-fn validate_tree<M: SnapMetric>(
-    graph: &M::Graph,
+/// Children the BFS sweep of [`derive_bfs_tree`] copies per step as one fixed-width block.
+const CHUNK: usize = 8;
+
+/// Derives a hop tree's `dist` and settle `order` from its `parent` words, proving that
+/// the root has no parent, that every other parent word names a graph neighbour of its
+/// child ([`Metric::edge_length`]), that no vertex without a parent is next to the root or
+/// to a vertex with one (so the tree spans the root's component), and that the sweep from
+/// the root reaches every vertex with a parent (no cycle, no detached subtree). The sweep
+/// expands children bucketed by parent, in ascending id, in settle order: the BFS queue
+/// discipline, with `dist[child] = dist[parent] + 1`. Such a tree is never shallower than
+/// BFS, so the row-total gate proves its depths. The lookups run in vertex order, in the
+/// bucketing pass, so they read the CSR rows front to back: run in settle order, during
+/// the sweep, they read the `batch_sigma512` benchmark's `boot_s` at 1.19× on 2 vCPUs.
+/// `scratch` is reused across the trees one worker derives.
+fn derive_bfs_tree(
+    graph: &CsrGraph,
     source: Vertex,
-    dist: &[M::Dist],
+    parent: &[u32],
+    dist: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+    scratch: &mut Vec<u32>,
+) -> Result<(), SnapError> {
+    let n = parent.len();
+    let lie = |what: String| Err(structure(format!("tree of source {source} {what}")));
+    // `start[p + 2]` counts p's children; after the prefix sum and the placement pass,
+    // `children[start[p]..start[p + 1]]` lists them in ascending id. Both `children` and
+    // the BFS `queue` end in `CHUNK` spare words.
+    scratch.clear();
+    scratch.resize(3 * n + 2 + 2 * CHUNK, 0);
+    let (start, rest) = scratch.split_at_mut(n + 2);
+    let (children, queue) = rest.split_at_mut(n + CHUNK);
+    let in_tree = |u: u32| u as usize == source || parent[u as usize] != NO_PARENT;
+    for (v, &p) in parent.iter().enumerate() {
+        if p != NO_PARENT {
+            if v == source || p as usize >= n || Hop::edge_length(graph, p as usize, v).is_none() {
+                return lie(format!("has no tree edge from {p} to its child {v}"));
+            }
+            start[p as usize + 2] += 1;
+        } else if v != source {
+            if let Some(&u) = graph.neighbor_row(v).iter().find(|&&u| in_tree(u)) {
+                return lie(format!("leaves {v} unreachable next to {u}"));
+            }
+        }
+    }
+    for p in 2..n + 2 {
+        start[p] += start[p - 1];
+    }
+    for (v, &p) in parent.iter().enumerate().filter(|&(_, &p)| p != NO_PARENT) {
+        let slot = &mut start[p as usize + 1];
+        children[*slot as usize] = v as u32;
+        *slot += 1;
+    }
+    // Each bucket joins the queue as one `CHUNK`-word copy (a longer one in two), the next
+    // overwriting the excess: a per-child loop mispredicted often enough to make the whole
+    // derivation ~1.4× slower. A vertex sits in its parent's bucket only, so `end` ≤ n.
+    queue[0] = source as u32;
+    let (mut next, mut end) = (0, 1);
+    while next < end {
+        let v = queue[next] as usize;
+        let (first, len) = (start[v] as usize, (start[v + 1] - start[v]) as usize);
+        queue[end..end + CHUNK].copy_from_slice(&children[first..first + CHUNK]);
+        if len > CHUNK {
+            queue[end + CHUNK..end + len].copy_from_slice(&children[first + CHUNK..first + len]);
+        }
+        end += len;
+        next += 1;
+    }
+    order.extend_from_slice(&queue[..end]);
+    dist.resize(n, INFINITE_DISTANCE);
+    dist[source] = 0;
+    for &v in &order[1..] {
+        dist[v as usize] = dist[parent[v as usize] as usize] + 1;
+    }
+    if end != start[n] as usize + 1 {
+        let v = (0..n).find(|&v| parent[v] != NO_PARENT && dist[v] == INFINITE_DISTANCE);
+        return lie(format!("never reaches {} from its root", v.expect("an unsettled child")));
+    }
+    Ok(())
+}
+
+/// Validates a weighted tree's stored buffers before the tree adopts them as they are: the
+/// root has distance 0 and no parent, and settles first; the settle order names exactly
+/// the reachable vertices, each once, in non-decreasing distance (Dijkstra's), and settles
+/// every parent before its child, which rules out cycles even under zero weights; every
+/// unreachable vertex has no parent; and every reachable `v ≠ source` hangs off its parent
+/// `p` by a graph edge ([`Metric::edge_length`]) with `dist[p] + len(p, v) == dist[v]`, so
+/// every tree path is a graph path of the stored length. The edge pass runs in vertex
+/// order, so it reads the CSR rows front to back. `pos` is reused across the trees one
+/// worker validates.
+fn validate_dijkstra_tree(
+    graph: &WeightedCsrGraph,
+    source: Vertex,
+    dist: &[u64],
     parent: &[u32],
     order: &[u32],
     pos: &mut Vec<u32>,
 ) -> Result<(), SnapError> {
     let n = dist.len();
     let lie = |what: String| Err(structure(format!("tree of source {source} {what}")));
-    if dist[source].into() != 0
-        || parent[source] != NO_PARENT
-        || order.first() != Some(&(source as u32))
-    {
+    if dist[source] != 0 || parent[source] != NO_PARENT || order.first() != Some(&(source as u32)) {
         return lie("does not root at its source".into());
     }
     // Settle positions (`u32::MAX` = not settled yet); a parent must already have one.
     pos.clear();
     pos.resize(n, u32::MAX);
     pos[source] = 0;
-    let mut last_key = None;
+    let mut last = 0;
     for (i, &v) in order.iter().enumerate().skip(1) {
         if v as usize >= n || pos[v as usize] != u32::MAX {
             return lie(format!("has an invalid or repeated settle entry {v}"));
@@ -835,16 +872,15 @@ fn validate_tree<M: SnapMetric>(
         if p >= n || pos[p] == u32::MAX {
             return lie(format!("settles {v} before any parent"));
         }
-        let key = M::settle_key(dist, v, pos[p]);
-        if last_key.as_ref().is_some_and(|last| *last > key) {
+        if dist[v as usize] < last {
             return lie(format!("settles {v} out of order"));
         }
-        last_key = Some(key);
+        last = dist[v as usize];
         pos[v as usize] = i as u32;
     }
     for v in 0..n {
         let settled = pos[v] != u32::MAX;
-        if (dist[v] != M::INFINITY) != settled {
+        if (dist[v] != INFINITE_WEIGHT) != settled {
             return lie(format!("disagrees with its settle order on whether {v} is reachable"));
         }
         if !settled && parent[v] != NO_PARENT {
@@ -855,8 +891,8 @@ fn validate_tree<M: SnapMetric>(
         }
         // The order pass proved `p` in range and settled, so its distance is finite.
         let p = parent[v] as usize;
-        let tight = M::edge_length(graph, p, v)
-            .is_some_and(|len| dist[p].into().checked_add(len.into()) == Some(dist[v].into()));
+        let tight = Weighted::edge_length(graph, p, v)
+            .is_some_and(|len| dist[p].checked_add(len) == Some(dist[v]));
         if !tight {
             return lie(format!("has no tight edge from {p} to its child {v}"));
         }
@@ -925,19 +961,6 @@ fn worker_builder() -> thread::Builder {
     thread::Builder::new()
 }
 
-/// One source's tree buffers: allocated by the decoding thread, filled by a worker.
-struct TreeBuffers<M: Metric> {
-    dist: Vec<M::Dist>,
-    parent: Vec<u32>,
-    order: Vec<u32>,
-}
-
-impl<M: Metric> Default for TreeBuffers<M> {
-    fn default() -> Self {
-        TreeBuffers { dist: Vec::new(), parent: Vec::new(), order: Vec::new() }
-    }
-}
-
 /// A decoded snapshot: the frozen graph and the oracle shards, ready to serve.
 #[derive(Clone, Debug)]
 pub struct Snapshot<M: Metric> {
@@ -980,14 +1003,12 @@ fn decode_with_workers<M: SnapMetric>(
     let targets = Words::<u32>::of(&envelope, SEC_GRAPH_TARGETS)?;
     let graph = M::graph_from_sections(&envelope, offsets.all(), targets.all())?;
 
-    let dist = Words::<M::Dist>::of(&envelope, SEC_TREE_DIST)?;
-    let parent = Words::<u32>::of(&envelope, SEC_TREE_PARENT)?;
-    let order = Words::<u32>::of(&envelope, SEC_TREE_ORDER)?;
-    let rows = Words::<M::Dist>::of(&envelope, SEC_ROWS)?;
-    let per_tree = sigma.checked_mul(n).ok_or_else(|| structure("σ·n overflows"))?;
-    if dist.len() != per_tree || parent.len() != per_tree {
+    let parents = Words::<u32>::of(&envelope, SEC_TREE_PARENT)?;
+    if sigma.checked_mul(n) != Some(parents.len()) {
         return Err(structure("tree arrays do not hold σ·n entries"));
     }
+    let stored = M::stored_trees(&envelope, sigma, n)?;
+    let rows = Words::<M::Dist>::of(&envelope, SEC_ROWS)?;
     if rows.len() as u64 != common.entry_total {
         return Err(structure(format!(
             "META claims {} row entries, section holds {}",
@@ -995,71 +1016,39 @@ fn decode_with_workers<M: SnapMetric>(
             rows.len()
         )));
     }
-    let tree_words = |i: usize| i * n..(i + 1) * n;
-    // The buffers the payloads are decoded into (dist, parent, order, rows) are allocated
-    // on this thread and only filled by the workers: a worker's allocations land in its
-    // own allocator arena, which a later boot on other threads does not reuse
-    // (allocating them on the workers raised the batch_sigma512 benchmark's peak RSS from
-    // ~140 to ~161 MB on a 2-vCPU host). The Euler times `from_raw` derives are still
-    // allocated on the worker.
+    // Every buffer the payloads are decoded into (dist, parent, order, rows) is allocated
+    // on this thread and only filled by the workers: a worker's allocations land in its own
+    // allocator arena, which a later boot does not reuse (worker-allocated buffers raised
+    // the batch_sigma512 benchmark's peak RSS from ~140 to ~161 MB on a 2-vCPU host).
 
-    // Settle-order spans: source i's order is the next (reachable count of i) words. The
-    // counts sum to at most σ·n, which fits.
-    let mut reachable = vec![0usize; sigma];
-    on_workers(&mut reachable, workers, |first, counts| {
-        for (i, count) in (first..).zip(counts) {
-            *count = dist.iter(tree_words(i)).filter(|&d| d != M::INFINITY).count();
-        }
-    });
-    let mut order_end = 0;
-    let order_spans: Vec<Range<usize>> = reachable
-        .into_iter()
-        .map(|count| {
-            order_end += count;
-            order_end - count..order_end
-        })
-        .collect();
-
-    // Per source: decode the three tree buffers, validate them, adopt them as they are.
-    // Each chunk returns the trees it adopted (with their row totals) and the error that
-    // stopped it, if any, so errors below surface in source order whatever the chunking.
-    let mut buffers: Vec<TreeBuffers<M>> = order_spans
-        .iter()
-        .map(|span| TreeBuffers {
-            dist: Vec::with_capacity(n),
-            parent: Vec::with_capacity(n),
-            order: Vec::with_capacity(span.len()),
-        })
+    // Per source: decode the tree buffers, derive or validate, adopt. Each chunk returns
+    // the trees it adopted (with their row totals) and the error that stopped it, if any,
+    // so errors below surface in source order whatever the chunking.
+    let mut buffers: Vec<TreeBuffers<M>> = (0..sigma)
+        .map(|_| (Vec::with_capacity(n), Vec::with_capacity(n), Vec::with_capacity(n)))
         .collect();
     let adopted = on_workers(&mut buffers, workers, |first, chunk| {
-        let mut pos = Vec::new();
+        let mut scratch = Vec::new();
         let mut trees = Vec::with_capacity(chunk.len());
         for (i, buffers) in (first..).zip(chunk) {
-            let s = common.sources[i];
-            if order_spans[i].end > order.len() {
-                return (trees, Some(structure("settle orders overrun their section")));
+            let mut buffers = std::mem::take(buffers);
+            buffers.1.extend(parents.iter(i * n..(i + 1) * n));
+            match M::decode_tree(&stored, &graph, i, common.sources[i], buffers, &mut scratch) {
+                Ok(tree) => {
+                    let tree_rows: u64 = (0..n).map(|t| tree.depth(t) as u64).sum();
+                    trees.push((tree, tree_rows));
+                }
+                Err(e) => return (trees, Some(e)),
             }
-            let TreeBuffers { dist: mut tree_dist, parent: mut tree_parent, order: mut tree_order } =
-                std::mem::take(buffers);
-            tree_dist.extend(dist.iter(tree_words(i)));
-            tree_parent.extend(parent.iter(tree_words(i)));
-            tree_order.extend(order.iter(order_spans[i].clone()));
-            if let Err(e) =
-                validate_tree::<M>(&graph, s, &tree_dist, &tree_parent, &tree_order, &mut pos)
-            {
-                return (trees, Some(e));
-            }
-            let tree = CanonicalTree::from_raw(s, tree_dist, tree_parent, tree_order);
-            let tree_rows: u64 = (0..n).map(|t| tree.depth(t) as u64).sum();
-            trees.push((tree, tree_rows));
         }
         (trees, None)
     });
 
-    // Memory-bounding gate, before any row `Vec` exists: rows are sized by tree depth, and
-    // a lied (finite but huge) hop distance, or a crafted path-shaped weighted parent
-    // array, makes Σ depth(t) huge or quadratic in n from a kilobyte-sized file. Prove
-    // every source's derived total fits the (file-size-bounded) ROWS section.
+    // Memory-bounding gate, before any row `Vec` exists: a crafted path-shaped parent array
+    // makes Σ depth(t), the row total, quadratic in n from a kilobyte-sized file. Prove the
+    // totals fit the (file-size-bounded) ROWS section and fill it exactly. This also proves
+    // hop depths: `derive_bfs_tree` accepts no tree shallower than BFS, so a parent that is
+    // not one level up raises the total past the entries the encoder wrote.
     let mut trees = Vec::with_capacity(sigma);
     let mut row_spans = Vec::with_capacity(sigma);
     let mut row_end = 0u64;
@@ -1082,9 +1071,6 @@ fn decode_with_workers<M: SnapMetric>(
         if let Some(e) = error {
             return Err(e);
         }
-    }
-    if order_end != order.len() {
-        return Err(structure("settle-order section has trailing entries"));
     }
     if row_end != rows.len() as u64 {
         return Err(structure("rows section has trailing entries"));
@@ -1133,7 +1119,8 @@ fn split_shards<M: Metric>(
 }
 
 /// The metrics a snapshot can hold: [`Hop`] and [`Weighted`]. Sealed; the codec's
-/// per-metric items (kind, graph arrays, word width, settle-order key) stay private.
+/// per-metric items (kind, graph arrays, word width, persisted tree sections, tree
+/// decoding) stay private.
 pub trait SnapMetric: Codec {}
 
 impl<M: Codec> SnapMetric for M {}
@@ -1197,15 +1184,56 @@ mod codec {
         pub weights: Option<&'g [u64]>,
     }
 
+    /// A checksum-verified payload read as little-endian words of type `W`, decoded on
+    /// demand straight into the buffer that keeps them.
+    pub struct Words<'a, W> {
+        bytes: &'a [u8],
+        word: PhantomData<fn() -> W>,
+    }
+
+    impl<'a, W: Word> Words<'a, W> {
+        /// Section `id` of `envelope`, which must hold a whole number of words.
+        pub fn of(envelope: &Envelope<'a>, id: u32) -> Result<Self, SnapError> {
+            let bytes = envelope.section(id)?;
+            if !bytes.len().is_multiple_of(W::BYTES) {
+                return Err(structure(format!(
+                    "section {id} length {} is not a {}-byte multiple",
+                    bytes.len(),
+                    W::BYTES
+                )));
+            }
+            Ok(Words { bytes, word: PhantomData })
+        }
+
+        pub fn len(&self) -> usize {
+            self.bytes.len() / W::BYTES
+        }
+
+        /// Words `range`; panics if it is out of bounds.
+        pub fn iter(&self, range: Range<usize>) -> impl Iterator<Item = W> + 'a {
+            self.bytes[range.start * W::BYTES..range.end * W::BYTES]
+                .chunks_exact(W::BYTES)
+                .map(W::get)
+        }
+
+        pub fn all(&self) -> Vec<W> {
+            self.iter(0..self.len()).collect()
+        }
+    }
+
+    /// One source's tree buffers `(dist, parent, order)`: allocated by the decoding thread
+    /// with room for n entries each, filled by a worker.
+    pub type TreeBuffers<M> = (Vec<<M as Metric>::Dist>, Vec<u32>, Vec<u32>);
+
     /// What the codec needs of a metric beyond [`Metric`]; distances and rows are stored
     /// as `Dist` words.
     pub trait Codec: Metric<Dist: Word> {
         /// The header's kind word.
         const KIND: SnapKind;
-        /// Sort key the settle order must be non-decreasing in.
-        type SettleKey: Ord;
-        /// Settle key of `v`, whose parent settled at position `parent_pos`.
-        fn settle_key(dist: &[Self::Dist], v: u32, parent_pos: u32) -> Self::SettleKey;
+        /// The tree sections a file of this metric holds, in file order.
+        const TREE_SECTIONS: &'static [u32];
+        /// The located tree sections beyond the parents.
+        type Stored<'a>: Sync;
         /// The graph's persisted arrays.
         fn graph_arrays(g: &Self::Graph) -> GraphArrays<'_>;
         /// Rebuilds the graph from its validated-length CSR arrays and its other sections.
@@ -1214,17 +1242,31 @@ mod codec {
             offsets: Vec<u32>,
             targets: Vec<u32>,
         ) -> Result<Self::Graph, SnapError>;
+        /// Locates the tree sections beyond the parents (which hold σ·n words) and checks
+        /// their lengths.
+        fn stored_trees<'a>(
+            envelope: &Envelope<'a>,
+            sigma: usize,
+            n: usize,
+        ) -> Result<Self::Stored<'a>, SnapError>;
+        /// Source `i`'s tree, proven, from `buffers` holding its parent words; the settle
+        /// order is shrunk to fit (in place) when a vertex is unreachable. `scratch` is
+        /// reused across the trees one worker decodes.
+        fn decode_tree(
+            stored: &Self::Stored<'_>,
+            graph: &Self::Graph,
+            i: usize,
+            source: Vertex,
+            buffers: TreeBuffers<Self>,
+            scratch: &mut Vec<u32>,
+        ) -> Result<CanonicalTree<Self>, SnapError>;
     }
 
     impl Codec for Hop {
         const KIND: SnapKind = SnapKind::HopMetric;
-        /// BFS queue discipline: children grouped by their parent's settle position,
-        /// ascending id within a group, as the top-down kernel appends them.
-        type SettleKey = (u32, u32);
-        #[inline]
-        fn settle_key(_: &[u32], v: u32, parent_pos: u32) -> (u32, u32) {
-            (parent_pos, v)
-        }
+        /// `dist` and `order` are derived from the parents.
+        const TREE_SECTIONS: &'static [u32] = &[SEC_TREE_PARENT];
+        type Stored<'a> = ();
         fn graph_arrays(g: &CsrGraph) -> GraphArrays<'_> {
             GraphArrays { offsets: g.offsets(), targets: g.targets(), weights: None }
         }
@@ -1235,16 +1277,28 @@ mod codec {
         ) -> Result<CsrGraph, SnapError> {
             Ok(CsrGraph::from_raw_parts(offsets, targets)?)
         }
+        fn stored_trees(_: &Envelope<'_>, _: usize, _: usize) -> Result<(), SnapError> {
+            Ok(())
+        }
+        fn decode_tree(
+            _: &(),
+            graph: &CsrGraph,
+            _: usize,
+            source: Vertex,
+            (mut dist, parent, mut order): TreeBuffers<Hop>,
+            scratch: &mut Vec<u32>,
+        ) -> Result<CanonicalTree<Hop>, SnapError> {
+            derive_bfs_tree(graph, source, &parent, &mut dist, &mut order, scratch)?;
+            order.shrink_to_fit();
+            Ok(CanonicalTree::from_raw(source, dist, parent, order))
+        }
     }
 
     impl Codec for Weighted {
         const KIND: SnapKind = SnapKind::Weighted;
-        /// Dijkstra settles in non-decreasing distance.
-        type SettleKey = u64;
-        #[inline]
-        fn settle_key(dist: &[u64], v: u32, _: u32) -> u64 {
-            dist[v as usize]
-        }
+        const TREE_SECTIONS: &'static [u32] = &[SEC_TREE_DIST, SEC_TREE_PARENT, SEC_TREE_ORDER];
+        /// The distances and settle orders; source i's order is words `ends[i]..ends[i + 1]`.
+        type Stored<'a> = (Words<'a, u64>, Words<'a, u32>, Vec<usize>);
         fn graph_arrays(g: &WeightedCsrGraph) -> GraphArrays<'_> {
             GraphArrays { offsets: g.offsets(), targets: g.targets(), weights: Some(g.weights()) }
         }
@@ -1256,6 +1310,43 @@ mod codec {
             let weights = Words::<u64>::of(envelope, SEC_GRAPH_WEIGHTS)?.all();
             Ok(WeightedCsrGraph::from_raw_parts(offsets, targets, weights)?)
         }
+        /// Source i's settle order is the next (reachable count of i) words; the counts sum
+        /// to at most σ·n, which fits, and must fill the order section exactly.
+        fn stored_trees<'a>(
+            envelope: &Envelope<'a>,
+            sigma: usize,
+            n: usize,
+        ) -> Result<Self::Stored<'a>, SnapError> {
+            let dist = Words::of(envelope, SEC_TREE_DIST)?;
+            if dist.len() != sigma * n {
+                return Err(structure("tree arrays do not hold σ·n entries"));
+            }
+            let order = Words::of(envelope, SEC_TREE_ORDER)?;
+            let mut ends = vec![0];
+            for i in 0..sigma {
+                let reached = dist.iter(i * n..(i + 1) * n).filter(|&d| d != INFINITE_WEIGHT);
+                ends.push(ends[i] + reached.count());
+            }
+            if ends[sigma] != order.len() {
+                return Err(structure("settle orders do not hold the vertices the trees reach"));
+            }
+            Ok((dist, order, ends))
+        }
+        fn decode_tree(
+            (dists, orders, ends): &Self::Stored<'_>,
+            graph: &WeightedCsrGraph,
+            i: usize,
+            source: Vertex,
+            (mut dist, parent, mut order): TreeBuffers<Weighted>,
+            pos: &mut Vec<u32>,
+        ) -> Result<CanonicalTree<Weighted>, SnapError> {
+            let n = graph.vertex_count();
+            dist.extend(dists.iter(i * n..(i + 1) * n));
+            order.extend(orders.iter(ends[i]..ends[i + 1]));
+            validate_dijkstra_tree(graph, source, &dist, &parent, &order, pos)?;
+            order.shrink_to_fit();
+            Ok(CanonicalTree::from_raw(source, dist, parent, order))
+        }
     }
 }
 
@@ -1263,7 +1354,7 @@ mod codec {
 mod tests {
     use super::*;
     use msrp_graph::generators::{cycle_graph, grid_graph, path_graph};
-    use msrp_graph::{Edge, Graph, WeightedGraph};
+    use msrp_graph::{Edge, Graph, ShortestPathTree, WeightedGraph};
     use msrp_oracle::{ReplacementPathOracle, WeightedReplacementOracle};
 
     fn demo_shards(g: &Graph, splits: &[&[Vertex]]) -> Vec<ReplacementPathOracle> {
@@ -1385,6 +1476,22 @@ mod tests {
         assert_eq!(fnv1a64_lanes(b"123456789"), 0x7728_f36c_42c5_6342);
         // The absorbed length keeps zero-padding unambiguous.
         assert_ne!(fnv1a64_lanes(b"abc"), fnv1a64_lanes(b"abc\0"));
+    }
+
+    #[test]
+    fn derived_trees_are_the_bfs_kernel_s_and_cycles_never_settle() {
+        let g = cycle_graph(6).freeze();
+        let bfs = ShortestPathTree::build(&g, 0);
+        let mut parent = bfs.parents_raw().to_vec();
+        let (mut dist, mut order, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        derive_bfs_tree(&g, 0, &parent, &mut dist, &mut order, &mut scratch).expect("BFS tree");
+        assert_eq!((&dist[..], &order[..]), (bfs.distances(), bfs.order()));
+        // 2 and 3 hang off each other. Their depths fall to 0, which a lie elsewhere could
+        // pay back in the row total, so the sweep itself rejects the cycle.
+        parent[2] = 3;
+        let (mut dist, mut order) = (Vec::new(), Vec::new());
+        let err = derive_bfs_tree(&g, 0, &parent, &mut dist, &mut order, &mut scratch);
+        assert_eq!(err, Err(structure("tree of source 0 never reaches 2 from its root")));
     }
 
     #[test]

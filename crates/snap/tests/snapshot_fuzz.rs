@@ -96,29 +96,42 @@ fn weighted_multi_shard_snapshot() -> Vec<u8> {
     encode_snapshot(&g, &shards)
 }
 
+/// The stored whole-file checksum word.
+fn stored(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[32..40].try_into().unwrap())
+}
+
+/// The stored checksum of `bytes` stamped back to format version 1: a weighted file must
+/// be its version-1 encoding with only the version word moved.
+fn stored_as_version_one(bytes: &[u8]) -> u64 {
+    let mut v1 = bytes.to_vec();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    restamp(&mut v1);
+    stored(&v1)
+}
+
 #[test]
 fn reference_snapshot_bytes_are_pinned() {
-    // Length and file-checksum word of both reference snapshots, recorded from an earlier
-    // build of the encoder: a change to either means the byte format moved, and every
+    // Length and file-checksum word of both reference snapshots, recorded from the
+    // format-version-2 encoder: a change to either means the byte format moved, and every
     // snapshot on disk would stop booting.
-    let stored = |bytes: &[u8]| u64::from_le_bytes(bytes[32..40].try_into().unwrap());
     let hop = reference_snapshot();
-    assert_eq!((hop.len(), stored(&hop)), (5888, 0x2df7_1074_4e09_fc6e));
+    assert_eq!((hop.len(), stored(&hop)), (4288, 0x5844_0d7c_aefb_0d23));
     let weighted = weighted_reference_snapshot();
-    assert_eq!((weighted.len(), stored(&weighted)), (8432, 0x1eb6_904a_c913_37d0));
+    assert_eq!((weighted.len(), stored(&weighted)), (8432, 0xefeb_87ea_d75c_5179));
+    assert_eq!(stored_as_version_one(&weighted), 0x1eb6_904a_c913_37d0);
 }
 
 #[test]
 fn multi_shard_snapshot_bytes_are_pinned() {
     // The same pin for many sources over several shards, where every tree and row section
     // is the concatenation of 64 per-source runs written shard after shard: a layout or
-    // offset slip between sources moves these values. Recorded from the encoder that still
-    // assembled each section in its own buffer before copying it into the file.
-    let stored = |bytes: &[u8]| u64::from_le_bytes(bytes[32..40].try_into().unwrap());
+    // offset slip between sources moves these values.
     let hop = multi_shard_snapshot();
-    assert_eq!((hop.len(), stored(&hop)), (145_352, 0x329c_ccd6_893c_665c));
+    assert_eq!((hop.len(), stored(&hop)), (96_136, 0xce87_5181_8ef3_b283));
     let weighted = weighted_multi_shard_snapshot();
-    assert_eq!((weighted.len(), stored(&weighted)), (259_824, 0x5db4_7a61_7b64_d790));
+    assert_eq!((weighted.len(), stored(&weighted)), (259_824, 0x5c84_ed5b_28a1_74a5));
+    assert_eq!(stored_as_version_one(&weighted), 0x5db4_7a61_7b64_d790);
 }
 
 /// Asserts two oracle sets answer identically, row for row, via their public tables, and
@@ -296,15 +309,16 @@ fn restamp(bytes: &mut [u8]) {
 
 #[test]
 fn version_skew_is_a_typed_error_not_a_guess() {
+    // Version 1 is the format that also stored each hop tree's `dist` and settle order.
+    assert_eq!(SNAP_VERSION, 2);
     let bytes = reference_snapshot();
-    for skew in [0u32, SNAP_VERSION + 1, SNAP_VERSION + 7, u32::MAX] {
+    for skew in [0u32, 1, SNAP_VERSION + 1, SNAP_VERSION + 7, u32::MAX] {
         let mut mutated = bytes.clone();
         mutated[8..12].copy_from_slice(&skew.to_le_bytes());
         restamp(&mut mutated);
-        assert_eq!(
-            decode_snapshot::<Hop>(&mutated).expect_err("skewed version must fail"),
-            SnapError::UnsupportedVersion { found: skew, supported: SNAP_VERSION }
-        );
+        let expected = SnapError::UnsupportedVersion { found: skew, supported: SNAP_VERSION };
+        assert_eq!(decode_snapshot::<Hop>(&mutated).err(), Some(expected.clone()));
+        assert_eq!(inspect(&mutated).err(), Some(expected));
     }
 }
 
@@ -373,26 +387,34 @@ fn section_offset_lies_fail_closed() {
 #[test]
 fn overlapping_section_extents_fail_closed() {
     // Both checksum layers re-stamped, so only the table check can catch the overlap: the
-    // settle-order entry pointed at the parent payload (same start), then straddling the
-    // end of the parent payload. Either window checksums fine once re-stamped, and the
-    // decoder would read parent words as settle-order words.
+    // hop reference's ROWS entry and the weighted reference's settle-order entry pointed
+    // at the parent payload (same start), then straddling the end of the parent payload.
+    // Either window checksums fine once re-stamped, and the decoder would read parent
+    // words as row or settle-order words.
     const TREE_PARENT_ID: u32 = 8;
     const TREE_ORDER_ID: u32 = 9;
-    let bytes = reference_snapshot();
+    const ROWS_ID: u32 = 10;
+    overlap_fails_closed::<Hop>(reference_snapshot(), ROWS_ID, TREE_PARENT_ID);
+    overlap_fails_closed::<Weighted>(weighted_reference_snapshot(), TREE_ORDER_ID, TREE_PARENT_ID);
+}
+
+/// Points section `moved` into the payload of section `onto`, at its start and across its
+/// end, and requires a section-table error once both checksum layers are re-stamped.
+fn overlap_fails_closed<M: SnapMetric>(bytes: Vec<u8>, moved: u32, onto: u32) {
     let table = section_table(&bytes);
     let find = |id: u32| table.iter().find(|&&(sid, _, _)| sid == id).copied().unwrap();
-    let (_, parent_off, parent_len) = find(TREE_PARENT_ID);
-    let (_, _, order_len) = find(TREE_ORDER_ID);
-    for offset in [parent_off, parent_off + parent_len - 8] {
+    let (_, onto_off, onto_len) = find(onto);
+    let (_, _, moved_len) = find(moved);
+    for offset in [onto_off, onto_off + onto_len - 8] {
         let mut mutated = bytes.clone();
-        move_section(&mut mutated, TREE_ORDER_ID, offset, order_len);
+        move_section(&mut mutated, moved, offset, moved_len);
         // Until the checksums are forged, the corrupted table is reported as corruption.
-        assert!(matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::FileChecksum { .. })));
+        assert!(matches!(decode_snapshot::<M>(&mutated), Err(SnapError::FileChecksum { .. })));
         restamp_all(&mut mutated);
-        for err in [decode_snapshot::<Hop>(&mutated).err(), inspect(&mutated).err()] {
+        for err in [decode_snapshot::<M>(&mutated).err(), inspect(&mutated).err()] {
             assert!(
                 matches!(err, Some(SnapError::SectionTable { .. })),
-                "order section at {offset}: expected a section-table error, got {err:?}"
+                "section {moved} at {offset}: expected a section-table error, got {err:?}"
             );
         }
     }
@@ -464,10 +486,12 @@ fn word_level_sweep<M: SnapMetric>(bytes: Vec<u8>) {
     // The deepest layer: flip payload words AND re-stamp both checksum layers, so only
     // the structural validators stand between the lie and a wrong oracle. Two regimes:
     //
-    // * *Structural* sections (META, graph arrays, sources, shard lens, tree dist /
-    //   parent / order): a word lie must be rejected with a typed error, or — in the
-    //   rare identity/padding case — decode to a bit-identical oracle. Never a
-    //   different one.
+    // * *Structural* sections (META, graph arrays, sources, shard lens, tree parents;
+    //   weighted also tree dist and order): a word lie must be rejected with a typed
+    //   error, or — in the rare identity/padding case — decode to a bit-identical
+    //   oracle. Never a different one. (One structural lie does decode to a different
+    //   oracle: a hop parent word set to another neighbour one level up, an equally short
+    //   parent that `derived_hop_tree_lies_fail_closed` pins. This seeded sweep draws none.)
     // * The ROWS section holds the oracle's free answer values; no validator can know
     //   them without re-running the solver. A re-stamped row lie therefore *is* a
     //   well-formed (different) snapshot — integrity checksums are its only defense,
@@ -693,4 +717,89 @@ fn parent_word_lies_fail_closed() {
             );
         }
     }
+}
+
+#[test]
+fn derived_hop_tree_lies_fail_closed() {
+    // A hop file persists parent words only; the decoder derives `dist` and the settle
+    // order by a sweep from the root, so a cycle, a cut-off vertex or a parent on the root
+    // never becomes a tree. The sweep does not check depths: the row-total gate does.
+    // Every tree the sweep accepts spans the root's component over graph edges, so it is
+    // never shallower than BFS, and a parent that is not one level up raises its Σ depth
+    // past the row entries the encoder wrote.
+    let bytes = reference_snapshot();
+    let snap = decode_snapshot::<Hop>(&bytes).expect("pristine decode");
+    let g = &snap.graph;
+    let n = g.vertex_count();
+    let trees: Vec<_> = snap.shards.iter().flat_map(|s| s.trees()).collect();
+    let decode_lie = |tree: usize, v: usize, word: u32| {
+        decode_snapshot::<Hop>(&lie_about_parent(&bytes, n, tree, v, word))
+    };
+    let rejected = |tree: usize, v: usize, word: u32, label: &str| {
+        let decoded = decode_lie(tree, v, word);
+        assert!(
+            matches!(decoded, Err(SnapError::Structure { .. })),
+            "{label} lie (tree {tree}, vertex {v} := {word}) must fail structurally"
+        );
+    };
+    let t = trees[0];
+    let root = t.source();
+    let is_leaf = |v: usize| (0..n).all(|c| t.parent(c) != Some(v));
+    let child = (0..n).find(|&c| t.parent(c).is_some_and(|p| p != root)).unwrap();
+    let a = t.parent(child).unwrap();
+    rejected(0, a, child as u32, "two-vertex parent cycle");
+    rejected(0, child, n as u32, "out-of-range parent");
+    rejected(0, root, t.order()[1], "parent on the root");
+    let leaves: Vec<usize> = (0..n).filter(|&v| v != root && is_leaf(v)).collect();
+    rejected(0, leaves[0], NO_PARENT, "leaf without a parent");
+    // Two words that keep Σ depth: leaf `a` cut off, and leaf `v` hung off `u`, deeper by
+    // `a`'s depth. Only the check that a vertex without a parent has no neighbour in the
+    // tree rejects it.
+    let (a, v, u) = leaves
+        .iter()
+        .flat_map(|&a| leaves.iter().filter(move |&&v| v != a).map(move |&v| (a, v)))
+        .find_map(|(a, v)| {
+            let mut up = g.neighbor_row(v).iter().map(|&u| u as usize);
+            up.find(|&u| u != a && t.depth(u) + 1 == t.depth(v) + t.depth(a)).map(|u| (a, v, u))
+        })
+        .unwrap();
+    let cut = lie_about_parent(&bytes, n, 0, a, NO_PARENT);
+    assert!(
+        matches!(
+            decode_snapshot::<Hop>(&lie_about_parent(&cut, n, 0, v, u as u32)),
+            Err(SnapError::Structure { .. })
+        ),
+        "leaf {a} cut off and leaf {v} hung off {u} must fail structurally"
+    );
+
+    // Every parent rewired to a same-level or deeper neighbour that is not a descendant
+    // (which would make a cycle): a valid rooted tree, caught by its depths alone.
+    let mut rewired = 0;
+    for (i, t) in trees.iter().enumerate() {
+        for v in (0..n).filter(|&v| v != t.source()) {
+            for &u in g.neighbor_row(v) {
+                let u = u as usize;
+                if t.depth(u) >= t.depth(v) && !t.is_ancestor(v, u) {
+                    rejected(i, v, u as u32, "same-level or deeper parent");
+                    rewired += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(rewired, 446, "the reference file's rewirings");
+
+    // What the checksums alone guard: another neighbour one level up is an equally short
+    // parent, so the file decodes to a different tree of the same depths.
+    let (v, u) = (0..n)
+        .filter(|&v| v != root)
+        .find_map(|v| {
+            let up = g.neighbor_row(v).iter().map(|&u| u as usize);
+            up.filter(|&u| t.depth(u) + 1 == t.depth(v) && t.parent(v) != Some(u))
+                .map(|u| (v, u))
+                .next()
+        })
+        .unwrap();
+    let swapped = decode_lie(0, v, u as u32).expect("an equally short parent decodes");
+    let tree = &swapped.shards[0].trees()[0];
+    assert_eq!((tree.parent(v), tree.distances()), (Some(u), t.distances()));
 }

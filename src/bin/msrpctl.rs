@@ -40,7 +40,7 @@ use msrp::serve::{
     serve, QueryService, ServiceConfig, Services, ShardedOracle, WeightedShardedOracle,
     IDLE_TIMEOUT, MAX_CONNECTIONS,
 };
-use msrp::snap::{inspect, SnapInfo, SnapKind};
+use msrp::snap::{inspect, SnapError, SnapInfo, SnapKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -245,10 +245,13 @@ fn cmd_list(args: &Args) -> Result<(), String> {
                     status,
                 ]);
             }
-            // A corrupt snapshot is listed, not hidden: the operator should see it.
+            // A corrupt or stale snapshot is listed, not hidden: the operator should see it.
             Err(e) => rows.push(vec![
                 name,
-                "CORRUPT".into(),
+                match e {
+                    SnapError::UnsupportedVersion { .. } => "STALE".into(),
+                    _ => "CORRUPT".into(),
+                },
                 "-".into(),
                 "-".into(),
                 "-".into(),
@@ -273,7 +276,12 @@ fn cmd_list(args: &Args) -> Result<(), String> {
 /// of each connection.
 fn boot(bytes: &[u8]) -> Result<Services, String> {
     let config = ServiceConfig { workers: 0 };
-    let rejected = |e| format!("snapshot rejected: {e}");
+    let rejected = |e| match e {
+        SnapError::UnsupportedVersion { .. } => {
+            format!("snapshot rejected: {e}; re-create it with `msrpctl create`")
+        }
+        _ => format!("snapshot rejected: {e}"),
+    };
     Ok(match inspect(bytes).map_err(rejected)?.kind {
         SnapKind::HopMetric => {
             let (_g, oracle) = ShardedOracle::from_snapshot(bytes).map_err(rejected)?;

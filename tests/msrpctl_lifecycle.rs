@@ -2,7 +2,8 @@
 //! `serve` on an ephemeral port (found through `NAME.addr`), a seeded `Q`/`QW` mix and a
 //! `B k` batch whose every reply must equal the in-process oracle booted from the same
 //! snapshot, `STATS` accounting, the connection cap under a storm of sockets, the client
-//! subcommands' timeout, and a `STOP` that makes the server exit 0.
+//! subcommands' timeout, a `STOP` that makes the server exit 0, and a snapshot of an older
+//! format version that `list` shows as stale and `serve` refuses.
 
 use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Write};
@@ -16,6 +17,7 @@ use msrp::serve::{
     format_answer, format_query, format_weighted_answer, format_weighted_query, parse_stats, Query,
     ShardedOracle, WeightedShardedOracle, MAX_CONNECTIONS,
 };
+use msrp::snap::{fnv1a64_lanes, inspect, SnapError, SNAP_VERSION};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -330,6 +332,33 @@ fn connection_storm_is_capped_and_every_admitted_client_is_served() {
     for conn in conns.iter_mut().skip(1).chain([&mut late]) {
         assert_eq!(conn.next_line(), None, "STOP closes every live connection");
     }
+}
+
+#[test]
+fn a_version_one_snapshot_is_listed_stale_and_refused_by_serve() {
+    let dir = StateDir::new("stale");
+    let mut bytes = dir.create("old", &["--n", "64"]);
+    // Stamp the file as format version 1 and re-stamp its whole-file checksum, which
+    // covers every byte but its own eight: the file is intact, only old.
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let mut covered = bytes[..32].to_vec();
+    covered.extend_from_slice(&bytes[40..]);
+    bytes[32..40].copy_from_slice(&fnv1a64_lanes(&covered).to_le_bytes());
+    std::fs::write(dir.0.join("old.snap"), &bytes).expect("plant the version-1 file");
+    let skew = SnapError::UnsupportedVersion { found: 1, supported: SNAP_VERSION };
+    assert_eq!(inspect(&bytes).err(), Some(skew.clone()));
+
+    let out = dir.run(["list"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let row = stdout.lines().find(|l| l.starts_with("old ")).expect("a row for the file");
+    assert!(row.contains("STALE") && row.ends_with(&skew.to_string()), "{row}");
+
+    let out = dir.run(["serve", "old", "127.0.0.1:0"]);
+    assert!(!out.status.success(), "serve must refuse a version-1 file");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&skew.to_string()) && stderr.contains("msrpctl create"), "{stderr}");
+    assert!(!dir.0.join("old.addr").exists(), "a refused boot never binds");
 }
 
 #[test]

@@ -1,5 +1,5 @@
 //! The payoff measurement for the Bernstein–Karger preprocessing: `build_bk` (one multi-seed
-//! subtree BFS per tree-edge cut) against `build_exact` (one full
+//! BFS per tree-edge cut, over the entries it changes) against `build_exact` (one full
 //! avoiding-BFS per tree edge) on the `graph_csr`/`oracle_queries` workloads, plus the query
 //! surface of a BK-built oracle against recomputation.
 //!

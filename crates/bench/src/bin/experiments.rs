@@ -468,7 +468,8 @@ fn experiment_e8(quick: bool) {
 }
 
 /// E9 — weighted MSRP (Section 9): the subtree-Dijkstra solver against the per-tree-edge
-/// weighted brute force, with the full replacement tables compared bit for bit.
+/// weighted brute force, with the full replacement tables compared bit for bit (asserted,
+/// so `--quick` gates exactness).
 fn experiment_e9(quick: bool) {
     println!("\n=== E9: weighted MSRP (Section 9 lift) ===");
     let sizes: &[usize] = if quick { &[96, 160] } else { &[128, 256, 512] };
@@ -499,6 +500,7 @@ fn experiment_e9(quick: bool) {
                     .collect::<Vec<_>>()
             });
             let all_equal = out.per_source == truth;
+            assert!(all_equal, "E9: {} n={n}: solver tables differ from brute force", kind.label());
             table.add_row([
                 kind.label().to_string(),
                 g.vertex_count().to_string(),
@@ -514,10 +516,12 @@ fn experiment_e9(quick: bool) {
     table.print();
 }
 
-/// E10 — the Bernstein–Karger preprocessing (one multi-seed subtree search per tree-edge
-/// cut, in preorder-local coordinates) against the per-tree-edge brute force, with the
-/// full replacement tables compared bit for bit (`ReplacementPathOracle::per_source` row
-/// equality — every entry, nothing sampled).
+/// E10 — the Bernstein–Karger preprocessing (one multi-seed search per tree-edge cut over
+/// the entries it changes, in dominator-tree preorder coordinates) against the
+/// per-tree-edge brute force, with the full replacement tables compared bit for bit
+/// (`ReplacementPathOracle::per_source` row equality — every entry, nothing sampled;
+/// asserted, so `--quick` gates exactness). `searched` is the share of entries above the
+/// fault-free distance `d(t)`: the entries the kernel searches.
 fn experiment_e10(quick: bool) {
     println!("\n=== E10: Bernstein-Karger preprocessing vs per-tree-edge brute force ===");
     let sizes: &[usize] = if quick { &[96, 192] } else { &[128, 256, 512, 1024] };
@@ -531,6 +535,7 @@ fn experiment_e10(quick: bool) {
         "exact build (s)",
         "speedup",
         "entries",
+        "searched",
         "all equal",
     ]);
     for kind in [WorkloadKind::SparseRandom, WorkloadKind::Grid] {
@@ -541,6 +546,16 @@ fn experiment_e10(quick: bool) {
             let (exact, exact_secs) =
                 time_secs(|| ReplacementPathOracle::build_exact(&g, &sources));
             let all_equal = bk.trees() == exact.trees() && bk.per_source() == exact.per_source();
+            assert!(all_equal, "E10: {} n={n}: BK tables differ from build_exact", kind.label());
+            // The entries a failure changes: the only ones the BK kernel searches.
+            let searched: usize = bk
+                .trees()
+                .iter()
+                .zip(bk.per_source())
+                .map(|(tree, rows)| {
+                    rows.iter().filter(|&(t, _, d)| d > tree.distances()[t]).count()
+                })
+                .sum();
             table.add_row([
                 kind.label().to_string(),
                 g.vertex_count().to_string(),
@@ -550,6 +565,7 @@ fn experiment_e10(quick: bool) {
                 format!("{exact_secs:.3}"),
                 format!("{:.2}x", exact_secs / bk_secs.max(1e-9)),
                 bk.entry_count().to_string(),
+                format!("{:.1}%", 100.0 * searched as f64 / bk.entry_count().max(1) as f64),
                 all_equal.to_string(),
             ]);
         }

@@ -1,27 +1,32 @@
-//! The Bernstein–Karger single-fault preprocessing: one multi-seed subtree search per
-//! tree-edge cut, replacing the one-BFS-per-tree-edge brute force of
+//! The Bernstein–Karger single-fault preprocessing: one multi-seed search per tree-edge
+//! cut whose failure changes anything, replacing the one-BFS-per-tree-edge brute force of
 //! [`build_exact`](ReplacementPathOracle::build_exact).
 //!
 //! # The pipeline
 //!
-//! For each source `s` with BFS tree `T_s`:
+//! For each source `s` with BFS tree `T_s`, the failure of the tree edge `e = (p, c)`
+//! (`p = parent(c)`) can only lengthen the canonical paths that use it, i.e. those to the
+//! subtree `desc(c)`; its table column holds one entry per member of that subtree. The
+//! **BFS DAG** — every edge joining a vertex to a neighbour one level up — says which of
+//! those entries change:
 //!
-//! 1. **Number** `T_s` in preorder ([`ShortestPathTree::preorder_interval`]), so every
-//!    subtree is a contiguous interval of positions.
-//! 2. **Visit every tree edge once**, in preorder. The edge above `c` — the tree edge
-//!    `e = (p, c)` with `p = parent(c)` — separates the subtree `C = desc(c)` from the rest of
-//!    the tree, and the targets whose canonical path uses `e` are exactly the members of `C`.
-//! 3. **Solve one cut, not one graph.** For `t ∈ C`, every `s–t` path in `G \ e` decomposes at
-//!    its *last* entry into `C`: a prefix from `s` to some `x ∉ C` (whose canonical distance
-//!    survives, because canonical paths of non-descendants never use `e`), one crossing edge
-//!    `{x, y} ≠ e`, and a suffix inside `G[C]`. Therefore
+//! * **`c` has two or more DAG parents.** `c` keeps `d(c)` through the other one, and so
+//!   does every vertex below it: the whole column is the fault-free `d(t)`. No search.
+//! * **`c` has exactly one DAG parent, `p`.** `d(t)` changes exactly when every shortest
+//!   `s–t` path runs through `c`, i.e. when `c` **dominates** `t` in the DAG. Those `t`
+//!   form `c`'s dominator subtree `D = D(c)`; every other vertex keeps its distance.
 //!
-//!    ```text
-//!    d_{G\e}(s, t) = min_{y ∈ C} [ seed(y) + d_{G[C]}(y, t) ],
-//!    seed(y) = min { d(s, x) + 1 : {x, y} ∈ E, x ∉ C, {x, y} ≠ e }
-//!    ```
+//! So tables start at `d(t)` and only the dominator subtrees are searched. For `t ∈ D`,
+//! every `s–t` path in `G \ e` decomposes at its *last* entry into `D`: a prefix from `s`
+//! to some `x ∉ D` (whose distance survives), one crossing edge `{x, y} ≠ e`, and a suffix
+//! inside `G[D]`. Therefore
 //!
-//!    which one multi-seed BFS over the subtree slice computes exactly.
+//! ```text
+//! d_{G\e}(s, t) = min_{y ∈ D} [ seed(y) + d_{G[D]}(y, t) ],
+//! seed(y) = min { d(s, x) + 1 : {x, y} ∈ E, x ∉ D, {x, y} ≠ e }
+//! ```
+//!
+//! which one multi-seed BFS over `D` computes exactly.
 //!
 //! The tables this fills are the rows of [`SourceReplacementDistances`], indexed by
 //! the canonical-path position of the avoided edge, so `QUERY(s, t, e)` stays the same `O(1)`
@@ -31,32 +36,33 @@
 //!
 //! # The kernel
 //!
-//! Each source is first relabelled into **preorder-local coordinates**
-//! ([`BkScratch::prepare`], one `O(n + m)` pass): vertices become preorder positions, so the subtree below position `pc` is the interval `[pc, pc + size)` and
-//! membership is `x − pc < size` (one wrapping subtraction); each adjacency row is
-//! stored in positions and ordered by depth, shallowest first. A cut then runs:
+//! Each source is first relabelled into **dominator-tree preorder** ([`BkScratch::prepare`]).
+//! One pass in BFS order reads each vertex's DAG parents (its neighbours one level up, all
+//! settled before it) and takes their nearest common dominator as its immediate dominator:
+//! the deeper of two candidates walks up the dominator tree until they meet, since a
+//! dominator always sits at a smaller depth. Vertices then become dominator-tree preorder
+//! positions, so `D(c)` is the interval `[pc, pc + |D|)` and membership is `x − pc < |D|`
+//! (one wrapping subtraction); each adjacency row is stored in positions and ordered by
+//! depth, shallowest first, so a vertex's DAG parents are its row's prefix. A cut then runs:
 //!
 //! 1. **Seeds.** Every neighbour of `y` has depth `≥ d(y) − 1`, so with depth-ordered
-//!    rows the first crossing neighbour gives `seed(y)` and ends the scan. A seed equal
-//!    to `d(y)` is final — no replacement path is shorter than the original — and
-//!    when every vertex is final the cut is done without a search.
-//! 2. **Pull.** Each remaining (*open*) vertex may also enter from a final neighbour
-//!    inside the subtree; the first one in its depth-ordered row is the best.
-//! 3. **Merged search.** The open vertices are counting-sorted by value (spread at most
-//!    `|C| + 1`) and merged with a FIFO of relaxed vertices. FIFO values never decrease,
-//!    so only a sorted entry can be stale, and final vertices are never relaxed.
+//!    rows the first neighbour outside the interval (skipping `p` for `y = c`) gives
+//!    `seed(y)` and ends the scan. Every vertex of `D` is open: its distance grows.
+//! 2. **Merged search.** The seeds are counting-sorted by value (spread at most
+//!    `|D| + 1`) and merged with a FIFO of relaxed vertices. FIFO values never decrease,
+//!    so only a sorted entry can be stale.
 //!
 //! Tentative distances live in a slice indexed by `x − pc` that each cut overwrites in
 //! full, so no reset list is kept.
 //!
 //! # Cost
 //!
-//! Processing the edge above `c` touches `O(|C| + m(C))` words, where `m(C)` counts edges
-//! with an endpoint in `C` — and only the open vertices' rows in full. Summed over all
-//! tree edges this is `O(Σ_t depth(t) + Σ_{{u,v} ∈ E} (depth(u) + depth(v)))` —
-//! output-sensitive, and `O((n + m) · log n)`-ish on the shallow trees of the random
-//! workloads — versus the brute force's `Θ(n · m)` per source (one full BFS per tree
-//! edge). `BENCH_bk.json` records the measured gap.
+//! The search of `D(c)` touches `O(|D| + m(D))` words, where `m(D)` counts edges with an
+//! endpoint in `D`, and every member of `D` is an entry the failure changes. Summed over
+//! all cuts this is `O(changed entries + their edges)`, plus the relabel's dominator walk,
+//! `O(Σ_{{u,v} ∈ E} depth)` at worst and a few steps per edge on the shallow trees of the
+//! random workloads — versus the brute force's `Θ(n · m)` per source (one full BFS per
+//! tree edge). `BENCH_bk.json` and `BENCH_bk_dominators.json` record the measured gaps.
 //!
 //! Bernstein and Karger charge their per-path tables to a heavy-path cover; this kernel
 //! needs none, because a cut's cost does not depend on the order the cuts run in.
@@ -72,23 +78,24 @@ use crate::ReplacementPathOracle;
 
 /// Stage labels of the profiled BK pipeline (see
 /// [`build_bk_csr_profiled`](ReplacementPathOracle::build_bk_csr_profiled)): BFS tree
-/// construction, the per-source relabel into preorder positions, replacement-table
-/// allocation, the per-cut multi-seed BFS solves, and the shard merge. The relabel stage
-/// keeps its historical name `"cover"`, which the benchmark harness reads.
+/// construction, the per-source dominator relabel, replacement-table allocation, the
+/// per-cut multi-seed BFS solves, and the shard merge. The relabel stage keeps its
+/// historical name `"cover"`, which the benchmark harness reads.
 pub const BK_STAGES: [&str; 5] = ["tree", "cover", "rows", "cuts", "merge"];
 
-/// Sentinel position: "no vertex" (never equal to a real preorder position).
+/// Sentinel position or vertex: "none" (never equal to a real one).
 const NONE: u32 = u32::MAX;
 
-/// Reusable buffers for the Bernstein–Karger per-cut searches, in **preorder-local
-/// coordinates**.
+/// Reusable buffers for the Bernstein–Karger per-cut searches, in **dominator-tree
+/// preorder coordinates**.
 ///
 /// [`prepare`](Self::prepare) runs once per source: it relabels the source's reachable
-/// vertices by their tree preorder position and stores, indexed by position, the vertex,
-/// its tree depth, its subtree size and its adjacency rewritten as positions, each row
-/// ordered by depth. The subtree below position `pc` is then the position interval
-/// `[pc, pc + size[pc])`, so every cut's membership test is one wrapping subtraction and
-/// one compare, and its tentative distances live in a slice indexed by `x − pc` that the
+/// vertices by their preorder position in the dominator tree of the BFS DAG and stores,
+/// indexed by position, the vertex, its tree depth, the length of the interval its cut
+/// searches, and its adjacency rewritten as positions, each row ordered by depth. The
+/// entries the cut above position `pc` changes are then the position interval
+/// `[pc, pc + span[pc])`, so every membership test is one wrapping subtraction and one
+/// compare, and the cut's tentative distances live in a slice indexed by `x − pc` that the
 /// cut overwrites in full (no reset list).
 ///
 /// One scratch serves every cut of every source, over graphs of any size, so the whole
@@ -98,25 +105,38 @@ const NONE: u32 = u32::MAX;
 pub struct BkScratch {
     /// Root of the tree the per-source arrays describe (`None` before the first prepare).
     root: Option<Vertex>,
-    /// Preorder position of each vertex (`NONE` for unreachable vertices).
+    /// BFS rank (index in the tree's settle order) of each vertex (`NONE` if unreachable).
+    rank: Vec<u32>,
+    /// Per BFS rank, the rank of the immediate dominator in the BFS DAG (`NONE` at the
+    /// root).
+    idom: Vec<u32>,
+    /// Per BFS rank, the dominator-tree child of the root above it (itself for such a
+    /// child, the root for the root).
+    top: Vec<u32>,
+    /// Per BFS rank, during the relabel: the dominator-subtree size, then, once placed,
+    /// the next free position for its dominator children.
+    next: Vec<u32>,
+    /// Dominator-tree preorder position of each vertex (`NONE` for unreachable vertices).
     pos: Vec<u32>,
     /// The vertex at each position (the inverse of `pos`).
     vert: Vec<Vertex>,
     /// Tree depth (distance from the root) per position.
     depth: Vec<Distance>,
-    /// Subtree size per position.
-    size: Vec<u32>,
-    /// The source's adjacency in positions, each row shallowest first: row `i` is
-    /// `adj[off[i]..off[i + 1]]`.
+    /// Per position, the number of entries the failure of the tree edge above it changes:
+    /// its dominator-subtree size when it has exactly one DAG parent, else 0 (and 0 at the
+    /// root, which has no edge above it).
+    span: Vec<u32>,
+    /// The source's adjacency in positions, each row shallowest first and stored in BFS
+    /// order: the row of position `i` is `adj[rows[i].0..rows[i].1]`, and `off` holds the
+    /// row bounds by BFS rank while the relabel runs.
+    rows: Vec<(u32, u32)>,
     off: Vec<u32>,
     adj: Vec<u32>,
     /// Tentative distances of the current cut, indexed by `x − pc`.
     dist: Vec<Distance>,
-    /// Counting-sort bucket starts over the open values of the current cut.
+    /// Counting-sort bucket starts over the seed values of the current cut.
     count: Vec<u32>,
-    /// Vertices (`x − pc`) of the current cut whose seed is above their depth (not final).
-    open: Vec<u32>,
-    /// `(value, x − pc)` of the current cut's open vertices with a finite value, ascending.
+    /// `(value, x − pc)` of the current cut's vertices with a finite seed, ascending.
     seeds: Vec<(Distance, u32)>,
     /// FIFO of vertices (`x − pc`) relaxed during the current cut's search.
     fifo: Vec<u32>,
@@ -128,41 +148,44 @@ impl BkScratch {
         Self::default()
     }
 
-    /// The per-source relabel: one `O(n + m)` pass mapping the reachable part of `g` into
-    /// the preorder positions of `tree`. Every cut of this source reads only what this pass
-    /// stores, so it must run (again) before the cuts of any other source.
+    /// The per-source relabel: one pass in BFS order finding every vertex's immediate
+    /// dominator in the BFS DAG, then the dominator-tree preorder and the depth-ordered rows
+    /// in positions. Every cut of this source reads only what this pass stores, so it must
+    /// run (again) before the cuts of any other source.
     ///
     /// # Panics
     ///
-    /// Panics if `tree` is not a tree over `g`'s vertex set.
+    /// Panics if `tree` is not a BFS tree over `g`'s vertex set.
     pub fn prepare(&mut self, g: &CsrGraph, tree: &ShortestPathTree) {
         let n = g.vertex_count();
         assert_eq!(tree.vertex_count(), n, "tree and graph disagree on the vertex count");
-        let r = tree.order().len();
-        self.pos.clear();
-        self.pos.resize(n, NONE);
-        self.vert.resize(r, 0);
-        self.depth.resize(r, 0);
-        self.size.resize(r, 0);
-        let dists = tree.distances();
-        for &v in tree.order() {
-            let v = v as usize;
-            let (pre, size) = tree.preorder_interval(v).expect("settled vertices are reachable");
-            self.pos[v] = pre as u32;
-            self.vert[pre] = v;
-            self.depth[pre] = dists[v];
-            self.size[pre] = size as u32;
+        let (order, dists) = (tree.order(), tree.distances());
+        let r = order.len();
+        // Pass 1, in BFS order. A reachable vertex's neighbours are reachable and have
+        // depth dv − 1, dv or dv + 1: counting-sort each row into those three classes,
+        // shallowest first, so a cut's seed scan can stop at the first crossing neighbour.
+        // The class-0 prefix is the vertex's DAG parents, all settled before it; its
+        // immediate dominator is their nearest common dominator. Dominators are settled
+        // before what they dominate, so two candidates meet by walking the later-settled
+        // one up. Candidates below different children of the root meet at the root at
+        // once, which on shallow trees is most meetings.
+        self.rank.clear();
+        self.rank.resize(n, NONE);
+        for (i, &v) in (0..).zip(order) {
+            self.rank[v as usize] = i;
         }
+        assert!(
+            order.windows(2).all(|w| dists[w[0] as usize] <= dists[w[1] as usize]),
+            "the tree's settle order is not a BFS order"
+        );
+        self.idom.clear();
+        self.idom.resize(r, NONE);
+        self.top.resize(r, 0);
         self.off.clear();
         self.adj.clear();
         self.off.push(0);
-        let pos = &self.pos;
-        for &v in &self.vert {
-            let dv = dists[v];
-            // A reachable vertex's neighbours are reachable (so every position is real) and
-            // have depth dv − 1, dv or dv + 1: counting-sort the row into those three
-            // classes, shallowest first, so a cut's seed scan can stop at the first
-            // crossing neighbour.
+        for (i, &v) in order.iter().enumerate() {
+            let (v, dv) = (v as usize, dists[v as usize]);
             let row = g.neighbor_row(v);
             let start = self.adj.len();
             self.adj.resize(start + row.len(), 0);
@@ -174,74 +197,119 @@ impl BkScratch {
             let mut next = [start, start + at[0], start + at[0] + at[1]];
             for &x in row {
                 let k = class(x);
-                self.adj[next[k]] = pos[x as usize];
+                self.adj[next[k]] = x;
                 next[k] += 1;
             }
             self.off.push(self.adj.len() as u32);
+            let mut dom = NONE;
+            for &x in &self.adj[start..start + at[0]] {
+                let mut a = self.rank[x as usize];
+                if dom != NONE && self.top[a as usize] != self.top[dom as usize] {
+                    dom = 0;
+                    break;
+                }
+                while dom != NONE && a != dom {
+                    let (late, early) = if a > dom { (a, dom) } else { (dom, a) };
+                    (a, dom) = (self.idom[late as usize], early);
+                }
+                dom = a;
+            }
+            self.idom[i] = dom;
+            self.top[i] = match dom {
+                NONE => 0,
+                0 => i as u32,
+                d => self.top[d as usize],
+            };
         }
-        // The root's subtree is the largest cut a search can see.
+        // Dominator-subtree sizes, latest first, then preorder positions in BFS order:
+        // each vertex takes the next free slot of its dominator, which was placed earlier.
+        // A vertex has one DAG parent exactly when its dominator is one level up; only its
+        // cut changes anything.
+        self.next.clear();
+        self.next.resize(r, 1);
+        for i in (1..r).rev() {
+            self.next[self.idom[i] as usize] += self.next[i];
+        }
+        self.pos.clear();
+        self.pos.resize(n, NONE);
+        self.vert.resize(r, 0);
+        self.depth.resize(r, 0);
+        self.span.resize(r, 0);
+        self.rows.resize(r, (0, 0));
+        for (i, &v) in order.iter().enumerate() {
+            let (v, dv) = (v as usize, dists[v as usize]);
+            let (at, span) = match self.idom[i] {
+                NONE => (0, 0),
+                d => {
+                    let slot = self.next[d as usize];
+                    self.next[d as usize] += self.next[i];
+                    let single = dists[order[d as usize] as usize] + 1 == dv;
+                    (slot, if single { self.next[i] } else { 0 })
+                }
+            };
+            self.pos[v] = at;
+            self.next[i] = at + 1;
+            let at = at as usize;
+            self.vert[at] = v;
+            self.depth[at] = dv;
+            self.span[at] = span;
+            self.rows[at] = (self.off[i], self.off[i + 1]);
+        }
+        // The rows, stored in BFS order, now name positions.
+        for x in &mut self.adj {
+            *x = self.pos[*x as usize];
+        }
+        // The root's dominator subtree is the largest interval a search can see.
         self.dist.resize(r, INFINITE_DISTANCE);
         self.count.resize(r + 3, 0);
         self.root = Some(tree.source());
     }
 
-    /// Runs the multi-seed BFS for the cut below the tree edge from position `pp` to its
-    /// child `pc`, leaving `self.dist[t − pc] = d_{G\(p,c)}(s, t)` for every position `t`
-    /// of the subtree — `INFINITE_DISTANCE` throughout when no crossing edge exists (the
-    /// failed edge is a bridge and the whole subtree is disconnected).
-    fn run_cut(&mut self, pc: u32, pp: u32) {
-        let (sz, base) = (self.size[pc as usize], pc as usize);
-        let (off, adj, pos_depth) = (&self.off, &self.adj, &self.depth);
-        let row =
-            |l: u32| &adj[off[base + l as usize] as usize..off[base + l as usize + 1] as usize];
-        let depth = &pos_depth[base..base + sz as usize];
+    /// Runs the multi-seed BFS for the cut above position `pc`, leaving
+    /// `self.dist[t − pc] = d_{G\(p,c)}(s, t)` for every position `t` of the interval
+    /// `[pc, pc + span[pc])` — `INFINITE_DISTANCE` throughout when no crossing edge exists
+    /// (the failed edge is a bridge and the whole interval is disconnected). An empty
+    /// interval (a cut that changes nothing) returns at once.
+    fn run_cut(&mut self, pc: u32) {
+        let (sz, base) = (self.span[pc as usize], pc as usize);
+        if sz == 0 {
+            return;
+        }
+        let (rows, adj, pos_depth) = (&self.rows[base..], &self.adj, &self.depth);
+        let row = |l: u32| {
+            let (start, end) = rows[l as usize];
+            &adj[start as usize..end as usize]
+        };
         let dist = &mut self.dist[..sz as usize];
-        // Pass 1: seed every subtree vertex from its crossing edges. A neighbour x
-        // contributes when it lies outside the subtree (its canonical distance survives the
-        // failure) via an edge other than the failed one; `{p, c}` is the only *tree* edge
-        // crossing the cut, so the exclusion is exactly that single pair. Rows are sorted
-        // by depth, so the first such neighbour gives the seed. A seed equal to the depth
-        // is final (no replacement path is shorter than the original); the rest are open.
-        self.open.clear();
+        // `c`'s single DAG parent is the first entry of its row.
+        let pp = row(0)[0];
+        // Pass 1: seed every interval vertex from its crossing edges. A neighbour x
+        // contributes when it lies outside the interval (its distance survives the
+        // failure) via an edge other than the failed one; `{p, c}` is the only DAG edge
+        // into `c`, so the exclusion is exactly that single pair. Rows are sorted by depth,
+        // so the first such neighbour gives the seed.
+        let (mut lo, mut hi) = (INFINITE_DISTANCE, 0);
         for l in 0..sz {
             let skip = if l == 0 { pp } else { NONE };
             let crossing = row(l).iter().find(|&&x| x.wrapping_sub(pc) >= sz && x != skip);
             let s = crossing.map_or(INFINITE_DISTANCE, |&x| pos_depth[x as usize] + 1);
             dist[l as usize] = s;
-            if s != depth[l as usize] {
-                self.open.push(l);
+            if s != INFINITE_DISTANCE {
+                lo = lo.min(s);
+                hi = hi.max(s);
             }
         }
-        // Pass 2: an open vertex can also enter from a final neighbour inside the
-        // subtree; the shallowest one (first in the sorted row) is the best entry.
-        let (mut lo, mut hi) = (INFINITE_DISTANCE, 0);
-        for &l in &self.open {
-            let entry = row(l)
-                .iter()
-                .map(|&x| x.wrapping_sub(pc))
-                .find(|&w| w < sz && dist[w as usize] == depth[w as usize]);
-            let d = &mut dist[l as usize];
-            if let Some(w) = entry {
-                *d = (*d).min(depth[w as usize] + 1);
-            }
-            if *d != INFINITE_DISTANCE {
-                lo = lo.min(*d);
-                hi = hi.max(*d);
-            }
-        }
-        // Nothing open (every vertex final), or nothing open is reachable at all (the
-        // bridge case: the distances are already all infinite).
+        // No crossing edge at all (the bridge case: the distances are already infinite).
         if lo == INFINITE_DISTANCE {
             return;
         }
-        // Pass 3: counting-sort the open vertices by value. Values lie in [d(y), d(y) + 2]
-        // and depths in the subtree in [d(c), d(c) + sz − 1], so the spread is at most
-        // sz + 1.
+        // Pass 2: counting-sort the seeded vertices by value. Values lie in
+        // [d(y) + 1, d(y) + 2] and depths in the interval in [d(c), d(c) + sz − 1], so the
+        // spread is at most sz + 1.
         let range = (hi - lo) as usize + 1;
         let count = &mut self.count[..range + 1];
         count.fill(0);
-        for &l in &self.open {
-            let d = dist[l as usize];
+        for &d in dist.iter() {
             if d != INFINITE_DISTANCE {
                 count[(d - lo) as usize + 1] += 1;
             }
@@ -251,18 +319,16 @@ impl BkScratch {
         }
         self.seeds.clear();
         self.seeds.resize(count[range] as usize, (0, 0));
-        for &l in &self.open {
-            let d = dist[l as usize];
+        for (l, &d) in (0..).zip(dist.iter()) {
             if d != INFINITE_DISTANCE {
                 let slot = &mut count[(d - lo) as usize];
                 self.seeds[*slot as usize] = (d, l);
                 *slot += 1;
             }
         }
-        // Pass 4: BFS over the open vertices, merging the sorted seeds with a FIFO of
-        // relaxed vertices. FIFO values never decrease and each is final when pushed, so
-        // only a seed entry can be stale (its vertex was since relaxed below the seed).
-        // Final vertices are never relaxed: `dv + 1 < depth` is impossible.
+        // Pass 3: BFS over the interval, merging the sorted seeds with a FIFO of relaxed
+        // vertices. FIFO values never decrease and each is final when pushed, so only a
+        // seed entry can be stale (its vertex was since relaxed below the seed).
         self.fifo.clear();
         let (mut si, mut fi) = (0, 0);
         loop {
@@ -291,34 +357,35 @@ impl BkScratch {
     }
 }
 
-/// Solves the single cut below tree edge `(p, c)` and writes its column of `out`: entry
-/// `(t, dist(c) - 1)` for every `t` in the subtree of `c`, `INFINITE_DISTANCE` when the cut
-/// is a bridge. Writes are unconditional, so the helper serves both fresh construction
-/// (entries start infinite) and the incremental patcher (entries may hold a stale finite
-/// value from the previous epoch).
+/// Solves the cut below the tree edge `(parent(c), c)` and writes the entries it changes:
+/// column `d(c) − 1` of every `t` that `c` dominates in the BFS DAG, `INFINITE_DISTANCE`
+/// when the cut is a bridge. Every other entry of the column equals `d(t)` and is left
+/// alone, so `out` must already hold `d(t)` there: fresh tables start fault-free, and the
+/// incremental patcher resets a dirty column first. Returns the number of entries written.
 ///
 /// `scratch` must have been [prepared](BkScratch::prepare) for this `tree`.
 pub(crate) fn solve_cut_into(
     tree: &ShortestPathTree,
     scratch: &mut BkScratch,
     out: &mut SourceReplacementDistances,
-    p: Vertex,
     c: Vertex,
-) {
+) -> usize {
     debug_assert_eq!(scratch.root, Some(tree.source()), "scratch prepared for another tree");
     debug_assert_eq!(scratch.vert.len(), tree.order().len());
-    let (pc, pp) = (scratch.pos[c], scratch.pos[p]);
-    scratch.run_cut(pc, pp);
-    let col = tree.distance_or_infinite(c) as usize - 1;
-    let (pc, sz) = (pc as usize, scratch.size[pc as usize] as usize);
+    let pc = scratch.pos[c];
+    scratch.run_cut(pc);
+    let (pc, sz) = (pc as usize, scratch.span[pc as usize] as usize);
+    let col = scratch.depth[pc] as usize - 1;
     for (&t, &d) in scratch.vert[pc..pc + sz].iter().zip(&scratch.dist) {
         out.set(t, col, d);
     }
+    sz
 }
 
-/// The Bernstein–Karger replacement table for one source: solves every tree-edge cut, in
-/// preorder, with one multi-seed subtree BFS, filling the same row layout the brute force
-/// fills — exactly (see the module docs for the identity).
+/// The Bernstein–Karger replacement table for one source: solves every tree-edge cut
+/// whose failure changes an entry, with one multi-seed BFS over the entries it changes,
+/// filling the same row layout the brute force fills — exactly (see the module docs for
+/// the identity).
 ///
 /// The tree must be a BFS tree of `g`. Exposed (rather than private to
 /// [`build_bk`](ReplacementPathOracle::build_bk)) so the differential suite and experiment
@@ -345,13 +412,14 @@ fn prepared_replacement_distances<P: Profiler>(
     scratch: &mut BkScratch,
     profiler: &mut P,
 ) -> SourceReplacementDistances {
-    let mut out = timed(profiler, "rows", || SourceReplacementDistances::new(tree));
+    let mut out = timed(profiler, "rows", || SourceReplacementDistances::fault_free(tree));
     timed(profiler, "cuts", || {
         // Position 0 is the root, which has no edge above it.
         for pc in 1..scratch.vert.len() {
-            let c = scratch.vert[pc];
-            let p = tree.parent(c).expect("a non-root vertex has a parent");
-            solve_cut_into(tree, scratch, &mut out, p, c);
+            if scratch.span[pc] != 0 {
+                let c = scratch.vert[pc];
+                solve_cut_into(tree, scratch, &mut out, c);
+            }
         }
     });
     out
@@ -359,7 +427,7 @@ fn prepared_replacement_distances<P: Profiler>(
 
 impl ReplacementPathOracle {
     /// Builds the oracle with the real Bernstein–Karger preprocessing: one multi-seed
-    /// subtree BFS per tree-edge cut of every source tree,
+    /// BFS per tree-edge cut of every source tree, over the entries the cut changes,
     /// instead of [`build_exact`](Self::build_exact)'s full BFS per tree edge. Answers are
     /// bit-for-bit identical to `build_exact`'s (pinned by `tests/bk_differential.rs`);
     /// only the construction cost differs. The source trees are built in 64-way
@@ -384,8 +452,8 @@ impl ReplacementPathOracle {
     }
 
     /// Profiled variant of [`build_bk`](Self::build_bk): bit-identical output,
-    /// with per-stage wall time (`"tree"` BFS trees, `"cover"` the per-source relabel into
-    /// preorder positions, `"rows"` table allocation, `"cuts"` the multi-seed cut BFS
+    /// with per-stage wall time (`"tree"` BFS trees, `"cover"` the per-source dominator
+    /// relabel, `"rows"` table allocation, `"cuts"` the multi-seed cut BFS
     /// solves — timed once per source, not per cut) accumulated into `profile`. Experiment
     /// E12 builds its build-phase tables from this.
     ///
@@ -486,6 +554,59 @@ mod tests {
     }
 
     #[test]
+    fn cuts_write_exactly_the_entries_above_the_fault_free_distance() {
+        let mut rng = StdRng::seed_from_u64(41);
+        let graphs = [
+            connected_gnm(60, 150, &mut rng).unwrap(),
+            grid_graph(5, 6),
+            cycle_graph(9),
+            path_graph(7),
+            Graph::from_edges(10, &[(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (6, 7), (7, 8)])
+                .unwrap(),
+        ];
+        let mut scratch = BkScratch::new();
+        for g in &graphs {
+            let g = g.freeze();
+            for s in [0, g.vertex_count() / 2] {
+                let tree = ShortestPathTree::build(&g, s);
+                let brute = msrp_rpath::single_source_brute_force(&g, &tree);
+                let above = brute.iter().filter(|&(t, _, d)| d > tree.distances()[t]).count();
+                scratch.prepare(&g, &tree);
+                // 0 is no replacement distance (every stored target is not the source), so
+                // it marks the entries no cut wrote.
+                let zeros = vec![0; brute.entry_count()];
+                let mut out = SourceReplacementDistances::from_flat_rows(&tree, zeros);
+                let written: usize = tree.order()[1..]
+                    .iter()
+                    .map(|&c| solve_cut_into(&tree, &mut scratch, &mut out, c as usize))
+                    .sum();
+                assert_eq!(written, above, "s={s}");
+                assert_eq!(out.iter().filter(|&(_, _, d)| d != 0).count(), above, "s={s}");
+                for (t, i, d) in out.iter().filter(|&(_, _, d)| d != 0) {
+                    assert_eq!(brute.get(t, i), Some(d), "s={s} t={t} i={i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_below_a_vertex_with_two_parents_writes_nothing() {
+        // From 0 on the 4-cycle, vertex 2 has two DAG parents (1 and 3): failing {1, 2}
+        // leaves 0–3–2, and the column stays fault-free. Vertex 1 has one parent, and the
+        // cut above it lengthens d(1) to 3 (0–3–2–1).
+        let g = cycle_graph(4).freeze();
+        let tree = ShortestPathTree::build(&g, 0);
+        let mut scratch = BkScratch::new();
+        scratch.prepare(&g, &tree);
+        let mut out = SourceReplacementDistances::fault_free(&tree);
+        let before = out.clone();
+        assert_eq!(solve_cut_into(&tree, &mut scratch, &mut out, 2), 0);
+        assert_eq!(out, before);
+        assert_eq!(solve_cut_into(&tree, &mut scratch, &mut out, 1), 1);
+        assert_eq!(out.get(1, 0), Some(3));
+    }
+
+    #[test]
     fn bk_oracle_matches_exact_oracle_queries() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = connected_gnm(26, 60, &mut rng).unwrap().freeze();
@@ -564,7 +685,7 @@ mod tests {
         let mut scratch = BkScratch::new();
         scratch.prepare(&csr, &t0);
         let mut out = SourceReplacementDistances::new(&t8);
-        solve_cut_into(&t8, &mut scratch, &mut out, 8, 7);
+        solve_cut_into(&t8, &mut scratch, &mut out, 7);
     }
 
     #[test]

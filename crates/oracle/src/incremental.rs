@@ -170,6 +170,7 @@ impl ReplacementPathOracle {
         // and the row-for-row equality with a fresh `build_bk` are untouched.
         let mut bfs = BfsScratch::new();
         let mut scratch = BkScratch::new();
+        let mut preorder: Vec<Vertex> = Vec::new();
         let mut stats = RebuildStats { sources_total: self.sources.len(), ..Default::default() };
         let mut trees = Vec::with_capacity(self.trees.len());
         let mut distances = Vec::with_capacity(self.distances.len());
@@ -195,16 +196,32 @@ impl ReplacementPathOracle {
                 let mut rows = old_rows.clone();
                 let dirty = dirty_cuts(&new_tree, changed);
                 if !dirty.is_empty() {
-                    // The same O(n + m) relabel the fresh BFS above already paid for.
+                    // The same relabel a fresh build runs, and the vertices in tree
+                    // preorder, so each dirty column's subtree is a slice of it.
                     scratch.prepare(g_new, &new_tree);
+                    preorder.resize(new_tree.order().len(), 0);
+                    for &v in new_tree.order() {
+                        let v = v as usize;
+                        let (pre, _) =
+                            new_tree.preorder_interval(v).expect("settled vertices are reachable");
+                        preorder[pre] = v;
+                    }
                 }
                 for &c in &dirty {
-                    let p = new_tree.parent(c).expect("dirty cut vertex has a parent");
                     debug_assert!(
                         new_tree.is_ancestor(c, changed.lo())
                             || new_tree.is_ancestor(c, changed.hi())
                     );
-                    solve_cut_into(&new_tree, &mut scratch, &mut rows, p, c);
+                    // The column may hold the previous graph's changed entries anywhere in
+                    // the subtree of `c`: reset it to fault-free, then write the entries
+                    // this graph's failure changes.
+                    let (pre, size) =
+                        new_tree.preorder_interval(c).expect("dirty cuts are reachable");
+                    let col = new_tree.depth(c) - 1;
+                    for &t in &preorder[pre..pre + size] {
+                        rows.set(t, col, new_tree.distance_or_infinite(t));
+                    }
+                    solve_cut_into(&new_tree, &mut scratch, &mut rows, c);
                 }
                 stats.cuts_recomputed += dirty.len();
                 stats.sources_patched += 1;
@@ -404,6 +421,34 @@ mod tests {
             Some(msrp_graph::INFINITE_DISTANCE)
         );
         assert_equals_scratch_build(&next, &g.freeze());
+    }
+
+    #[test]
+    fn a_second_parent_added_and_removed_patches_back_and_forth() {
+        // From 0, vertex 2 has one DAG parent (1), so failing {0, 1} or {1, 2} lengthens
+        // its distance: 0–4–5–3–2. Adding the non-tree edge {4, 2} gives 2 a second parent
+        // one level up. The tree is unchanged (the patch rung), and entries that were
+        // searched fall back to d(2) = 2; removing the edge again restores them.
+        let g0 = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 3)]).unwrap();
+        let oracle = ReplacementPathOracle::build_bk(&g0.freeze(), &[0]);
+        let (first, tree_edge) = (Edge::new(0, 1), Edge::new(1, 2));
+        for e in [first, tree_edge] {
+            assert_eq!(oracle.replacement_distance(0, 2, e), Some(4), "{e:?}");
+        }
+        let second_parent = Edge::new(2, 4);
+        let mut g = g0.clone();
+        toggle(&mut g, second_parent);
+        let (added, stats) = oracle.rebuild_bk(&g.freeze(), second_parent);
+        assert_eq!(stats.sources_patched, 1, "{stats:?}");
+        for e in [first, tree_edge] {
+            assert_eq!(added.replacement_distance(0, 2, e), Some(2), "{e:?}");
+        }
+        assert_equals_scratch_build(&added, &g.freeze());
+        toggle(&mut g, second_parent);
+        let (removed, stats) = added.rebuild_bk(&g.freeze(), second_parent);
+        assert_eq!(stats.sources_patched, 1, "{stats:?}");
+        assert_equals_scratch_build(&removed, &g.freeze());
+        assert_eq!(removed.per_source(), oracle.per_source());
     }
 
     #[test]

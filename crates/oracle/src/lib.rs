@@ -11,8 +11,8 @@
 //!   [`Metric`]: [`ReplacementPathOracle`] serves hops, [`WeightedReplacementOracle`]
 //!   weights, through the same query code;
 //! * [`build_bk`](ReplacementPathOracle::build_bk) — the **real Bernstein–Karger
-//!   preprocessing** (one multi-seed subtree search per tree-edge cut, in preorder-local
-//!   coordinates, see the [`bk`] module);
+//!   preprocessing** (one multi-seed search per tree-edge cut over the entries it
+//!   changes, in dominator-tree preorder coordinates, see the [`bk`] module);
 //! * [`build`](ReplacementPathOracle::build) — the paper's MSRP solver packaged behind the
 //!   same interface;
 //! * [`build_exact`](ReplacementPathOracle::build_exact) — the brute-force construction used

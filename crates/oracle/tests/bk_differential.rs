@@ -11,7 +11,8 @@
 //! change to the query algebra cannot pass on table equality alone.
 
 use msrp_graph::generators::{
-    barabasi_albert, connected_gnm, cycle_graph, gnm, grid_graph, star_graph,
+    barabasi_albert, complete_bipartite, connected_gnm, cycle_graph, gnm, grid_graph, hypercube,
+    path_graph, star_graph, torus_graph,
 };
 use msrp_graph::{CsrGraph, Graph, ShortestPathTree, Vertex};
 use msrp_oracle::{bk_replacement_distances, BkScratch, ReplacementPathOracle};
@@ -121,6 +122,44 @@ fn differential_cycle() {
 #[test]
 fn differential_star() {
     differential_battery("star", &star_graph(33), 5);
+}
+
+// Families where the dominator walk is long or wide. On a path every vertex has one
+// DAG parent and dominates everything below it, so every cut is searched over the whole
+// suffix. Complete bipartite graphs, hypercubes and tori give most vertices several DAG
+// parents whose nearest common dominator lies far up. The two-rail ladder alternates:
+// its rungs make vertices with one parent and vertices with two, so the dominator tree
+// is a long chain with short side branches.
+
+#[test]
+fn differential_path() {
+    differential_battery("path", &path_graph(40), 8);
+}
+
+#[test]
+fn differential_complete_bipartite() {
+    differential_battery("complete-bipartite", &complete_bipartite(7, 9), 9);
+}
+
+#[test]
+fn differential_hypercube() {
+    differential_battery("hypercube", &hypercube(5), 10);
+}
+
+#[test]
+fn differential_torus() {
+    differential_battery("torus", &torus_graph(6, 7), 11);
+}
+
+#[test]
+fn differential_two_rail_ladder() {
+    // Rails 0..k and k..2k, a rung every third column.
+    let k = 24;
+    let mut edges: Vec<(usize, usize)> =
+        (1..k).flat_map(|i| [(i - 1, i), (k + i - 1, k + i)]).collect();
+    edges.extend((0..k).step_by(3).map(|i| (i, k + i)));
+    let g = Graph::from_edges(2 * k, &edges).unwrap();
+    differential_battery("two-rail ladder", &g, 12);
 }
 
 #[test]

@@ -39,6 +39,21 @@ impl<M: Metric> ReplacementDistances<M> {
         }
     }
 
+    /// Creates a table with every entry of row `t` initialised to the fault-free distance
+    /// `d(t)`, sized according to the canonical tree `tree` (which must be rooted at the
+    /// source): the starting point of a construction that writes only the entries a
+    /// failure changes.
+    pub fn fault_free(tree: &CanonicalTree<M>) -> Self {
+        ReplacementDistances {
+            source: tree.source(),
+            rows: FlatRows::filled_per_row(
+                tree.vertex_count(),
+                |t| tree.depth(t),
+                |t| tree.distance_or_infinite(t),
+            ),
+        }
+    }
+
     /// Builds the table directly from a flat row stream: row `t` takes the next
     /// `tree.depth(t)` entries (empty for unreachable targets), in vertex order.
     /// The stream is the table's own buffer layout, so the table adopts `flat` as it is:
@@ -159,6 +174,9 @@ mod tests {
         assert_eq!(d.row(5).len(), 2);
         assert_eq!(d.entry_count(), 1 + 2 + 3 + 3 + 2 + 1);
         assert_eq!(d.infinite_entry_count(), d.entry_count());
+        let f = SourceReplacementDistances::fault_free(&tree);
+        assert_eq!(f.entry_count(), d.entry_count());
+        assert!(f.iter().all(|(t, _, x)| tree.distance(t) == Some(x)));
     }
 
     #[test]

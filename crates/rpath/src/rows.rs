@@ -24,6 +24,21 @@ impl<T: Copy> FlatRows<T> {
         FlatRows { offsets, values }
     }
 
+    /// `n` rows of lengths `len(0), …, len(n - 1)`, every entry of row `t` `fill(t)`. The
+    /// buffer is allocated once, to its exact total.
+    pub(crate) fn filled_per_row(
+        n: usize,
+        len: impl Fn(Vertex) -> usize,
+        fill: impl Fn(Vertex) -> T,
+    ) -> Self {
+        let offsets = prefix_sum(n, len);
+        let mut values = Vec::with_capacity(offsets[n] as usize);
+        for (t, w) in offsets.windows(2).enumerate() {
+            values.resize(w[1] as usize, fill(t));
+        }
+        FlatRows { offsets, values }
+    }
+
     /// `n` rows of lengths `len(t)` cut from `flat`, in vertex order; `flat` becomes the
     /// buffer as it is.
     ///

@@ -209,7 +209,7 @@ impl ShardedOracle {
     }
 
     /// Builds `shard_count` shards with the real Bernstein–Karger preprocessing
-    /// (`msrp_oracle::build_bk_shards`: one multi-seed subtree search per tree-edge cut,
+    /// (`msrp_oracle::build_bk_shards`: one multi-seed search per tree-edge cut,
     /// one construction worker per shard over the caller's frozen view) and wires up the
     /// routing table. Serves bit-for-bit the same answers as [`build`](Self::build)
     /// and the `build_exact` route — only the preprocessing cost differs. `shard_count` is

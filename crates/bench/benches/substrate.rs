@@ -1,13 +1,12 @@
-//! Micro-benchmarks of the substrates the algorithm is built on: BFS / shortest-path trees, the
-//! classical single-pair routine, and the cuckoo hash table against the standard library map.
+//! Micro-benchmarks of the substrates the algorithm is built on: BFS / shortest-path trees and
+//! the classical single-pair routine.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use msrp_bench::{standard_graph, WorkloadKind};
-use msrp_graph::{bfs, bfs_distances, CuckooHashMap, ShortestPathTree};
+use msrp_graph::{bfs, bfs_distances, ShortestPathTree};
 use msrp_rpath::single_pair_replacement_paths;
 
 fn bench_substrate(c: &mut Criterion) {
@@ -29,33 +28,6 @@ fn bench_substrate(c: &mut Criterion) {
         b.iter(|| single_pair_replacement_paths(&csr, &tree, 777, &dist_to_target))
     });
 
-    let keys: Vec<(u32, u32, u64)> = (0..20_000u32).map(|i| (i % 64, i / 64, i as u64)).collect();
-    group.bench_function("cuckoo_insert_get_20k", |b| {
-        b.iter(|| {
-            let mut m = CuckooHashMap::with_capacity(32_768);
-            for &k in &keys {
-                m.insert(k, k.2 as u32);
-            }
-            let mut acc = 0u64;
-            for &k in &keys {
-                acc += *m.get(&k).unwrap() as u64;
-            }
-            acc
-        })
-    });
-    group.bench_function("std_hashmap_insert_get_20k", |b| {
-        b.iter(|| {
-            let mut m = HashMap::with_capacity(32_768);
-            for &k in &keys {
-                m.insert(k, k.2 as u32);
-            }
-            let mut acc = 0u64;
-            for &k in &keys {
-                acc += *m.get(&k).unwrap() as u64;
-            }
-            acc
-        })
-    });
     group.finish();
 }
 

@@ -61,7 +61,7 @@ impl ReductionPlan {
     }
 
     /// Rows per gadget graph.
-    pub fn rows_per_batch(&self) -> usize {
+    fn rows_per_batch(&self) -> usize {
         self.sigma * self.rows_per_source
     }
 }
@@ -171,11 +171,6 @@ impl GadgetGraph {
         }
     }
 
-    /// The spine length `q`.
-    pub fn spine_length(&self) -> usize {
-        self.q
-    }
-
     /// Number of rows of `A` decided by this gadget graph.
     pub fn row_count(&self) -> usize {
         self.assignments.len()
@@ -239,7 +234,7 @@ mod tests {
         );
         assert_eq!(g.sources.len(), plan.sigma);
         assert!(g.row_count() <= plan.rows_per_batch());
-        assert!(g.spine_length() >= 1);
+        assert!(g.q >= 1);
     }
 
     #[test]

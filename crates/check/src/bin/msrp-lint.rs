@@ -16,7 +16,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use msrp_check::lint::{scan_source, scan_workspace, LintReport, RULES};
+use msrp_check::lint::{scan_files, scan_workspace, workspace_files, RULES};
 
 /// Repository root, two levels above this crate's manifest.
 fn repo_root() -> PathBuf {
@@ -74,9 +74,13 @@ fn main() -> ExitCode {
 /// Scans the seeded violation fixtures: each `*.rs-fixture` file under
 /// `crates/check/fixtures/` declares its expected findings in `// expect:` header lines
 /// (`// expect: <rule> <line>`). The fixture extension keeps the files out of the real
-/// workspace scan and out of `cargo` target discovery.
+/// workspace scan and out of `cargo` target discovery. Each fixture is scanned at its
+/// pretend path beside the real workspace files, so `pub-has-caller` sees the callers a
+/// real file would, and only the fixture's own findings are compared.
 fn self_test() -> ExitCode {
-    let dir = repo_root().join("crates/check/fixtures");
+    let root = repo_root();
+    let workspace = workspace_files(&root);
+    let dir = root.join("crates/check/fixtures");
     let mut entries: Vec<PathBuf> = std::fs::read_dir(&dir)
         .expect("fixtures directory must exist")
         .filter_map(|e| e.ok())
@@ -104,10 +108,14 @@ fn self_test() -> ExitCode {
             })
             .collect();
         assert!(!expected.is_empty(), "{}: fixture declares no expectations", path.display());
-        let mut report = LintReport::default();
-        scan_source(&pretend, &text, &mut report);
-        let got: Vec<(String, usize)> =
-            report.violations.iter().map(|v| (v.rule.to_string(), v.line)).collect();
+        let mut files = workspace.clone();
+        files.push((pretend.clone(), text));
+        let got: Vec<(String, usize)> = scan_files(&files)
+            .violations
+            .iter()
+            .filter(|v| v.file == pretend)
+            .map(|v| (v.rule.to_string(), v.line))
+            .collect();
         if got == expected {
             println!("fixture {}: ok ({} finding(s))", path.display(), got.len());
         } else {

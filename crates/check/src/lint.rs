@@ -1,6 +1,6 @@
 //! The repo lint wall: hand-rolled line/token scanning enforcing the workspace's
-//! concurrency-hygiene rules (the workspace builds offline, so no `syn`, no registry —
-//! the scanner works on raw source lines).
+//! concurrency-hygiene rules and keeping its public surface called (the workspace builds
+//! offline, so no `syn`, no registry — the scanner works on raw source lines).
 //!
 //! # Rules
 //!
@@ -10,6 +10,7 @@
 //! | `no-unsafe` | `unsafe` stays confined to the vendored shim crates (`crates/rand`, `crates/criterion` — which currently also forbid it). Every first-party crate carries `#![forbid(unsafe_code)]`; the lint stops the attribute from being quietly dropped. |
 //! | `no-sleep-sync` | `thread::sleep` in test code is almost always a hidden synchronization bug (sleeping until a racing thread "should" be done). Tests must synchronize on channels, joins, or the model checker. |
 //! | `no-as-id-narrowing` | In `crates/serve/src/protocol.rs`, id values cross the trust boundary as `u64` and must never be narrowed with a raw `as` cast (silent truncation turned hostile ids into valid-looking ones before PR 4 added validation). Use `try_from` with explicit rejection. |
+//! | `pub-has-caller` | A `pub fn` in a library or binary source (`crates/*/src`, outside the shim crates, before the first `#[cfg(test)]`) is named in the code of at least one *other* `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`. Tests and benches count as callers (reference adapters exist for them). Public surface that nothing calls is dead weight that only a census finds; the rule finds it on the commit that orphans it. A name with callers in its own file only loses its `pub`. |
 //!
 //! # Allowlist format
 //!
@@ -23,16 +24,17 @@
 //! `--max-allow 0` so any new entry fails the build until the cap is consciously raised
 //! in the workflow file (zero-growth policy).
 
+use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
 /// Rule identifiers, also the names used in `lint: allow(...)` markers.
-pub const RULES: [&str; 4] =
-    ["ordering-justified", "no-unsafe", "no-sleep-sync", "no-as-id-narrowing"];
+pub const RULES: [&str; 5] =
+    ["ordering-justified", "no-unsafe", "no-sleep-sync", "no-as-id-narrowing", "pub-has-caller"];
 
-/// Crates whose sources are exempt from `ordering-justified`, `no-unsafe`, and
-/// `no-sleep-sync`: the model shims themselves (whose scanner must be able to spell the
-/// patterns it scans for) and the vendored offline shims.
+/// Crates whose sources are exempt from `ordering-justified`, `no-unsafe`,
+/// `no-sleep-sync` and `pub-has-caller`: the model shims themselves (whose scanner must be
+/// able to spell the patterns it scans for) and the vendored offline shims.
 pub const SHIM_CRATES: [&str; 3] = ["crates/check", "crates/rand", "crates/criterion"];
 
 /// One lint finding.
@@ -156,24 +158,31 @@ fn is_test_code(path: &str, text: &str) -> bool {
         || text.contains("#[cfg(test)]")
 }
 
-/// Scans one file's text. `path` must be repo-relative with `/` separators.
-pub fn scan_source(path: &str, text: &str, report: &mut LintReport) {
+/// Records a hit of `rule` on `line`: as an allowlist entry when the line carries the
+/// rule's marker, as a violation otherwise.
+fn record(report: &mut LintReport, path: &str, line_no: usize, rule: &'static str, line: &str) {
+    if has_allow(line, rule) {
+        report.allowed.push((path.to_string(), line_no, rule));
+    } else {
+        report.violations.push(Violation {
+            file: path.to_string(),
+            line: line_no,
+            rule,
+            excerpt: line.trim().to_string(),
+        });
+    }
+}
+
+/// Scans one file's text with the per-file rules. `path` must be repo-relative with `/`
+/// separators.
+fn scan_source(path: &str, text: &str, report: &mut LintReport) {
     report.files_scanned += 1;
     let lines: Vec<&str> = text.lines().collect();
     let shim = in_shim_crate(path);
     let test_code = is_test_code(path, text);
     let is_protocol = path == "crates/serve/src/protocol.rs";
     let push = |report: &mut LintReport, line_no: usize, rule: &'static str, line: &str| {
-        if has_allow(line, rule) {
-            report.allowed.push((path.to_string(), line_no, rule));
-        } else {
-            report.violations.push(Violation {
-                file: path.to_string(),
-                line: line_no,
-                rule,
-                excerpt: line.trim().to_string(),
-            });
-        }
+        record(report, path, line_no, rule, line)
     };
     for (i, &line) in lines.iter().enumerate() {
         let code = code_part(line);
@@ -203,7 +212,7 @@ pub fn scan_source(path: &str, text: &str, report: &mut LintReport) {
 }
 
 /// Recursively collects every `.rs` file under `dir` (skipping `target/`).
-pub fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
+fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     let Ok(entries) = std::fs::read_dir(dir) else { return };
     let mut paths: Vec<PathBuf> = entries.filter_map(|e| e.ok()).map(|e| e.path()).collect();
     paths.sort();
@@ -219,27 +228,89 @@ pub fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Scans the whole workspace rooted at `root` (its `crates/`, `src/`, `tests/`,
-/// `examples/` trees) and returns the combined report.
-pub fn scan_workspace(root: &Path) -> LintReport {
+/// The identifiers in the code of `text` (line-comment tails stripped).
+fn code_words(text: &str) -> impl Iterator<Item = &str> {
+    text.lines()
+        .flat_map(|l| code_part(l).split(|c: char| c != '_' && !c.is_ascii_alphanumeric()))
+        .filter(|w| !w.is_empty())
+}
+
+/// `(line number, name, line)` of every `pub fn` that `pub-has-caller` checks in `text`:
+/// those of a `crates/*/src` file outside the shim crates, above its first `#[cfg(test)]`.
+fn checked_pub_fns<'a>(path: &str, text: &'a str) -> Vec<(usize, &'a str, &'a str)> {
+    let in_src = path.starts_with("crates/") && path.split('/').nth(2) == Some("src");
+    if !in_src || in_shim_crate(path) {
+        return Vec::new();
+    }
+    text.lines()
+        .enumerate()
+        .take_while(|(_, l)| !l.trim_start().starts_with("#[cfg(test)]"))
+        .filter_map(|(i, l)| {
+            let rest = code_part(l).trim_start().strip_prefix("pub fn ")?;
+            let name = rest.split(|c: char| c != '_' && !c.is_ascii_alphanumeric()).next()?;
+            Some((i + 1, name, l))
+        })
+        .collect()
+}
+
+/// `pub-has-caller` over a file set: flags each checked `pub fn` whose name the code of
+/// no other file in `files` uses.
+fn scan_callers(files: &[(String, String)], report: &mut LintReport) {
+    const MANY: usize = usize::MAX;
+    // The one file whose code uses each word, or `MANY` once a second file does.
+    let mut users: HashMap<&str, usize> = HashMap::new();
+    for (i, (_, text)) in files.iter().enumerate() {
+        for word in code_words(text) {
+            users.entry(word).and_modify(|f| *f = if *f == i { i } else { MANY }).or_insert(i);
+        }
+    }
+    for (i, (path, text)) in files.iter().enumerate() {
+        for (line_no, name, line) in checked_pub_fns(path, text) {
+            if users.get(name) == Some(&i) {
+                record(report, path, line_no, "pub-has-caller", line);
+            }
+        }
+    }
+}
+
+/// Reads every `.rs` file under `root`'s `crates/`, `src/`, `tests/`, `examples/` and
+/// `perfbench/src` trees as `(repo-relative path, text)`.
+pub fn workspace_files(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
+    for top in ["crates", "src", "tests", "examples", "perfbench/src"] {
         rust_sources(&root.join(top), &mut files);
     }
+    files
+        .into_iter()
+        .map(|file| {
+            let text = std::fs::read_to_string(&file)
+                .unwrap_or_else(|e| panic!("reading {}: {e}", file.display()));
+            let rel = file
+                .strip_prefix(root)
+                .unwrap_or(&file)
+                .components()
+                .map(|c| c.as_os_str().to_string_lossy())
+                .collect::<Vec<_>>()
+                .join("/");
+            (rel, text)
+        })
+        .collect()
+}
+
+/// Runs every rule over `files` (as [`workspace_files`] returns them). `perfbench/` is a
+/// separate workspace: its code counts as callers but is not itself scanned.
+pub fn scan_files(files: &[(String, String)]) -> LintReport {
     let mut report = LintReport::default();
-    for file in files {
-        let text = std::fs::read_to_string(&file)
-            .unwrap_or_else(|e| panic!("reading {}: {e}", file.display()));
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
-        scan_source(&rel, &text, &mut report);
+    for (path, text) in files.iter().filter(|(p, _)| !p.starts_with("perfbench/")) {
+        scan_source(path, text, &mut report);
     }
+    scan_callers(files, &mut report);
     report
+}
+
+/// Scans the whole workspace rooted at `root` and returns the combined report.
+pub fn scan_workspace(root: &Path) -> LintReport {
+    scan_files(&workspace_files(root))
 }
 
 #[cfg(test)]
@@ -334,6 +405,29 @@ mod tests {
         // The marker names a specific rule: it does not blanket-allow others.
         let wrong_rule = "unsafe { x } // lint: allow(no-as-id-narrowing) nope\n";
         assert_eq!(scan_one("crates/graph/src/a.rs", wrong_rule).violations.len(), 1);
+    }
+
+    #[test]
+    fn pub_fns_need_a_caller_in_another_file() {
+        let lib = "pub fn called_elsewhere() {}\n\
+                   pub fn called_at_home() {}\n\
+                   pub fn named_in_a_comment() {}\n\
+                   pub(crate) fn helper() { called_at_home(); }\n\
+                   #[cfg(test)]\n\
+                   pub fn below_the_test_marker() {}\n";
+        let caller = "fn main() { called_elsewhere(); } // named_in_a_comment\n";
+        let files = |lib_path: &str| {
+            vec![
+                (lib_path.to_string(), lib.to_string()),
+                ("perfbench/src/main.rs".to_string(), caller.to_string()),
+            ]
+        };
+        let r = scan_files(&files("crates/graph/src/a.rs"));
+        let flagged: Vec<(&str, usize)> = r.violations.iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(flagged, [("pub-has-caller", 2), ("pub-has-caller", 3)]);
+        // Shim crates, and files outside `crates/*/src`, are not checked.
+        assert!(scan_files(&files("crates/check/src/a.rs")).violations.is_empty());
+        assert!(scan_files(&files("crates/graph/tests/a.rs")).violations.is_empty());
     }
 
     #[test]

@@ -243,6 +243,9 @@ pub(crate) enum AtomOp {
     FetchAdd(u64, Ordering),
     /// `fetch_max(value, ordering)`
     FetchMax(u64, Ordering),
+    /// `compare_exchange(current, new, success, failure)` — reads the newest store and
+    /// writes `new` only when it equals `current`; the thread gets the value read back.
+    CompareExchange(u64, u64, Ordering, Ordering),
     /// Acquire a read lock (grantable while no writer holds the lock).
     LockRead,
     /// Acquire the write lock (grantable while nobody holds the lock).
@@ -260,6 +263,9 @@ impl AtomOp {
             AtomOp::Store(v, o) => format!("a{loc}.store({v}, {o:?})"),
             AtomOp::FetchAdd(v, o) => format!("a{loc}.fetch_add({v}, {o:?})"),
             AtomOp::FetchMax(v, o) => format!("a{loc}.fetch_max({v}, {o:?})"),
+            AtomOp::CompareExchange(c, v, s, f) => {
+                format!("a{loc}.compare_exchange({c}, {v}, {s:?}, {f:?})")
+            }
             AtomOp::LockRead => format!("l{loc}.read()"),
             AtomOp::LockWrite => format!("l{loc}.write()"),
             AtomOp::UnlockRead => format!("l{loc}.read_unlock()"),
@@ -274,6 +280,19 @@ fn is_acquire(o: Ordering) -> bool {
 
 fn is_release(o: Ordering) -> bool {
     matches!(o, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
+}
+
+/// What a read-modify-write does to a location whose newest value is `old`: the value it
+/// stores (`None` for a failed compare-exchange, which only loads) and the ordering that
+/// applies. Every RMW reads the newest store, so RMWs on one location never race.
+fn rmw_effect(op: &AtomOp, old: u64) -> (Option<u64>, Ordering) {
+    match *op {
+        AtomOp::FetchAdd(v, o) => (Some(old.wrapping_add(v)), o),
+        AtomOp::FetchMax(v, o) => (Some(old.max(v)), o),
+        AtomOp::CompareExchange(c, v, s, _) if old == c => (Some(v), s),
+        AtomOp::CompareExchange(_, _, _, f) => (None, f),
+        _ => unreachable!("not a read-modify-write"),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -468,43 +487,14 @@ fn apply_inline(core: &mut Core, loc: usize, op: &AtomOp) -> u64 {
                     );
                     0
                 }
-                AtomOp::FetchAdd(v, o) => {
-                    let nv = newest.value.wrapping_add(v);
-                    push_store(
-                        a,
-                        StoreRec {
-                            value: nv,
-                            writer: CONTROLLER,
-                            tick,
-                            sync: if is_release(o) {
-                                Some(clock.clone())
-                            } else {
-                                newest.sync.clone()
-                            },
-                        },
-                        cap,
-                    );
+                _ => {
+                    let (stored, o) = rmw_effect(op, newest.value);
+                    if let Some(nv) = stored {
+                        let sync = if is_release(o) { Some(clock) } else { newest.sync };
+                        push_store(a, StoreRec { value: nv, writer: CONTROLLER, tick, sync }, cap);
+                    }
                     newest.value
                 }
-                AtomOp::FetchMax(v, o) => {
-                    let nv = newest.value.max(v);
-                    push_store(
-                        a,
-                        StoreRec {
-                            value: nv,
-                            writer: CONTROLLER,
-                            tick,
-                            sync: if is_release(o) {
-                                Some(clock.clone())
-                            } else {
-                                newest.sync.clone()
-                            },
-                        },
-                        cap,
-                    );
-                    newest.value
-                }
-                _ => unreachable!(),
             }
         }
     }
@@ -616,25 +606,25 @@ fn apply(core: &mut Core, alt: &Alt) -> u64 {
             push_store(&mut core.atoms[loc], StoreRec { value: v, writer: tid, tick, sync }, cap);
             (0, String::new())
         }
-        AtomOp::FetchAdd(v, o) | AtomOp::FetchMax(v, o) => {
+        AtomOp::FetchAdd(..) | AtomOp::FetchMax(..) | AtomOp::CompareExchange(..) => {
             let newest = core.atoms[loc].history.last().expect("history never empty").clone();
+            let (stored, o) = rmw_effect(&op, newest.value);
             if is_acquire(o) {
                 if let Some(sc) = &newest.sync {
                     core.threads[tid - 1].clock.join(sc);
                 }
             }
-            let nv = match op {
-                AtomOp::FetchAdd(..) => newest.value.wrapping_add(v),
-                _ => newest.value.max(v),
-            };
-            let tick = core.threads[tid - 1].clock.get(tid);
-            let sync = if is_release(o) {
-                Some(core.threads[tid - 1].clock.clone())
-            } else {
-                // Release-sequence continuation: an RMW carries its predecessor's sync.
-                newest.sync.clone()
-            };
-            push_store(&mut core.atoms[loc], StoreRec { value: nv, writer: tid, tick, sync }, cap);
+            if let Some(nv) = stored {
+                let tick = core.threads[tid - 1].clock.get(tid);
+                let sync = if is_release(o) {
+                    Some(core.threads[tid - 1].clock.clone())
+                } else {
+                    // Release-sequence continuation: an RMW carries its predecessor's sync.
+                    newest.sync.clone()
+                };
+                let rec = StoreRec { value: nv, writer: tid, tick, sync };
+                push_store(&mut core.atoms[loc], rec, cap);
+            }
             // Reading the newest store also moves the coherence floor.
             let last = core.atoms[loc].base + core.atoms[loc].history.len() - 1;
             let lr = &mut core.atoms[loc].last_read;

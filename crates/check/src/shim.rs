@@ -91,6 +91,30 @@ macro_rules! model_atomic {
                     None => self.inner.fetch_max(v, order),
                 }
             }
+
+            /// Stores `new` if the value is `current`; returns the value read, `Ok` when
+            /// the store happened.
+            pub fn compare_exchange(
+                &self,
+                current: $prim,
+                new: $prim,
+                success: Ordering,
+                failure: Ordering,
+            ) -> Result<$prim, $prim> {
+                match route(&self.loc) {
+                    Some((ctx, idx)) => {
+                        let op =
+                            AtomOp::CompareExchange(current as u64, new as u64, success, failure);
+                        let read = ctx.op(idx, op) as $prim;
+                        if read == current {
+                            Ok(read)
+                        } else {
+                            Err(read)
+                        }
+                    }
+                    None => self.inner.compare_exchange(current, new, success, failure),
+                }
+            }
         }
 
         impl Default for $name {

@@ -26,7 +26,7 @@ pub struct Interval {
 impl Interval {
     /// `true` when the edge at position `pos` (spanning path positions `pos` and `pos + 1`)
     /// belongs to this interval.
-    pub fn contains_edge(&self, pos: usize) -> bool {
+    fn contains_edge(&self, pos: usize) -> bool {
         pos >= self.start_pos && pos < self.end_pos
     }
 

@@ -93,12 +93,12 @@ impl MsrpParams {
     }
 
     /// The `log n` term used by every threshold (never below 1).
-    pub fn log_term(&self, n: usize) -> f64 {
+    fn log_term(&self, n: usize) -> f64 {
         ((n.max(2)) as f64).ln().max(1.0) * self.log_scale
     }
 
     /// The base unit `X = sqrt(n/σ) · log n` that all distance thresholds are multiples of.
-    pub fn base_unit(&self, n: usize, sigma: usize) -> f64 {
+    fn base_unit(&self, n: usize, sigma: usize) -> f64 {
         let sigma = sigma.max(1);
         ((n.max(1)) as f64 / sigma as f64).sqrt() * self.log_term(n)
     }

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use msrp_graph::{BfsScratch, CsrGraph, Distance, ShortestPathTree, Vertex, INFINITE_DISTANCE};
+use msrp_graph::{BfsScratch, CsrGraph, Distance, ShortestPathTree, Vertex};
 
 /// BFS trees rooted at a list of special vertices (landmarks in Section 5, centers in
 /// Section 8), plus a vertex → index map.
@@ -62,14 +62,6 @@ impl BfsIndex {
     pub fn distance(&self, i: usize, t: Vertex) -> Distance {
         self.trees[i].distance_or_infinite(t)
     }
-
-    /// Distance between a special vertex `v` and `t`, if `v` is special and `t` reachable.
-    pub fn distance_between(&self, v: Vertex, t: Vertex) -> Distance {
-        match self.index(v) {
-            Some(i) => self.distance(i, t),
-            None => INFINITE_DISTANCE,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +89,6 @@ mod tests {
         let idx = BfsIndex::build(&g, &[2, 9]);
         assert_eq!(idx.distance(0, 8), 6);
         assert_eq!(idx.distance(1, 0), 3);
-        assert_eq!(idx.distance_between(9, 0), 3);
-        assert_eq!(idx.distance_between(5, 0), INFINITE_DISTANCE);
     }
 
     #[test]

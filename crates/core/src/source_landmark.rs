@@ -87,11 +87,6 @@ impl SourceLandmarkView<'_> {
         }
     }
 
-    /// The ordinary distance from the source to the `r_idx`-th landmark.
-    pub fn base_distance(&self, r_idx: usize) -> Distance {
-        self.source_tree.distance_or_infinite(self.landmarks.vertices()[r_idx])
-    }
-
     /// The landmark index this view resolves against.
     pub fn landmarks(&self) -> &BfsIndex {
         self.landmarks
@@ -141,7 +136,6 @@ mod tests {
         let view = table.view(0, &tree, &landmarks);
         // Edge (5, 6) is not on the canonical path 0-1-2-3.
         assert_eq!(view.replacement(0, Edge::new(5, 6)), 3);
-        assert_eq!(view.base_distance(0), 3);
         // Edge on the path: the replacement goes the other way round (length 5).
         assert_eq!(view.replacement(0, Edge::new(1, 2)), 5);
         assert_eq!(view.landmarks().len(), 1);

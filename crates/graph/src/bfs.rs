@@ -34,11 +34,6 @@ impl BfsResult {
     pub fn is_reachable(&self, v: Vertex) -> bool {
         self.dist[v] != INFINITE_DISTANCE
     }
-
-    /// Number of vertices reached (including the source).
-    pub fn reachable_count(&self) -> usize {
-        self.order.len()
-    }
 }
 
 /// Runs BFS from `source`, visiting neighbours in sorted order (deterministic trees).
@@ -110,7 +105,7 @@ mod tests {
         let g = cycle(6);
         let r = bfs(&g, 0);
         assert_eq!(r.dist, vec![0, 1, 2, 3, 2, 1]);
-        assert_eq!(r.reachable_count(), 6);
+        assert_eq!(r.order.len(), 6);
         assert!(r.is_reachable(3));
     }
 
@@ -137,7 +132,7 @@ mod tests {
         assert_eq!(r.dist[2], INFINITE_DISTANCE);
         assert!(!r.is_reachable(3));
         assert_eq!(r.parent[2], None);
-        assert_eq!(r.reachable_count(), 2);
+        assert_eq!(r.order.len(), 2);
     }
 
     #[test]

@@ -426,18 +426,6 @@ impl BfsScratch {
         &self.parent
     }
 
-    /// BFS-tree parent of `v` (`None` for the source and unreachable vertices) — the
-    /// `Option` view of one [`parent_raw`](Self::parent_raw) entry.
-    #[inline]
-    pub fn parent_of(&self, v: Vertex) -> Option<Vertex> {
-        let p = self.parent[v];
-        if p == NO_PARENT {
-            None
-        } else {
-            Some(p as Vertex)
-        }
-    }
-
     /// Reachable vertices of the last run in dequeue order (source first).
     #[inline]
     pub fn order(&self) -> &[Vertex] {
@@ -586,14 +574,14 @@ mod tests {
         assert_eq!(scratch.dist()[3], INFINITE_DISTANCE);
         scratch.run(&csr, 0);
         assert_eq!(scratch.dist(), &[0, 1, 2, 3]);
-        assert_eq!(scratch.parent_of(3), Some(2));
+        assert_eq!(scratch.to_result().parent[3], Some(2));
         assert_eq!(scratch.parent_raw()[3], 2);
     }
 
     #[test]
     fn raw_parents_convert_exactly_to_the_option_view() {
-        // The sentinel-encoded flat array, the per-vertex Option view and the owned
-        // BfsResult parents are three encodings of the same function.
+        // The sentinel-encoded flat array and the owned BfsResult parents are two
+        // encodings of the same function.
         let g = sample();
         let csr = g.freeze();
         let mut scratch = BfsScratch::new();
@@ -602,13 +590,12 @@ mod tests {
             let result = scratch.to_result();
             assert_eq!(scratch.parent_raw().len(), g.vertex_count());
             for v in g.vertices() {
-                assert_eq!(scratch.parent_of(v), result.parent[v], "s={s} v={v}");
                 match result.parent[v] {
                     None => assert_eq!(scratch.parent_raw()[v], NO_PARENT),
                     Some(p) => assert_eq!(scratch.parent_raw()[v] as usize, p),
                 }
             }
-            assert_eq!(scratch.parent_of(s), None, "the source has no parent");
+            assert_eq!(result.parent[s], None, "the source has no parent");
         }
     }
 

@@ -80,14 +80,6 @@ impl Edge {
     pub fn shares_endpoint(&self, other: &Edge) -> bool {
         self.is_incident(other.lo) || self.is_incident(other.hi)
     }
-
-    /// Packs the edge into a single `u64` key, convenient for flat hash maps.
-    ///
-    /// The packing is injective for graphs with fewer than `2^32` vertices.
-    #[inline]
-    pub fn as_key(&self) -> u64 {
-        ((self.lo as u64) << 32) | self.hi as u64
-    }
 }
 
 impl fmt::Debug for Edge {
@@ -111,7 +103,6 @@ impl From<(Vertex, Vertex)> for Edge {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
 
     #[test]
     fn normalization_makes_edges_order_insensitive() {
@@ -144,16 +135,6 @@ mod tests {
         assert!(!e.is_incident(2));
         assert!(e.shares_endpoint(&f));
         assert!(!e.shares_endpoint(&g));
-    }
-
-    #[test]
-    fn key_is_injective_on_small_sets() {
-        let mut keys = HashSet::new();
-        for u in 0..30usize {
-            for v in (u + 1)..30usize {
-                assert!(keys.insert(Edge::new(u, v).as_key()));
-            }
-        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! experiments are standard synthetic families: Erdős–Rényi graphs (sparse, `m ≈ c·n`), grids
 //! and tori (high diameter, exercises the far-edge machinery), preferential-attachment graphs
 //! (skewed degrees), random geometric graphs (locality), and structured graphs (paths, cycles,
-//! stars, hypercubes, complete and complete-bipartite graphs) for edge cases.
+//! stars, hypercubes, complete-bipartite graphs) for edge cases.
 //!
 //! All generators take an explicit RNG so that a seed fully determines the instance.
 
@@ -15,26 +15,6 @@ use crate::dijkstra::Weight;
 use crate::error::GraphError;
 use crate::graph::{Graph, Vertex};
 use crate::weighted::WeightedGraph;
-
-/// Generates an Erdős–Rényi `G(n, p)` graph.
-///
-/// # Errors
-///
-/// Returns an error if `p` is not in `[0, 1]`.
-pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph, GraphError> {
-    if !(0.0..=1.0).contains(&p) {
-        return Err(GraphError::InvalidParameters { reason: format!("p = {p} not in [0, 1]") });
-    }
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            if rng.gen_bool(p) {
-                g.add_edge(u, v).expect("generated edges are simple by construction");
-            }
-        }
-    }
-    Ok(g)
-}
 
 /// Generates a uniform random graph with exactly `m` edges (`G(n, m)`).
 ///
@@ -156,17 +136,6 @@ pub fn star_graph(n: usize) -> Graph {
     let mut g = Graph::new(n);
     for i in 1..n {
         g.add_edge(0, i).expect("star edges are simple");
-    }
-    g
-}
-
-/// The complete graph `K_n`.
-pub fn complete_graph(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for u in 0..n {
-        for v in (u + 1)..n {
-            g.add_edge(u, v).expect("complete graph edges are simple");
-        }
     }
     g
 }
@@ -393,23 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn gnp_respects_probability_extremes() {
-        let mut r = rng(1);
-        let empty = gnp(20, 0.0, &mut r).unwrap();
-        assert_eq!(empty.edge_count(), 0);
-        let full = gnp(20, 1.0, &mut r).unwrap();
-        assert_eq!(full.edge_count(), 20 * 19 / 2);
-        assert!(gnp(5, 1.5, &mut r).is_err());
-    }
-
-    #[test]
-    fn gnp_is_deterministic_for_a_seed() {
-        let a = gnp(40, 0.1, &mut rng(7)).unwrap();
-        let b = gnp(40, 0.1, &mut rng(7)).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn gnm_produces_exact_edge_counts() {
         for &(n, m) in &[(10, 9), (30, 60), (12, 66)] {
             let g = gnm(n, m, &mut rng(3)).unwrap();
@@ -437,7 +389,6 @@ mod tests {
         assert_eq!(path_graph(10).edge_count(), 9);
         assert_eq!(cycle_graph(10).edge_count(), 10);
         assert_eq!(star_graph(10).edge_count(), 9);
-        assert_eq!(complete_graph(7).edge_count(), 21);
         assert_eq!(complete_bipartite(3, 4).edge_count(), 12);
         assert_eq!(grid_graph(4, 5).edge_count(), 4 * 4 + 5 * 3);
         assert_eq!(torus_graph(4, 5).edge_count(), 2 * 4 * 5);

@@ -5,7 +5,6 @@
 //!
 //! * breadth-first search and shortest-path trees (Section 5), with `O(1)` ancestry and
 //!   subtree-interval queries from Euler times,
-//! * a hash table with worst-case constant lookups (Lemma 5, Pagh–Rodler cuckoo hashing),
 //! * Dijkstra's algorithm on the weighted *auxiliary* graphs built in Sections 7 and 8.
 //!
 //! This crate provides all of those substrates plus deterministic, seedable graph generators
@@ -30,9 +29,7 @@
 #![warn(missing_docs)]
 
 mod bfs;
-mod connectivity;
 mod csr;
-mod cuckoo;
 mod dijkstra;
 mod distance;
 mod edge;
@@ -46,9 +43,7 @@ mod weighted;
 pub mod generators;
 
 pub use bfs::{bfs, bfs_avoiding_edge, bfs_distances, BfsResult};
-pub use connectivity::{analyze_connectivity, ConnectivityReport};
 pub use csr::{bfs_csr, bfs_csr_avoiding_edge, BfsScratch, CsrGraph, NO_PARENT};
-pub use cuckoo::CuckooHashMap;
 pub use dijkstra::{DijkstraResult, Weight, WeightedCsr, WeightedDigraph, INFINITE_WEIGHT};
 pub use distance::{dist_add, dist_add3, dist_min, is_finite, Distance, INFINITE_DISTANCE};
 pub use edge::Edge;

@@ -84,12 +84,6 @@ impl MultiBfsScratch {
         Self::default()
     }
 
-    /// Number of lanes of the last wave (the length of `sources`/`avoided` it ran with).
-    #[inline]
-    pub fn lane_count(&self) -> usize {
-        self.lanes
-    }
-
     /// Number of vertices of the graph the last wave ran over.
     #[inline]
     pub fn vertex_count(&self) -> usize {
@@ -357,7 +351,6 @@ mod tests {
         let mut seq = BfsScratch::new();
         for chunk in sources.chunks(WAVE_LANES) {
             wave.run_wave(&csr, chunk);
-            assert_eq!(wave.lane_count(), chunk.len());
             for (lane, &s) in chunk.iter().enumerate() {
                 seq.run(&csr, s);
                 assert_eq!(wave.lane_dist_vec(lane), seq.dist(), "lane {lane} source {s}");

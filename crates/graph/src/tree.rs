@@ -268,7 +268,7 @@ impl<M: Metric> CanonicalTree<M> {
     }
 
     /// Vertex at depth `depth` on the canonical root→`t` path, if the path is that long.
-    pub fn path_vertex_at_depth(&self, t: Vertex, depth: usize) -> Option<Vertex> {
+    fn path_vertex_at_depth(&self, t: Vertex, depth: usize) -> Option<Vertex> {
         if !self.is_reachable(t) || depth > self.depth(t) {
             return None;
         }

@@ -41,7 +41,7 @@ use crate::tree::CanonicalTree;
 ///
 /// # fn main() -> Result<(), msrp_graph::GraphError> {
 /// let g = WeightedGraph::from_edges(4, &[(0, 1, 3), (1, 2, 1), (2, 3, 4), (3, 0, 2)])?;
-/// assert_eq!(g.edge_weight(1, 0), Some(3));
+/// assert!(g.has_edge(1, 0));
 /// let csr = g.freeze();
 /// let d = csr.dijkstra(0);
 /// assert_eq!(d.dist[2], 4); // 0-1-2 beats 0-3-2
@@ -161,7 +161,7 @@ impl WeightedGraph {
     }
 
     /// Weight of the edge `{u, v}`, or `None` when absent (or an endpoint is out of range).
-    pub fn edge_weight(&self, u: Vertex, v: Vertex) -> Option<Weight> {
+    fn edge_weight(&self, u: Vertex, v: Vertex) -> Option<Weight> {
         let n = self.vertex_count();
         if u >= n || v >= n {
             return None;
@@ -353,7 +353,7 @@ impl WeightedCsrGraph {
     }
 
     /// Weight of the edge `{u, v}`, or `None` when absent (or an endpoint is out of range).
-    pub fn edge_weight(&self, u: Vertex, v: Vertex) -> Option<Weight> {
+    fn edge_weight(&self, u: Vertex, v: Vertex) -> Option<Weight> {
         let n = self.vertex_count();
         if u >= n || v >= n {
             return None;

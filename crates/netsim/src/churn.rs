@@ -101,29 +101,6 @@ impl ChurnReport {
     pub fn incremental_win(&self) -> bool {
         self.incremental.strictly_less_than_full()
     }
-
-    /// The rebuild-ladder stage table, one `(rung, sources, wall time)` row per rung in
-    /// ladder order (`reuse`, `patch`, `rebuild`) — where the run's rebuild time went, in
-    /// the same shape the build profiler reports build stages (E12 prints both).
-    pub fn rebuild_stage_table(&self) -> [(&'static str, usize, Duration); 3] {
-        self.incremental.rungs()
-    }
-
-    /// Renders [`rebuild_stage_table`](Self::rebuild_stage_table) as one aligned line per
-    /// rung, for experiment tables and log output.
-    pub fn stage_summary(&self) -> String {
-        let total = self.incremental.rung_time().max(Duration::from_nanos(1));
-        self.rebuild_stage_table()
-            .iter()
-            .map(|(rung, sources, time)| {
-                format!(
-                    "{rung:<8} {sources:>6} sources  {time:>12.1?}  {:>5.1}%",
-                    100.0 * time.as_secs_f64() / total.as_secs_f64()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
 }
 
 /// Ground truth for one batch under one graph: an avoiding-BFS per query (the same
@@ -319,9 +296,9 @@ mod tests {
         assert_eq!(report.rebuild_latency.count, 10);
         assert_eq!(report.total_queries, 10 * 5 * 16);
         assert!(report.incremental_win(), "{:?}", report.incremental);
-        // The stage table accounts for every source the ladder touched, and its wall times
+        // The rung table accounts for every source the ladder touched, and its wall times
         // are bounded by the measured rebuild wall time.
-        let table = report.rebuild_stage_table();
+        let table = report.incremental.rungs();
         assert_eq!(table.map(|(r, _, _)| r), ["reuse", "patch", "rebuild"]);
         let sources: usize = table.iter().map(|&(_, s, _)| s).sum();
         assert_eq!(sources, report.incremental.sources_total);
@@ -331,9 +308,6 @@ mod tests {
             "stage times {staged:?} exceed the rebuild wall {:?}",
             report.incremental_rebuild_time
         );
-        let summary = report.stage_summary();
-        assert_eq!(summary.lines().count(), 3, "one line per rung:\n{summary}");
-        assert!(summary.contains("patch"), "{summary}");
     }
 
     #[test]

@@ -77,8 +77,8 @@ impl Exposition {
         self.header(name, help, "counter");
     }
 
-    /// Declares a gauge family; append labelled samples with [`sample`](Self::sample).
-    pub fn gauge_family(&mut self, name: &str, help: &str) {
+    /// Declares a gauge family (the header half of [`gauge`](Self::gauge)).
+    fn gauge_family(&mut self, name: &str, help: &str) {
         self.header(name, help, "gauge");
     }
 

@@ -3,13 +3,24 @@
 //! # Memory model
 //!
 //! Each slot carries a seqlock-style stamp derived from the writer's globally unique
-//! ticket `t` (claimed with one `fetch_add` on the head counter): the writer stores
-//! `2t + 1` (odd: write in progress), then the payload, then `2t + 2` (even: ticket `t`
-//! committed) with `Release` ordering. A reader looking for ticket `t` loads the stamp
-//! with `Acquire` before and after reading the payload and accepts the event only if
-//! both loads saw `2t + 2` — a torn or concurrently overwritten slot is *skipped*, never
-//! misattributed. Stamps are unique per ticket, so an older committed event can never be
-//! mistaken for a newer one. No `unsafe` is involved.
+//! ticket `t` (claimed with one `fetch_add` on the head counter). Tickets `t` and
+//! `t + capacity` share a slot, so a writer first *claims* the slot: one
+//! `compare_exchange` moves the stamp from an even value below `2t + 1` (the slot is idle
+//! and holds an older ticket) to `2t + 1` (odd: ticket `t` writes). The claim makes the
+//! writer the slot's only writer; it then stores the payload and commits `2t + 2` (even:
+//! ticket `t` committed) with `Release` ordering. A writer that finds the slot odd
+//! (another writer is mid-write) or already newer (this writer was lapped) never waits:
+//! it drops its event and counts it in [`JournalSnapshot::lost`]. The claim is what keeps
+//! a writer stalled between its ticket and its stores from interleaving with the writer
+//! that lapped it, which would commit a payload that is partly the other ticket's, or
+//! land an older stamp last.
+//!
+//! A reader looking for ticket `t` loads the stamp with `Acquire` before and after
+//! reading the payload and accepts the event only if both loads saw `2t + 2` — a slot
+//! being written, or whose writer lost its event, is *skipped*, never misattributed.
+//! Stamps are unique per ticket and only grow, so an older committed event can never be
+//! mistaken for a newer one. In a quiescent journal every skipped ticket is a lost one.
+//! No `unsafe` is involved.
 //!
 //! The payload stores themselves are `Release`, not `Relaxed`. The committed stamp
 //! (`Release`) orders them *before* itself for the accept path, but only the payload
@@ -17,7 +28,8 @@
 //! `Release` store orders prior accesses, not later ones, so with relaxed payload
 //! stores a reader could observe a later ticket's payload while both stamp loads still
 //! return the earlier committed value — a torn event accepted as clean. The model
-//! checker in `msrp-check` reproduces that schedule against the relaxed shape
+//! checker in `msrp-check` reproduces that schedule against the relaxed shape, and the
+//! lapped-writer schedules against the claim-free shape
 //! (`crates/check/tests/model_journal.rs`); on x86 the stronger stores compile to the
 //! same plain `mov`s.
 //!
@@ -29,8 +41,10 @@
 //! When more than `capacity` events have been recorded, the ring has overwritten the
 //! oldest ones. A journal exists to debug latency; making the latency-critical path wait
 //! for a slow reader would invert that purpose. Writers therefore always win, and
-//! [`JournalSnapshot::dropped`] reports exactly how many events were lost, so dashboards
-//! can surface under-provisioned journals instead of silently stalling workers.
+//! [`JournalSnapshot::dropped`] reports exactly how many events were overwritten, so
+//! dashboards can surface under-provisioned journals instead of silently stalling
+//! workers. For the same reason a lapped writer drops its own event rather than wait for
+//! the slot; [`JournalSnapshot::lost`] counts those.
 
 use msrp_check::sync::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -80,12 +94,15 @@ fn unpack_meta(meta: u64) -> (u16, u32) {
 
 /// A fixed-capacity, lock-free ring buffer of [`SpanEvent`]s.
 ///
-/// `record` is wait-free apart from the single `fetch_add` claiming a ticket; it never
-/// blocks, never allocates, and never waits for readers. See the module docs for the
-/// seqlock protocol and the drop policy.
+/// `record` is wait-free: one `fetch_add` for a ticket and at most one
+/// `compare_exchange` for its slot. It never blocks, never allocates, and never waits for
+/// readers or other writers. See the module docs for the seqlock protocol and the drop
+/// policy.
 pub struct SpanJournal {
     slots: Vec<Slot>,
     head: AtomicU64,
+    /// Events whose writer found its slot busy or newer and dropped them.
+    lost: AtomicU64,
 }
 
 impl std::fmt::Debug for SpanJournal {
@@ -101,7 +118,11 @@ impl SpanJournal {
     /// Creates a journal holding the most recent `capacity` events (clamped to ≥ 1).
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
-        SpanJournal { slots: (0..capacity).map(|_| Slot::new()).collect(), head: AtomicU64::new(0) }
+        SpanJournal {
+            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            head: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
+        }
     }
 
     /// Number of events the ring retains.
@@ -109,17 +130,32 @@ impl SpanJournal {
         self.slots.len()
     }
 
-    /// Records one span event. Overwrites the oldest event once the ring is full.
+    /// Records one span event. Overwrites the oldest event once the ring is full. Drops
+    /// the event instead, and counts it as lost, when its slot is still being written or
+    /// already holds a newer ticket.
     pub fn record(&self, trace_id: u64, stage: u16, worker: u32, duration: Duration) {
         // ordering: Relaxed — the ticket claim needs atomicity only; slot visibility is
         // carried entirely by the per-slot stamp protocol below.
         let t = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(t % self.slots.len() as u64) as usize];
         let committed = t.wrapping_mul(2).wrapping_add(2);
-        // ordering: Release — the odd stamp must not sink below later payload stores in
-        // *other* threads' view; combined with the payload stores' own Release it keeps
-        // "stamp says mid-write" visible whenever a fresher payload is.
-        slot.seq.store(committed.wrapping_sub(1), Ordering::Release);
+        let claim = committed.wrapping_sub(1);
+        // ordering: Relaxed — only the expected value for the claim below, which
+        // re-checks it atomically.
+        let seen = slot.seq.load(Ordering::Relaxed);
+        let claimed = seen.is_multiple_of(2) && seen < claim && {
+            // ordering: Acquire on success — pairs with the previous owner's committed
+            // Release stamp, so its payload stores come before ours in each location's
+            // modification order and none of them can land over ours. No Release: each
+            // payload store's own Release below orders this odd stamp before it (module
+            // docs). Relaxed on failure: the event is dropped.
+            slot.seq.compare_exchange(seen, claim, Ordering::Acquire, Ordering::Relaxed).is_ok()
+        };
+        if !claimed {
+            // ordering: Relaxed — a statistics counter; nothing is published with it.
+            self.lost.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         // ordering: Release (not Relaxed) — each payload store orders the preceding odd
         // stamp before itself, so a reader that Acquire-loads fresh payload cannot still
         // see the stale committed stamp and accept a torn event. See the module docs;
@@ -133,8 +169,8 @@ impl SpanJournal {
         slot.seq.store(committed, Ordering::Release);
     }
 
-    /// Total events ever recorded (including dropped ones).
-    pub fn total_recorded(&self) -> u64 {
+    /// Total events ever recorded (including dropped and lost ones).
+    fn total_recorded(&self) -> u64 {
         // ordering: Relaxed — a monotonic counter read for sizing; the snapshot loop
         // re-validates every slot through the stamp protocol, so no edge is needed here.
         self.head.load(Ordering::Relaxed)
@@ -147,7 +183,7 @@ impl SpanJournal {
 
     /// Reads back every retained event, oldest first.
     ///
-    /// Events being overwritten concurrently are skipped (and show up in
+    /// Events being overwritten concurrently, and lost ones, are skipped (and show up in
     /// [`JournalSnapshot::skipped`]), never returned torn.
     pub fn snapshot(&self) -> JournalSnapshot {
         let total = self.total_recorded();
@@ -185,7 +221,9 @@ impl SpanJournal {
                 duration: Duration::from_nanos(dur_ns),
             });
         }
-        JournalSnapshot { events, total, dropped: first, skipped }
+        // ordering: Relaxed — a statistics counter; no slot is read through it.
+        let lost = self.lost.load(Ordering::Relaxed);
+        JournalSnapshot { events, total, dropped: first, skipped, lost }
     }
 }
 
@@ -198,8 +236,12 @@ pub struct JournalSnapshot {
     pub total: u64,
     /// Events lost to ring wrap before the snapshot window.
     pub dropped: u64,
-    /// Events inside the window that were mid-overwrite and could not be read cleanly.
+    /// Events inside the window that could not be read cleanly: mid-write, or lost.
     pub skipped: u64,
+    /// Events ever dropped by their own writer because the slot was still being written
+    /// or already held a newer ticket. Once writers are quiescent, the skipped tickets of
+    /// the window are lost ones.
+    pub lost: u64,
 }
 
 impl JournalSnapshot {
@@ -290,20 +332,16 @@ mod tests {
         assert_eq!(tickets, vec![6, 7, 8, 9]);
     }
 
-    #[test]
-    fn concurrent_writers_never_produce_torn_events() {
-        use std::sync::Arc;
-        let j = Arc::new(SpanJournal::new(64));
-        let writers = 4;
-        let per = 2_000u64;
+    /// `writers` threads record `per` events each into `j` while a reader snapshots
+    /// `reads` times; every event the reader accepts must be internally consistent (its
+    /// payload fields are derived from its trace id), and every snapshot must account for
+    /// each ticket of its window.
+    fn hammer(j: &SpanJournal, writers: u64, per: u64, reads: usize) {
         std::thread::scope(|scope| {
             for w in 0..writers {
-                let j = Arc::clone(&j);
                 scope.spawn(move || {
                     for i in 0..per {
-                        // Payload fields are derived from the trace id, so a reader can
-                        // verify every accepted event is internally consistent.
-                        let id = (w as u64) << 32 | i;
+                        let id = w << 32 | i;
                         j.record(
                             id,
                             (id % 7) as u16,
@@ -313,21 +351,50 @@ mod tests {
                     }
                 });
             }
-            let j = Arc::clone(&j);
             scope.spawn(move || {
-                for _ in 0..200 {
-                    for e in j.snapshot().events {
-                        assert_eq!(e.stage, (e.trace_id % 7) as u16);
-                        assert_eq!(e.worker, e.trace_id as u32 % 5);
+                for _ in 0..reads {
+                    let snap = j.snapshot();
+                    let window = snap.total - snap.dropped;
+                    assert_eq!(snap.events.len() as u64 + snap.skipped, window);
+                    for e in snap.events {
+                        assert_eq!(e.stage, (e.trace_id % 7) as u16, "torn event {e:?}");
+                        assert_eq!(e.worker, e.trace_id as u32 % 5, "torn event {e:?}");
                         assert_eq!(e.duration, Duration::from_nanos(e.trace_id % 1000));
                     }
                 }
             });
         });
-        assert_eq!(j.total_recorded(), writers as u64 * per);
+        assert_eq!(j.total_recorded(), writers * per);
+    }
+
+    /// A quiescent snapshot of `j`: every window ticket is read back or was lost, and a
+    /// lost event never wedges its slot (the next uncontended round reads back clean).
+    fn assert_quiescent_accounting(j: &SpanJournal) {
         let snap = j.snapshot();
-        assert_eq!(snap.skipped, 0, "quiescent journal must read back clean");
-        assert_eq!(snap.events.len(), 64);
+        let cap = j.capacity() as u64;
+        assert_eq!(snap.events.len() as u64 + snap.skipped, cap);
+        assert!(snap.skipped <= snap.lost, "a skipped ticket was not lost: {snap:?}");
+        for i in 0..cap {
+            j.record(i, (i % 7) as u16, i as u32 % 5, Duration::from_nanos(i % 1000));
+        }
+        let after = j.snapshot();
+        assert_eq!((after.skipped, after.lost), (0, snap.lost), "the ring must recover");
+        assert_eq!(after.events.len() as u64, cap);
+    }
+
+    #[test]
+    fn concurrent_writers_never_produce_torn_events() {
+        let j = SpanJournal::new(64);
+        hammer(&j, 4, 2_000, 200);
+        assert_quiescent_accounting(&j);
+    }
+
+    #[test]
+    fn lapped_writers_in_one_slot_drop_instead_of_tearing() {
+        // Capacity 1: every ticket shares the slot, so writers lap each other constantly.
+        let j = SpanJournal::new(1);
+        hammer(&j, 4, 50_000, 20_000);
+        assert_quiescent_accounting(&j);
     }
 
     #[test]

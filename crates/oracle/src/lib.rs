@@ -17,10 +17,11 @@
 //!   same interface;
 //! * [`build_exact`](ReplacementPathOracle::build_exact) — the brute-force construction used
 //!   as the ground-truth comparator (all three routes produce bit-for-bit identical tables;
-//!   `tests/bk_differential.rs` pins it);
-//! * [`FlatReplacementOracle`] — any oracle flattened into a cuckoo hash table keyed by
-//!   `(source, target, edge)`, demonstrating the worst-case `O(1)` lookup structure the paper
-//!   cites (Pagh–Rodler, Lemma 5).
+//!   `tests/bk_differential.rs` pins it).
+//!
+//! Lemma 5's `O(1)` `QUERY` needs no hashing here: the source is one [`SourceSlots`] load,
+//! and the failed edge's position on the canonical path (a parent check and an
+//! Euler-interval test in the source's tree) indexes the target's row directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,10 +32,10 @@ pub mod incremental;
 pub use bk::{bk_replacement_distances, build_bk_shards, BkScratch, BK_STAGES};
 pub use incremental::RebuildStats;
 
-use msrp_core::{solve_msrp, solve_msrp_weighted, MsrpOutput, MsrpParams, WeightedMsrpOutput};
+use msrp_core::{solve_msrp, solve_msrp_weighted, MsrpParams};
 use msrp_graph::{
-    bfs_trees_wave, CanonicalTree, CsrGraph, CuckooHashMap, DijkstraScratch, Distance, Edge, Hop,
-    Metric, MultiBfsScratch, Vertex, Weighted, WeightedCsrGraph, WeightedTree, INFINITE_DISTANCE,
+    bfs_trees_wave, CanonicalTree, CsrGraph, DijkstraScratch, Distance, Edge, Hop, Metric,
+    MultiBfsScratch, Vertex, Weighted, WeightedCsrGraph, WeightedTree, INFINITE_DISTANCE,
 };
 use msrp_rpath::{
     single_source_brute_force_wave, single_source_brute_force_weighted_with_scratch,
@@ -273,11 +274,7 @@ impl ReplacementPathOracle {
     /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
     /// vertex.
     pub fn build(g: &CsrGraph, sources: &[Vertex], params: &MsrpParams) -> Self {
-        Self::from_msrp_output(solve_msrp(g, sources, params))
-    }
-
-    /// Wraps an existing solver output.
-    pub fn from_msrp_output(out: MsrpOutput) -> Self {
+        let out = solve_msrp(g, sources, params);
         Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
     }
 
@@ -318,11 +315,6 @@ impl ReplacementPathOracle {
         }
         Some(out)
     }
-
-    /// Flattens the oracle into a cuckoo-hashed `(s, t, e) → d` table.
-    pub fn flatten(&self) -> FlatReplacementOracle {
-        FlatReplacementOracle::from_oracle(self)
-    }
 }
 
 impl WeightedReplacementOracle {
@@ -334,11 +326,7 @@ impl WeightedReplacementOracle {
     /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
     /// vertex.
     pub fn build(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
-        Self::from_output(solve_msrp_weighted(g, sources))
-    }
-
-    /// Wraps an existing weighted solver output.
-    pub fn from_output(out: WeightedMsrpOutput) -> Self {
+        let out = solve_msrp_weighted(g, sources);
         Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
     }
 
@@ -359,83 +347,6 @@ impl WeightedReplacementOracle {
             .map(|t| single_source_brute_force_weighted_with_scratch(g, t, &mut scratch))
             .collect();
         Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
-    }
-}
-
-/// The oracle flattened into a single cuckoo hash table with worst-case `O(1)` probes
-/// (Lemma 5 of the paper).
-#[derive(Clone, Debug)]
-pub struct FlatReplacementOracle {
-    table: CuckooHashMap<(u32, u32, u64), Distance>,
-    base: CuckooHashMap<(u32, u32), Distance>,
-    /// Source-membership set. This used to be a `Vec` probed with `contains` — an `O(σ)`
-    /// linear scan on *every* query, contradicting the worst-case `O(1)` bound the flat
-    /// oracle exists to demonstrate; a third cuckoo probe restores the claim.
-    source_set: CuckooHashMap<u32, ()>,
-}
-
-impl FlatReplacementOracle {
-    /// Builds the flat table from a structured oracle.
-    pub fn from_oracle(oracle: &ReplacementPathOracle) -> Self {
-        let mut table = CuckooHashMap::with_capacity(2 * oracle.entry_count() + 16);
-        let mut base = CuckooHashMap::new();
-        let mut source_set = CuckooHashMap::with_capacity(2 * oracle.sources.len() + 16);
-        for (i, &s) in oracle.sources.iter().enumerate() {
-            source_set.insert(s as u32, ());
-            let tree = &oracle.trees[i];
-            for t in 0..tree.vertex_count() {
-                if let Some(d) = tree.distance(t) {
-                    base.insert((s as u32, t as u32), d);
-                }
-                for (pos, e) in tree.path_edges(t).iter().enumerate() {
-                    if let Some(d) = oracle.distances[i].get(t, pos) {
-                        table.insert((s as u32, t as u32, e.as_key()), d);
-                    }
-                }
-            }
-        }
-        FlatReplacementOracle { table, base, source_set }
-    }
-
-    /// `QUERY(s, t, e)` with at most three hash probes — source membership, the stored entry
-    /// when `e` is on the canonical path, and the fault-free distance otherwise — each
-    /// worst-case `O(1)` (cuckoo hashing, Lemma 5). No step depends on `σ`.
-    pub fn query(&self, s: Vertex, t: Vertex, e: Edge) -> Option<Distance> {
-        // Ids beyond u32 cannot be table keys: such an `s` is never a source, and such a
-        // `t` is never reachable (the CSR substrate caps vertex ids at u32).
-        let s32 = match u32::try_from(s) {
-            Ok(s32) => s32,
-            Err(_) => return None,
-        };
-        self.source_set.get(&s32)?;
-        let t32 = match u32::try_from(t) {
-            Ok(t32) => t32,
-            Err(_) => return Some(INFINITE_DISTANCE),
-        };
-        // An edge endpoint beyond u32 cannot name a graph edge, and its 64-bit key would
-        // alias a real edge's key after `(lo << 32) | hi` truncation (e.g. {0, 2³² + 5}
-        // collides with {1, 5}) — such a failure is off every canonical path by
-        // definition, so skip the table probe and fall through to the base distance.
-        // Endpoints are normalized (lo < hi), so checking `hi` covers both.
-        if u32::try_from(e.hi()).is_ok() {
-            if let Some(&d) = self.table.get(&(s32, t32, e.as_key())) {
-                return Some(d);
-            }
-        }
-        match self.base.get(&(s32, t32)) {
-            Some(&d) => Some(d),
-            None => Some(INFINITE_DISTANCE),
-        }
-    }
-
-    /// Number of `(s, t, e)` entries stored.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` when no replacement entries are stored.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
     }
 }
 
@@ -534,14 +445,13 @@ pub fn build_weighted_shards(
 const fn assert_send_sync<T: Send + Sync>() {}
 const _: () = {
     assert_send_sync::<ReplacementPathOracle>();
-    assert_send_sync::<FlatReplacementOracle>();
     assert_send_sync::<WeightedReplacementOracle>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use msrp_graph::generators::{connected_gnm, cycle_graph, grid_graph, path_graph};
+    use msrp_graph::generators::{connected_gnm, cycle_graph, path_graph};
     use msrp_rpath::replacement_distance;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -596,23 +506,6 @@ mod tests {
             let truth = replacement_distance(&g, 0, 3, e);
             assert_eq!(c, Some(truth - 3));
         }
-    }
-
-    #[test]
-    fn flat_oracle_agrees_with_structured_oracle() {
-        let g = grid_graph(4, 4).freeze();
-        let oracle = ReplacementPathOracle::build(&g, &[0, 15], &MsrpParams::default());
-        let flat = oracle.flatten();
-        assert_eq!(flat.len(), oracle.entry_count());
-        assert!(!flat.is_empty());
-        for &s in oracle.sources() {
-            for t in 0..g.vertex_count() {
-                for e in g.edges() {
-                    assert_eq!(flat.query(s, t, e), oracle.replacement_distance(s, t, e));
-                }
-            }
-        }
-        assert_eq!(flat.query(7, 0, Edge::new(0, 1)), None);
     }
 
     #[test]
@@ -712,46 +605,6 @@ mod tests {
         assert_eq!(oracle.vertex_count(), 9);
     }
 
-    #[test]
-    fn flat_oracle_membership_is_probe_based_not_a_scan() {
-        // Build with a large, deliberately scrambled source set: every query must resolve
-        // source membership through the cuckoo set (worst-case O(1) probes, Lemma 5), and
-        // the answers must stay identical to the structured oracle's.
-        let mut rng = StdRng::seed_from_u64(31);
-        let g = connected_gnm(40, 100, &mut rng).unwrap().freeze();
-        let sources: Vec<usize> = vec![31, 2, 17, 39, 8, 25, 0, 12, 36, 5, 21, 29];
-        let oracle = ReplacementPathOracle::build_exact(&g, &sources);
-        let flat = oracle.flatten();
-        for &s in &sources {
-            for t in (0..40).step_by(7) {
-                for e in g.edges().take(20) {
-                    assert_eq!(flat.query(s, t, e), oracle.replacement_distance(s, t, e));
-                }
-            }
-        }
-        // Non-sources (including ids far outside the graph) answer None without scanning.
-        for s in [1usize, 3, 38, 40, 10_000, usize::MAX] {
-            assert_eq!(flat.query(s, 0, Edge::new(0, 1)), None, "s={s}");
-        }
-        // A valid source with an absurd target reports "no path", never a truncated hit.
-        assert_eq!(flat.query(31, usize::MAX, Edge::new(0, 1)), Some(INFINITE_DISTANCE));
-        // A hostile >u32 edge endpoint must not truncation-alias a real edge's key:
-        // {0, 2^32 + 5} shares its `(lo << 32) | hi` key with {1, 5}. The hostile edge is
-        // not in the graph, so the answer must be the fault-free base distance even where
-        // the aliased real edge lies on the canonical path.
-        for &s in &sources {
-            for t in 0..40 {
-                let hostile = Edge::new(0, (1usize << 32) + 5);
-                assert_eq!(hostile.as_key(), Edge::new(1, 5).as_key(), "aliasing premise");
-                assert_eq!(
-                    flat.query(s, t, hostile),
-                    oracle.distance(s, t).or(Some(INFINITE_DISTANCE)),
-                    "s={s} t={t}"
-                );
-            }
-        }
-    }
-
     /// Ids the dense source index must turn away without indexing past its table.
     fn hostile_sources(n: usize) -> [usize; 4] {
         [n, u32::MAX as usize, usize::MAX, 1] // 1 is in range but never a source below
@@ -780,6 +633,19 @@ mod tests {
         for &s in &sources {
             assert_eq!(hop.canonical_path(s, s), Some(vec![s]));
             assert_eq!(weighted.canonical_path(s, s), Some(vec![s]));
+        }
+        // A real source asked past the graph: the target `usize::MAX`, and the `>u32` edge
+        // {0, 2^32 + 5}, whose endpoint truncated to `u32` would alias the real edge {1, 5}.
+        // Both panic by contract, on a bounds check before any row is read, so neither
+        // comes back as another entry's answer. (The serving boundary answers both `None`
+        // first: `msrp-serve`'s `boundary_queries_answer_without_panicking`.)
+        let far_edge = Edge::new(0, (1usize << 32) + 5);
+        for &s in &sources {
+            let answer = |t, e| std::panic::catch_unwind(|| hop.replacement_distance(s, t, e));
+            assert!(answer(usize::MAX, e).is_err(), "s={s}");
+            for t in [0, 1, 5, 39] {
+                assert!(answer(t, far_edge).is_err(), "s={s} t={t}");
+            }
         }
     }
 

@@ -37,15 +37,6 @@ impl ComparisonReport {
     pub fn is_exact(&self) -> bool {
         self.mismatches.is_empty()
     }
-
-    /// Fraction of entries that agree (1.0 for an empty table).
-    pub fn agreement_ratio(&self) -> f64 {
-        if self.total_entries == 0 {
-            1.0
-        } else {
-            (self.total_entries - self.mismatches.len()) as f64 / self.total_entries as f64
-        }
-    }
 }
 
 /// Compares `actual` against `expected` entry by entry.
@@ -104,7 +95,6 @@ mod tests {
         let b = a.clone();
         let report = compare(&a, &b);
         assert!(report.is_exact());
-        assert_eq!(report.agreement_ratio(), 1.0);
         assert_eq!(report.total_entries, a.entry_count());
     }
 
@@ -122,7 +112,6 @@ mod tests {
         assert_eq!(report.over_estimates, 1);
         assert_eq!(report.under_estimates, 1);
         assert!(!report.is_exact());
-        assert!(report.agreement_ratio() < 1.0);
         assert!(report.mismatches.iter().any(|m| m.target == 3 && m.edge_index == 0));
     }
 

@@ -21,17 +21,6 @@ pub struct VitalEdge {
     pub replacement_distance: Distance,
 }
 
-impl VitalEdge {
-    /// The increase over the fault-free distance, or `None` for bridges.
-    pub fn damage(&self, base: Distance) -> Option<Distance> {
-        if self.replacement_distance == INFINITE_DISTANCE {
-            None
-        } else {
-            Some(self.replacement_distance - base)
-        }
-    }
-}
-
 /// Returns the edges of the canonical `s–t` path sorted from most to least vital
 /// (bridges first, then by decreasing replacement distance; ties broken by path position).
 ///
@@ -77,7 +66,6 @@ mod tests {
         let vital = most_vital_edges(&g, &tree, 3);
         assert_eq!(vital[0].edge, Edge::new(2, 3));
         assert_eq!(vital[0].replacement_distance, INFINITE_DISTANCE);
-        assert_eq!(vital[0].damage(2), None);
         assert_eq!(most_vital_edge(&g, &tree, 3).unwrap().edge, Edge::new(2, 3));
     }
 
@@ -88,7 +76,6 @@ mod tests {
         let vital = most_vital_edges(&g, &tree, 4);
         assert_eq!(vital.len(), 4);
         assert!(vital.iter().all(|v| v.replacement_distance == 6));
-        assert!(vital.iter().all(|v| v.damage(4) == Some(2)));
         // Ties are broken by path position.
         assert_eq!(vital[0].position, 0);
         assert_eq!(vital[3].position, 3);

@@ -115,7 +115,7 @@ pub struct HistogramSnapshot {
     /// Total number of samples.
     pub count: u64,
     /// Sum of all samples in nanoseconds. 128-bit: the histogram's accumulator carries
-    /// across `u64` wraps, so the sum (and hence the mean) stays exact at any load.
+    /// across `u64` wraps, so the sum stays exact at any load.
     pub sum_ns: u128,
     /// Largest sample in nanoseconds (exact, not bucketed).
     pub max_ns: u64,
@@ -160,12 +160,6 @@ impl HistogramSnapshot {
     /// Largest recorded latency (exact).
     pub fn max(&self) -> Duration {
         Duration::from_nanos(self.max_ns)
-    }
-
-    /// Mean latency (exact: the 128-bit sum never wraps).
-    pub fn mean(&self) -> Duration {
-        let mean_ns = self.sum_ns.checked_div(u128::from(self.count)).unwrap_or(0);
-        Duration::from_nanos(mean_ns.min(u128::from(u64::MAX)) as u64)
     }
 
     /// Combines two snapshots into one as if every sample had been recorded into a single
@@ -396,7 +390,7 @@ mod tests {
         assert_eq!(snap.p99(), Duration::from_nanos(128));
         assert_eq!(snap.quantile(1.0), Duration::from_nanos(1 << 20));
         assert_eq!(snap.max(), Duration::from_nanos(1 << 20));
-        assert!(snap.mean() >= Duration::from_nanos(100));
+        assert_eq!(snap.sum_ns, 99 * 100 + (1 << 20));
         assert!(snap.summary().contains("n=100"));
     }
 
@@ -462,7 +456,6 @@ mod tests {
         let true_sum = 2 * u128::from(u64::MAX) + 2;
         assert_eq!(snap.sum_ns, true_sum, "sum must not wrap");
         assert!(snap.sum_ns > u128::from(u64::MAX), "the boundary was actually crossed");
-        assert_eq!(snap.mean(), Duration::from_nanos((true_sum / 3) as u64));
     }
 
     #[test]
@@ -485,7 +478,7 @@ mod tests {
         let snap = LatencyHistogram::new().snapshot();
         assert_eq!(snap.count, 0);
         assert_eq!(snap.p50(), Duration::ZERO);
-        assert_eq!(snap.mean(), Duration::ZERO);
+        assert_eq!(snap.sum_ns, 0);
     }
 
     #[test]

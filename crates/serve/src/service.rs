@@ -183,11 +183,6 @@ impl<M: Metric> Sharded<M> {
     pub fn shards(&self) -> &[ReplacementOracle<M>] {
         &self.shards
     }
-
-    /// Merges the shards back into a single oracle (consumes the sharded view).
-    pub fn into_merged(self) -> ReplacementOracle<M> {
-        ReplacementOracle::from_shards(self.shards)
-    }
 }
 
 impl ShardedOracle {
@@ -721,8 +716,6 @@ mod tests {
         assert_eq!(oracle.query(Query::new(4, 0, Edge::new(0, 1))), None);
         assert_eq!(oracle.distance(6, 0), Some(3));
         assert_eq!(oracle.distance(5, 0), None);
-        let merged = oracle.into_merged();
-        assert_eq!(merged.sources(), &[0, 3, 6]);
     }
 
     #[test]
@@ -1021,7 +1014,5 @@ mod tests {
                 }
             }
         }
-        let merged = oracle.into_merged();
-        assert_eq!(merged.sources(), &sources[..]);
     }
 }

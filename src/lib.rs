@@ -3,7 +3,7 @@
 //! This crate simply re-exports the workspace members so that examples and downstream users can
 //! depend on a single crate:
 //!
-//! * [`graph`] — graph substrate (graphs, BFS trees, Dijkstra, cuckoo hashing, generators).
+//! * [`graph`] — graph substrate (graphs, BFS trees, Dijkstra, generators).
 //! * [`rpath`] — classical replacement-path building blocks and ground-truth baselines.
 //! * [`core`] — the paper's SSRP (Theorem 14) and MSRP (Theorem 1/26) algorithms.
 //! * [`oracle`] — single-fault distance oracles with `O(1)` queries.

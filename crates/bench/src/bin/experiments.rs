@@ -26,7 +26,7 @@ use msrp_core::{
     MsrpParams, SourceToLandmarkStrategy,
 };
 use msrp_graph::{
-    bfs_trees_wave, BfsScratch, DijkstraScratch, Graph, MultiBfsScratch, ShortestPathTree,
+    bfs_trees_wave, BfsScratch, DijkstraScratch, Graph, Metric, MultiBfsScratch, ShortestPathTree,
     WAVE_LANES,
 };
 use msrp_netsim::{
@@ -39,7 +39,8 @@ use msrp_rpath::{
     single_source_via_single_pair,
 };
 use msrp_serve::{
-    run_closed_loop, LoadConfig, QueryService, ServiceConfig, ShardedOracle, WeightedShardedOracle,
+    run_closed_loop, LoadConfig, QueryService, ServiceConfig, Sharded, ShardedOracle,
+    WeightedShardedOracle,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -952,8 +953,10 @@ fn experiment_e14(quick: bool) {
 /// routes to the same answers. Besides the σ = 2 scaling rows, one serving-shape row
 /// (σ = 512, the `batch_sigma512` benchmark's shape) times a snapshot dominated by
 /// per-source trees and rows, where the decoder's parallel per-source work shows. Every
-/// hop file must also match the closed form of its length, so a derivable tree array
-/// written back into the format fails the experiment.
+/// file must also match the closed form of its length at the narrowest widths its data
+/// allows, so a derivable tree array written back into the format, or a section written
+/// wider than its data needs, fails the experiment; the serving shape must store 1 byte
+/// per row entry and 2 per vertex id.
 fn experiment_e15(quick: bool) {
     println!("\n=== E15: snapshot persistence — boot-from-snapshot vs rebuild ===");
     let sizes: &[usize] = if quick { &[512, 1024] } else { &[1 << 12, 1 << 14, 1 << 16] };
@@ -966,12 +969,31 @@ fn experiment_e15(quick: bool) {
         "sigma",
         "bytes",
         "MB",
+        "B/entry",
         "encode (s)",
         "build (s)",
         "boot (s)",
         "speedup",
         "bit-identical",
     ]);
+    let mut add_row = |metric: &str, sizes: [usize; 5], secs: [f64; 3]| {
+        let [n, m, sigma, bytes, row_width] = sizes;
+        let [encode_secs, build_secs, boot_secs] = secs;
+        table.add_row([
+            metric.to_string(),
+            n.to_string(),
+            m.to_string(),
+            sigma.to_string(),
+            bytes.to_string(),
+            format!("{:.3}", bytes as f64 / 1e6),
+            row_width.to_string(),
+            format!("{encode_secs:.4}"),
+            format!("{build_secs:.4}"),
+            format!("{boot_secs:.4}"),
+            format!("{:.1}x", build_secs / boot_secs.max(1e-9)),
+            "true".to_string(),
+        ]);
+    };
     for (n, sigma) in sizes.iter().map(|&n| (n, sigma)).chain([(serving_n, 512)]) {
         let g = standard_graph(WorkloadKind::SparseRandom, n, 7).freeze();
         let sources = evenly_spaced_sources(n, sigma);
@@ -981,27 +1003,20 @@ fn experiment_e15(quick: bool) {
             time_secs(|| ShardedOracle::from_snapshot(&bytes).expect("pristine snapshot"));
         let identical = g2 == g && booted.to_snapshot(&g2) == bytes;
         assert!(identical, "hop n={n} σ={sigma}: the booted oracle must re-encode bit-identically");
-        // A hop file's length: the 40-byte header, a 7-entry section table and META's four
-        // `u64` words, then as `u32` words, each array padded to 8 bytes, the CSR offsets and
-        // targets, the sources, the shard lengths, σ·n tree parents and the row entries.
-        let entries = oracle.shards().iter().map(|s| s.entry_count()).sum();
-        let arrays = [n + 1, 2 * g.edge_count(), sigma, oracle.shard_count(), sigma * n, entries];
-        let padded: usize = arrays.iter().map(|&words| (4 * words).next_multiple_of(8)).sum();
-        let expected = 40 + 32 * 7 + 32 + padded;
+        // A hop file: META, the CSR offsets and targets, the sources, the shard lengths,
+        // σ·n tree parents and the row entries.
+        let (ids, rows) = narrowest_widths(&oracle);
+        let entries: usize = oracle.shards().iter().map(|s| s.entry_count()).sum();
+        let m2 = 2 * g.edge_count();
+        let sections =
+            [48, 4 * (n + 1), ids * m2, ids * sigma, 4 * oracle.shard_count(), ids * sigma * n];
+        let expected = snapshot_len(&sections, rows * entries);
         assert_eq!(bytes.len(), expected, "hop n={n} σ={sigma}: the file holds a derived array");
-        table.add_row([
-            "hop".to_string(),
-            n.to_string(),
-            g.edge_count().to_string(),
-            sigma.to_string(),
-            bytes.len().to_string(),
-            format!("{:.3}", bytes.len() as f64 / 1e6),
-            format!("{encode_secs:.4}"),
-            format!("{build_secs:.4}"),
-            format!("{boot_secs:.4}"),
-            format!("{:.1}x", build_secs / boot_secs.max(1e-9)),
-            identical.to_string(),
-        ]);
+        if sigma == 512 {
+            assert_eq!((ids, rows), (2, 1), "the serving shape's id and row widths");
+        }
+        let sizes = [n, g.edge_count(), sigma, bytes.len(), rows];
+        add_row("hop", sizes, [encode_secs, build_secs, boot_secs]);
     }
     // One weighted row: the subtree-Dijkstra build is costlier per vertex, so the
     // boot-from-snapshot win is even larger — a smaller n keeps the harness fast.
@@ -1014,18 +1029,53 @@ fn experiment_e15(quick: bool) {
         time_secs(|| WeightedShardedOracle::from_snapshot(&bytes).expect("pristine snapshot"));
     let identical = g2 == g && booted.to_snapshot(&g2) == bytes;
     assert!(identical, "weighted n={n}: the booted oracle must re-encode bit-identically");
-    table.add_row([
-        "weighted".to_string(),
-        n.to_string(),
-        g.edge_count().to_string(),
-        sigma.to_string(),
-        bytes.len().to_string(),
-        format!("{:.3}", bytes.len() as f64 / 1e6),
-        format!("{encode_secs:.4}"),
-        format!("{build_secs:.4}"),
-        format!("{boot_secs:.4}"),
-        format!("{:.1}x", build_secs / boot_secs.max(1e-9)),
-        identical.to_string(),
-    ]);
+    // A weighted file adds the edge weights, the σ·n tree distances and the settle orders.
+    let (ids, rows) = narrowest_widths(&oracle);
+    let entries: usize = oracle.shards().iter().map(|s| s.entry_count()).sum();
+    let settled: usize =
+        oracle.shards().iter().flat_map(|s| s.trees()).map(|t| t.order().len()).sum();
+    let m2 = 2 * g.edge_count();
+    let sections = [
+        48,
+        4 * (n + 1),
+        ids * m2,
+        8 * m2,
+        ids * sigma,
+        4 * oracle.shard_count(),
+        8 * sigma * n,
+        ids * sigma * n,
+        ids * settled,
+    ];
+    let expected = snapshot_len(&sections, rows * entries);
+    assert_eq!(bytes.len(), expected, "weighted n={n}: the file holds a derived or wide array");
+    let sizes = [n, g.edge_count(), sigma, bytes.len(), rows];
+    add_row("weighted", sizes, [encode_secs, build_secs, boot_secs]);
     table.print();
+}
+
+/// The `(id, row)` word widths in bytes that an oracle's data allows: vertex ids take 2
+/// bytes up to n = `0xFFFF`, else 4; a row entry is stored as its excess over d(t), in
+/// the narrowest of 1, 2, 4 and 8 bytes whose all-ones word, which stands for infinity,
+/// is above the largest finite excess.
+fn narrowest_widths<M: Metric>(oracle: &Sharded<M>) -> (usize, usize) {
+    let n = oracle.vertex_count();
+    let mut largest = 0u64;
+    for shard in oracle.shards() {
+        for (tree, rows) in shard.trees().iter().zip(shard.per_source()) {
+            for t in 0..n {
+                let base: u64 = tree.distance_or_infinite(t).into();
+                let finite = rows.row(t).iter().filter(|&&d| d != M::INFINITY);
+                largest = finite.fold(largest, |l, &d| l.max(d.into() - base));
+            }
+        }
+    }
+    let rows = [1, 2, 4, 8].into_iter().find(|&w| largest < u64::MAX >> (64 - 8 * w));
+    (if n <= 0xFFFF { 2 } else { 4 }, rows.expect("an excess below u64::MAX"))
+}
+
+/// A snapshot's length in closed form: the 40-byte header, a 32-byte table entry per
+/// section, then each payload (`sections`, then `rows` bytes of ROWS) padded to 8 bytes.
+fn snapshot_len(sections: &[usize], rows: usize) -> usize {
+    let payloads = sections.iter().chain([&rows]).map(|&b| b.next_multiple_of(8));
+    40 + 32 * (sections.len() + 1) + payloads.sum::<usize>()
 }

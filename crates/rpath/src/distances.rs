@@ -56,18 +56,33 @@ impl<M: Metric> ReplacementDistances<M> {
 
     /// Builds the table directly from a flat row stream: row `t` takes the next
     /// `tree.depth(t)` entries (empty for unreachable targets), in vertex order.
-    /// The stream is the table's own buffer layout, so the table adopts `flat` as it is:
-    /// the snapshot boot path decodes each source's rows straight into the `Vec` it hands
-    /// over here, instead of [`new`](Self::new) followed by per-entry [`set`](Self::set).
+    /// The stream is the table's own buffer layout, so the table adopts `flat` as it is,
+    /// instead of [`new`](Self::new) followed by per-entry [`set`](Self::set).
     ///
     /// # Panics
     ///
     /// Panics if `flat` does not hold exactly the entries the tree's row shapes
-    /// require — callers (the snapshot decoder) prove the total first.
+    /// require.
     pub fn from_flat_rows(tree: &CanonicalTree<M>, flat: Vec<M::Dist>) -> Self {
         ReplacementDistances {
             source: tree.source(),
             rows: FlatRows::from_flat(tree.vertex_count(), |t| tree.depth(t), flat),
+        }
+    }
+
+    /// [`from_flat_rows`](Self::from_flat_rows) with the row offsets supplied: `offsets`
+    /// (`n + 1` words) must be the prefix sum of `tree.depth(t)`, which the caller computed
+    /// while it filled `flat`. Only the ends are checked, so the table adopts both buffers
+    /// without another pass over the tree: the snapshot decoder writes the offsets as it
+    /// expands each row.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` holds `tree.vertex_count() + 1` words from 0 to `flat.len()`.
+    pub fn from_flat_parts(tree: &CanonicalTree<M>, offsets: Vec<u32>, flat: Vec<M::Dist>) -> Self {
+        ReplacementDistances {
+            source: tree.source(),
+            rows: FlatRows::from_parts(tree.vertex_count(), offsets, flat),
         }
     }
 
@@ -267,6 +282,26 @@ mod tests {
         let entries: Vec<_> = d.iter().collect();
         assert_eq!(entries.iter().map(|&(_, _, x)| x).collect::<Vec<_>>(), stream);
         assert!(entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)));
+    }
+
+    #[test]
+    fn flat_parts_adopt_the_row_offsets() {
+        let (tree, d) = filled_table();
+        let mut offsets = vec![0u32];
+        for t in 0..d.vertex_count() {
+            offsets.push(offsets[t] + d.row(t).len() as u32);
+        }
+        let booted =
+            SourceReplacementDistances::from_flat_parts(&tree, offsets, d.values().to_vec());
+        assert_eq!(booted, d);
+    }
+
+    #[test]
+    #[should_panic(expected = "row shapes")]
+    fn flat_parts_whose_offsets_miss_the_stream_are_rejected() {
+        let (tree, d) = filled_table();
+        let offsets = vec![0; d.vertex_count() + 1];
+        let _ = SourceReplacementDistances::from_flat_parts(&tree, offsets, d.values().to_vec());
     }
 
     #[test]

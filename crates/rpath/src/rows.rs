@@ -8,8 +8,8 @@ use msrp_graph::Vertex;
 /// canonical tree fixes: hop distance for the hop metric, hop depth for the weighted one.
 /// A lookup is two adjacent offset loads and one load from `values`, with no per-row
 /// allocation and no pointer chase through a `Vec<Vec<_>>`. The concatenated `values` are
-/// exactly the snapshot's row stream for that source, so a boot decodes the stream
-/// straight into them.
+/// the snapshot's row stream for that source with `d(t)` added back, so a boot widens the
+/// stream straight into them and writes the offsets as it goes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) struct FlatRows<T> {
     offsets: Vec<u32>,
@@ -46,8 +46,21 @@ impl<T: Copy> FlatRows<T> {
     ///
     /// Panics if `flat` does not hold exactly the entries the row lengths add up to.
     pub(crate) fn from_flat(n: usize, len: impl Fn(Vertex) -> usize, flat: Vec<T>) -> Self {
-        let offsets = prefix_sum(n, len);
-        assert_eq!(offsets[n] as usize, flat.len(), "flat rows do not match the tree's row shapes");
+        Self::from_parts(n, prefix_sum(n, len), flat)
+    }
+
+    /// `n` rows cut from `flat` by `offsets`, the prefix sum of their lengths; both buffers
+    /// become the table's as they are.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` holds `n + 1` words from 0 to `flat.len()`.
+    pub(crate) fn from_parts(n: usize, offsets: Vec<u32>, flat: Vec<T>) -> Self {
+        assert_eq!(offsets.len(), n + 1, "row offsets do not match the tree's vertex count");
+        assert!(
+            offsets[0] == 0 && offsets[n] as usize == flat.len(),
+            "flat rows do not match the tree's row shapes"
+        );
         FlatRows { offsets, values: flat }
     }
 

@@ -6,18 +6,18 @@
 //! minutes of preprocessing. This crate defines that interchange format and its two
 //! round-trip halves, [`encode_snapshot`] / [`decode_snapshot`]: one encoder and one decoder,
 //! generic over the metric ([`SnapMetric`]: [`Hop`] or [`Weighted`]), whose per-metric
-//! items are the kind word, the graph arrays, the word width of distances and rows, and
+//! items are the kind word, the graph arrays, the word type of distances and rows, and
 //! which tree arrays are persisted and how a tree is rebuilt and proven from them.
 //!
 //! # Layout
 //!
-//! Everything is fixed-width little-endian words, and every section payload starts on an
-//! 8-byte boundary:
+//! Everything is little-endian words, and every section payload starts on an 8-byte
+//! boundary:
 //!
 //! ```text
 //! offset  size  field
 //!      0     8  magic "MSRPSNAP"
-//!      8     4  format version (u32, currently 2)
+//!      8     4  format version (u32, currently 3)
 //!     12     4  kind (u32: 0 = hop metric, 1 = weighted)
 //!     16     4  section count k (u32)
 //!     20     4  reserved (0)
@@ -27,67 +27,108 @@
 //!      …     …  section payloads, 8-byte aligned, zero-padded between sections
 //! ```
 //!
-//! The sections, in file order: META (n, σ, shard count, entry total as `u64`), the graph's
-//! CSR offsets and targets (`u32`), weighted only its edge weights (`u64`), the sources and
-//! the shard lengths (`u32`), then the trees and the rows. A hop file (7 sections) stores
-//! each tree as its σ·n sentinel-encoded `u32` `parent` words only; a weighted file (10
-//! sections) stores `dist` (`u64`), `parent` and the `u32` settle `order` of the reachable
-//! vertices. ROWS holds every source's flat row values (`u32` hop, `u64` weighted).
+//! The sections, in file order:
 //!
-//! The section-table indirection plus the fixed word widths keep the graph and the rows
-//! *adoptable in place*: a loader may validate the checksums and then reinterpret those
-//! payloads as `&[u32]` / `&[u64]` slices. Hop trees are derived, not adopted. The loader in
-//! this crate stays inside the workspace's `#![forbid(unsafe_code)]` wall, so it copies —
-//! but each payload array exactly once: every per-source tree and row `Vec` is decoded
-//! straight from its checksum-verified payload sub-slice into the buffer the tree or table
-//! adopts, and the graph's CSR arrays straight into the graph. No flat whole-section copy
-//! exists, so a boot holds the file bytes plus the oracle it is building, nothing more.
+//! ```text
+//! section       words  width
+//! META              6  u64: n, σ, shard count, entry total, id width, row width
+//! GRAPH_OFFSETS   n+1  u32
+//! GRAPH_TARGETS    2m  id
+//! GRAPH_WEIGHTS    2m  u64                              (weighted only)
+//! SOURCES           σ  id
+//! SHARD_LENS   shards  u32
+//! TREE_DIST       σ·n  u64                              (weighted only)
+//! TREE_PARENT     σ·n  id, NO_PARENT as the all-ones id
+//! TREE_ORDER  reached  id, each tree's reachable vertices (weighted only)
+//! ROWS        entries  row: every source's row deltas, vertex order
+//! ```
 //!
-//! The per-source work (decode, derive or validate, adopt; then the rows) runs on scoped
-//! workers over `min(σ, available_parallelism())` contiguous source chunks. No word of the
-//! file, the shard count included, can raise that count, and a worker that cannot be
-//! spawned runs its chunk inline, so a decode never panics for lack of threads. Every tree's
-//! `dist`, `parent` and `order` buffers and every row buffer are allocated on the calling
-//! thread and only filled by the workers, so they come from one allocator arena and a later
-//! boot reuses their memory; what adoption derives from them (the Euler times and, weighted,
-//! the hop depths) and each worker's scratch are allocated on the worker. Errors are
-//! reported in source order whatever the chunking, so a corrupt file fails with the same
-//! [`SnapError`] on every machine.
+//! A hop file holds 7 sections, a weighted file 10.
+//!
+//! # Widths and delta rows
+//!
+//! Two word widths are picked by the encoder from the data and recorded in META. The *id
+//! width* is 2 bytes when n ≤ `0xFFFF`, else 4, and every vertex-id array uses it: the CSR
+//! targets, the sources, the tree parents and the weighted settle orders. Each row entry
+//! is stored as its excess `δ = value − d(t)` over the fault-free distance of its target.
+//! The *row width* is the narrowest of 1, 2 and 4 bytes (weighted: 1, 2, 4 and 8) that
+//! holds the file's largest finite δ. In every width the all-ones word is the sentinel:
+//! `NO_PARENT` for an id, the metric's infinity for a row entry. At the serving shape (a
+//! sparse n = 2048 graph) nearly every δ is 0, 1 or 2, so a hop source costs 2 bytes per
+//! vertex for its parents plus 1 byte per row entry, against 4 + 4 at full width. One
+//! writer (`put_words`) and one reader (`Words`) serve every section and both metrics, each
+//! compiled once per width.
 //!
 //! What is persisted is deliberately minimal: nothing the decoder can derive from the rest.
 //! A hop tree's `dist` and settle `order` are functions of its parents (`dist[v] =
 //! dist[parent] + 1`, and the BFS queue settles children grouped by their parent's position,
 //! in ascending id), so the decoder rebuilds both. A weighted tree keeps all three arrays:
 //! zero weights are legal, so Dijkstra's settle order is not a function of the parents, and
-//! only the stored `dist` proves a weighted distance. A boot adopts each source's buffers
-//! through [`CanonicalTree::from_raw`], which only adds the Euler times (and, weighted, the
-//! hop depths). Replacement tables are stored as their flat row values only, because the row
-//! *shapes* are a function of the tree (row length = hop depth, which is the hop distance
-//! in the unweighted oracle). The graph is stored as its raw CSR arrays, which
-//! [`CsrGraph::from_raw_parts`] revalidates structurally on load. The encoder lays the file
-//! out from the sizes alone and writes every section straight into the one output buffer.
+//! only the stored `dist` proves a weighted distance. Replacement tables are stored as their
+//! row deltas only, because the row *shapes* are a function of the tree (row length = hop
+//! depth, which is the hop distance in the unweighted oracle), and `d(t)` is the tree's.
+//! The graph is stored as its raw CSR arrays, which [`CsrGraph::from_raw_parts`]
+//! revalidates structurally on load. The encoder lays the file out from the sizes alone and
+//! writes every section straight into the one output buffer; it tries rows one byte wide
+//! first and lays the file out again only when a wider δ turns up. Computing the deltas
+//! walks every row, so it runs on the same scoped workers as the decode, each writing its
+//! sources' stretch of ROWS.
+//!
+//! # Decoding
+//!
+//! No payload is adoptable in place: ids and rows are widened, and rows have `d(t)` added
+//! back, on decode. The loader stays inside the workspace's `#![forbid(unsafe_code)]` wall
+//! and reads each payload array exactly once: every per-source tree and row `Vec` is decoded
+//! straight from its checksum-verified payload sub-slice into the buffer the tree or table
+//! adopts, and the graph's CSR arrays straight into the graph. No flat whole-section copy
+//! exists, so a boot holds the file bytes plus the oracle it is building, nothing more.
+//!
+//! The per-source work (decode, derive or validate, adopt; then expand the rows) runs on
+//! scoped workers over `min(σ, available_parallelism())` contiguous source chunks. No word
+//! of the file, the shard count included, can raise that count, and a worker that cannot be
+//! spawned runs its chunk inline, so a decode never panics for lack of threads. Every
+//! tree's `dist`, `parent` and `order` buffers and every table's row offsets and values are
+//! allocated on the calling thread and only filled by the workers, so they come from one
+//! allocator arena and a later boot reuses their memory; what adoption derives from them
+//! (the Euler times and, weighted, the hop depths) and each worker's scratch are allocated
+//! on the worker. A boot adopts each source's tree buffers through
+//! [`CanonicalTree::from_raw`], and its rows, with the offsets written while they were
+//! expanded, through [`ReplacementDistances::from_flat_parts`]. Errors are reported in
+//! source order whatever the chunking, so a corrupt file fails with the same [`SnapError`]
+//! on every machine.
 //!
 //! # Fail closed
 //!
 //! Decoding never panics and never returns a silently wrong oracle: any corrupt,
-//! truncated, or version-skewed input yields a typed [`SnapError`]. Validation is layered
-//! — magic, version, kind, file length, whole-file checksum, section-table bounds (no
-//! overlaps, no duplicates), per-section checksums, then structural validation of every
-//! decoded array. Both checksum layers are computed in one fused pass over the file, and
-//! the whole-file checksum is still reported ahead of any table or section error.
+//! truncated, or version-skewed input yields a typed [`SnapError`]. Validation is layered:
 //!
-//! For each tree that last rung proves the parent words — the root has none, every other
-//! one names a graph neighbour of its child — and then derives a hop tree
-//! (`derive_bfs_tree`; the row-total gate proves its depths) or checks a weighted tree's
-//! stored `dist` and settle order (`validate_dijkstra_tree`). A lied parent word (a
-//! grandparent, the vertex itself, a non-neighbour, a deeper neighbour, a cycle, `NO_PARENT`
-//! on a reachable vertex, a parent on an unreachable one) fails here instead of answering
-//! wrongly or looping in a path walk. Like row values, the choice among equally short
-//! parents is content only the checksums guard: proving the first-settled parent would scan
-//! every CSR row once per source, as much work as the rest of the decode. So by the time
-//! [`ReplacementOracle::from_parts`] (which asserts) is called, its preconditions are
-//! proven. `tests/snapshot_fuzz.rs` pins this: every seeded bit flip, truncation,
-//! section-offset lie, and version bump must round-trip bit-identically or fail closed.
+//! 1. magic, version (exact match), kind and file length;
+//! 2. the whole-file checksum, then the section table (bounds, 8-alignment, no overlaps,
+//!    no duplicates), then every section checksum; both checksum layers are computed in
+//!    one fused pass over the file, and the whole-file checksum is still reported ahead of
+//!    any table or section error;
+//! 3. META: the id width must be the one n fixes, the row width one of 1, 2, 4, 8 and no
+//!    wider than the metric's distance, and every section a whole number of its words;
+//! 4. the common arrays: sources in range and distinct, shard lengths non-zero summing to
+//!    σ, the CSR arrays through [`CsrGraph::from_raw_parts`];
+//! 5. each tree: the parent words are proven — the root has none, every other one names a
+//!    graph neighbour of its child — and then a hop tree is derived (`derive_bfs_tree`) or
+//!    a weighted tree's stored `dist` and settle order are checked
+//!    (`validate_dijkstra_tree`). A lied parent word (a grandparent, the vertex itself, a
+//!    non-neighbour, a deeper neighbour, a cycle, `NO_PARENT` on a reachable vertex, a
+//!    parent on an unreachable one) fails here instead of answering wrongly or looping in a
+//!    path walk;
+//! 6. the row gate, before any row buffer exists: `Σ depth(t) × row width` over all trees
+//!    must fill ROWS exactly, which bounds memory and proves hop depths;
+//! 7. each row entry: `d(t) + δ` is a checked add, and a finite entry that overflows or
+//!    reaches the metric's infinity fails. So no entry below `d(t)` can be stored at all.
+//!
+//! Like row values, the choice among equally short parents is content only the checksums
+//! guard: proving the first-settled parent would scan every CSR row once per source, as
+//! much work as the rest of the decode. So by the time [`ReplacementOracle::from_parts`]
+//! (which asserts) is called, its preconditions are proven. `tests/snapshot_fuzz.rs` pins
+//! this: every seeded bit flip, truncation, section-offset lie, width lie and version bump
+//! must round-trip bit-identically or fail closed.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -107,13 +148,13 @@ use msrp_graph::{
 use msrp_oracle::ReplacementOracle;
 use msrp_rpath::ReplacementDistances;
 
-use codec::{Codec, Envelope, GraphArrays, TreeBuffers, Word, Words};
+use codec::{Codec, Envelope, GraphArrays, TreeBuffers, Width, Word, Words};
 
 /// The 8-byte file magic.
 pub const SNAP_MAGIC: [u8; 8] = *b"MSRPSNAP";
 /// The current (and only supported) format version. Bump on any layout change: decoding
 /// is exact-match, never "best effort" across versions.
-pub const SNAP_VERSION: u32 = 2;
+pub const SNAP_VERSION: u32 = 3;
 
 /// Byte offset of the whole-file checksum field (excluded from its own computation).
 const FILE_CHECKSUM_OFFSET: usize = 32;
@@ -121,9 +162,10 @@ const FILE_CHECKSUM_OFFSET: usize = 32;
 const HEADER_BYTES: usize = 40;
 /// Size of one section-table entry in bytes.
 const TABLE_ENTRY_BYTES: usize = 32;
+/// META's `u64` words: n, σ, shard count, entry total, id width, row width.
+const META_WORDS: usize = 6;
 
-// Section ids. Hop files hold no GRAPH_WEIGHTS, TREE_DIST or TREE_ORDER section; the
-// weighted kind stores distances and rows in wider words.
+// Section ids. Hop files hold no GRAPH_WEIGHTS, TREE_DIST or TREE_ORDER section.
 const SEC_META: u32 = 1;
 const SEC_GRAPH_OFFSETS: u32 = 2;
 const SEC_GRAPH_TARGETS: u32 = 3;
@@ -232,7 +274,8 @@ pub enum SnapError {
         computed: u64,
     },
     /// Decoded words fail structural validation (array lengths disagree, ids out of
-    /// range, duplicate sources, row totals that do not match the trees, …).
+    /// range, duplicate sources, widths META cannot claim, row totals that do not match
+    /// the trees, a row entry that does not fit its distance, …).
     Structure {
         /// Human-readable description of the violation.
         reason: String,
@@ -389,23 +432,130 @@ fn offset_order(extents: &[Range<usize>]) -> Vec<usize> {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Writes `words` into `dst`, which they must fill exactly.
-fn put_words<W: Word>(dst: &mut [u8], words: &[W]) {
-    assert_eq!(dst.len(), W::BYTES * words.len(), "section layout disagrees with its contents");
-    for (chunk, &w) in dst.chunks_exact_mut(W::BYTES).zip(words) {
-        w.put(chunk);
-    }
-}
+/// Words the BFS sweep of [`derive_bfs_tree`] and the row passes of [`rewrite_rows`] copy
+/// per step as one fixed-width block.
+const CHUNK: usize = 8;
 
-/// Writes `parts` back to back into `dst`, which they must fill exactly.
-fn put_concat<'w, W: Word>(dst: &mut [u8], parts: impl IntoIterator<Item = &'w [W]>) {
-    let mut rest = dst;
-    for part in parts {
-        let (head, tail) = rest.split_at_mut(W::BYTES * part.len());
-        put_words(head, part);
+/// Writes `parts` back to back into `payload` as `width`-byte words, filling it exactly;
+/// `W::MAX` becomes the all-ones word of the width. The one writer of every section.
+///
+/// # Panics
+///
+/// Panics if the words do not fill the section exactly, or if a word other than `W::MAX`
+/// does not fit below the all-ones word of the width: the encoder lays out every section
+/// and picks every width from the data, so either is a bug in this crate.
+fn put_words<'w, W: Word>(
+    payload: &mut [u8],
+    width: Width,
+    parts: impl IntoIterator<Item = &'w [W]>,
+) {
+    let mut rest = payload;
+    for words in parts {
+        let len = width.bytes() * words.len();
+        assert!(len <= rest.len(), "section layout disagrees with its contents");
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
+        match width.bytes() {
+            1 => put_narrow::<1, W>(head, words),
+            2 => put_narrow::<2, W>(head, words),
+            4 => put_narrow::<4, W>(head, words),
+            _ => put_narrow::<8, W>(head, words),
+        }
         rest = tail;
     }
     assert!(rest.is_empty(), "section layout disagrees with its contents");
+}
+
+/// [`put_words`] at a width of `B` bytes, compiled once per width.
+fn put_narrow<const B: usize, W: Word>(dst: &mut [u8], words: &[W]) {
+    let sentinel = Width(B).sentinel();
+    // One check after the loop, not one per word, so the loop has no exit to vectorize
+    // around.
+    let mut wide = false;
+    for (chunk, &w) in dst.chunks_exact_mut(B).zip(words) {
+        let word = if w == W::MAX { sentinel } else { w.into() };
+        wide |= word >= sentinel && w != W::MAX;
+        chunk.copy_from_slice(&word.to_le_bytes()[..B]);
+    }
+    assert!(!wide, "a word does not fit {B} bytes");
+}
+
+/// Writes `f(d(t), entry)` into `dst` for each entry of `src`, which holds one source's
+/// rows in `tree`'s row shapes (row `t` is the next `depth(t)` entries, in vertex order);
+/// `f` returns the new entry and whether the old one was valid, and must not panic on an
+/// entry of another row. Calls `row_end` with the running entry count after each row, and
+/// stops at the first row holding an invalid entry, returning its target. `dst` ends
+/// holding `src.len()` entries; it is used up to `CHUNK` entries past them, so it needs
+/// that much spare capacity to stay where it was allocated.
+///
+/// Rows are a few entries long, so a loop over each row's entries mispredicts its exit on
+/// most rows. A row of at most [`CHUNK`] entries instead writes one fixed block of
+/// `CHUNK`, the rows after it overwriting the excess: 8.5 against 11.1 ms for the deltas of
+/// 512 sources at n = 2048 (one thread of a 2-vCPU Xeon). Rewriting in place would read
+/// each block across the previous block's store and run slower than the plain loop.
+fn rewrite_rows<M: Codec>(
+    tree: &CanonicalTree<M>,
+    src: &[M::Dist],
+    dst: &mut Vec<M::Dist>,
+    mut row_end: impl FnMut(usize),
+    f: impl Fn(u64, M::Dist) -> (M::Dist, bool),
+) -> Result<(), Vertex> {
+    dst.clear();
+    dst.resize(src.len() + CHUNK, M::INFINITY);
+    let mut start = 0;
+    for t in 0..tree.vertex_count() {
+        let len = tree.depth(t);
+        let base: u64 = tree.distance_or_infinite(t).into();
+        let mut valid = true;
+        if len <= CHUNK && start + CHUNK <= src.len() {
+            let from: &[M::Dist; CHUNK] =
+                src[start..start + CHUNK].try_into().expect("a CHUNK-entry block");
+            let to: &mut [M::Dist; CHUNK] =
+                (&mut dst[start..start + CHUNK]).try_into().expect("a CHUNK-entry block");
+            for (i, (to, &from)) in to.iter_mut().zip(from).enumerate() {
+                let (new, ok) = f(base, from);
+                valid &= ok | (i >= len);
+                *to = new;
+            }
+        } else {
+            let rows = dst[start..start + len].iter_mut().zip(&src[start..start + len]);
+            for (to, &from) in rows {
+                let (new, ok) = f(base, from);
+                valid &= ok;
+                *to = new;
+            }
+        }
+        if !valid {
+            return Err(t);
+        }
+        start += len;
+        row_end(start);
+    }
+    dst.truncate(src.len());
+    Ok(())
+}
+
+/// Source `tree`'s rows as the ROWS section stores them, row after row, into `out`: each
+/// finite entry as its excess `δ = value − d(t)` over the fault-free distance, the
+/// metric's infinity as it is.
+///
+/// # Panics
+///
+/// Panics on an entry below `d(t)`: no path avoiding an edge is shorter than the shortest
+/// path, so such a table is not a replacement table.
+fn row_deltas<M: Codec>(
+    tree: &CanonicalTree<M>,
+    table: &ReplacementDistances<M>,
+    out: &mut Vec<M::Dist>,
+) {
+    let delta = |base: u64, value: M::Dist| {
+        if value == M::INFINITY {
+            return (value, true);
+        }
+        let value: u64 = value.into();
+        (M::Dist::from_u64(value.wrapping_sub(base)), value >= base)
+    };
+    let below = rewrite_rows(tree, table.values(), out, |_| {}, delta);
+    below.expect("a replacement distance below the fault-free one");
 }
 
 /// The encoder's one output buffer: the header and section table are written from the
@@ -466,8 +616,8 @@ impl FileWriter {
     }
 }
 
-/// Serializes a frozen graph plus its per-shard oracles into one snapshot buffer, with the
-/// metric's word width for tree distances and rows.
+/// Serializes a frozen graph plus its per-shard oracles into one snapshot buffer, vertex ids
+/// and row deltas at the narrowest widths the data allows (see the crate docs).
 ///
 /// The shard split is preserved (see the `SHARD_LENS` section), so a serving process can
 /// rebuild its sharded oracle with the exact same source partition the builder used. Both
@@ -475,8 +625,8 @@ impl FileWriter {
 /// does not care which one paid for them.
 ///
 /// Every section size follows from σ, n, the graph arrays, the settle-order lengths
-/// (weighted only) and the entry count, so the file is laid out first and each array is
-/// then written once, straight into its place in the returned buffer.
+/// (weighted only), the entry count and the two widths, so the file is laid out first and
+/// each array is then written once, straight into its place in the returned buffer.
 ///
 /// # Panics
 ///
@@ -498,45 +648,98 @@ pub fn encode_snapshot<M: SnapMetric>(g: &M::Graph, shards: &[ReplacementOracle<
     let tables = || shards.iter().flat_map(|s| s.per_source());
     let sigma = sources.len();
     let order_total: usize = trees().map(|t| t.order().len()).sum();
-    let entry_total: usize = tables().map(|t| t.entry_count()).sum();
-    let dist_bytes = <M::Dist as Word>::BYTES;
+    let entry_total: usize = shards.iter().map(|s| s.entry_count()).sum();
+    let ids = Width::of_ids(n);
+    let dist = Width::full::<M::Dist>();
     let tree_bytes = |id| match id {
-        SEC_TREE_DIST => dist_bytes * sigma * n,
-        SEC_TREE_PARENT => 4 * sigma * n,
-        _ => 4 * order_total,
+        SEC_TREE_DIST => dist.bytes() * sigma * n,
+        SEC_TREE_PARENT => ids.bytes() * sigma * n,
+        _ => ids.bytes() * order_total,
     };
-
     let mut layout = vec![
-        (SEC_META, 8 * 4),
+        (SEC_META, 8 * META_WORDS),
         (SEC_GRAPH_OFFSETS, 4 * offsets.len()),
-        (SEC_GRAPH_TARGETS, 4 * targets.len()),
+        (SEC_GRAPH_TARGETS, ids.bytes() * targets.len()),
     ];
     if let Some(weights) = weights {
         layout.push((SEC_GRAPH_WEIGHTS, 8 * weights.len()));
     }
-    layout.extend([(SEC_SOURCES, 4 * sigma), (SEC_SHARD_LENS, 4 * shards.len())]);
+    layout.extend([(SEC_SOURCES, ids.bytes() * sigma), (SEC_SHARD_LENS, 4 * shards.len())]);
     layout.extend(M::TREE_SECTIONS.iter().map(|&id| (id, tree_bytes(id))));
-    layout.push((SEC_ROWS, dist_bytes * entry_total));
-    let mut file = FileWriter::new(M::KIND, &layout);
-    let meta = [n as u64, sigma as u64, shards.len() as u64, entry_total as u64];
-    put_words(file.payload(SEC_META), &meta);
-    put_words(file.payload(SEC_GRAPH_OFFSETS), offsets);
-    put_words(file.payload(SEC_GRAPH_TARGETS), targets);
-    if let Some(weights) = weights {
-        put_words(file.payload(SEC_GRAPH_WEIGHTS), weights);
-    }
-    put_words(file.payload(SEC_SOURCES), &sources);
-    put_words(file.payload(SEC_SHARD_LENS), &shard_lens);
-    for &id in M::TREE_SECTIONS {
-        let payload = file.payload(id);
-        match id {
-            SEC_TREE_DIST => put_concat(payload, trees().map(|t| t.distances())),
-            SEC_TREE_PARENT => put_concat(payload, trees().map(|t| t.parents_raw())),
-            _ => put_concat(payload, trees().map(|t| t.order())),
+
+    // Rows are tried one byte wide first, which the deltas of hop files at the serving
+    // shape fit, so finding the width takes no pass of its own; a wider delta lays the
+    // file out once more at the narrowest width that holds them all.
+    let mut rows = Width::narrowest::<M::Dist>(0);
+    loop {
+        let mut file = FileWriter::new(
+            M::KIND,
+            &[&layout[..], &[(SEC_ROWS, rows.bytes() * entry_total)]].concat(),
+        );
+        let meta =
+            [n, sigma, shards.len(), entry_total, ids.bytes(), rows.bytes()].map(|w| w as u64);
+        put_words(file.payload(SEC_META), Width::full::<u64>(), [&meta[..]]);
+        put_words(file.payload(SEC_GRAPH_OFFSETS), Width::full::<u32>(), [offsets]);
+        put_words(file.payload(SEC_GRAPH_TARGETS), ids, [targets]);
+        if let Some(weights) = weights {
+            put_words(file.payload(SEC_GRAPH_WEIGHTS), Width::full::<u64>(), [weights]);
+        }
+        put_words(file.payload(SEC_SOURCES), ids, [&sources[..]]);
+        put_words(file.payload(SEC_SHARD_LENS), Width::full::<u32>(), [&shard_lens[..]]);
+        for &id in M::TREE_SECTIONS {
+            let payload = file.payload(id);
+            match id {
+                SEC_TREE_DIST => put_words(payload, dist, trees().map(|t| t.distances())),
+                SEC_TREE_PARENT => put_words(payload, ids, trees().map(|t| t.parents_raw())),
+                _ => put_words(payload, ids, trees().map(|t| t.order())),
+            }
+        }
+        match put_rows(file.payload(SEC_ROWS), rows, trees().zip(tables())) {
+            Ok(()) => return file.finish(),
+            Err(wider) => rows = wider,
         }
     }
-    put_concat(file.payload(SEC_ROWS), tables().map(|t| t.values()));
-    file.finish()
+}
+
+/// Writes every source's row deltas into ROWS at `width`; when some delta does not fit,
+/// returns instead the narrowest width that holds every delta. The sources' deltas are
+/// computed on `min(σ, available_parallelism())` scoped workers, each writing its own
+/// sources' stretch of ROWS.
+fn put_rows<'a, M: Codec>(
+    payload: &mut [u8],
+    width: Width,
+    sources: impl Iterator<Item = (&'a CanonicalTree<M>, &'a ReplacementDistances<M>)>,
+) -> Result<(), Width> {
+    let mut rest = payload;
+    let mut parts: Vec<_> = sources
+        .map(|(tree, table)| {
+            let len = width.bytes() * table.entry_count();
+            assert!(len <= rest.len(), "section layout disagrees with its contents");
+            let (bytes, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            (tree, table, bytes)
+        })
+        .collect();
+    assert!(rest.is_empty(), "section layout disagrees with its contents");
+    let workers = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let largest = on_workers(&mut parts, workers, |_, chunk| {
+        let mut deltas = Vec::new();
+        let mut largest = 0;
+        for (tree, table, bytes) in chunk {
+            row_deltas(tree, table, &mut deltas);
+            let finite = deltas.iter().filter(|&&d| d != M::INFINITY);
+            largest = finite.fold(largest, |largest, &d| largest.max(d.into()));
+            if largest < width.sentinel() {
+                put_words(bytes, width, [&deltas[..]]);
+            }
+        }
+        largest
+    });
+    let largest = largest.into_iter().max().unwrap_or(0);
+    if largest >= width.sentinel() {
+        return Err(Width::narrowest::<M::Dist>(largest));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -687,11 +890,11 @@ pub struct SnapInfo {
 pub fn inspect(bytes: &[u8]) -> Result<SnapInfo, SnapError> {
     let envelope = open(bytes)?;
     let common = decode_common(&envelope)?;
-    let targets = envelope.section(SEC_GRAPH_TARGETS)?;
+    let targets = Words::<u32>::of(&envelope, SEC_GRAPH_TARGETS, common.ids)?;
     Ok(SnapInfo {
         kind: envelope.kind,
         vertex_count: common.n,
-        edge_count: targets.len() / 4 / 2,
+        edge_count: targets.len() / 2,
         source_count: common.sources.len(),
         shard_count: common.shard_lens.len(),
         entry_count: common.entry_total,
@@ -705,19 +908,33 @@ struct CommonParts {
     sources: Vec<Vertex>,
     shard_lens: Vec<usize>,
     entry_total: u64,
+    /// The width of every vertex-id array: the one n fixes.
+    ids: Width,
+    /// The width of the row deltas: one of 1, 2, 4 or 8 bytes.
+    rows: Width,
 }
 
 fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
-    let meta = Words::<u64>::of(envelope, SEC_META)?.all();
-    if meta.len() != 4 {
-        return Err(structure(format!("META holds {} words, expected 4", meta.len())));
+    let meta = Words::<u64>::of(envelope, SEC_META, Width::full::<u64>())?.all();
+    if meta.len() != META_WORDS {
+        return Err(structure(format!("META holds {} words, expected {META_WORDS}", meta.len())));
     }
     let n = usize::try_from(meta[0]).map_err(|_| structure("vertex count overflows"))?;
     let sigma = usize::try_from(meta[1]).map_err(|_| structure("source count overflows"))?;
     let shard_count = usize::try_from(meta[2]).map_err(|_| structure("shard count overflows"))?;
     let entry_total = meta[3];
+    let ids = Width::of_ids(n);
+    if meta[4] != ids.bytes() as u64 {
+        return Err(structure(format!(
+            "META claims {}-byte vertex ids, {n} vertices take {}",
+            meta[4],
+            ids.bytes()
+        )));
+    }
+    let rows = Width::from_meta(meta[5])
+        .ok_or_else(|| structure(format!("META claims {}-byte row entries", meta[5])))?;
 
-    let sources_raw = Words::<u32>::of(envelope, SEC_SOURCES)?.all();
+    let sources_raw = Words::<u32>::of(envelope, SEC_SOURCES, ids)?.all();
     if sources_raw.len() != sigma || sigma == 0 {
         return Err(structure(format!(
             "META claims {sigma} sources, section holds {}",
@@ -734,7 +951,7 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
         return Err(structure("duplicate source ids"));
     }
 
-    let shard_lens_raw = Words::<u32>::of(envelope, SEC_SHARD_LENS)?.all();
+    let shard_lens_raw = Words::<u32>::of(envelope, SEC_SHARD_LENS, Width::full::<u32>())?.all();
     if shard_lens_raw.len() != shard_count || shard_count == 0 {
         return Err(structure(format!(
             "META claims {shard_count} shards, section holds {}",
@@ -754,11 +971,10 @@ fn decode_common(envelope: &Envelope<'_>) -> Result<CommonParts, SnapError> {
         sources: sources_raw.into_iter().map(|s| s as Vertex).collect(),
         shard_lens: shard_lens_raw.into_iter().map(|l| l as usize).collect(),
         entry_total,
+        ids,
+        rows,
     })
 }
-
-/// Children the BFS sweep of [`derive_bfs_tree`] copies per step as one fixed-width block.
-const CHUNK: usize = 8;
 
 /// Derives a hop tree's `dist` and settle `order` from its `parent` words, proving that
 /// the root has no parent, that every other parent word names a graph neighbour of its
@@ -993,22 +1209,22 @@ fn decode_with_workers<M: SnapMetric>(
     let n = common.n;
     let sigma = common.sources.len();
 
-    let offsets = Words::<u32>::of(&envelope, SEC_GRAPH_OFFSETS)?;
+    let offsets = Words::<u32>::of(&envelope, SEC_GRAPH_OFFSETS, Width::full::<u32>())?;
     if offsets.len() != n + 1 {
         return Err(structure(format!(
             "META claims {n} vertices, offsets array holds {}",
             offsets.len()
         )));
     }
-    let targets = Words::<u32>::of(&envelope, SEC_GRAPH_TARGETS)?;
+    let targets = Words::<u32>::of(&envelope, SEC_GRAPH_TARGETS, common.ids)?;
     let graph = M::graph_from_sections(&envelope, offsets.all(), targets.all())?;
 
-    let parents = Words::<u32>::of(&envelope, SEC_TREE_PARENT)?;
+    let parents = Words::<u32>::of(&envelope, SEC_TREE_PARENT, common.ids)?;
     if sigma.checked_mul(n) != Some(parents.len()) {
         return Err(structure("tree arrays do not hold σ·n entries"));
     }
-    let stored = M::stored_trees(&envelope, sigma, n)?;
-    let rows = Words::<M::Dist>::of(&envelope, SEC_ROWS)?;
+    let stored = M::stored_trees(&envelope, common.ids, sigma, n)?;
+    let rows = Words::<M::Dist>::of(&envelope, SEC_ROWS, common.rows)?;
     if rows.len() as u64 != common.entry_total {
         return Err(structure(format!(
             "META claims {} row entries, section holds {}",
@@ -1016,10 +1232,11 @@ fn decode_with_workers<M: SnapMetric>(
             rows.len()
         )));
     }
-    // Every buffer the payloads are decoded into (dist, parent, order, rows) is allocated
-    // on this thread and only filled by the workers: a worker's allocations land in its own
-    // allocator arena, which a later boot does not reuse (worker-allocated buffers raised
-    // the batch_sigma512 benchmark's peak RSS from ~140 to ~161 MB on a 2-vCPU host).
+    // Every buffer the payloads are decoded into (dist, parent, order, row offsets and
+    // values) is allocated on this thread and only filled by the workers: a worker's
+    // allocations land in its own allocator arena, which a later boot does not reuse
+    // (worker-allocated buffers raised the batch_sigma512 benchmark's peak RSS from ~140
+    // to ~161 MB on a 2-vCPU host).
 
     // Per source: decode the tree buffers, derive or validate, adopt. Each chunk returns
     // the trees it adopted (with their row totals) and the error that stopped it, if any,
@@ -1032,7 +1249,7 @@ fn decode_with_workers<M: SnapMetric>(
         let mut trees = Vec::with_capacity(chunk.len());
         for (i, buffers) in (first..).zip(chunk) {
             let mut buffers = std::mem::take(buffers);
-            buffers.1.extend(parents.iter(i * n..(i + 1) * n));
+            parents.read_into(i * n..(i + 1) * n, &mut buffers.1);
             match M::decode_tree(&stored, &graph, i, common.sources[i], buffers, &mut scratch) {
                 Ok(tree) => {
                     let tree_rows: u64 = (0..n).map(|t| tree.depth(t) as u64).sum();
@@ -1046,9 +1263,10 @@ fn decode_with_workers<M: SnapMetric>(
 
     // Memory-bounding gate, before any row `Vec` exists: a crafted path-shaped parent array
     // makes Σ depth(t), the row total, quadratic in n from a kilobyte-sized file. Prove the
-    // totals fit the (file-size-bounded) ROWS section and fill it exactly. This also proves
-    // hop depths: `derive_bfs_tree` accepts no tree shallower than BFS, so a parent that is
-    // not one level up raises the total past the entries the encoder wrote.
+    // totals, at the row width, fit the (file-size-bounded) ROWS section and fill it
+    // exactly. This also proves hop depths: `derive_bfs_tree` accepts no tree shallower
+    // than BFS, so a parent that is not one level up raises the total past the entries the
+    // encoder wrote.
     let mut trees = Vec::with_capacity(sigma);
     let mut row_spans = Vec::with_capacity(sigma);
     let mut row_end = 0u64;
@@ -1061,7 +1279,7 @@ fn decode_with_workers<M: SnapMetric>(
                 return Err(structure(format!("rows of source {s} overrun their section")));
             }
             // A table indexes its rows in `u32`. No test file reaches this: past the gate
-            // above, the ROWS section holds every entry, which here is more than 16 GiB.
+            // above, the ROWS section holds every entry, which here is more than 4 GiB.
             if tree_rows > u64::from(u32::MAX) {
                 return Err(structure(format!("rows of source {s} exceed u32::MAX entries")));
             }
@@ -1076,22 +1294,73 @@ fn decode_with_workers<M: SnapMetric>(
         return Err(structure("rows section has trailing entries"));
     }
 
-    // The gate proved each span holds exactly its tree's row total, and that the total
-    // fits a `u32`, so neither of the table constructor's panics can fire.
-    let mut row_buffers: Vec<Vec<M::Dist>> =
-        row_spans.iter().map(|span| Vec::with_capacity(span.len())).collect();
-    on_workers(&mut row_buffers, workers, |first, chunk| {
-        for (span, buffer) in row_spans[first..].iter().zip(chunk) {
-            buffer.extend(rows.iter(span.clone()));
+    // Per source: widen the row deltas into the worker's scratch and add each row's d(t)
+    // back into the table's buffer, writing the row offsets on the way. The gate proved
+    // each span holds exactly its tree's row total, and that the total fits a `u32`, so
+    // neither of the table constructor's panics can fire. Errors surface in source order,
+    // as above.
+    let mut row_buffers: Vec<(Vec<u32>, Vec<M::Dist>)> = row_spans
+        .iter()
+        .map(|span| (Vec::with_capacity(n + 1), Vec::with_capacity(span.len() + CHUNK)))
+        .collect();
+    let largest_delta = common.rows.sentinel() - 1;
+    let expanded = on_workers(&mut row_buffers, workers, |first, chunk| {
+        let mut deltas = Vec::new();
+        for (i, (offsets, values)) in (first..).zip(chunk) {
+            deltas.clear();
+            rows.read_into(row_spans[i].clone(), &mut deltas);
+            add_back_distances(&trees[i], &deltas, largest_delta, offsets, values)?;
         }
+        Ok(())
     });
+    expanded.into_iter().collect::<Result<(), SnapError>>()?;
     let tables = trees
         .iter()
         .zip(row_buffers)
-        .map(|(tree, flat)| ReplacementDistances::from_flat_rows(tree, flat))
+        .map(|(tree, (offsets, flat))| ReplacementDistances::from_flat_parts(tree, offsets, flat))
         .collect();
     let shards = split_shards(common.sources, trees, tables, &common.shard_lens);
     Ok(Snapshot { graph, shards })
+}
+
+/// Turns one source's widened row `deltas` into its row values in `values`, adding each
+/// row's `d(t)` to its finite entries, and writes the table's row offsets on the way. A
+/// finite entry whose sum overflows or reaches the metric's infinity is a lie: the
+/// encoder never writes one. `largest_delta` is the largest finite delta the row width
+/// holds.
+fn add_back_distances<M: Codec>(
+    tree: &CanonicalTree<M>,
+    deltas: &[M::Dist],
+    largest_delta: u64,
+    offsets: &mut Vec<u32>,
+    values: &mut Vec<M::Dist>,
+) -> Result<(), SnapError> {
+    let infinity: u64 = M::INFINITY.into();
+    offsets.push(0);
+    // The row gate proved every source's entry total fits a `u32`.
+    let row_end = |end: usize| offsets.push(end as u32);
+    let add_back = |base: u64, delta: M::Dist| {
+        if delta == M::INFINITY {
+            return (delta, true);
+        }
+        let (sum, overflow) = base.overflowing_add(delta.into());
+        (M::Dist::from_u64(sum), !overflow && sum < infinity)
+    };
+    // The settle order is non-decreasing in distance, so its last vertex is the deepest.
+    // When even its distance plus the largest delta stays below infinity, as it does for
+    // hop rows at the serving shape, no entry can fail, and the check is left out: the
+    // rows then expand in about half the time.
+    let deepest = tree.order().last().expect("the root is settled");
+    let deepest: u64 = tree.distance_or_infinite(*deepest as usize).into();
+    let result = if deepest.checked_add(largest_delta).is_some_and(|sum| sum < infinity) {
+        rewrite_rows(tree, deltas, values, row_end, |base, delta| (add_back(base, delta).0, true))
+    } else {
+        rewrite_rows(tree, deltas, values, row_end, add_back)
+    };
+    result.map_err(|t| {
+        let s = tree.source();
+        structure(format!("a row entry of target {t} of source {s} does not fit its distance"))
+    })
 }
 
 /// Splits flat per-source parts back into the builder's shard partition. All inputs are
@@ -1119,7 +1388,7 @@ fn split_shards<M: Metric>(
 }
 
 /// The metrics a snapshot can hold: [`Hop`] and [`Weighted`]. Sealed; the codec's
-/// per-metric items (kind, graph arrays, word width, persisted tree sections, tree
+/// per-metric items (kind, graph arrays, distance word, persisted tree sections, tree
 /// decoding) stay private.
 pub trait SnapMetric: Codec {}
 
@@ -1142,37 +1411,79 @@ mod codec {
         }
     }
 
-    /// A fixed-width little-endian word.
-    pub trait Word: Copy + 'static {
-        /// Width in bytes.
+    /// An in-memory word type a section decodes into: `u32` (ids, CSR offsets, shard
+    /// lengths, hop distances) or `u64` (META, weights, weighted distances).
+    pub trait Word: Copy + Eq + Into<u64> + 'static {
+        /// Width in bytes, the widest a section of this type is stored at.
         const BYTES: usize;
-        /// Writes the word into a `BYTES`-long chunk.
-        fn put(self, chunk: &mut [u8]);
-        /// Reads the word from a `BYTES`-long chunk.
-        fn get(chunk: &[u8]) -> Self;
+        /// The all-ones value: [`NO_PARENT`] or the metric's infinity.
+        const MAX: Self;
+        /// `word`, which fits: a reader is never wider than [`BYTES`](Self::BYTES).
+        fn from_u64(word: u64) -> Self;
     }
 
     impl Word for u32 {
         const BYTES: usize = 4;
+        const MAX: u32 = u32::MAX;
         #[inline]
-        fn put(self, chunk: &mut [u8]) {
-            chunk.copy_from_slice(&self.to_le_bytes());
-        }
-        #[inline]
-        fn get(chunk: &[u8]) -> Self {
-            u32::from_le_bytes(chunk.try_into().expect("chunk"))
+        fn from_u64(word: u64) -> u32 {
+            word as u32
         }
     }
 
     impl Word for u64 {
         const BYTES: usize = 8;
+        const MAX: u64 = u64::MAX;
         #[inline]
-        fn put(self, chunk: &mut [u8]) {
-            chunk.copy_from_slice(&self.to_le_bytes());
+        fn from_u64(word: u64) -> u64 {
+            word
         }
-        #[inline]
-        fn get(chunk: &[u8]) -> Self {
-            u64::from_le_bytes(chunk.try_into().expect("chunk"))
+    }
+
+    /// A stored word width: 1, 2, 4 or 8 little-endian bytes. Its all-ones word is the
+    /// sentinel, read back as the wider type's all-ones value ([`Word::MAX`]), so every
+    /// width carries [`NO_PARENT`] and the metrics' infinities.
+    #[derive(Copy, Clone, Debug, PartialEq, Eq)]
+    pub struct Width(pub(crate) usize);
+
+    impl Width {
+        /// The full width of `W`.
+        pub fn full<W: Word>() -> Width {
+            Width(W::BYTES)
+        }
+
+        /// The width of a graph's vertex ids: 2 bytes up to n = `0xFFFF` (the all-ones
+        /// word is then free for [`NO_PARENT`]), else 4.
+        pub fn of_ids(n: usize) -> Width {
+            if n <= 0xFFFF {
+                Width(2)
+            } else {
+                Width(4)
+            }
+        }
+
+        /// The narrowest width, no wider than `W`, whose words below the sentinel hold
+        /// `largest`. Every value below `W::MAX` fits the full width.
+        pub fn narrowest<W: Word>(largest: u64) -> Width {
+            [1, 2, 4, 8]
+                .map(Width)
+                .into_iter()
+                .find(|w| w.0 <= W::BYTES && largest < w.sentinel())
+                .expect("a value below W::MAX fits W's own width")
+        }
+
+        /// The width META's `word` names, if it is one.
+        pub fn from_meta(word: u64) -> Option<Width> {
+            matches!(word, 1 | 2 | 4 | 8).then_some(Width(word as usize))
+        }
+
+        pub fn bytes(self) -> usize {
+            self.0
+        }
+
+        /// The all-ones word of this width.
+        pub fn sentinel(self) -> u64 {
+            u64::MAX >> (64 - 8 * self.0)
         }
     }
 
@@ -1184,49 +1495,79 @@ mod codec {
         pub weights: Option<&'g [u64]>,
     }
 
-    /// A checksum-verified payload read as little-endian words of type `W`, decoded on
-    /// demand straight into the buffer that keeps them.
+    /// A checksum-verified payload read as little-endian words of a [`Width`], each
+    /// widened into a `W`, decoded on demand straight into the buffer that keeps them. The
+    /// one reader of every section.
     pub struct Words<'a, W> {
         bytes: &'a [u8],
+        width: Width,
         word: PhantomData<fn() -> W>,
     }
 
     impl<'a, W: Word> Words<'a, W> {
-        /// Section `id` of `envelope`, which must hold a whole number of words.
-        pub fn of(envelope: &Envelope<'a>, id: u32) -> Result<Self, SnapError> {
+        /// Section `id` of `envelope` read at `width`, which must hold a whole number of
+        /// words no wider than `W`.
+        pub fn of(envelope: &Envelope<'a>, id: u32, width: Width) -> Result<Self, SnapError> {
             let bytes = envelope.section(id)?;
-            if !bytes.len().is_multiple_of(W::BYTES) {
+            if width.0 > W::BYTES {
                 return Err(structure(format!(
-                    "section {id} length {} is not a {}-byte multiple",
-                    bytes.len(),
+                    "section {id} claims {}-byte words, wider than {}",
+                    width.0,
                     W::BYTES
                 )));
             }
-            Ok(Words { bytes, word: PhantomData })
+            if !bytes.len().is_multiple_of(width.0) {
+                return Err(structure(format!(
+                    "section {id} length {} is not a {}-byte multiple",
+                    bytes.len(),
+                    width.0
+                )));
+            }
+            Ok(Words { bytes, width, word: PhantomData })
         }
 
         pub fn len(&self) -> usize {
-            self.bytes.len() / W::BYTES
+            self.bytes.len() / self.width.0
         }
 
-        /// Words `range`; panics if it is out of bounds.
-        pub fn iter(&self, range: Range<usize>) -> impl Iterator<Item = W> + 'a {
-            self.bytes[range.start * W::BYTES..range.end * W::BYTES]
-                .chunks_exact(W::BYTES)
-                .map(W::get)
+        /// Appends words `range` to `out`; panics if it is out of bounds.
+        pub fn read_into(&self, range: Range<usize>, out: &mut Vec<W>) {
+            let bytes = &self.bytes[range.start * self.width.0..range.end * self.width.0];
+            match self.width.0 {
+                1 => widen::<1, W>(bytes, out),
+                2 => widen::<2, W>(bytes, out),
+                4 => widen::<4, W>(bytes, out),
+                _ => widen::<8, W>(bytes, out),
+            }
         }
 
         pub fn all(&self) -> Vec<W> {
-            self.iter(0..self.len()).collect()
+            let mut out = Vec::with_capacity(self.len());
+            self.read_into(0..self.len(), &mut out);
+            out
         }
+    }
+
+    /// Appends the `B`-byte words of `bytes` to `out`, the all-ones word as `W::MAX`:
+    /// [`Words::read_into`] compiled once per width.
+    fn widen<const B: usize, W: Word>(bytes: &[u8], out: &mut Vec<W>) {
+        let sentinel = Width(B).sentinel();
+        out.extend(bytes.chunks_exact(B).map(|chunk| {
+            let mut word = [0u8; 8];
+            word[..B].copy_from_slice(chunk);
+            match u64::from_le_bytes(word) {
+                word if word == sentinel => W::MAX,
+                word => W::from_u64(word),
+            }
+        }));
     }
 
     /// One source's tree buffers `(dist, parent, order)`: allocated by the decoding thread
     /// with room for n entries each, filled by a worker.
     pub type TreeBuffers<M> = (Vec<<M as Metric>::Dist>, Vec<u32>, Vec<u32>);
 
-    /// What the codec needs of a metric beyond [`Metric`]; distances and rows are stored
-    /// as `Dist` words.
+    /// What the codec needs of a metric beyond [`Metric`]; distances decode into `Dist`
+    /// words, and rows into `Dist` words of their row width.
     pub trait Codec: Metric<Dist: Word> {
         /// The header's kind word.
         const KIND: SnapKind;
@@ -1243,9 +1584,10 @@ mod codec {
             targets: Vec<u32>,
         ) -> Result<Self::Graph, SnapError>;
         /// Locates the tree sections beyond the parents (which hold σ·n words) and checks
-        /// their lengths.
+        /// their lengths; vertex ids are `ids` wide.
         fn stored_trees<'a>(
             envelope: &Envelope<'a>,
+            ids: Width,
             sigma: usize,
             n: usize,
         ) -> Result<Self::Stored<'a>, SnapError>;
@@ -1277,7 +1619,7 @@ mod codec {
         ) -> Result<CsrGraph, SnapError> {
             Ok(CsrGraph::from_raw_parts(offsets, targets)?)
         }
-        fn stored_trees(_: &Envelope<'_>, _: usize, _: usize) -> Result<(), SnapError> {
+        fn stored_trees(_: &Envelope<'_>, _: Width, _: usize, _: usize) -> Result<(), SnapError> {
             Ok(())
         }
         fn decode_tree(
@@ -1307,25 +1649,29 @@ mod codec {
             offsets: Vec<u32>,
             targets: Vec<u32>,
         ) -> Result<WeightedCsrGraph, SnapError> {
-            let weights = Words::<u64>::of(envelope, SEC_GRAPH_WEIGHTS)?.all();
+            let weights = Words::<u64>::of(envelope, SEC_GRAPH_WEIGHTS, Width::full::<u64>())?;
+            let weights = weights.all();
             Ok(WeightedCsrGraph::from_raw_parts(offsets, targets, weights)?)
         }
         /// Source i's settle order is the next (reachable count of i) words; the counts sum
         /// to at most σ·n, which fits, and must fill the order section exactly.
         fn stored_trees<'a>(
             envelope: &Envelope<'a>,
+            ids: Width,
             sigma: usize,
             n: usize,
         ) -> Result<Self::Stored<'a>, SnapError> {
-            let dist = Words::of(envelope, SEC_TREE_DIST)?;
+            let dist = Words::of(envelope, SEC_TREE_DIST, Width::full::<u64>())?;
             if dist.len() != sigma * n {
                 return Err(structure("tree arrays do not hold σ·n entries"));
             }
-            let order = Words::of(envelope, SEC_TREE_ORDER)?;
+            let order = Words::of(envelope, SEC_TREE_ORDER, ids)?;
             let mut ends = vec![0];
+            let mut tree_dist = Vec::with_capacity(n);
             for i in 0..sigma {
-                let reached = dist.iter(i * n..(i + 1) * n).filter(|&d| d != INFINITE_WEIGHT);
-                ends.push(ends[i] + reached.count());
+                tree_dist.clear();
+                dist.read_into(i * n..(i + 1) * n, &mut tree_dist);
+                ends.push(ends[i] + tree_dist.iter().filter(|&&d| d != INFINITE_WEIGHT).count());
             }
             if ends[sigma] != order.len() {
                 return Err(structure("settle orders do not hold the vertices the trees reach"));
@@ -1341,8 +1687,8 @@ mod codec {
             pos: &mut Vec<u32>,
         ) -> Result<CanonicalTree<Weighted>, SnapError> {
             let n = graph.vertex_count();
-            dist.extend(dists.iter(i * n..(i + 1) * n));
-            order.extend(orders.iter(ends[i]..ends[i + 1]));
+            dists.read_into(i * n..(i + 1) * n, &mut dist);
+            orders.read_into(ends[i]..ends[i + 1], &mut order);
             validate_dijkstra_tree(graph, source, &dist, &parent, &order, pos)?;
             order.shrink_to_fit();
             Ok(CanonicalTree::from_raw(source, dist, parent, order))
@@ -1479,6 +1825,65 @@ mod tests {
     }
 
     #[test]
+    fn the_width_picker_takes_the_narrowest_width_that_holds_the_largest_word() {
+        // Each width's all-ones word is the sentinel, so its largest finite word is one less.
+        for (largest, hop, weighted) in [
+            (0, 1, 1),
+            (0xFE, 1, 1),
+            (0xFF, 2, 2),
+            (0xFFFE, 2, 2),
+            (0xFFFF, 4, 4),
+            (0xFFFF_FFFE, 4, 4),
+            (0xFFFF_FFFF, 4, 8),
+            (u64::MAX - 1, 4, 8),
+        ] {
+            if largest < u64::from(u32::MAX) {
+                assert_eq!(Width::narrowest::<u32>(largest), Width(hop), "{largest:#x}");
+            }
+            assert_eq!(Width::narrowest::<u64>(largest), Width(weighted), "{largest:#x}");
+        }
+        assert_eq!(Width::of_ids(1), Width(2));
+        assert_eq!(Width::of_ids(0xFFFF), Width(2));
+        assert_eq!(Width::of_ids(0x1_0000), Width(4));
+        for word in [0, 3, 5, 16, u64::MAX] {
+            assert_eq!(Width::from_meta(word), None, "{word}");
+        }
+    }
+
+    /// Writes `words` at `width` and reads them back.
+    fn narrow_round_trip<W: Word>(width: Width, words: &[W]) -> (Vec<u8>, Vec<W>) {
+        let mut bytes = vec![0u8; width.bytes() * words.len()];
+        put_words(&mut bytes, width, [words]);
+        let envelope = Envelope { kind: SnapKind::HopMetric, sections: vec![(SEC_ROWS, &bytes)] };
+        let back = Words::<W>::of(&envelope, SEC_ROWS, width).unwrap().all();
+        (bytes, back)
+    }
+
+    #[test]
+    fn narrow_words_round_trip_at_every_width_with_their_sentinel() {
+        for bytes in [1, 2, 4, 8] {
+            let width = Width(bytes);
+            let largest = width.sentinel() - 1;
+            let words = [0, 1, largest, u64::MAX, largest / 2, u64::MAX];
+            let (stored, back) = narrow_round_trip(width, &words);
+            assert_eq!(back, words, "{bytes}-byte u64 words");
+            // The sentinel is the all-ones word of the width, not of the type.
+            assert_eq!(&stored[3 * bytes..4 * bytes], &vec![0xFF; bytes][..]);
+            assert_eq!(&stored[2 * bytes..3 * bytes], &largest.to_le_bytes()[..bytes]);
+            if bytes <= 4 {
+                let words = [0, largest as u32, u32::MAX, 7];
+                assert_eq!(narrow_round_trip(width, &words).1, words, "{bytes}-byte u32 words");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a word does not fit 1 bytes")]
+    fn a_word_at_the_sentinel_is_not_written_as_finite() {
+        narrow_round_trip(Width(1), &[0xFFu32]);
+    }
+
+    #[test]
     fn derived_trees_are_the_bfs_kernel_s_and_cycles_never_settle() {
         let g = cycle_graph(6).freeze();
         let bfs = ShortestPathTree::build(&g, 0);
@@ -1581,14 +1986,21 @@ mod tests {
         bytes[FILE_CHECKSUM_OFFSET..FILE_CHECKSUM_OFFSET + 8].copy_from_slice(&sum.to_le_bytes());
     }
 
+    /// META word `i` of `bytes`.
+    fn meta_word(bytes: &[u8], i: usize) -> u64 {
+        let meta = read_table(bytes).unwrap().into_iter().find(|e| e.id == SEC_META).unwrap();
+        u64_le(bytes, meta.extent.start + 8 * i)
+    }
+
     /// Makes the first non-root vertex of source `i`'s tree its own parent.
     fn lie_about_a_parent(g: &Graph, shards: &[ReplacementPathOracle], bytes: &mut [u8], i: usize) {
         let n = g.vertex_count();
         let trees: Vec<_> = shards.iter().flat_map(|s| s.trees()).collect();
         let parent = read_table(bytes).unwrap().into_iter().find(|e| e.id == SEC_TREE_PARENT);
         let v = (0..n).find(|&v| trees[i].parent(v).is_some()).unwrap();
-        let at = parent.unwrap().extent.start + 4 * (i * n + v);
-        bytes[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes());
+        let ids = meta_word(bytes, 4) as usize;
+        let at = parent.unwrap().extent.start + ids * (i * n + v);
+        bytes[at..at + ids].copy_from_slice(&(v as u32).to_le_bytes()[..ids]);
     }
 
     #[test]
@@ -1621,7 +2033,8 @@ mod tests {
         let entries = read_table(&bytes).unwrap();
         let rows = entries.iter().position(|e| e.id == SEC_ROWS).unwrap();
         let at = HEADER_BYTES + TABLE_ENTRY_BYTES * rows + 16;
-        bytes[at..at + 8].copy_from_slice(&(4 * kept as u64).to_le_bytes());
+        let row_bytes = meta_word(&bytes, 5) * kept as u64;
+        bytes[at..at + 8].copy_from_slice(&row_bytes.to_le_bytes());
         let meta = entries.iter().find(|e| e.id == SEC_META).unwrap().extent.start;
         bytes[meta + 24..meta + 32].copy_from_slice(&(kept as u64).to_le_bytes());
         restamp(&mut bytes);

@@ -1,7 +1,8 @@
 //! The snapshot corruption battery: every mutation of a valid snapshot — seeded bit
-//! flips, truncations, extensions, version skews, kind lies, section-offset lies — must
-//! either leave the bytes decoding to a bit-identical oracle or fail closed with a typed
-//! [`SnapError`]. Nothing may panic, and nothing may decode to a *different* oracle.
+//! flips, truncations, extensions, version skews, kind lies, width lies, section-offset
+//! lies — must either leave the bytes decoding to a bit-identical oracle or fail closed
+//! with a typed [`SnapError`]. Nothing may panic, and nothing may decode to a *different*
+//! oracle.
 //!
 //! Plus the serving-equality half of the contract: on every workload family of the BK
 //! differential battery (gnm, Barabási–Albert, grid, cycle, star, disconnected), a
@@ -101,25 +102,34 @@ fn stored(bytes: &[u8]) -> u64 {
     u64::from_le_bytes(bytes[32..40].try_into().unwrap())
 }
 
-/// The stored checksum of `bytes` stamped back to format version 1: a weighted file must
-/// be its version-1 encoding with only the version word moved.
-fn stored_as_version_one(bytes: &[u8]) -> u64 {
-    let mut v1 = bytes.to_vec();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    restamp(&mut v1);
-    stored(&v1)
+/// The byte offset of META word `i`: 0 n, 1 σ, 2 shard count, 3 entry total, 4 id width,
+/// 5 row width.
+fn meta_word_at(bytes: &[u8], i: usize) -> usize {
+    const META_ID: u32 = 1;
+    let (_, off, _) = *section_table(bytes).iter().find(|&&(id, _, _)| id == META_ID).unwrap();
+    off + 8 * i
+}
+
+/// META word `i` (see [`meta_word_at`]).
+fn meta_word(bytes: &[u8], i: usize) -> u64 {
+    let at = meta_word_at(bytes, i);
+    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
+}
+
+/// The `(id width, row width)` in bytes that META records.
+fn widths(bytes: &[u8]) -> (usize, usize) {
+    (meta_word(bytes, 4) as usize, meta_word(bytes, 5) as usize)
 }
 
 #[test]
 fn reference_snapshot_bytes_are_pinned() {
     // Length and file-checksum word of both reference snapshots, recorded from the
-    // format-version-2 encoder: a change to either means the byte format moved, and every
+    // format-version-3 encoder: a change to either means the byte format moved, and every
     // snapshot on disk would stop booting.
     let hop = reference_snapshot();
-    assert_eq!((hop.len(), stored(&hop)), (4288, 0x5844_0d7c_aefb_0d23));
+    assert_eq!((hop.len(), stored(&hop)), (1904, 0x2599_5bde_9eda_d014));
     let weighted = weighted_reference_snapshot();
-    assert_eq!((weighted.len(), stored(&weighted)), (8432, 0xefeb_87ea_d75c_5179));
-    assert_eq!(stored_as_version_one(&weighted), 0x1eb6_904a_c913_37d0);
+    assert_eq!((weighted.len(), stored(&weighted)), (4960, 0x18c4_9406_f836_7538));
 }
 
 #[test]
@@ -128,10 +138,9 @@ fn multi_shard_snapshot_bytes_are_pinned() {
     // is the concatenation of 64 per-source runs written shard after shard: a layout or
     // offset slip between sources moves these values.
     let hop = multi_shard_snapshot();
-    assert_eq!((hop.len(), stored(&hop)), (96_136, 0xce87_5181_8ef3_b283));
+    assert_eq!((hop.len(), stored(&hop)), (31_304, 0xfdfb_1de7_3ecd_f83c));
     let weighted = weighted_multi_shard_snapshot();
-    assert_eq!((weighted.len(), stored(&weighted)), (259_824, 0x5c84_ed5b_28a1_74a5));
-    assert_eq!(stored_as_version_one(&weighted), 0x5db4_7a61_7b64_d790);
+    assert_eq!((weighted.len(), stored(&weighted)), (109_352, 0xc830_8e3b_6286_d3a0));
 }
 
 /// Asserts two oracle sets answer identically, row for row, via their public tables, and
@@ -309,10 +318,11 @@ fn restamp(bytes: &mut [u8]) {
 
 #[test]
 fn version_skew_is_a_typed_error_not_a_guess() {
-    // Version 1 is the format that also stored each hop tree's `dist` and settle order.
-    assert_eq!(SNAP_VERSION, 2);
+    // Version 1 also stored each hop tree's `dist` and settle order; version 2 stored every
+    // vertex id in 4 bytes and every row entry in a full distance word.
+    assert_eq!(SNAP_VERSION, 3);
     let bytes = reference_snapshot();
-    for skew in [0u32, 1, SNAP_VERSION + 1, SNAP_VERSION + 7, u32::MAX] {
+    for skew in [0u32, 1, 2, SNAP_VERSION + 1, SNAP_VERSION + 7, u32::MAX] {
         let mut mutated = bytes.clone();
         mutated[8..12].copy_from_slice(&skew.to_le_bytes());
         restamp(&mut mutated);
@@ -463,7 +473,7 @@ fn independent_lies_fail_with_the_first_source_s_error_every_time() {
     let table = section_table(&mutated);
     let (_, rows_off, _) = *table.iter().find(|&&(id, _, _)| id == ROWS_ID).unwrap();
     let (_, meta_off, _) = *table.iter().find(|&&(id, _, _)| id == META_ID).unwrap();
-    move_section(&mut mutated, ROWS_ID, rows_off, 4 * kept);
+    move_section(&mut mutated, ROWS_ID, rows_off, widths(&bytes).1 * kept);
     mutated[meta_off + 24..meta_off + 32].copy_from_slice(&(kept as u64).to_le_bytes());
     restamp_all(&mut mutated);
     let expected = SnapError::Structure {
@@ -480,8 +490,9 @@ fn word_level_corruption_with_fixed_checksums_fails_structurally() {
     word_level_sweep::<Weighted>(weighted_reference_snapshot());
 }
 
-/// The word-level sweep of one reference snapshot: 32-bit lies, so under the weighted metric
-/// they also land in either half of a `u64` distance, row or weight word.
+/// The word-level sweep of one reference snapshot: lies one vertex id wide, at id-aligned
+/// offsets, so each one rewrites exactly one id of a target, source, parent or settle-order
+/// array, and lands in any quarter of a `u32` or `u64` word, or across two 1-byte rows.
 fn word_level_sweep<M: SnapMetric>(bytes: Vec<u8>) {
     // The deepest layer: flip payload words AND re-stamp both checksum layers, so only
     // the structural validators stand between the lie and a wrong oracle. Two regimes:
@@ -514,19 +525,24 @@ fn word_level_sweep<M: SnapMetric>(bytes: Vec<u8>) {
     let mut rng = StdRng::seed_from_u64(0x5EC7);
     let mut structural_survived = 0usize;
     let mut structural_tried = 0usize;
+    let ids = widths(&bytes).0;
+    let read = |bytes: &[u8], at: usize| {
+        let mut word = [0u8; 4];
+        word[..ids].copy_from_slice(&bytes[at..at + ids]);
+        u32::from_le_bytes(word)
+    };
     for _ in 0..400 {
         let mut mutated = bytes.clone();
-        let word = table_end + 4 * rng.gen_range(0..(bytes.len() - table_end) / 4);
+        let word = table_end + ids * rng.gen_range(0..(bytes.len() - table_end) / ids);
+        // The all-ones id (`NO_PARENT`), the largest finite one, a random one, or the old
+        // id plus one, each cut to the id width.
         let lie: u32 = match rng.gen_range(0..4usize) {
             0 => u32::MAX,
             1 => u32::MAX - 1,
             2 => rng.gen(),
-            _ => {
-                let old = u32::from_le_bytes(mutated[word..word + 4].try_into().unwrap());
-                old.wrapping_add(1)
-            }
+            _ => read(&mutated, word).wrapping_add(1),
         };
-        mutated[word..word + 4].copy_from_slice(&lie.to_le_bytes());
+        mutated[word..word + ids].copy_from_slice(&lie.to_le_bytes()[..ids]);
         // Re-stamp the owning section's checksum, then the file checksum.
         let mut owner = None;
         for &(id, off, len) in &section_bounds {
@@ -589,8 +605,10 @@ fn lie_about_parent(bytes: &[u8], n: usize, tree: usize, v: usize, word: u32) ->
         .expect("a tree-parent section");
     let off = u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().unwrap()) as usize;
     let len = u64::from_le_bytes(bytes[entry + 16..entry + 24].try_into().unwrap()) as usize;
-    let at = off + 4 * (tree * n + v);
-    mutated[at..at + 4].copy_from_slice(&word.to_le_bytes());
+    // An id word is the low `ids` bytes of the `u32` (`NO_PARENT` keeps its all-ones).
+    let ids = widths(bytes).0;
+    let at = off + ids * (tree * n + v);
+    mutated[at..at + ids].copy_from_slice(&word.to_le_bytes()[..ids]);
     let sum = fnv1a64_lanes(&mutated[off..off + len]);
     mutated[entry + 24..entry + 32].copy_from_slice(&sum.to_le_bytes());
     restamp(&mut mutated);
@@ -802,4 +820,112 @@ fn derived_hop_tree_lies_fail_closed() {
     let swapped = decode_lie(0, v, u as u32).expect("an equally short parent decodes");
     let tree = &swapped.shards[0].trees()[0];
     assert_eq!((tree.parent(v), tree.distances()), (Some(u), t.distances()));
+}
+
+/// Encodes `shards`, checks META's `(id width, row width)`, and boots the file back to
+/// the same tables and the same bytes.
+fn round_trip_at_widths<M: SnapMetric>(
+    label: &str,
+    g: &M::Graph,
+    shards: &[ReplacementOracle<M>],
+    expected: (usize, usize),
+) {
+    let bytes = encode_snapshot(g, shards);
+    assert_eq!(widths(&bytes), expected, "{label}: (id, row) widths in bytes");
+    let snap = decode_snapshot::<M>(&bytes).unwrap_or_else(|e| panic!("{label}: {e}"));
+    assert_eq!(&snap.graph, g, "{label}");
+    assert_same_tables(&snap.shards, shards);
+    assert_eq!(encode_snapshot(&snap.graph, &snap.shards), bytes, "{label}: re-encode");
+}
+
+#[test]
+fn real_data_forces_every_width() {
+    // The benchmark shape (sparse gnm, m = 4n, n = 2048), fewer sources: every row entry
+    // is d(t) plus a few hops, one byte.
+    let mut rng = StdRng::seed_from_u64(1);
+    let g = connected_gnm(2048, 4 * 2048, &mut rng).unwrap().freeze();
+    let shards = build_bk_shards(&g, &spread_sources(2048, 8), 2);
+    round_trip_at_widths("benchmark shape", &g, &shards, (2, 1));
+    // A 300-cycle: avoiding the first edge to a target k hops away goes the other way
+    // round, δ = 300 − 2k, up to 298.
+    let g = cycle_graph(300).freeze();
+    let shards = build_bk_shards(&g, &[0, 150], 1);
+    round_trip_at_widths("cycle 300", &g, &shards, (2, 2));
+    // Weighted detours of order the largest weight: 2^20 needs 4-byte deltas, 2^40 eight.
+    for (max_weight, row_width) in [(1u64 << 20, 4), (1 << 40, 8)] {
+        let mut rng = StdRng::seed_from_u64(7);
+        let g = weighted_connected_gnm(40, 80, max_weight, &mut rng).unwrap().freeze();
+        let shards = vec![WeightedReplacementOracle::build_exact(&g, &spread_sources(40, 3))];
+        round_trip_at_widths("weighted", &g, &shards, (2, row_width));
+    }
+    // n = 65 536 leaves no id free for `NO_PARENT` in two bytes.
+    let n = 1 << 16;
+    let mut rng = StdRng::seed_from_u64(65);
+    let g = connected_gnm(n, 2 * n, &mut rng).unwrap().freeze();
+    let shards = build_bk_shards(&g, &[0], 1);
+    round_trip_at_widths("n = 65 536", &g, &shards, (4, 1));
+}
+
+/// Rewrites META word `i` and re-stamps both checksum layers.
+fn lie_in_meta(bytes: &[u8], i: usize, word: u64) -> Vec<u8> {
+    let at = meta_word_at(bytes, i);
+    let mut mutated = bytes.to_vec();
+    mutated[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    restamp_all(&mut mutated);
+    mutated
+}
+
+#[test]
+fn width_lies_fail_closed() {
+    // META's widths, lied about under valid checksums: ids wider or narrower than n
+    // fixes, a row width the ROWS section does not hold a whole number of or does not fill
+    // at the entry total, one that is no width at all, and one wider than a hop distance.
+    let hop = reference_snapshot();
+    let weighted = weighted_reference_snapshot();
+    assert_eq!((widths(&hop), widths(&weighted)), ((2, 1), (2, 2)));
+    for (i, lie) in [(4, 4), (4, 1), (5, 2), (5, 4), (5, 3), (5, 0), (5, 8)] {
+        let mutated = lie_in_meta(&hop, i, lie);
+        assert!(
+            matches!(decode_snapshot::<Hop>(&mutated), Err(SnapError::Structure { .. })),
+            "hop META word {i} := {lie} must fail structurally"
+        );
+    }
+    for (i, lie) in [(4, 4), (5, 1), (5, 4), (5, 8), (5, 16)] {
+        let mutated = lie_in_meta(&weighted, i, lie);
+        assert!(
+            matches!(decode_snapshot::<Weighted>(&mutated), Err(SnapError::Structure { .. })),
+            "weighted META word {i} := {lie} must fail structurally"
+        );
+    }
+    // `inspect` reads the id width too.
+    assert!(matches!(inspect(&lie_in_meta(&hop, 4, 4)), Err(SnapError::Structure { .. })));
+}
+
+#[test]
+fn a_row_delta_past_the_metric_s_infinity_fails_closed() {
+    // Eight-byte deltas: a 5-cycle of 2^40 weights, one source. Every target's first row
+    // entry is d(t) plus a detour; rewritten to the largest finite delta, d(t) + δ
+    // overflows `u64`, and rewritten to `INFINITE_WEIGHT − d(t)` it lands on the infinity
+    // itself. Either is a finite entry no encoder writes.
+    const ROWS_ID: u32 = 10;
+    let w = 1u64 << 40;
+    let edges: Vec<_> = (0..5).map(|v| (v, (v + 1) % 5, w)).collect();
+    let g = WeightedGraph::from_edges(5, &edges).unwrap().freeze();
+    let shards = vec![WeightedReplacementOracle::build_exact(&g, &[0])];
+    let bytes = encode_snapshot(&g, &shards);
+    assert_eq!(widths(&bytes), (2, 8));
+    let (_, rows_off, _) =
+        *section_table(&bytes).iter().find(|&&(id, _, _)| id == ROWS_ID).unwrap();
+    // Vertex 1's row (d = w) is the first one.
+    let d1 = shards[0].trees()[0].distance(1).unwrap();
+    assert_eq!(d1, w);
+    for delta in [u64::MAX - 1, u64::MAX - d1] {
+        let mut mutated = bytes.clone();
+        mutated[rows_off..rows_off + 8].copy_from_slice(&delta.to_le_bytes());
+        restamp_all(&mut mutated);
+        assert!(
+            matches!(decode_snapshot::<Weighted>(&mutated), Err(SnapError::Structure { .. })),
+            "δ = {delta:#x} over d(t) = {d1:#x} must fail structurally"
+        );
+    }
 }

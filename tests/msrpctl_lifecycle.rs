@@ -337,28 +337,34 @@ fn connection_storm_is_capped_and_every_admitted_client_is_served() {
 #[test]
 fn a_version_one_snapshot_is_listed_stale_and_refused_by_serve() {
     let dir = StateDir::new("stale");
-    let mut bytes = dir.create("old", &["--n", "64"]);
-    // Stamp the file as format version 1 and re-stamp its whole-file checksum, which
-    // covers every byte but its own eight: the file is intact, only old.
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    let mut covered = bytes[..32].to_vec();
-    covered.extend_from_slice(&bytes[40..]);
-    bytes[32..40].copy_from_slice(&fnv1a64_lanes(&covered).to_le_bytes());
-    std::fs::write(dir.0.join("old.snap"), &bytes).expect("plant the version-1 file");
-    let skew = SnapError::UnsupportedVersion { found: 1, supported: SNAP_VERSION };
-    assert_eq!(inspect(&bytes).err(), Some(skew.clone()));
+    let current = dir.create("old", &["--n", "64"]);
+    // Stamp the file as format version 1, then 2, and re-stamp its whole-file checksum,
+    // which covers every byte but its own eight: the file is intact, only old.
+    for version in [1u32, 2] {
+        let mut bytes = current.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let mut covered = bytes[..32].to_vec();
+        covered.extend_from_slice(&bytes[40..]);
+        bytes[32..40].copy_from_slice(&fnv1a64_lanes(&covered).to_le_bytes());
+        std::fs::write(dir.0.join("old.snap"), &bytes).expect("plant the old file");
+        let skew = SnapError::UnsupportedVersion { found: version, supported: SNAP_VERSION };
+        assert_eq!(inspect(&bytes).err(), Some(skew.clone()));
 
-    let out = dir.run(["list"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let row = stdout.lines().find(|l| l.starts_with("old ")).expect("a row for the file");
-    assert!(row.contains("STALE") && row.ends_with(&skew.to_string()), "{row}");
+        let out = dir.run(["list"]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let row = stdout.lines().find(|l| l.starts_with("old ")).expect("a row for the file");
+        assert!(row.contains("STALE") && row.ends_with(&skew.to_string()), "{row}");
 
-    let out = dir.run(["serve", "old", "127.0.0.1:0"]);
-    assert!(!out.status.success(), "serve must refuse a version-1 file");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains(&skew.to_string()) && stderr.contains("msrpctl create"), "{stderr}");
-    assert!(!dir.0.join("old.addr").exists(), "a refused boot never binds");
+        let out = dir.run(["serve", "old", "127.0.0.1:0"]);
+        assert!(!out.status.success(), "serve must refuse a version-{version} file");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&skew.to_string()) && stderr.contains("msrpctl create"),
+            "{stderr}"
+        );
+        assert!(!dir.0.join("old.addr").exists(), "a refused boot never binds");
+    }
 }
 
 #[test]

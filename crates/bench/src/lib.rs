@@ -1,4 +1,4 @@
-//! Shared infrastructure for the benchmark suite and the experiment harness:
+//! Shared infrastructure for the experiment harness:
 //! standard workloads, timing helpers and plain-text table output.
 //!
 //! The paper has no empirical section, so the "tables and figures" regenerated here are the

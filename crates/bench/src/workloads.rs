@@ -1,4 +1,4 @@
-//! Standard synthetic workloads used by the benches and the experiment harness.
+//! Standard synthetic workloads used by the experiment harness.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -85,8 +85,7 @@ pub fn standard_graph(kind: WorkloadKind, n: usize, seed: u64) -> Graph {
 
 /// The standard graph of the given kind lifted to uniform random weights in
 /// `1..=max_weight`; the weighting is drawn from a sub-seed of `seed`, so
-/// `(kind, n, seed, max_weight)` fully determines the instance (used by the
-/// `graph_weighted` bench and experiment E9).
+/// `(kind, n, seed, max_weight)` fully determines the instance (used by experiment E9).
 pub fn standard_weighted_graph(
     kind: WorkloadKind,
     n: usize,

@@ -10,7 +10,7 @@
 //! * [`multiply_via_msrp`] — the gadget construction of Theorem 28: split the rows of `A` into
 //!   `sqrt(n/σ)` batches, build one gadget graph per batch with `σ` source spines, run the MSRP
 //!   solver, and decode the product from the replacement distances;
-//! * [`reduction`] — the gadget builder and decoder, exposed for the tests and the benches.
+//! * [`reduction`] — the gadget builder and decoder, exposed for the tests.
 //!
 //! The exact spine/gadget distances in the paper's prose have off-by-one slips; the derivation
 //! used here is written out in [`reduction`] and verified against the naive product.

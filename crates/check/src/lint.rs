@@ -7,10 +7,10 @@
 //! | rule | what it defends |
 //! |------|-----------------|
 //! | `ordering-justified` | Every `Ordering::` site outside the shim crates carries an `// ordering:` comment stating the happens-before edge it provides (or why none is needed). The PR 6 quantile race survived review because the orderings *looked* routine; the comment forces the argument to be written down where the diff shows it. |
-//! | `no-unsafe` | `unsafe` stays confined to the vendored shim crates (`crates/rand`, `crates/criterion` — which currently also forbid it). Every first-party crate carries `#![forbid(unsafe_code)]`; the lint stops the attribute from being quietly dropped. |
+//! | `no-unsafe` | `unsafe` stays confined to the vendored shim crate (`crates/rand` — which currently also forbids it). Every first-party crate carries `#![forbid(unsafe_code)]`; the lint stops the attribute from being quietly dropped. |
 //! | `no-sleep-sync` | `thread::sleep` in test code is almost always a hidden synchronization bug (sleeping until a racing thread "should" be done). Tests must synchronize on channels, joins, or the model checker. |
 //! | `no-as-id-narrowing` | In `crates/serve/src/protocol.rs`, id values cross the trust boundary as `u64` and must never be narrowed with a raw `as` cast (silent truncation turned hostile ids into valid-looking ones before PR 4 added validation). Use `try_from` with explicit rejection. |
-//! | `pub-has-caller` | A `pub fn` in a library or binary source (`crates/*/src`, outside the shim crates, before the first `#[cfg(test)]`) is named in the code of at least one *other* `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`. Tests and benches count as callers (reference adapters exist for them). Public surface that nothing calls is dead weight that only a census finds; the rule finds it on the commit that orphans it. A name with callers in its own file only loses its `pub`. |
+//! | `pub-has-caller` | A `pub fn` in a library or binary source (`crates/*/src`, outside the shim crates, before the first `#[cfg(test)]`) is named in the code of at least one *other* `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`. Tests count as callers (reference adapters exist for them). Public surface that nothing calls is dead weight that only a census finds; the rule finds it on the commit that orphans it. A name with callers in its own file only loses its `pub`. |
 //!
 //! # Allowlist format
 //!
@@ -34,8 +34,8 @@ pub const RULES: [&str; 5] =
 
 /// Crates whose sources are exempt from `ordering-justified`, `no-unsafe`,
 /// `no-sleep-sync` and `pub-has-caller`: the model shims themselves (whose scanner must be
-/// able to spell the patterns it scans for) and the vendored offline shims.
-pub const SHIM_CRATES: [&str; 3] = ["crates/check", "crates/rand", "crates/criterion"];
+/// able to spell the patterns it scans for) and the vendored offline `rand` shim.
+pub const SHIM_CRATES: [&str; 2] = ["crates/check", "crates/rand"];
 
 /// One lint finding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -149,10 +149,9 @@ fn in_shim_crate(path: &str) -> bool {
 }
 
 /// True when `path` is test code for the purposes of `no-sleep-sync`: an integration
-/// test, a bench, an example, or any file containing a `#[cfg(test)]` module.
+/// test, an example, or any file containing a `#[cfg(test)]` module.
 fn is_test_code(path: &str, text: &str) -> bool {
     path.contains("/tests/")
-        || path.contains("/benches/")
         || path.starts_with("tests/")
         || path.starts_with("examples/")
         || text.contains("#[cfg(test)]")

@@ -12,7 +12,7 @@ fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
 }
 
-/// Every `.rs` file under `dir` (sources, tests, benches, bins).
+/// Every `.rs` file under `dir` (sources, tests, bins).
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).unwrap() {
         let path = entry.unwrap().path();

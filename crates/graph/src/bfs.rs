@@ -5,7 +5,7 @@
 //! phase runs BFS from every landmark and every center.
 //!
 //! The entry points here traverse the adjacency-list [`Graph`] directly and are kept as the
-//! seed representation (and as the baseline the `graph_csr` bench compares against). Hot
+//! seed representation (and as the reference the CSR kernels are tested against). Hot
 //! paths should freeze the graph once ([`Graph::freeze`]) and run
 //! [`bfs_csr`](crate::bfs_csr) / [`BfsScratch`](crate::BfsScratch) over the CSR view, which
 //! produces bit-for-bit identical results on a flat, cache-friendly layout.

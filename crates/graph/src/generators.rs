@@ -320,7 +320,7 @@ pub fn random_weights<R: Rng + ?Sized>(
 }
 
 /// A connected `G(n, m)` topology (see [`connected_gnm`]) with uniform random weights in
-/// `1..=max_weight`; the default weighted workload of the benches and experiment E9.
+/// `1..=max_weight`; the weighted workload of perfbench and experiment E9.
 ///
 /// # Errors
 ///

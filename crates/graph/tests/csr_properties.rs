@@ -2,13 +2,16 @@
 //! instances must freeze/thaw round-trip exactly, and every traversal over [`CsrGraph`] must
 //! agree bit-for-bit (dist, parent, order) with the seed [`Graph`] implementation — the
 //! determinism guarantee the oracle, the serving layer and every pinned experiment rely on.
+//! The solver's auxiliary-digraph Dijkstra ([`WeightedDigraph`]) is held to the same bar
+//! against the independent [`DijkstraScratch`] over [`WeightedCsrGraph`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use msrp_graph::generators::{barabasi_albert, connected_gnm};
+use msrp_graph::generators::{barabasi_albert, connected_gnm, weighted_connected_gnm};
 use msrp_graph::{
-    bfs, bfs_avoiding_edge, bfs_csr, bfs_csr_avoiding_edge, BfsScratch, Graph, ShortestPathTree,
+    bfs, bfs_avoiding_edge, bfs_csr, bfs_csr_avoiding_edge, BfsScratch, DijkstraScratch, Graph,
+    ShortestPathTree, WeightedCsrGraph, WeightedDigraph,
 };
 
 /// The seeded instances every property below runs on.
@@ -138,5 +141,30 @@ fn has_edge_agrees_with_a_naive_neighbor_scan_on_every_pair() {
             assert!(!csr.has_edge(u, n), "{name}: out-of-range second endpoint");
             assert!(!csr.has_edge(n + 5, u), "{name}: out-of-range first endpoint");
         }
+    }
+}
+
+#[test]
+fn auxiliary_digraph_dijkstra_agrees_with_the_weighted_scratch() {
+    // Thousands of nodes with weights in 1..=8, so equal distances are common and the
+    // predecessor tie-breaking is exercised. Each undirected edge is stored both ways, row by
+    // row in sorted order, so both searches relax the same arcs in the same order and must
+    // agree on the predecessors as well as the distances.
+    let mut rng = StdRng::seed_from_u64(4096);
+    let g: WeightedCsrGraph = weighted_connected_gnm(4096, 4 * 4096, 8, &mut rng).unwrap().freeze();
+    let mut aux = WeightedDigraph::new(g.vertex_count());
+    for u in g.vertices() {
+        for (v, w) in g.neighbors(u) {
+            aux.add_edge(u, v, w);
+        }
+    }
+    let frozen = aux.freeze();
+    assert_eq!(frozen.edge_count(), 2 * g.edge_count());
+    let mut scratch = DijkstraScratch::new();
+    for source in [0, 1, 2047, 4095] {
+        let searched = frozen.dijkstra(source);
+        scratch.run(&g, source);
+        assert_eq!(&searched.dist[..], scratch.dist(), "dist from {source}");
+        assert_eq!(&searched.pred[..], scratch.parent(), "pred from {source}");
     }
 }

@@ -102,12 +102,6 @@ impl SimulationReport {
             self.recompute_time.as_secs_f64() / o
         }
     }
-
-    /// Speed-up of oracle queries over recomputation (alias of
-    /// [`oracle_speedup`](Self::oracle_speedup), kept for the original E7 callers).
-    pub fn query_speedup(&self) -> f64 {
-        self.oracle_speedup()
-    }
 }
 
 /// Runs the simulation on `g` with the given configuration.
@@ -418,7 +412,7 @@ mod tests {
         assert_eq!(report.total_queries, 25 * 8);
         assert_eq!(report.events.len(), 25);
         assert!(report.average_stretch() >= 0.0);
-        assert!(report.query_speedup() > 0.0);
+        assert!(report.oracle_speedup() > 0.0);
         assert!(report.oracle_build_time.as_nanos() > 0);
     }
 
@@ -489,7 +483,6 @@ mod tests {
             recompute_time: Duration::from_millis(10),
         };
         assert!((report.oracle_speedup() - 5.0).abs() < 1e-9);
-        assert_eq!(report.oracle_speedup(), report.query_speedup());
         let zero = SimulationReport { oracle_query_time: Duration::ZERO, ..report };
         assert_eq!(zero.oracle_speedup(), f64::INFINITY);
     }

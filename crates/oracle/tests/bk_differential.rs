@@ -32,7 +32,7 @@ fn sigma_ladder(n: usize) -> Vec<usize> {
 }
 
 /// σ distinct sources drawn from a seeded shuffle of the vertex set (so source sets are
-/// scattered, not the evenly-spaced ones the benches use).
+/// scattered, not the evenly-spaced ones the experiments use).
 fn seeded_sources(n: usize, sigma: usize, seed: u64) -> Vec<Vertex> {
     let mut ids: Vec<Vertex> = (0..n).collect();
     ids.shuffle(&mut StdRng::seed_from_u64(seed));

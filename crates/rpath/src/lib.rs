@@ -9,7 +9,7 @@
 //! * [`single_pair_replacement_paths`] — the classical `Õ(m + n)` single-pair routine, the
 //!   building block the paper invokes for source→landmark replacement paths when `σ = 1`;
 //! * [`single_source_via_single_pair`] — the "inefficient algorithm" of Section 3 that runs the
-//!   classical routine for every target (`Õ(mn)`), used as the main baseline in the benches;
+//!   classical routine for every target (`Õ(mn)`), used as the main baseline in experiment E1;
 //! * [`SourceReplacementDistances`] — the output representation shared by all algorithms;
 //! * [`compare`] — mismatch reporting between two solutions, used by tests and experiment E3.
 //!

@@ -278,8 +278,7 @@ impl ServiceMetrics {
     /// shard `i`, plus `unroutable` queries whose source no shard serves.
     ///
     /// Workers tally locally and flush once per batch — per-query atomic increments from
-    /// every worker would contend on the shared cache lines and serialize the pool (measured
-    /// in the `service_throughput` bench).
+    /// every worker would contend on the shared cache lines and serialize the pool.
     pub fn record_batch_queries(&self, shard_counts: &[u64], unroutable: u64) {
         let mut total = unroutable;
         for (counter, &count) in self.shard_queries.iter().zip(shard_counts) {

@@ -540,7 +540,8 @@ impl<O: RouteOracle> QueryService<O> {
     /// back) — under a seed-stable trace id, and batches slower than the configured
     /// threshold are captured whole in the slow-query log. When `obs` is all-off (the
     /// default), the only hot-path additions over the untraced pool are one
-    /// `Instant::now()` per submit and one branch per batch (measured in `BENCH_obs.json`).
+    /// `Instant::now()` per submit and one branch per batch (perfbench's traced runs report
+    /// the armed cost as `trace.overhead_frac`).
     pub fn start_observed(oracle: O, config: &ServiceConfig, obs: &ObsConfig) -> Self {
         let metrics = ServiceMetrics::new(oracle.shard_count(), config.workers.max(1));
         let core = Arc::new(Core {

@@ -4,8 +4,8 @@
 //! The division of labour: `msrp-snap` owns the byte format and its fail-closed
 //! validation; this module owns the serving-side adoption — turning decoded shards back
 //! into a routed [`Sharded`] oracle of either metric (and the reverse, freezing a live one
-//! into bytes). `msrpctl create`/`serve` and the `oracle_snapshot` bench are
-//! the two callers.
+//! into bytes). `msrpctl create`/`serve`, experiment E15 and perfbench are its
+//! callers.
 
 use msrp_snap::{decode_snapshot, encode_snapshot, SnapError, SnapMetric};
 

@@ -44,7 +44,7 @@ fn main() {
             report.mismatches,
             report.disconnected_queries,
             report.average_stretch(),
-            report.query_speedup(),
+            report.oracle_speedup(),
         );
         assert_eq!(report.mismatches, 0, "oracle answers must match recomputation");
     }

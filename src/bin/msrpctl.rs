@@ -15,8 +15,8 @@
 //!
 //! `serve` never runs the solver: it validates the snapshot's checksums, adopts the
 //! frozen graph and oracle shards (`ShardedOracle::from_snapshot`), and starts answering
-//! — that boot-vs-rebuild gap is measured by the `oracle_snapshot` bench and experiment
-//! E15. It hands the socket to `msrp_serve::serve`, the bounded accept loop shared with
+//! — that boot-vs-rebuild gap is measured by experiment E15 and by perfbench's `boot_s`
+//! and `build_s`. It hands the socket to `msrp_serve::serve`, the bounded accept loop shared with
 //! the `serve_tcp` example: up to `MAX_CONNECTIONS` clients at once, each on its own
 //! thread with an idle timeout, answering every `Q`/`QW` line and `B`/`BW` batch inline
 //! (a zero-worker `QueryService`). A client past the cap is told `ERR busy`, and the

@@ -22,8 +22,8 @@ use msrp_bench::{
 };
 use msrp_bmm::{multiply_via_msrp, BoolMatrix};
 use msrp_core::{
-    solve_msrp, solve_msrp_weighted, solve_ssrp, verify::exactness, verify::verify_msrp,
-    MsrpParams, SourceToLandmarkStrategy,
+    solve_msrp, solve_ssrp, verify::exactness, verify::verify_msrp, MsrpParams,
+    SourceToLandmarkStrategy,
 };
 use msrp_graph::{
     bfs_trees_wave, BfsScratch, DijkstraScratch, Graph, Metric, MultiBfsScratch, ShortestPathTree,
@@ -33,9 +33,9 @@ use msrp_netsim::{
     run_churn, run_simulation, run_simulation_with_service, ChurnConfig, SimulationConfig,
 };
 use msrp_obs::{timed, StageProfile};
-use msrp_oracle::{shard_sources, ReplacementPathOracle, BK_STAGES};
+use msrp_oracle::{shard_sources, ReplacementPathOracle, WeightedReplacementOracle, BK_STAGES};
 use msrp_rpath::{
-    single_source_brute_force, single_source_brute_force_weighted_with_scratch,
+    single_source_brute_force, single_source_brute_force_with_scratch,
     single_source_via_single_pair,
 };
 use msrp_serve::{
@@ -468,9 +468,9 @@ fn experiment_e8(quick: bool) {
     );
 }
 
-/// E9 — weighted MSRP (Section 9): the subtree-Dijkstra solver against the per-tree-edge
-/// weighted brute force, with the full replacement tables compared bit for bit (asserted,
-/// so `--quick` gates exactness).
+/// E9 — weighted MSRP (Section 9): the subtree-Dijkstra cut kernel
+/// (`WeightedReplacementOracle::build`) against the per-tree-edge weighted brute force, with
+/// the full replacement tables compared bit for bit (asserted, so `--quick` gates exactness).
 fn experiment_e9(quick: bool) {
     println!("\n=== E9: weighted MSRP (Section 9 lift) ===");
     let sizes: &[usize] = if quick { &[96, 160] } else { &[128, 256, 512] };
@@ -489,18 +489,20 @@ fn experiment_e9(quick: bool) {
         for &n in sizes {
             let g = standard_weighted_graph(kind, n, 31, 1000).freeze();
             let sources = evenly_spaced_sources(g.vertex_count(), sigma);
-            let (out, solver_secs) = time_secs(|| solve_msrp_weighted(&g, &sources));
+            let (oracle, solver_secs) =
+                time_secs(|| WeightedReplacementOracle::build(&g, &sources));
             // One timed brute-force pass over the solver's own canonical trees (tree
             // construction is a negligible slice of either side) doubles as the
             // full-table comparison: every entry compared, nothing sampled.
             let (truth, brute_secs) = time_secs(|| {
                 let mut scratch = DijkstraScratch::new();
-                out.trees
+                oracle
+                    .trees()
                     .iter()
-                    .map(|t| single_source_brute_force_weighted_with_scratch(&g, t, &mut scratch))
+                    .map(|t| single_source_brute_force_with_scratch(&g, t, &mut scratch))
                     .collect::<Vec<_>>()
             });
-            let all_equal = out.per_source == truth;
+            let all_equal = oracle.per_source() == truth;
             assert!(all_equal, "E9: {} n={n}: solver tables differ from brute force", kind.label());
             table.add_row([
                 kind.label().to_string(),
@@ -509,7 +511,7 @@ fn experiment_e9(quick: bool) {
                 format!("{solver_secs:.3}"),
                 format!("{brute_secs:.3}"),
                 format!("{:.2}x", brute_secs / solver_secs.max(1e-9)),
-                out.entry_count().to_string(),
+                oracle.entry_count().to_string(),
                 all_equal.to_string(),
             ]);
         }

@@ -10,7 +10,7 @@
 //! | `no-unsafe` | `unsafe` stays confined to the vendored shim crate (`crates/rand` — which currently also forbids it). Every first-party crate carries `#![forbid(unsafe_code)]`; the lint stops the attribute from being quietly dropped. |
 //! | `no-sleep-sync` | `thread::sleep` in test code is almost always a hidden synchronization bug (sleeping until a racing thread "should" be done). Tests must synchronize on channels, joins, or the model checker. |
 //! | `no-as-id-narrowing` | In `crates/serve/src/protocol.rs`, id values cross the trust boundary as `u64` and must never be narrowed with a raw `as` cast (silent truncation turned hostile ids into valid-looking ones before PR 4 added validation). Use `try_from` with explicit rejection. |
-//! | `pub-has-caller` | A `pub fn` in a library or binary source (`crates/*/src`, outside the shim crates, before the first `#[cfg(test)]`) is named in the code of at least one *other* `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`. Tests count as callers (reference adapters exist for them). Public surface that nothing calls is dead weight that only a census finds; the rule finds it on the commit that orphans it. A name with callers in its own file only loses its `pub`. |
+//! | `pub-has-caller` | A `pub fn` in a library or binary source (`crates/*/src`, outside the shim crates, before the first `#[cfg(test)]`) is named in the code of at least one *other* `.rs` file under `crates/`, `src/`, `tests/`, `examples/` or `perfbench/src`. Tests count as callers (reference adapters exist for them); a `pub use` re-export does not, since it names the fn without calling it. Public surface that nothing calls is dead weight that only a census finds; the rule finds it on the commit that orphans it. A name with callers in its own file only loses its `pub`. |
 //!
 //! # Allowlist format
 //!
@@ -227,10 +227,20 @@ fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The identifiers in the code of `text` (line-comment tails stripped).
+/// The identifiers in the code of `text` (line-comment tails stripped), skipping `pub use`
+/// items, single- or multi-line: a re-export names a fn without calling it.
 fn code_words(text: &str) -> impl Iterator<Item = &str> {
+    let mut in_reexport = false;
     text.lines()
-        .flat_map(|l| code_part(l).split(|c: char| c != '_' && !c.is_ascii_alphanumeric()))
+        .map(code_part)
+        .filter(move |code| {
+            if in_reexport || code.trim_start().starts_with("pub use ") {
+                in_reexport = !code.contains(';');
+                return false;
+            }
+            true
+        })
+        .flat_map(|code| code.split(|c: char| c != '_' && !c.is_ascii_alphanumeric()))
         .filter(|w| !w.is_empty())
 }
 
@@ -411,19 +421,28 @@ mod tests {
         let lib = "pub fn called_elsewhere() {}\n\
                    pub fn called_at_home() {}\n\
                    pub fn named_in_a_comment() {}\n\
+                   pub fn only_reexported() {}\n\
+                   pub fn only_reexported_in_a_list() {}\n\
+                   pub fn reexported_and_called() {}\n\
                    pub(crate) fn helper() { called_at_home(); }\n\
                    #[cfg(test)]\n\
                    pub fn below_the_test_marker() {}\n";
         let caller = "fn main() { called_elsewhere(); } // named_in_a_comment\n";
+        // A `pub use` item, on one line or many, names a fn without calling it.
+        let root = "pub use a::only_reexported;\n\
+                    pub use a::{\n    only_reexported_in_a_list,\n    reexported_and_called,\n};\n\
+                    fn after_the_items() { reexported_and_called(); }\n";
         let files = |lib_path: &str| {
             vec![
                 (lib_path.to_string(), lib.to_string()),
+                ("crates/graph/src/lib.rs".to_string(), root.to_string()),
                 ("perfbench/src/main.rs".to_string(), caller.to_string()),
             ]
         };
         let r = scan_files(&files("crates/graph/src/a.rs"));
         let flagged: Vec<(&str, usize)> = r.violations.iter().map(|v| (v.rule, v.line)).collect();
-        assert_eq!(flagged, [("pub-has-caller", 2), ("pub-has-caller", 3)]);
+        let expected = [2, 3, 4, 5].map(|line| ("pub-has-caller", line));
+        assert_eq!(flagged, expected);
         // Shim crates, and files outside `crates/*/src`, are not checked.
         assert!(scan_files(&files("crates/check/src/a.rs")).violations.is_empty());
         assert!(scan_files(&files("crates/graph/tests/a.rs")).violations.is_empty());

@@ -52,7 +52,6 @@ pub mod source_landmark;
 pub mod ssrp;
 pub mod stats;
 pub mod verify;
-pub mod weighted;
 
 pub use msrp::solve_msrp;
 pub use output::{MsrpOutput, SsrpOutput};
@@ -61,4 +60,3 @@ pub use sampling::SampledLevels;
 pub use source_landmark::SourceLandmarkTable;
 pub use ssrp::solve_ssrp;
 pub use stats::AlgorithmStats;
-pub use weighted::{solve_msrp_weighted, WeightedMsrpOutput};

@@ -39,18 +39,6 @@ pub fn dist_add(a: Distance, b: Distance) -> Distance {
     }
 }
 
-/// Adds three distances, propagating infinity.
-#[inline]
-pub fn dist_add3(a: Distance, b: Distance, c: Distance) -> Distance {
-    dist_add(dist_add(a, b), c)
-}
-
-/// Minimum of two distances (infinity is the identity element).
-#[inline]
-pub fn dist_min(a: Distance, b: Distance) -> Distance {
-    a.min(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,21 +54,12 @@ mod tests {
     fn addition_of_finite_values() {
         assert_eq!(dist_add(0, 0), 0);
         assert_eq!(dist_add(7, 11), 18);
-        assert_eq!(dist_add3(1, 2, 3), 6);
-        assert_eq!(dist_add3(1, INFINITE_DISTANCE, 3), INFINITE_DISTANCE);
     }
 
     #[test]
     fn addition_saturates_instead_of_wrapping() {
         // Values this large never occur for hop counts, but the helper must not wrap around.
         assert_eq!(dist_add(INFINITE_DISTANCE - 1, 5), INFINITE_DISTANCE);
-    }
-
-    #[test]
-    fn min_treats_infinity_as_identity() {
-        assert_eq!(dist_min(INFINITE_DISTANCE, 4), 4);
-        assert_eq!(dist_min(4, INFINITE_DISTANCE), 4);
-        assert_eq!(dist_min(3, 4), 3);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod generators;
 pub use bfs::{bfs, bfs_avoiding_edge, bfs_distances, BfsResult};
 pub use csr::{bfs_csr, bfs_csr_avoiding_edge, BfsScratch, CsrGraph, NO_PARENT};
 pub use dijkstra::{DijkstraResult, Weight, WeightedCsr, WeightedDigraph, INFINITE_WEIGHT};
-pub use distance::{dist_add, dist_add3, dist_min, is_finite, Distance, INFINITE_DISTANCE};
+pub use distance::{dist_add, is_finite, Distance, INFINITE_DISTANCE};
 pub use edge::Edge;
 pub use error::GraphError;
 pub use graph::{Graph, Vertex};

@@ -13,6 +13,11 @@
 //! | [`BfsScratch`](crate::BfsScratch) | [`DijkstraScratch`] |
 //! | [`ShortestPathTree`](crate::ShortestPathTree) | [`WeightedTree`] (one [`CanonicalTree`] type) |
 //!
+//! Only the graph types, the searches (each its metric's
+//! [`Metric::Scratch`](crate::Metric::Scratch)) and the tree constructors are written twice;
+//! the trees, replacement tables, brute force, oracles and snapshot codec downstream are
+//! written once, generic over [`Metric`](crate::Metric).
+//!
 //! Weights are [`Weight`] (`u64`); [`INFINITE_WEIGHT`] is the "no path" sentinel and the
 //! saturation point of distance arithmetic (a path whose length would reach the sentinel is
 //! treated as unreachable — see the sentinel's docs). Per-edge weights must be *finite*
@@ -439,11 +444,11 @@ impl WeightedCsrGraph {
 /// reset in `O(visited)` between runs instead of reallocated; the weighted counterpart of
 /// [`BfsScratch`](crate::BfsScratch).
 ///
-/// The weighted brute force and the weighted solver run one Dijkstra per tree edge; the
-/// settle order doubles as the list of touched entries, so resetting only rewrites what the
-/// previous run wrote (every vertex whose distance was relaxed is eventually settled exactly
-/// once, because stale heap entries are skipped and a saturated sum — equal to
-/// [`INFINITE_WEIGHT`] — can never win the strict relaxation).
+/// The brute force runs one Dijkstra per tree edge through it
+/// (`Metric::distances_avoiding`); the settle order doubles as the list of touched entries,
+/// so resetting only rewrites what the previous run wrote (every vertex whose distance was
+/// relaxed is eventually settled exactly once, because stale heap entries are skipped and a
+/// saturated sum — equal to [`INFINITE_WEIGHT`] — can never win the strict relaxation).
 ///
 /// ```
 /// use msrp_graph::{DijkstraScratch, WeightedGraph};

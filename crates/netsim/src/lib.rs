@@ -7,7 +7,10 @@
 //!
 //! * [`vickrey`] — VCG payments for the edges of a shortest path;
 //! * [`simulation`] — a seeded single-link-failure simulation comparing oracle-based recovery
-//!   against recomputation from scratch (experiment E7);
+//!   against recomputation from scratch (experiment E7), with each failure's query batch
+//!   answered in process or through a `msrp-serve` query service (E8). It runs over
+//!   unweighted graphs; the weighted oracle's entries are checked against Dijkstra
+//!   recomputation by `msrp-oracle`'s `weighted_differential` battery;
 //! * [`churn`] — the live-churn driver (experiment E11): failure/repair events streamed at a
 //!   running epoch-swapping service, with every batch validated against per-epoch ground
 //!   truth and incremental rebuilds differentially pinned to from-scratch builds.
@@ -21,7 +24,6 @@ pub mod vickrey;
 
 pub use churn::{run_churn, ChurnConfig, ChurnReport};
 pub use simulation::{
-    run_simulation, run_simulation_weighted, run_simulation_with_service, FailureEvent,
-    SimulationConfig, SimulationReport, WeightedSimulationReport,
+    run_simulation, run_simulation_with_service, FailureEvent, SimulationConfig, SimulationReport,
 };
 pub use vickrey::{vickrey_prices, EdgePrice};

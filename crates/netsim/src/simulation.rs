@@ -14,11 +14,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use msrp_core::MsrpParams;
-use msrp_graph::{
-    BfsScratch, DijkstraScratch, Distance, Edge, Graph, Vertex, Weight, WeightedCsrGraph,
-    INFINITE_DISTANCE, INFINITE_WEIGHT,
-};
-use msrp_oracle::{ReplacementPathOracle, WeightedReplacementOracle};
+use msrp_graph::{BfsScratch, CsrGraph, Distance, Edge, Graph, Vertex, INFINITE_DISTANCE};
+use msrp_oracle::ReplacementPathOracle;
+use msrp_serve::{Query, QueryService, ServiceConfig, ShardedOracle};
 
 /// Configuration of a simulation run.
 #[derive(Clone, Debug)]
@@ -104,91 +102,36 @@ impl SimulationReport {
     }
 }
 
-/// Runs the simulation on `g` with the given configuration.
+/// Runs the simulation on `g` with the given configuration: every failure's query batch is
+/// answered by in-process calls to a [`ReplacementPathOracle`]. `oracle_query_time` is
+/// taken per failure batch.
 ///
 /// # Panics
 ///
 /// Panics if the configuration has no gateways or the graph has no edges.
 pub fn run_simulation(g: &Graph, config: &SimulationConfig) -> SimulationReport {
-    assert!(!config.gateways.is_empty(), "at least one gateway is required");
-    assert!(g.edge_count() > 0, "the network must have links");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-
-    // One frozen CSR view serves the oracle build and every recomputed answer; the
-    // recompute loop reuses one set of BFS buffers across all failures.
-    let csr = g.freeze();
-    let mut scratch = BfsScratch::new();
-
-    let build_start = Instant::now();
-    let oracle = ReplacementPathOracle::build(&csr, &config.gateways, &config.params);
-    let oracle_build_time = build_start.elapsed();
-
-    let edges = g.edge_vec();
-    let n = g.vertex_count();
-    let mut events = Vec::with_capacity(config.failures);
-    let mut mismatches = 0;
-    let mut disconnected_queries = 0;
-    let mut total_stretch = 0u64;
-    let mut total_queries = 0;
-    let mut oracle_query_time = Duration::ZERO;
-    let mut recompute_time = Duration::ZERO;
-
-    for _ in 0..config.failures {
-        let edge = edges[rng.gen_range(0..edges.len())];
-        let mut answers = Vec::with_capacity(config.queries_per_failure);
-        let mut event_disconnected = 0;
-        for _ in 0..config.queries_per_failure {
-            let gw = config.gateways[rng.gen_range(0..config.gateways.len())];
-            let dest = rng.gen_range(0..n);
-            total_queries += 1;
-
-            let start = Instant::now();
-            let via_oracle =
-                oracle.replacement_distance(gw, dest, edge).expect("gateway is a source");
-            oracle_query_time += start.elapsed();
-
-            let start = Instant::now();
-            scratch.run_avoiding(&csr, gw, edge);
-            let recomputed = scratch.dist()[dest];
-            recompute_time += start.elapsed();
-
-            if via_oracle != recomputed {
-                mismatches += 1;
-            }
-            if recomputed == INFINITE_DISTANCE {
-                event_disconnected += 1;
-                disconnected_queries += 1;
-            } else if let Some(base) = oracle.distance(gw, dest) {
-                total_stretch += (recomputed - base) as u64;
-            }
-            answers.push((gw, dest, via_oracle));
-        }
-        events.push(FailureEvent { edge, answers, disconnected: event_disconnected });
-    }
-
-    SimulationReport {
-        events,
-        total_queries,
-        mismatches,
-        disconnected_queries,
-        total_stretch,
-        oracle_build_time,
-        oracle_query_time,
-        recompute_time,
-    }
+    simulate(
+        g,
+        config,
+        |csr| ReplacementPathOracle::build(csr, &config.gateways, &config.params),
+        |oracle, batch| {
+            batch.iter().map(|q| oracle.replacement_distance(q.source, q.target, q.avoid)).collect()
+        },
+        |oracle, s, t| oracle.distance(s, t),
+    )
 }
 
 /// Runs the same seeded simulation, but routes every per-failure query batch through a
-/// [`QueryService`](msrp_serve::QueryService): the oracle shards are built in parallel
-/// (`shards` construction workers) and each failure's batch is answered by the service's
-/// worker pool instead of by in-process calls.
+/// [`QueryService`]: the oracle shards are built in parallel (`shards` construction
+/// workers) and each failure's batch is answered by the service's worker pool instead of by
+/// in-process calls.
 ///
-/// The RNG draw order matches [`run_simulation`] exactly, so for a given `config` both
-/// entry points inject the same failures and queries — and, because the service is answer-
-/// preserving (see the `msrp-serve` property suite), they must produce the same events,
-/// stretch, and mismatch counts; only the timing columns differ. `oracle_build_time` covers
-/// sharded construction plus service start-up, and `oracle_query_time` covers the full
-/// submit → answers round trip including queueing.
+/// Both entry points share one failure loop, so for a given `config` they inject the same
+/// failures and queries — and, because the service is answer-preserving (see the
+/// `msrp-serve` property suite), they must produce the same events, stretch, and mismatch
+/// counts; only the timing columns differ. `oracle_build_time` covers sharded construction
+/// plus service start-up, and `oracle_query_time` covers the full submit → answers round
+/// trip including queueing.
 ///
 /// # Panics
 ///
@@ -199,32 +142,56 @@ pub fn run_simulation_with_service(
     shards: usize,
     workers: usize,
 ) -> SimulationReport {
-    use msrp_serve::{Query, QueryService, ServiceConfig, ShardedOracle};
+    simulate(
+        g,
+        config,
+        |csr| {
+            QueryService::start(
+                ShardedOracle::build(csr, &config.gateways, &config.params, shards),
+                &ServiceConfig { workers },
+            )
+        },
+        |service, batch| service.answer_batch(batch),
+        |service, s, t| service.oracle().distance(s, t),
+    )
+}
 
+/// The failure loop of both entry points. `build` constructs the answering side over the
+/// frozen graph (timed as `oracle_build_time`). Per failure, the seeded RNG draws the
+/// failed link and then each query's gateway and destination; `answer_batch` answers the
+/// whole batch (timed as `oracle_query_time`), every answer is checked against a BFS
+/// recomputation, and `distance` gives the fault-free distance the stretch is measured from.
+fn simulate<O>(
+    g: &Graph,
+    config: &SimulationConfig,
+    build: impl FnOnce(&CsrGraph) -> O,
+    answer_batch: impl Fn(&O, &[Query]) -> Vec<Option<Distance>>,
+    distance: impl Fn(&O, Vertex, Vertex) -> Option<Distance>,
+) -> SimulationReport {
     assert!(!config.gateways.is_empty(), "at least one gateway is required");
     assert!(g.edge_count() > 0, "the network must have links");
     let mut rng = StdRng::seed_from_u64(config.seed);
 
+    // One frozen CSR view serves the build and every recomputed answer; the recompute loop
+    // reuses one set of BFS buffers across all failures.
     let csr = g.freeze();
     let mut scratch = BfsScratch::new();
 
     let build_start = Instant::now();
-    let service = QueryService::start(
-        ShardedOracle::build(&csr, &config.gateways, &config.params, shards),
-        &ServiceConfig { workers },
-    );
-    let oracle_build_time = build_start.elapsed();
+    let oracle = build(&csr);
+    let mut report = SimulationReport {
+        events: Vec::with_capacity(config.failures),
+        total_queries: 0,
+        mismatches: 0,
+        disconnected_queries: 0,
+        total_stretch: 0,
+        oracle_build_time: build_start.elapsed(),
+        oracle_query_time: Duration::ZERO,
+        recompute_time: Duration::ZERO,
+    };
 
     let edges = g.edge_vec();
     let n = g.vertex_count();
-    let mut events = Vec::with_capacity(config.failures);
-    let mut mismatches = 0;
-    let mut disconnected_queries = 0;
-    let mut total_stretch = 0u64;
-    let mut total_queries = 0;
-    let mut oracle_query_time = Duration::ZERO;
-    let mut recompute_time = Duration::ZERO;
-
     for _ in 0..config.failures {
         let edge = edges[rng.gen_range(0..edges.len())];
         let batch: Vec<Query> = (0..config.queries_per_failure)
@@ -234,160 +201,36 @@ pub fn run_simulation_with_service(
                 Query::new(gw, dest, edge)
             })
             .collect();
-        total_queries += batch.len();
+        report.total_queries += batch.len();
 
         let start = Instant::now();
-        let batch_answers = service.answer_batch(&batch);
-        oracle_query_time += start.elapsed();
+        let batch_answers = answer_batch(&oracle, &batch);
+        report.oracle_query_time += start.elapsed();
 
         let mut answers = Vec::with_capacity(batch.len());
-        let mut event_disconnected = 0;
+        let mut disconnected = 0;
         for (q, answer) in batch.iter().zip(batch_answers) {
-            let via_service = answer.expect("gateway is a source");
+            let answer = answer.expect("gateway is a source");
 
             let start = Instant::now();
             scratch.run_avoiding(&csr, q.source, edge);
             let recomputed = scratch.dist()[q.target];
-            recompute_time += start.elapsed();
+            report.recompute_time += start.elapsed();
 
-            if via_service != recomputed {
-                mismatches += 1;
+            if answer != recomputed {
+                report.mismatches += 1;
             }
             if recomputed == INFINITE_DISTANCE {
-                event_disconnected += 1;
-                disconnected_queries += 1;
-            } else if let Some(base) = service.oracle().distance(q.source, q.target) {
-                total_stretch += (recomputed - base) as u64;
+                disconnected += 1;
+            } else if let Some(base) = distance(&oracle, q.source, q.target) {
+                report.total_stretch += (recomputed - base) as u64;
             }
-            answers.push((q.source, q.target, via_service));
+            answers.push((q.source, q.target, answer));
         }
-        events.push(FailureEvent { edge, answers, disconnected: event_disconnected });
+        report.disconnected_queries += disconnected;
+        report.events.push(FailureEvent { edge, answers, disconnected });
     }
-    service.shutdown();
-
-    SimulationReport {
-        events,
-        total_queries,
-        mismatches,
-        disconnected_queries,
-        total_stretch,
-        oracle_build_time,
-        oracle_query_time,
-        recompute_time,
-    }
-}
-
-/// Aggregate results of a *weighted* simulation run ([`run_simulation_weighted`]): the same
-/// columns as [`SimulationReport`] under the weighted metric (stretch sums are weighted
-/// detour costs, so they live in `u64`).
-#[derive(Clone, Debug)]
-pub struct WeightedSimulationReport {
-    /// Total number of routing queries answered.
-    pub total_queries: usize,
-    /// Queries whose oracle answer differed from Dijkstra recomputation (must be 0).
-    pub mismatches: usize,
-    /// Queries that became disconnected under the failure.
-    pub disconnected_queries: usize,
-    /// Sum over connected queries of `replacement − baseline` weighted cost.
-    pub total_stretch: u64,
-    /// Wall-clock time spent constructing the weighted oracle.
-    pub oracle_build_time: Duration,
-    /// Wall-clock time spent answering queries through the oracle.
-    pub oracle_query_time: Duration,
-    /// Wall-clock time spent answering the same queries by re-running Dijkstra.
-    pub recompute_time: Duration,
-}
-
-impl WeightedSimulationReport {
-    /// Average extra weighted cost caused by a failure, over queries that stayed connected.
-    pub fn average_stretch(&self) -> f64 {
-        let connected = self.total_queries - self.disconnected_queries;
-        if connected == 0 {
-            0.0
-        } else {
-            self.total_stretch as f64 / connected as f64
-        }
-    }
-
-    /// `recompute_time / oracle_query_time` (infinite when querying took no measurable
-    /// time); same headline as [`SimulationReport::oracle_speedup`].
-    pub fn oracle_speedup(&self) -> f64 {
-        let o = self.oracle_query_time.as_secs_f64();
-        if o == 0.0 {
-            f64::INFINITY
-        } else {
-            self.recompute_time.as_secs_f64() / o
-        }
-    }
-}
-
-/// Runs the link-failure simulation over a *weighted* network: the weighted replacement
-/// oracle (Dijkstra trees, `msrp_core::solve_msrp_weighted`) against per-failure Dijkstra
-/// recomputation. The RNG draw order matches [`run_simulation`], so a weighted and an
-/// unweighted run with the same `config` inject the same failure edges and query pairs.
-///
-/// # Panics
-///
-/// Panics if the configuration has no gateways or the network has no links.
-pub fn run_simulation_weighted(
-    g: &WeightedCsrGraph,
-    config: &SimulationConfig,
-) -> WeightedSimulationReport {
-    assert!(!config.gateways.is_empty(), "at least one gateway is required");
-    assert!(g.edge_count() > 0, "the network must have links");
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut scratch = DijkstraScratch::new();
-
-    let build_start = Instant::now();
-    let oracle = WeightedReplacementOracle::build(g, &config.gateways);
-    let oracle_build_time = build_start.elapsed();
-
-    let edges: Vec<Edge> = g.edge_vec().into_iter().map(|(e, _)| e).collect();
-    let n = g.vertex_count();
-    let mut mismatches = 0;
-    let mut disconnected_queries = 0;
-    let mut total_stretch = 0u64;
-    let mut total_queries = 0;
-    let mut oracle_query_time = Duration::ZERO;
-    let mut recompute_time = Duration::ZERO;
-
-    for _ in 0..config.failures {
-        let edge = edges[rng.gen_range(0..edges.len())];
-        for _ in 0..config.queries_per_failure {
-            let gw = config.gateways[rng.gen_range(0..config.gateways.len())];
-            let dest = rng.gen_range(0..n);
-            total_queries += 1;
-
-            let start = Instant::now();
-            let via_oracle: Weight =
-                oracle.replacement_distance(gw, dest, edge).expect("gateway is a source");
-            oracle_query_time += start.elapsed();
-
-            let start = Instant::now();
-            scratch.run_avoiding(g, gw, edge);
-            let recomputed = scratch.dist()[dest];
-            recompute_time += start.elapsed();
-
-            if via_oracle != recomputed {
-                mismatches += 1;
-            }
-            if recomputed == INFINITE_WEIGHT {
-                disconnected_queries += 1;
-            } else if let Some(base) = oracle.distance(gw, dest) {
-                total_stretch += recomputed - base;
-            }
-        }
-    }
-
-    WeightedSimulationReport {
-        total_queries,
-        mismatches,
-        disconnected_queries,
-        total_stretch,
-        oracle_build_time,
-        oracle_query_time,
-        recompute_time,
-    }
+    report
 }
 
 #[cfg(test)]
@@ -493,48 +336,5 @@ mod tests {
         let g = grid_graph(3, 3);
         let config = SimulationConfig { gateways: vec![], ..Default::default() };
         let _ = run_simulation(&g, &config);
-    }
-
-    #[test]
-    fn weighted_oracle_and_recomputation_always_agree() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let g =
-            msrp_graph::generators::weighted_connected_gnm(36, 84, 250, &mut rng).unwrap().freeze();
-        let config = SimulationConfig {
-            gateways: vec![0, 12, 27],
-            failures: 20,
-            queries_per_failure: 8,
-            seed: 13,
-            params: MsrpParams::default(),
-        };
-        let report = run_simulation_weighted(&g, &config);
-        assert_eq!(report.mismatches, 0);
-        assert_eq!(report.total_queries, 20 * 8);
-        assert!(report.average_stretch() >= 0.0);
-        assert!(report.oracle_speedup() > 0.0);
-        assert!(report.oracle_build_time.as_nanos() > 0);
-        // Determinism: the same config replays the same workload.
-        let again = run_simulation_weighted(&g, &config);
-        assert_eq!(again.total_stretch, report.total_stretch);
-        assert_eq!(again.disconnected_queries, report.disconnected_queries);
-    }
-
-    #[test]
-    fn weighted_bridge_failures_report_disconnections() {
-        // A weighted path: every failure disconnects every downstream destination.
-        let topo = path_graph(10);
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = msrp_graph::generators::random_weights(&topo, 40, &mut rng).freeze();
-        let config = SimulationConfig {
-            gateways: vec![0],
-            failures: 25,
-            queries_per_failure: 4,
-            seed: 5,
-            params: MsrpParams::default(),
-        };
-        let report = run_simulation_weighted(&g, &config);
-        assert_eq!(report.mismatches, 0);
-        assert!(report.disconnected_queries > 0);
-        assert_eq!(report.total_stretch, 0, "paths have no detours, only disconnections");
     }
 }

@@ -3,7 +3,7 @@
 //! Bernstein and Karger (STOC 2009) build, for *all* sources, a distance oracle of size `Õ(n²)`
 //! answering `QUERY(x, y, e)` — the length of the shortest `x–y` path avoiding the edge `e` — in
 //! `O(1)` time; the MSRP paper generalizes the preprocessing to an arbitrary number of sources
-//! `σ`. This crate serves that query interface from three construction routes:
+//! `σ`. This crate serves that query interface from these construction routes:
 //!
 //! * [`ReplacementOracle`] — per-source rows indexed by the canonical-path position of the
 //!   avoided edge, all rows of a source in one flat buffer, found through a dense
@@ -17,7 +17,12 @@
 //!   same interface;
 //! * [`build_exact`](ReplacementPathOracle::build_exact) — the brute-force construction used
 //!   as the ground-truth comparator (all three routes produce bit-for-bit identical tables;
-//!   `tests/bk_differential.rs` pins it).
+//!   `tests/bk_differential.rs` pins it);
+//! * [`WeightedReplacementOracle::build`] — the weighted cut kernel: one subtree Dijkstra per
+//!   tree-edge cut of each source's Dijkstra tree (the crossing-edge decomposition of
+//!   Malik–Mittal–Gupta), pinned to its [`build_exact`](WeightedReplacementOracle::build_exact)
+//!   by `tests/weighted_differential.rs`. The paper's MSRP solver (`msrp-core`) covers
+//!   unweighted graphs only.
 //!
 //! Lemma 5's `O(1)` `QUERY` needs no hashing here: the source is one [`SourceSlots`] load,
 //! and the failed edge's position on the canonical path (a parent check and an
@@ -28,18 +33,18 @@
 
 pub mod bk;
 pub mod incremental;
+mod weighted;
 
 pub use bk::{bk_replacement_distances, build_bk_shards, BkScratch, BK_STAGES};
 pub use incremental::RebuildStats;
 
-use msrp_core::{solve_msrp, solve_msrp_weighted, MsrpParams};
+use msrp_core::{solve_msrp, MsrpParams};
 use msrp_graph::{
     bfs_trees_wave, CanonicalTree, CsrGraph, DijkstraScratch, Distance, Edge, Hop, Metric,
     MultiBfsScratch, Vertex, Weighted, WeightedCsrGraph, WeightedTree, INFINITE_DISTANCE,
 };
 use msrp_rpath::{
-    single_source_brute_force_wave, single_source_brute_force_weighted_with_scratch,
-    ReplacementDistances,
+    single_source_brute_force_wave, single_source_brute_force_with_scratch, ReplacementDistances,
 };
 
 /// A dense `vertex → slot` table: one `u32` per vertex of the graph, `u32::MAX` for a vertex
@@ -318,20 +323,8 @@ impl ReplacementPathOracle {
 }
 
 impl WeightedReplacementOracle {
-    /// Builds the oracle by running the weighted solver (`msrp_core::solve_msrp_weighted`,
-    /// the crossing-edge / subtree-Dijkstra algorithm).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
-    /// vertex.
-    pub fn build(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
-        let out = solve_msrp_weighted(g, sources);
-        Self::assemble(out.sources, out.trees, out.per_source, "sources must be distinct")
-    }
-
     /// Builds the oracle by brute force (one Dijkstra per tree edge per source, all through
-    /// one shared [`DijkstraScratch`]); exact, the comparator of the weighted solver in
+    /// one shared [`DijkstraScratch`]); exact, the comparator of the weighted cut kernel in
     /// tests and experiment E9.
     ///
     /// # Panics
@@ -344,7 +337,7 @@ impl WeightedReplacementOracle {
             sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
         let distances = trees
             .iter()
-            .map(|t| single_source_brute_force_weighted_with_scratch(g, t, &mut scratch))
+            .map(|t| single_source_brute_force_with_scratch(g, t, &mut scratch))
             .collect();
         Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
     }
@@ -423,8 +416,8 @@ pub fn build_shards(
     build_sharded(sources, threads, |chunk| ReplacementPathOracle::build(g, chunk, params))
 }
 
-/// Builds one [`WeightedReplacementOracle`] per shard with the weighted solver, in parallel
-/// over the caller's frozen weighted view; consumed by `msrp-serve`'s
+/// Builds one [`WeightedReplacementOracle`] per shard with the weighted cut kernel, in
+/// parallel over the caller's frozen weighted view; consumed by `msrp-serve`'s
 /// `WeightedShardedOracle`. Threads as in [`build_shards`].
 ///
 /// # Panics

@@ -1,4 +1,6 @@
-//! The weighted multi-source solver: replacement paths over Dijkstra shortest-path trees.
+//! The weighted cut kernel: replacement paths over Dijkstra shortest-path trees, the
+//! construction behind [`WeightedReplacementOracle::build`] (the hop metric's kernel is
+//! [`bk`](crate::bk)).
 //!
 //! Section 9 of the paper discusses lifting MSRP from hop distances to non-negative edge
 //! weights; the structural facts the lift rests on are classical (Malik–Mittal–Gupta 1989
@@ -18,10 +20,10 @@
 //!
 //! So `d(s, t ⋄ e)` for *all* targets in the subtree is one multi-seed Dijkstra restricted
 //! to the subtree: seed every `y ∈ subtree(c)` with `min over crossing edges (x, y)` of
-//! `d(s, x) + w(x, y)`, then relax only subtree-internal edges. [`solve_msrp_weighted`]
-//! runs that search once per tree edge per source, and is asserted equal bit for bit to the
-//! brute force (one full Dijkstra per tree edge) in this module's tests, the oracle's
-//! `weighted_differential` battery, and experiment E9.
+//! `d(s, x) + w(x, y)`, then relax only subtree-internal edges.
+//! [`build`](WeightedReplacementOracle::build) runs that search once per tree edge per
+//! source, and is asserted equal bit for bit to the brute force (one full Dijkstra per tree
+//! edge) in this module's tests, the `weighted_differential` battery, and experiment E9.
 //!
 //! # The kernel
 //!
@@ -65,92 +67,34 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use msrp_graph::{
-    DijkstraScratch, Edge, Vertex, Weight, WeightedCsrGraph, WeightedTree, INFINITE_WEIGHT,
+    DijkstraScratch, Vertex, Weight, WeightedCsrGraph, WeightedTree, INFINITE_WEIGHT,
 };
 use msrp_rpath::WeightedReplacementDistances;
 
-/// Result of the weighted multi-source solver ([`solve_msrp_weighted`]).
-#[derive(Clone, Debug)]
-pub struct WeightedMsrpOutput {
-    /// The sources, in the order they were given.
-    pub sources: Vec<Vertex>,
-    /// Canonical Dijkstra tree per source.
-    pub trees: Vec<WeightedTree>,
-    /// Replacement distances per source.
-    pub per_source: Vec<WeightedReplacementDistances>,
-}
+use crate::WeightedReplacementOracle;
 
-impl WeightedMsrpOutput {
-    /// Number of sources.
-    pub fn source_count(&self) -> usize {
-        self.sources.len()
+impl WeightedReplacementOracle {
+    /// Builds the oracle with the crossing-edge decomposition (module docs): one Dijkstra
+    /// tree per source, then one subtree search per tree edge. Exact and deterministic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sources` is empty, contains duplicates, or contains an out-of-range
+    /// vertex.
+    pub fn build(g: &WeightedCsrGraph, sources: &[Vertex]) -> Self {
+        let mut scratch = DijkstraScratch::new();
+        let trees: Vec<WeightedTree> =
+            sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
+        let mut cuts = CutScratch::default();
+        let distances = trees
+            .iter()
+            .map(|tree| {
+                cuts.prepare(g, tree);
+                prepared_replacement_distances(tree, &mut cuts)
+            })
+            .collect();
+        Self::assemble(sources.to_vec(), trees, distances, "sources must be distinct")
     }
-
-    /// Index of a source vertex, if it is one of the sources.
-    pub fn source_index(&self, s: Vertex) -> Option<usize> {
-        self.sources.iter().position(|&x| x == s)
-    }
-
-    /// Convenience query for source `s`: `|st ⋄ e|` (ordinary distance when `e` is
-    /// off-path). Returns `None` when `s` is not one of the sources.
-    pub fn distance_avoiding(&self, s: Vertex, t: Vertex, e: Edge) -> Option<Weight> {
-        let i = self.source_index(s)?;
-        Some(self.per_source[i].distance_avoiding(&self.trees[i], t, e))
-    }
-
-    /// Total number of `(s, t, e)` entries produced.
-    pub fn entry_count(&self) -> usize {
-        self.per_source.iter().map(|d| d.entry_count()).sum()
-    }
-}
-
-/// Solves the weighted multiple-source replacement path problem: for every source `s`, every
-/// target `t`, and every edge on the canonical `s–t` Dijkstra path, the weighted length of
-/// the shortest `s–t` path avoiding that edge.
-///
-/// Exact and deterministic (no sampling is involved; the crossing-edge decomposition in the
-/// module docs replaces the unweighted solver's landmark machinery).
-///
-/// # Panics
-///
-/// Panics if `sources` is empty, contains duplicates, or contains an out-of-range vertex.
-///
-/// ```
-/// use msrp_core::solve_msrp_weighted;
-/// use msrp_graph::{Edge, WeightedGraph};
-///
-/// # fn main() -> Result<(), msrp_graph::GraphError> {
-/// // A weighted 4-cycle: the replacement for a failed path edge is the complementary arc.
-/// let g = WeightedGraph::from_edges(4, &[(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 0, 10)])?;
-/// let out = solve_msrp_weighted(&g.freeze(), &[0]);
-/// assert_eq!(out.distance_avoiding(0, 2, Edge::new(0, 1)), Some(11));
-/// # Ok(())
-/// # }
-/// ```
-pub fn solve_msrp_weighted(g: &WeightedCsrGraph, sources: &[Vertex]) -> WeightedMsrpOutput {
-    let n = g.vertex_count();
-    assert!(!sources.is_empty(), "at least one source is required");
-    for &s in sources {
-        assert!(s < n, "source {s} out of range (n = {n})");
-    }
-    let mut dedup = sources.to_vec();
-    dedup.sort_unstable();
-    dedup.dedup();
-    assert_eq!(dedup.len(), sources.len(), "sources must be distinct");
-
-    let mut scratch = DijkstraScratch::new();
-    let trees: Vec<WeightedTree> =
-        sources.iter().map(|&s| WeightedTree::build_with_scratch(g, s, &mut scratch)).collect();
-    let mut cuts = CutScratch::default();
-    let per_source: Vec<WeightedReplacementDistances> = trees
-        .iter()
-        .map(|tree| {
-            cuts.prepare(g, tree);
-            prepared_replacement_distances(tree, &mut cuts)
-        })
-        .collect();
-
-    WeightedMsrpOutput { sources: sources.to_vec(), trees, per_source }
 }
 
 /// Sentinel position: "no vertex" (never equal to a real preorder position).
@@ -363,18 +307,18 @@ mod tests {
     use msrp_graph::generators::{
         cycle_graph, grid_graph, random_weights, weighted_barabasi_albert, weighted_connected_gnm,
     };
-    use msrp_graph::WeightedGraph;
-    use msrp_rpath::single_source_brute_force_weighted_with_scratch;
+    use msrp_graph::{Edge, WeightedGraph};
+    use msrp_rpath::single_source_brute_force_with_scratch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     /// Bit-for-bit equality of the solver against the brute-force ground truth.
     fn assert_matches_brute_force(g: &WeightedCsrGraph, sources: &[Vertex]) {
-        let out = solve_msrp_weighted(g, sources);
+        let oracle = WeightedReplacementOracle::build(g, sources);
         let mut scratch = DijkstraScratch::new();
-        for (i, tree) in out.trees.iter().enumerate() {
-            let truth = single_source_brute_force_weighted_with_scratch(g, tree, &mut scratch);
-            assert_eq!(out.per_source[i], truth, "source {}", sources[i]);
+        for (i, tree) in oracle.trees().iter().enumerate() {
+            let truth = single_source_brute_force_with_scratch(g, tree, &mut scratch);
+            assert_eq!(oracle.per_source()[i], truth, "source {}", sources[i]);
         }
     }
 
@@ -415,19 +359,19 @@ mod tests {
         .unwrap()
         .freeze();
         assert_matches_brute_force(&g, &[0, 3]);
-        let out = solve_msrp_weighted(&g, &[0]);
-        assert!(out.per_source[0].row(4).is_empty());
-        assert_eq!(out.distance_avoiding(0, 2, Edge::new(1, 2)), Some(9));
+        let oracle = WeightedReplacementOracle::build(&g, &[0]);
+        assert!(oracle.per_source()[0].row(4).is_empty());
+        assert_eq!(oracle.replacement_distance(0, 2, Edge::new(1, 2)), Some(9));
     }
 
     #[test]
     fn unit_weights_match_hop_semantics() {
         let topo = grid_graph(4, 4);
         let g = WeightedGraph::from_graph(&topo, |_| 1).freeze();
-        let out = solve_msrp_weighted(&g, &[0, 15]);
+        let oracle = WeightedReplacementOracle::build(&g, &[0, 15]);
         // Losing the first edge of the canonical path from 0 to 3 costs a detour of 2,
         // mirroring the unweighted doctest in `msrp-core`.
-        assert_eq!(out.distance_avoiding(0, 3, Edge::new(0, 1)), Some(5));
+        assert_eq!(oracle.replacement_distance(0, 3, Edge::new(0, 1)), Some(5));
         assert_matches_brute_force(&g, &[0, 15]);
     }
 
@@ -458,7 +402,7 @@ mod tests {
                 cuts.prepare(g, &tree);
                 assert_eq!(
                     prepared_replacement_distances(&tree, &mut cuts),
-                    single_source_brute_force_weighted_with_scratch(g, &tree, &mut brute),
+                    single_source_brute_force_with_scratch(g, &tree, &mut brute),
                     "n={} s={s}",
                     g.vertex_count()
                 );
@@ -478,35 +422,23 @@ mod tests {
     }
 
     #[test]
-    fn output_accessors() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let g = weighted_connected_gnm(12, 20, 9, &mut rng).unwrap().freeze();
-        let out = solve_msrp_weighted(&g, &[3, 7]);
-        assert_eq!(out.source_count(), 2);
-        assert_eq!(out.source_index(7), Some(1));
-        assert_eq!(out.source_index(8), None);
-        assert_eq!(out.distance_avoiding(8, 0, Edge::new(0, 1)), None);
-        assert!(out.entry_count() > 0);
-    }
-
-    #[test]
     #[should_panic(expected = "distinct")]
     fn duplicate_sources_panic() {
         let g = WeightedGraph::from_edges(3, &[(0, 1, 1), (1, 2, 1)]).unwrap().freeze();
-        let _ = solve_msrp_weighted(&g, &[1, 1]);
+        let _ = WeightedReplacementOracle::build(&g, &[1, 1]);
     }
 
     #[test]
     #[should_panic(expected = "at least one source")]
     fn empty_sources_panic() {
         let g = WeightedGraph::from_edges(3, &[(0, 1, 1)]).unwrap().freeze();
-        let _ = solve_msrp_weighted(&g, &[]);
+        let _ = WeightedReplacementOracle::build(&g, &[]);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_source_panics() {
         let g = WeightedGraph::from_edges(3, &[(0, 1, 1)]).unwrap().freeze();
-        let _ = solve_msrp_weighted(&g, &[5]);
+        let _ = WeightedReplacementOracle::build(&g, &[5]);
     }
 }

@@ -1,9 +1,10 @@
-//! Differential battery for the weighted solver — the weighted mirror of
-//! `bk_differential.rs`. On every seeded workload family, the crossing-edge solver behind
+//! Differential battery for the weighted cut kernel — the weighted counterpart of
+//! `bk_differential.rs`. On every seeded workload family, the crossing-edge kernel behind
 //! [`WeightedReplacementOracle::build`], the per-tree-edge brute force behind
 //! [`WeightedReplacementOracle::build_exact`], and independent
-//! [`single_source_brute_force_weighted`] rows must agree **bit for bit**, for every
-//! source-set size σ ∈ {1, ⌈√n⌉, n/4}, and so must every sharded build merged back.
+//! [`single_source_brute_force_with_scratch`] rows (one Dijkstra per tree edge) must agree
+//! **bit for bit**, for every source-set size σ ∈ {1, ⌈√n⌉, n/4}, and so must every sharded
+//! build merged back.
 //!
 //! Each topology runs under three weightings: weights drawn from {0, 1, 2} (zero-weight
 //! edges and many distance ties), all weights equal (many shortest paths of equal length),
@@ -16,7 +17,7 @@ use msrp_graph::generators::{
 };
 use msrp_graph::{DijkstraScratch, Graph, Vertex, Weight, WeightedGraph, WeightedTree};
 use msrp_oracle::{build_weighted_shards, WeightedReplacementOracle};
-use msrp_rpath::{single_source_brute_force_weighted_with_scratch, WeightedReplacementDistances};
+use msrp_rpath::{single_source_brute_force_with_scratch, WeightedReplacementDistances};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -59,7 +60,7 @@ fn brute_force(
     let trees: Vec<_> = sources.iter().map(|&s| WeightedTree::build(&csr, s)).collect();
     let rows = trees
         .iter()
-        .map(|t| single_source_brute_force_weighted_with_scratch(&csr, t, &mut scratch))
+        .map(|t| single_source_brute_force_with_scratch(&csr, t, &mut scratch))
         .collect();
     (trees, rows)
 }

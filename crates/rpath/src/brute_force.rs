@@ -1,15 +1,15 @@
-//! Exhaustive ground truth: remove the edge, rerun BFS.
+//! Exhaustive ground truth: remove the edge, rerun BFS (or Dijkstra under the weighted metric).
 //!
 //! These routines are quadratic-or-worse and exist for two reasons: (1) every other algorithm in
-//! the workspace is validated against them (unit tests, property tests, experiment E3), and
-//! (2) they are the "recompute from scratch" baseline the benchmarks compare against.
+//! the workspace is validated against them (unit tests, property tests, experiments E3, E9 and
+//! E10), and (2) they are the "recompute from scratch" baseline the benchmarks compare against.
 
 use msrp_graph::{
-    bfs_avoiding_edge, BfsScratch, CsrGraph, Distance, Edge, Graph, MultiBfsScratch,
+    bfs_avoiding_edge, CanonicalTree, CsrGraph, Distance, Edge, Graph, Metric, MultiBfsScratch,
     ShortestPathTree, Vertex, WAVE_LANES,
 };
 
-use crate::distances::SourceReplacementDistances;
+use crate::distances::{ReplacementDistances, SourceReplacementDistances};
 
 /// The replacement distance `|st ⋄ e|` computed by a single BFS in `G \ {e}`.
 ///
@@ -27,50 +27,39 @@ pub fn replacement_distance(g: &Graph, s: Vertex, t: Vertex, e: Edge) -> Distanc
     bfs_avoiding_edge(g, s, e).dist[t]
 }
 
-/// Ground-truth single-source replacement paths: for every target `t` and every edge `e_i` on
-/// the canonical `s–t` path, the exact value of `|st ⋄ e_i|`.
+/// Ground-truth single-source replacement paths under the metric `M`: for every target `t`
+/// and every edge `e_i` on the canonical `s–t` path, the exact value of `|st ⋄ e_i|`.
 ///
-/// Runs one BFS per tree edge of `tree` (so `O(n·(m + n))` time), then distributes the result to
-/// every target whose canonical path uses that edge. Allocates one private scratch.
-///
-/// # Panics
-///
-/// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force(
-    g: &CsrGraph,
-    tree: &ShortestPathTree,
-) -> SourceReplacementDistances {
-    let mut scratch = BfsScratch::new();
-    single_source_brute_force_with_scratch(g, tree, &mut scratch)
+/// Runs one edge-avoiding search (BFS for hops, Dijkstra for weights) per tree edge of
+/// `tree`, then distributes the result to every target whose canonical path uses that edge.
+/// Allocates one private scratch. `tree` must be a canonical tree of `g`.
+pub fn single_source_brute_force<M: Metric>(
+    g: &M::Graph,
+    tree: &CanonicalTree<M>,
+) -> ReplacementDistances<M> {
+    single_source_brute_force_with_scratch(g, tree, &mut M::Scratch::default())
 }
 
-/// The brute-force inner loop: one edge-avoiding BFS per tree edge, all through the caller's
-/// [`BfsScratch`] so the `O(n)` searches share one set of buffers (this is what
-/// `msrp-oracle::build_exact` runs per source).
-///
-/// # Panics
-///
-/// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force_with_scratch(
-    g: &CsrGraph,
-    tree: &ShortestPathTree,
-    scratch: &mut BfsScratch,
-) -> SourceReplacementDistances {
-    let n = g.vertex_count();
+/// The brute-force inner loop: one edge-avoiding search per tree edge, all through the
+/// caller's scratch so the `O(n)` searches share one set of buffers (this is what the
+/// oracles' weighted `build_exact` runs per source). `tree` must be a canonical tree of `g`.
+pub fn single_source_brute_force_with_scratch<M: Metric>(
+    g: &M::Graph,
+    tree: &CanonicalTree<M>,
+    scratch: &mut M::Scratch,
+) -> ReplacementDistances<M> {
     let s = tree.source();
-    assert!(s < n, "tree root out of range for the graph");
-    let mut out = SourceReplacementDistances::new(tree);
+    let mut out = ReplacementDistances::new(tree);
     // Every edge on some canonical path is a tree edge (p, c); its position on the path to any
     // affected target is depth(c) - 1, and the affected targets are exactly the descendants of c.
-    for c in 0..n {
+    for c in 0..tree.vertex_count() {
         let p = match tree.parent(c) {
             Some(p) => p,
             None => continue,
         };
-        let e = Edge::new(p, c);
-        let pos = tree.distance_or_infinite(c) as usize - 1;
-        scratch.run_avoiding(g, s, e);
-        for (t, &d) in scratch.dist().iter().enumerate() {
+        let pos = tree.depth(c) - 1;
+        let dist = M::distances_avoiding(g, s, Edge::new(p, c), scratch);
+        for (t, &d) in dist.iter().enumerate() {
             if tree.is_reachable(t) && tree.is_ancestor(c, t) {
                 out.set(t, pos, d);
             }
@@ -123,7 +112,7 @@ pub fn single_source_brute_force_wave(
 mod tests {
     use super::*;
     use msrp_graph::generators::{connected_gnm, cycle_graph, grid_graph, path_graph};
-    use msrp_graph::INFINITE_DISTANCE;
+    use msrp_graph::{BfsScratch, INFINITE_DISTANCE};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -5,12 +5,14 @@
 //! `Õ(m + n)` time" (Section 3). This crate provides:
 //!
 //! * [`replacement_distance`] / [`single_source_brute_force`] — the exhaustive ground truth
-//!   (remove the edge, rerun BFS), used to validate every other algorithm in the workspace;
+//!   (remove the edge, rerun BFS, or Dijkstra under the weighted metric), used to validate
+//!   every other algorithm in the workspace;
 //! * [`single_pair_replacement_paths`] — the classical `Õ(m + n)` single-pair routine, the
 //!   building block the paper invokes for source→landmark replacement paths when `σ = 1`;
 //! * [`single_source_via_single_pair`] — the "inefficient algorithm" of Section 3 that runs the
 //!   classical routine for every target (`Õ(mn)`), used as the main baseline in experiment E1;
-//! * [`SourceReplacementDistances`] — the output representation shared by all algorithms;
+//! * [`ReplacementDistances`] — the output representation shared by all algorithms, generic
+//!   over the metric;
 //! * [`compare`] — mismatch reporting between two solutions, used by tests and experiment E3.
 //!
 //! # Example
@@ -32,10 +34,10 @@
 mod brute_force;
 mod compare;
 mod distances;
-mod most_vital;
 mod rows;
 mod single_pair;
 mod ssrp_baseline;
+#[cfg(test)]
 mod weighted;
 
 pub use brute_force::{
@@ -46,10 +48,5 @@ pub use compare::{compare, ComparisonReport, Mismatch};
 pub use distances::{
     ReplacementDistances, SourceReplacementDistances, WeightedReplacementDistances,
 };
-pub use most_vital::{most_vital_edge, most_vital_edges, VitalEdge};
 pub use single_pair::single_pair_replacement_paths;
 pub use ssrp_baseline::single_source_via_single_pair;
-pub use weighted::{
-    replacement_weight, single_source_brute_force_weighted,
-    single_source_brute_force_weighted_with_scratch,
-};

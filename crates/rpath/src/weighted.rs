@@ -1,81 +1,13 @@
-//! Weighted replacement-path ground truth: remove the edge, rerun Dijkstra.
-//!
-//! The weighted counterpart of [`brute_force`](crate::brute_force):
-//! [`single_source_brute_force_weighted`] fills a [`WeightedReplacementDistances`] table
-//! (rows indexed by the position of the avoided edge on the canonical Dijkstra-tree path)
-//! with one edge-avoiding Dijkstra per tree edge. Everything the weighted solver in
-//! `msrp-core` produces is validated against these routines bit-for-bit.
+//! Weighted-metric checks of the generic brute force and replacement-distance table: the
+//! same routines the hop tests exercise, instantiated at [`msrp_graph::Weighted`].
 
-use msrp_graph::{DijkstraScratch, Edge, Vertex, Weight, WeightedCsrGraph, WeightedTree};
-
-use crate::WeightedReplacementDistances;
-
-/// The weighted replacement distance `|st ⋄ e|` computed by a single Dijkstra in `G \ {e}`.
-///
-/// # Panics
-///
-/// Panics if `s` or `t` is out of range.
-pub fn replacement_weight(g: &WeightedCsrGraph, s: Vertex, t: Vertex, e: Edge) -> Weight {
-    g.dijkstra_avoiding_edge(s, e).dist[t]
-}
-
-/// Ground-truth weighted single-source replacement paths: one edge-avoiding Dijkstra per
-/// tree edge, distributed to every target whose canonical path uses that edge (the weighted
-/// twin of [`single_source_brute_force`](crate::single_source_brute_force); allocates one
-/// private scratch).
-///
-/// # Panics
-///
-/// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force_weighted(
-    g: &WeightedCsrGraph,
-    tree: &WeightedTree,
-) -> WeightedReplacementDistances {
-    let mut scratch = DijkstraScratch::new();
-    single_source_brute_force_weighted_with_scratch(g, tree, &mut scratch)
-}
-
-/// The weighted brute-force inner loop, running every edge-avoiding Dijkstra through the
-/// caller's [`DijkstraScratch`] (what `msrp-oracle::WeightedReplacementOracle::build_exact`
-/// runs per source).
-///
-/// # Panics
-///
-/// Panics if `tree` is not rooted at a vertex of `g`.
-pub fn single_source_brute_force_weighted_with_scratch(
-    g: &WeightedCsrGraph,
-    tree: &WeightedTree,
-    scratch: &mut DijkstraScratch,
-) -> WeightedReplacementDistances {
-    let n = g.vertex_count();
-    let s = tree.source();
-    assert!(s < n, "tree root out of range for the graph");
-    let mut out = WeightedReplacementDistances::new(tree);
-    // Every edge on some canonical path is a tree edge (p, c); its position on the path to
-    // any affected target is depth(c) - 1, and the affected targets are exactly the
-    // descendants of c.
-    for c in 0..n {
-        let p = match tree.parent(c) {
-            Some(p) => p,
-            None => continue,
-        };
-        let e = Edge::new(p, c);
-        let pos = tree.depth(c) - 1;
-        scratch.run_avoiding(g, s, e);
-        for (t, &d) in scratch.dist().iter().enumerate() {
-            if tree.is_reachable(t) && tree.is_ancestor(c, t) {
-                out.set(t, pos, d);
-            }
-        }
-    }
-    out
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{single_source_brute_force, WeightedReplacementDistances};
     use msrp_graph::generators::cycle_graph;
-    use msrp_graph::{WeightedGraph, INFINITE_WEIGHT};
+    use msrp_graph::{
+        Edge, Vertex, Weight, WeightedCsrGraph, WeightedGraph, WeightedTree, INFINITE_DISTANCE,
+        INFINITE_WEIGHT,
+    };
 
     /// A weighted 6-cycle with per-edge weights 1..=6 (edge {i, i+1} has weight i + 1).
     fn weighted_cycle() -> WeightedGraph {
@@ -86,20 +18,25 @@ mod tests {
         g
     }
 
+    /// The replacement weight `|st ⋄ e|` by one edge-avoiding Dijkstra.
+    fn avoiding_weight(g: &WeightedCsrGraph, s: Vertex, t: Vertex, e: Edge) -> Weight {
+        g.dijkstra_avoiding_edge(s, e).dist[t]
+    }
+
     #[test]
     fn cycle_replacements_take_the_complementary_arc() {
         let g = weighted_cycle().freeze();
         let tree = WeightedTree::build(&g, 0);
-        let out = single_source_brute_force_weighted(&g, &tree);
+        let out = single_source_brute_force(&g, &tree);
         // d(0, 2) = 1 + 2 = 3 via 0-1-2; avoiding either path edge forces the arc
         // 0-5-4-3-2 of weight 6 + 5 + 4 + 3 = 18.
         assert_eq!(tree.distance(2), Some(3));
         assert_eq!(out.get(2, 0), Some(18));
         assert_eq!(out.get(2, 1), Some(18));
         assert_eq!(out.get(2, 2), None);
-        // The same values fall out of the one-shot helper.
-        assert_eq!(replacement_weight(&g, 0, 2, Edge::new(0, 1)), 18);
-        assert_eq!(replacement_weight(&g, 0, 2, Edge::new(3, 4)), 3);
+        // The same values fall out of a one-shot edge-avoiding Dijkstra.
+        assert_eq!(avoiding_weight(&g, 0, 2, Edge::new(0, 1)), 18);
+        assert_eq!(avoiding_weight(&g, 0, 2, Edge::new(3, 4)), 3);
     }
 
     #[test]
@@ -110,7 +47,7 @@ mod tests {
         g.add_edge(2, 3, 4).unwrap();
         let csr = g.freeze();
         let tree = WeightedTree::build(&csr, 0);
-        let out = single_source_brute_force_weighted(&csr, &tree);
+        let out = single_source_brute_force(&csr, &tree);
         for t in 1..4 {
             for i in 0..out.row(t).len() {
                 assert_eq!(out.get(t, i), Some(INFINITE_WEIGHT));
@@ -124,12 +61,12 @@ mod tests {
     fn distance_avoiding_matches_per_query_recomputation() {
         let g = weighted_cycle().freeze();
         let tree = WeightedTree::build(&g, 0);
-        let out = single_source_brute_force_weighted(&g, &tree);
+        let out = single_source_brute_force(&g, &tree);
         for t in 0..6 {
             for (e, _) in g.edge_vec() {
                 assert_eq!(
                     out.distance_avoiding(&tree, t, e),
-                    replacement_weight(&g, 0, t, e),
+                    avoiding_weight(&g, 0, t, e),
                     "t={t} e={e}"
                 );
             }
@@ -141,16 +78,16 @@ mod tests {
         let topo = cycle_graph(8);
         let weighted = WeightedGraph::from_graph(&topo, |_| 1).freeze();
         let wtree = WeightedTree::build(&weighted, 0);
-        let wout = single_source_brute_force_weighted(&weighted, &wtree);
+        let wout = single_source_brute_force(&weighted, &wtree);
         let topo = topo.freeze();
         let utree = msrp_graph::ShortestPathTree::build(&topo, 0);
-        let uout = crate::single_source_brute_force(&topo, &utree);
+        let uout = single_source_brute_force(&topo, &utree);
         for t in 0..8 {
             assert_eq!(wout.row(t).len(), uout.row(t).len(), "t={t}");
             for i in 0..wout.row(t).len() {
                 let w = wout.get(t, i).unwrap();
                 let u = uout.get(t, i).unwrap();
-                if u == msrp_graph::INFINITE_DISTANCE {
+                if u == INFINITE_DISTANCE {
                     assert_eq!(w, INFINITE_WEIGHT);
                 } else {
                     assert_eq!(w, u as Weight, "t={t} i={i}");
@@ -172,7 +109,7 @@ mod tests {
         }
         let csr = g.freeze();
         let tree = WeightedTree::build(&csr, 3);
-        let table = single_source_brute_force_weighted(&csr, &tree);
+        let table = single_source_brute_force(&csr, &tree);
         (tree, table)
     }
 

@@ -68,12 +68,12 @@ pub mod wire;
 
 pub use epoch::{Epoch, EpochOracle};
 pub use exposition::{render_exposition, ObsReport};
-pub use loadgen::{random_queries, run_closed_loop, run_closed_loop_on, LoadConfig, LoadReport};
+pub use loadgen::{random_queries, run_closed_loop, LoadConfig, LoadReport};
 pub use metrics::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceMetrics};
 pub use protocol::{
     format_answer, format_metrics_header, format_query, format_stats, format_weighted_answer,
-    format_weighted_query, parse_answer, parse_metrics_header, parse_request, parse_stats,
-    parse_weighted_answer, validate_query, ProtocolError, Request, StatsReply,
+    format_weighted_query, parse_metrics_header, parse_request, parse_stats, validate_query,
+    ProtocolError, Request, StatsReply,
 };
 pub use service::{
     BatchStage, ObsConfig, PendingBatch, Query, QueryService, RouteOracle, ServiceConfig, Sharded,

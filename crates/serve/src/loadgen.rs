@@ -111,17 +111,16 @@ pub fn run_closed_loop(service: &QueryService, g: &Graph, config: &LoadConfig) -
     run_closed_loop_on(service, g, &service.oracle().sources(), config)
 }
 
-/// Generic entry point of [`run_closed_loop`]: drives any service answering in [`Distance`]s
+/// The generic body of [`run_closed_loop`]: drives any service answering in [`Distance`]s
 /// — including an epoch-swapping [`QueryService<EpochOracle>`](crate::EpochOracle), whose
-/// source set is stable across epochs and therefore passed in by the caller. This is the
-/// churn mode of the load generator: the caller owns the event/rebuild/publish loop and runs
-/// this concurrently to keep closed-loop load on the service while epochs swap under it.
+/// source set is stable across epochs and therefore passed in (the tests drive a live swap
+/// through it).
 ///
 /// Note the determinism caveat under churn: the issued query multiset is still a pure
 /// function of `(g, sources, config)`, but answers — and hence `checksum` — depend on which
 /// epoch each batch lands in. Against an immutable oracle the checksum stays reproducible
 /// exactly as before.
-pub fn run_closed_loop_on<O: RouteOracle<Answer = Distance>>(
+fn run_closed_loop_on<O: RouteOracle<Answer = Distance>>(
     service: &QueryService<O>,
     g: &Graph,
     sources: &[Vertex],

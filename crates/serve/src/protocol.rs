@@ -163,20 +163,6 @@ pub fn format_answer(answer: Option<Distance>) -> String {
     }
 }
 
-/// Parses one answer token (the inverse of [`format_answer`]).
-pub fn parse_answer(line: &str) -> Result<Option<Distance>, ProtocolError> {
-    match line.trim() {
-        "NOSRC" => Ok(None),
-        "INF" => Ok(Some(INFINITE_DISTANCE)),
-        token => token
-            .parse::<Distance>()
-            .ok()
-            .filter(|&d| d != INFINITE_DISTANCE)
-            .map(Some)
-            .ok_or_else(|| ProtocolError::new(format!("malformed answer `{token}`"))),
-    }
-}
-
 /// Renders one *weighted* answer token: `NOSRC`, `INF`, or the decimal weight (the `QW`/`BW`
 /// mirror of [`format_answer`]).
 pub fn format_weighted_answer(answer: Option<Weight>) -> String {
@@ -184,20 +170,6 @@ pub fn format_weighted_answer(answer: Option<Weight>) -> String {
         None => "NOSRC".to_string(),
         Some(INFINITE_WEIGHT) => "INF".to_string(),
         Some(w) => w.to_string(),
-    }
-}
-
-/// Parses one weighted answer token (the inverse of [`format_weighted_answer`]).
-pub fn parse_weighted_answer(line: &str) -> Result<Option<Weight>, ProtocolError> {
-    match line.trim() {
-        "NOSRC" => Ok(None),
-        "INF" => Ok(Some(INFINITE_WEIGHT)),
-        token => token
-            .parse::<Weight>()
-            .ok()
-            .filter(|&w| w != INFINITE_WEIGHT)
-            .map(Some)
-            .ok_or_else(|| ProtocolError::new(format!("malformed weighted answer `{token}`"))),
     }
 }
 
@@ -352,6 +324,36 @@ pub fn parse_metrics_header(line: &str) -> Result<usize, ProtocolError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // No client parses answer tokens, so the parsers are test-only: the reference
+    // inverses the format round trips are checked against.
+
+    /// Parses one answer token (the inverse of [`format_answer`]).
+    fn parse_answer(line: &str) -> Result<Option<Distance>, ProtocolError> {
+        match line.trim() {
+            "NOSRC" => Ok(None),
+            "INF" => Ok(Some(INFINITE_DISTANCE)),
+            token => token
+                .parse::<Distance>()
+                .ok()
+                .filter(|&d| d != INFINITE_DISTANCE)
+                .map(Some)
+                .ok_or_else(|| ProtocolError::new(format!("malformed answer `{token}`"))),
+        }
+    }
+
+    /// Parses one weighted answer token (the inverse of [`format_weighted_answer`]).
+    fn parse_weighted_answer(line: &str) -> Result<Option<Weight>, ProtocolError> {
+        match line.trim() {
+            "NOSRC" => Ok(None),
+            "INF" => Ok(Some(INFINITE_WEIGHT)),
+            token => {
+                token.parse::<Weight>().ok().filter(|&w| w != INFINITE_WEIGHT).map(Some).ok_or_else(
+                    || ProtocolError::new(format!("malformed weighted answer `{token}`")),
+                )
+            }
+        }
+    }
 
     #[test]
     fn requests_round_trip() {

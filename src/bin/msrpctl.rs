@@ -163,16 +163,19 @@ fn cmd_create(args: &Args) -> Result<(), String> {
     std::fs::create_dir_all(&dir).map_err(|e| format!("create state dir: {e}"))?;
     let sources = evenly_spread(n, sigma);
     let mut rng = StdRng::seed_from_u64(seed);
-    let bytes = if args.has("weighted") {
+    // The builders clamp the shard count to σ, so the built oracle's count is reported.
+    let (bytes, shards) = if args.has("weighted") {
         let g = weighted_connected_gnm(n, m, DEFAULT_WEIGHT_MAX, &mut rng)
             .map_err(|e| format!("generator rejected the parameters: {e}"))?
             .freeze();
-        WeightedShardedOracle::build(&g, &sources, shards).to_snapshot(&g)
+        let oracle = WeightedShardedOracle::build(&g, &sources, shards);
+        (oracle.to_snapshot(&g), oracle.shard_count())
     } else {
         let g = connected_gnm(n, m, &mut rng)
             .map_err(|e| format!("generator rejected the parameters: {e}"))?
             .freeze();
-        ShardedOracle::build_bk_csr(&g, &sources, shards).to_snapshot(&g)
+        let oracle = ShardedOracle::build_bk_csr(&g, &sources, shards);
+        (oracle.to_snapshot(&g), oracle.shard_count())
     };
     let path = snap_path(&dir, name);
     std::fs::write(&path, &bytes).map_err(|e| format!("write {}: {e}", path.display()))?;

@@ -34,3 +34,8 @@ pub use msrp_oracle as oracle;
 pub use msrp_rpath as rpath;
 pub use msrp_serve as serve;
 pub use msrp_snap as snap;
+
+/// Compiles and runs the README's Rust examples as doctests, so they cannot rot.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;

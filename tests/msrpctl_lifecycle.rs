@@ -2,8 +2,9 @@
 //! `serve` on an ephemeral port (found through `NAME.addr`), a seeded `Q`/`QW` mix and a
 //! `B k` batch whose every reply must equal the in-process oracle booted from the same
 //! snapshot, `STATS` accounting, the connection cap under a storm of sockets, the client
-//! subcommands' timeout, a `STOP` that makes the server exit 0, and a snapshot of an older
-//! format version that `list` shows as stale and `serve` refuses.
+//! subcommands' timeout, a `STOP` that makes the server exit 0, a snapshot of an older
+//! format version that `list` shows as stale and `serve` refuses, and the shard count that
+//! `create` prints matching the one `list` shows.
 
 use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Write};
@@ -364,6 +365,36 @@ fn a_version_one_snapshot_is_listed_stale_and_refused_by_serve() {
             "{stderr}"
         );
         assert!(!dir.0.join("old.addr").exists(), "a refused boot never binds");
+    }
+}
+
+#[test]
+fn create_reports_the_shard_count_that_list_shows() {
+    let dir = StateDir::new("shards");
+    for (name, kind) in [("hop", &[][..]), ("wt", &["--weighted"][..])] {
+        // More shards than sources: the builders clamp to σ = 2.
+        let args = ["create", name, "--n", "64", "--sources", "2", "--shards", "8"];
+        let out = dir.run(args.iter().chain(kind));
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let created = stdout
+            .split_whitespace()
+            .find_map(|w| w.strip_prefix("shards="))
+            .unwrap_or_else(|| panic!("no shard count in {stdout:?}"))
+            .to_string();
+
+        let out = dir.run(["list"]);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let header: Vec<&str> = stdout.lines().next().expect("header").split_whitespace().collect();
+        let column = header.iter().position(|&h| h == "SHARDS").expect("SHARDS column");
+        let row = stdout
+            .lines()
+            .find(|l| l.starts_with(&format!("{name} ")))
+            .unwrap_or_else(|| panic!("no row for {name} in {stdout:?}"));
+        let listed = row.split_whitespace().nth(column).expect("SHARDS cell");
+        assert_eq!(created, listed, "create and list disagree on the shard count of {name}");
+        assert_eq!(listed, "2");
     }
 }
 
